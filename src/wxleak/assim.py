@@ -22,7 +22,7 @@ not depend on step-size luck.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Protocol
 
 import numpy as np
@@ -166,6 +166,7 @@ class AssimilationProblem:
     obs_covariance: CovarianceSpec
     observations: tuple[RadianceObservation, ...]
     operator: ObservationOperator
+    obs_values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -175,6 +176,9 @@ class AssimilationProblem:
             self, "background_bias", np.asarray(self.background_bias, dtype=float)
         )
         object.__setattr__(self, "observations", tuple(self.observations))
+        obs_values = np.array([o.value_k for o in self.observations])
+        obs_values.setflags(write=False)
+        object.__setattr__(self, "obs_values", obs_values)
         n_state = self.background_state.shape[0]
         n_bias = self.background_bias.shape[0]
         n_obs = len(self.observations)
@@ -192,10 +196,6 @@ class AssimilationProblem:
             )
         if self.operator.n_state != n_state or self.operator.n_bias != n_bias:
             raise ValidationError("operator dimensions do not match the problem")
-
-    @property
-    def obs_values(self) -> np.ndarray:
-        return np.array([o.value_k for o in self.observations])
 
     def background_control(self) -> Control:
         return Control(self.background_state.copy(), self.background_bias.copy())

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import TextIO
 
@@ -213,6 +214,28 @@ def _canonical_hash(resolved: dict) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _number(value, field: str) -> float:
+    """A finite real number from the config; booleans are not numbers."""
+    if isinstance(value, bool):
+        raise ConfigError("must be a number, not a boolean", field=field)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"must be a number, got {value!r}", field=field) from None
+    if not math.isfinite(number):
+        raise ConfigError("must be finite", field=field)
+    return number
+
+
+def _integer(value, field: str, minimum: int | None = None) -> int:
+    """An integer from the config (booleans rejected), at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError("must be an integer", field=field)
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"must be an integer >= {minimum}", field=field)
+    return value
+
+
 def config_from_dict(raw: dict, seed_override: int | None = None) -> ScenarioConfig:
     """Validate a parsed config mapping and build the resolved ScenarioConfig."""
     defaulted: list[str] = []
@@ -227,7 +250,7 @@ def config_from_dict(raw: dict, seed_override: int | None = None) -> ScenarioCon
     levels = resolved["leakage_levels"]
     if not isinstance(levels, (list, tuple)) or len(levels) == 0:
         raise ConfigError("must be a non-empty list", field="leakage_levels")
-    levels = tuple(float(v) for v in levels)
+    levels = tuple(_number(v, "leakage_levels") for v in levels)
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ConfigError("must be sorted strictly ascending", field="leakage_levels")
 
@@ -237,24 +260,22 @@ def config_from_dict(raw: dict, seed_override: int | None = None) -> ScenarioCon
             "must be 'aggregate' or 'per_device'", field="leakage_interpretation"
         )
 
-    ensemble_size = resolved["ensemble_size"]
-    if not isinstance(ensemble_size, int) or ensemble_size < 1:
-        raise ConfigError("must be an integer >= 1", field="ensemble_size")
-    spinup_steps = resolved["spinup_steps"]
-    if not isinstance(spinup_steps, int) or spinup_steps < 0:
-        raise ConfigError("must be an integer >= 0", field="spinup_steps")
-    forecast_length = float(resolved["forecast_length"])
+    ensemble_size = _integer(resolved["ensemble_size"], "ensemble_size", minimum=1)
+    spinup_steps = _integer(resolved["spinup_steps"], "spinup_steps", minimum=0)
+    forecast_length = _number(resolved["forecast_length"], "forecast_length")
     if forecast_length <= 0:
         raise ConfigError("must be positive", field="forecast_length")
-    background_noise_std = float(resolved["background_noise_std"])
+    background_noise_std = _number(resolved["background_noise_std"], "background_noise_std")
     if background_noise_std < 0:
         raise ConfigError("must be >= 0", field="background_noise_std")
+    hold_bias_fixed = resolved["hold_bias_fixed"]
+    if not isinstance(hold_bias_fixed, bool):
+        raise ConfigError("must be true or false", field="hold_bias_fixed")
 
     seeds_block = resolved["seeds"]
-    for name in ("nature", "obs_noise", "init"):
-        if not isinstance(seeds_block[name], int):
-            raise ConfigError("seed must be an integer", field=f"seeds.{name}")
-    seeds = Seeds(seeds_block["nature"], seeds_block["obs_noise"], seeds_block["init"])
+    seeds = Seeds(
+        *(_integer(seeds_block[n], f"seeds.{n}") for n in ("nature", "obs_noise", "init"))
+    )
 
     def build(section: str, builder, **kwargs):
         try:
@@ -266,23 +287,30 @@ def config_from_dict(raw: dict, seed_override: int | None = None) -> ScenarioCon
     link = build(
         "link",
         LinkBudget,
-        distance_km=float(link_block["distance_km"]),
-        total_pathloss_db=float(link_block["total_pathloss_db"]),
-        transmittance=float(link_block["transmittance"]),
+        distance_km=_number(link_block["distance_km"], "link.distance_km"),
+        total_pathloss_db=_number(link_block["total_pathloss_db"], "link.total_pathloss_db"),
+        transmittance=_number(link_block["transmittance"], "link.transmittance"),
     )
     antenna_block = resolved["antenna"]
     antenna = build(
         "antenna",
         AntennaModel,
-        radiation_efficiency=float(antenna_block["radiation_efficiency"]),
-        physical_temperature_k=float(antenna_block["physical_temperature_k"]),
+        radiation_efficiency=_number(
+            antenna_block["radiation_efficiency"], "antenna.radiation_efficiency"
+        ),
+        physical_temperature_k=_number(
+            antenna_block["physical_temperature_k"], "antenna.physical_temperature_k"
+        ),
     )
     mask_block = resolved["mask"]
     mask = build(
         "mask",
         EmissionMask,
-        breakpoints=tuple((float(o), float(p)) for o, p in mask_block["breakpoints"]),
-        in_band_power_dbw=float(mask_block["in_band_power_dbw"]),
+        breakpoints=tuple(
+            (_number(o, "mask.breakpoints"), _number(p, "mask.breakpoints"))
+            for o, p in mask_block["breakpoints"]
+        ),
+        in_band_power_dbw=_number(mask_block["in_band_power_dbw"], "mask.in_band_power_dbw"),
     )
     field_block = dict(resolved["field"])
     if field_block["density_class"] == "metropolitan":
@@ -294,46 +322,60 @@ def config_from_dict(raw: dict, seed_override: int | None = None) -> ScenarioCon
         TransmitterField,
         density_class=field_block["density_class"],
         count=int(field_block["count"]),
-        per_device_eirp_dbw=float(field_block["per_device_eirp_dbw"]),
-        elevation_gain_db=float(field_block["elevation_gain_db"]),
-        footprint_side_km=float(field_block["footprint_side_km"]),
+        per_device_eirp_dbw=_number(
+            field_block["per_device_eirp_dbw"], "field.per_device_eirp_dbw"
+        ),
+        elevation_gain_db=_number(field_block["elevation_gain_db"], "field.elevation_gain_db"),
+        footprint_side_km=_number(field_block["footprint_side_km"], "field.footprint_side_km"),
     )
     fwd_block = resolved["forward"]
     mapping = build(
         "forward",
         ColumnMapping,
-        params=ForwardOperatorParams(float(fwd_block["opacity_coefficient"])),
-        surface_offset_k=float(fwd_block["surface_offset_k"]),
-        atmosphere_temperature_k=float(fwd_block["atmosphere_temperature_k"]),
+        params=ForwardOperatorParams(
+            _number(fwd_block["opacity_coefficient"], "forward.opacity_coefficient")
+        ),
+        surface_offset_k=_number(fwd_block["surface_offset_k"], "forward.surface_offset_k"),
+        atmosphere_temperature_k=_number(
+            fwd_block["atmosphere_temperature_k"], "forward.atmosphere_temperature_k"
+        ),
     )
     bias_block = resolved["bias"]
     bias = build(
         "bias",
         BiasModel,
-        constant_coefficient_k=float(bias_block["constant_coefficient_k"]),
-        coefficients=tuple(float(c) for c in bias_block["coefficients"]),
+        constant_coefficient_k=_number(
+            bias_block["constant_coefficient_k"], "bias.constant_coefficient_k"
+        ),
+        coefficients=tuple(_number(c, "bias.coefficients") for c in bias_block["coefficients"]),
         predictor_definitions=tuple(bias_block["predictors"]),
     )
     cov_block = resolved["covariances"]
-    state_variance = float(cov_block["state_variance"])
-    bias_variance = float(cov_block["bias_variance"])
-    obs_error_stddev = float(cov_block["observation_stddev_k"])
+    state_variance, bias_variance, obs_error_stddev = (
+        _number(cov_block[key], f"covariances.{key}")
+        for key in ("state_variance", "bias_variance", "observation_stddev_k")
+    )
     if state_variance <= 0 or bias_variance <= 0 or obs_error_stddev <= 0:
         raise ConfigError("variances and stddevs must be positive", field="covariances")
 
     model_block = resolved["model"]
-    grid_size = model_block["grid_size"]
-    if not isinstance(grid_size, int) or grid_size < 4:
-        raise ConfigError("must be an integer >= 4", field="model.grid_size")
+    grid_size = _integer(model_block["grid_size"], "model.grid_size", minimum=4)
     params = build(
         "model",
         ModelParams,
-        forcing=float(model_block["forcing"]),
-        moisture_coupling=float(model_block["moisture_coupling"]),
-        condensation_threshold=float(model_block["condensation_threshold"]),
-        condensation_rate=float(model_block["condensation_rate"]),
-        dt=float(model_block["dt"]),
+        **{
+            key: _number(model_block[key], f"model.{key}")
+            for key in (
+                "forcing",
+                "moisture_coupling",
+                "condensation_threshold",
+                "condensation_rate",
+                "dt",
+            )
+        },
     )
+    if _forecast_steps(forecast_length, params) < 1:
+        raise ConfigError("must span at least one model time step", field="forecast_length")
     obs_block = resolved["observations"]
     if obs_block["locations"] is not None:
         locations = tuple(int(loc) for loc in obs_block["locations"])
@@ -344,9 +386,7 @@ def config_from_dict(raw: dict, seed_override: int | None = None) -> ScenarioCon
         if len(set(locations)) != len(locations):
             raise ConfigError("locations must be unique", field="observations.locations")
     else:
-        count = obs_block["count"]
-        if not isinstance(count, int):
-            raise ConfigError("must be an integer", field="observations.count")
+        count = _integer(obs_block["count"], "observations.count")
         try:
             locations = default_obs_locations(grid_size, count)
         except ValidationError as exc:
@@ -372,10 +412,15 @@ def config_from_dict(raw: dict, seed_override: int | None = None) -> ScenarioCon
         forecast_length=forecast_length,
         ensemble_size=ensemble_size,
         background_noise_std=background_noise_std,
-        hold_bias_fixed=bool(resolved["hold_bias_fixed"]),
+        hold_bias_fixed=hold_bias_fixed,
         defaulted_fields=tuple(defaulted),
         config_hash=_canonical_hash(resolved),
     )
+
+
+def _forecast_steps(forecast_length: float, params: ModelParams) -> int:
+    """RK4 steps in one forecast: the length in units of ``dt``, rounded."""
+    return int(round(forecast_length / params.dt))
 
 
 def load_config(path: str, seed_override: int | None = None) -> ScenarioConfig:
@@ -447,7 +492,7 @@ def _analyze_and_forecast(config: ScenarioConfig, background: ModelState, observ
         problem, hold_bias_fixed=config.hold_bias_fixed, on_iteration=on_iteration
     )
     analysis = state_vector_to_model(result.analysis_state, config.grid_size)
-    n_steps = int(round(config.forecast_length / config.model_params.dt))
+    n_steps = _forecast_steps(config.forecast_length, config.model_params)
     forecast = integrate(analysis, config.model_params, n_steps)
     return result, diagnostics(forecast, config.model_params)
 

@@ -22,6 +22,7 @@ is reported as the state value plus a 273 K offset.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,6 +69,21 @@ class ModelState:
         moisture.setflags(write=False)
         object.__setattr__(self, "temperature_field", temperature)
         object.__setattr__(self, "moisture_field", moisture)
+
+    @classmethod
+    def _trusted(cls, temperature: np.ndarray, moisture: np.ndarray) -> ModelState:
+        """Wrap fields the caller has already validated, without copying them.
+
+        The caller guarantees equal-length 1-D float vectors of at least 4
+        cells, all finite, with moisture >= 0; ``step`` establishes each of
+        these for its output. The arrays are made read-only here.
+        """
+        temperature.setflags(write=False)
+        moisture.setflags(write=False)
+        state = object.__new__(cls)
+        object.__setattr__(state, "temperature_field", temperature)
+        object.__setattr__(state, "moisture_field", moisture)
+        return state
 
     @property
     def grid_size(self) -> int:
@@ -121,20 +137,31 @@ def condensation(moisture: np.ndarray, params: ModelParams) -> np.ndarray:
     return params.condensation_rate * np.maximum(0.0, moisture - params.condensation_threshold)
 
 
+@lru_cache(maxsize=8)
+def _neighbours(grid_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only cyclic index arrays of neighbours k+1, k-1 and k-2."""
+    k = np.arange(grid_size)
+    indices = ((k + 1) % grid_size, (k - 1) % grid_size, (k - 2) % grid_size)
+    for index in indices:
+        index.setflags(write=False)
+    return indices
+
+
 def tendencies(
     temperature: np.ndarray, moisture: np.ndarray, params: ModelParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand side of the coupled system (no clipping)."""
     t = temperature
     q = moisture
+    right, left, left2 = _neighbours(t.shape[0])
     dt_dt = (
-        (np.roll(t, -1) - np.roll(t, 2)) * np.roll(t, 1)
+        (t[right] - t[left2]) * t[left]
         - t
         + params.forcing
         + params.moisture_coupling * q
     )
-    backward = q - np.roll(q, 1)
-    forward_ = np.roll(q, -1) - q
+    backward = q - q[left]
+    forward_ = q[right] - q
     dq_dt = -t * np.where(t > 0.0, backward, forward_) - condensation(q, params)
     return dt_dt, dq_dt
 
@@ -152,9 +179,9 @@ def step(state: ModelState, params: ModelParams) -> ModelState:
     t1 = t0 + (h / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
     q1 = q0 + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
     q1 = np.maximum(q1, 0.0)
-    if not (np.all(np.isfinite(t1)) and np.all(np.isfinite(q1))):
+    if not (np.isfinite(t1).all() and np.isfinite(q1).all()):
         raise ModelBlowUpError(0)
-    return ModelState(t1, q1)
+    return ModelState._trusted(t1, q1)
 
 
 def integrate(state: ModelState, params: ModelParams, n_steps: int) -> Trajectory:

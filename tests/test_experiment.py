@@ -1,11 +1,14 @@
 """Tests for config loading, scenario execution, report emission and the CLI."""
 
 import math
+from pathlib import Path
 
 import pytest
 import yaml
 from click.testing import CliRunner
 
+import wxleak.experiment as experiment
+import wxleak.model as model
 from wxleak.cli import main
 from wxleak.errors import ConfigError
 from wxleak.experiment import (
@@ -129,6 +132,35 @@ class TestConfigLoading:
         with pytest.raises(ConfigError):
             load_config("/nonexistent/run.yaml")
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("forecast_length: .nan", "forecast_length"),
+            ("covariances: {state_variance: .nan}", "covariances.state_variance"),
+            ("background_noise_std: .inf", "background_noise_std"),
+            ("leakage_levels: [.nan]", "leakage_levels"),
+            ("model: {forcing: .nan}", "model.forcing"),
+            ('hold_bias_fixed: "no"', "hold_bias_fixed"),
+            ("ensemble_size: true", "ensemble_size"),
+            ("forecast_length: 0.001", "forecast_length"),
+        ],
+    )
+    def test_bad_value_rejected_at_load_naming_field(self, tmp_path, text, field):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text + "\n")
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(str(path))
+        assert excinfo.value.field == field
+        result = CliRunner().invoke(main, ["run", str(path)])
+        assert result.exit_code == 1
+
+    def test_shipped_config_hash_unchanged(self):
+        """Validation never rewrites a valid config, so its hash stays put."""
+        path = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
+        assert load_config(str(path)).config_hash == (
+            "1f6dd6580d46dffc6bfc86d26f69e4d5c6f46e7370a64c032f1199ac619ac73d"
+        )
+
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("leakage_levels: [-20\nmodel:\n")
@@ -194,6 +226,30 @@ class TestRunScenario:
         assert [row.leakage_dbw for row in report.levels] == [-30.0, -20.0]
         deltas = [row.delta_tb_k for row in report.levels]
         assert deltas[0] < deltas[1]
+
+    def test_one_integrate_per_forecast_and_one_step_per_rk4_step(self, monkeypatch):
+        """Each forecast is one ``experiment.integrate`` call and each RK4 step
+        one ``model.step`` call, both looked up at call time, so wrappers
+        installed on those names see all of the model's work."""
+        calls = {"integrate": 0, "step": 0}
+        integrate, step = experiment.integrate, model.step
+
+        def counted_integrate(*args, **kwargs):
+            calls["integrate"] += 1
+            return integrate(*args, **kwargs)
+
+        def counted_step(*args, **kwargs):
+            calls["step"] += 1
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "integrate", counted_integrate)
+        monkeypatch.setattr(model, "step", counted_step)
+        config = small_config(ensemble_size=2)
+        run_scenario(config)
+        cases = (len(config.leakage_levels) + 1) * config.ensemble_size
+        n_steps = 50  # forecast_length 0.5 at dt 0.01
+        assert calls["integrate"] == cases
+        assert calls["step"] == config.spinup_steps + cases * n_steps
 
     def test_nonzero_leakage_produces_divergence(self):
         report = run_scenario(small_config(leakage_levels=[-15.0]))

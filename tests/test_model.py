@@ -37,6 +37,34 @@ def loop_tendencies(t, q, p):
     return dt_dt, dq_dt
 
 
+def roll_tendencies(t, q, p):
+    """The right-hand side written with np.roll, in the production arithmetic order."""
+    dt_dt = (
+        (np.roll(t, -1) - np.roll(t, 2)) * np.roll(t, 1)
+        - t
+        + p.forcing
+        + p.moisture_coupling * q
+    )
+    backward = q - np.roll(q, 1)
+    forward_ = np.roll(q, -1) - q
+    dq_dt = -t * np.where(t > 0.0, backward, forward_) - p.condensation_rate * np.maximum(
+        0.0, q - p.condensation_threshold
+    )
+    return dt_dt, dq_dt
+
+
+def roll_step(t0, q0, p):
+    """One RK4 step built on ``roll_tendencies``, in the production order."""
+    h = p.dt
+    k1t, k1q = roll_tendencies(t0, q0, p)
+    k2t, k2q = roll_tendencies(t0 + 0.5 * h * k1t, q0 + 0.5 * h * k1q, p)
+    k3t, k3q = roll_tendencies(t0 + 0.5 * h * k2t, q0 + 0.5 * h * k2q, p)
+    k4t, k4q = roll_tendencies(t0 + h * k3t, q0 + h * k3q, p)
+    t1 = t0 + (h / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
+    q1 = q0 + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+    return t1, np.maximum(q1, 0.0)
+
+
 def smooth_initial_state(n=40):
     k = np.arange(n)
     return ModelState(
@@ -97,6 +125,25 @@ class TestStep:
             assert np.max(np.abs(dt_vec - dt_ref)) < 1e-12
             assert np.max(np.abs(dq_vec - dq_ref)) < 1e-12
 
+    @pytest.mark.parametrize("n", [4, 5, 40, 41])
+    def test_tendencies_bitwise_equal_roll_oracle(self, n):
+        rng = np.random.default_rng(n)
+        params = ModelParams()
+        for _ in range(20):
+            t = rng.normal(2, 6, n)
+            q = np.abs(rng.normal(22, 8, n))
+            dt_vec, dq_vec = tendencies(t, q, params)
+            dt_ref, dq_ref = roll_tendencies(t, q, params)
+            assert np.array_equal(dt_vec, dt_ref)
+            assert np.array_equal(dq_vec, dq_ref)
+
+    def test_fields_read_only(self):
+        stepped = step(smooth_initial_state(), ModelParams())
+        for field in (stepped.temperature_field, stepped.moisture_field):
+            assert not field.flags.writeable
+            with pytest.raises(ValueError):
+                field[0] = 1.0
+
     def test_moisture_clipped_nonnegative(self):
         params = ModelParams()
         state = ModelState(8.0 + np.random.default_rng(1).normal(0, 2, 20),
@@ -132,6 +179,16 @@ class TestIntegrate:
         second = integrate(first.final, params, 12)
         assert np.array_equal(whole.final.temperature_field, second.final.temperature_field)
         assert np.array_equal(whole.final.moisture_field, second.final.moisture_field)
+
+    def test_long_run_bitwise_equal_roll_oracle(self):
+        params = ModelParams()
+        state = smooth_initial_state()
+        traj = integrate(state, params, 1200)
+        t, q = state.temperature_field, state.moisture_field
+        for expected in traj.states[1:]:
+            t, q = roll_step(t, q, params)
+            assert np.array_equal(expected.temperature_field, t)
+            assert np.array_equal(expected.moisture_field, q)
 
     def test_times_uniform(self):
         traj = integrate(smooth_initial_state(), ModelParams(dt=0.02), 10)
