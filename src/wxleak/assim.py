@@ -233,12 +233,18 @@ def innovation(problem: AssimilationProblem, control: Control) -> np.ndarray:
     return problem.obs_values - problem.operator.values(control.state, control.bias)
 
 
-def cost(control: Control, problem: AssimilationProblem) -> float:
-    """The three-term quadratic cost at one control point."""
+def cost(
+    control: Control, problem: AssimilationProblem, residual: np.ndarray | None = None
+) -> float:
+    """The three-term quadratic cost at one control point.
+
+    ``residual`` is the innovation at ``control`` when the caller already
+    has it; otherwise it is computed here.
+    """
     control = _check_control(control, problem)
     dx = control.state - problem.background_state
     db = control.bias - problem.background_bias
-    d = innovation(problem, control)
+    d = innovation(problem, control) if residual is None else residual
     return 0.5 * (
         problem.state_covariance.quadratic(dx)
         + problem.bias_covariance.quadratic(db)
@@ -246,16 +252,23 @@ def cost(control: Control, problem: AssimilationProblem) -> float:
     )
 
 
+def _gradient(problem: AssimilationProblem, control: Control, residual, jac_state, jac_bias):
+    """(state part, bias part, R^-1 d) of the gradient, from the innovation and Jacobians."""
+    dx = control.state - problem.background_state
+    db = control.bias - problem.background_bias
+    rinv_d = problem.obs_covariance.solve(residual)
+    grad_state = problem.state_covariance.solve(dx) - jac_state.T @ rinv_d
+    grad_bias = problem.bias_covariance.solve(db) - jac_bias.T @ rinv_d
+    return grad_state, grad_bias, rinv_d
+
+
 def gradient(control: Control, problem: AssimilationProblem) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradient of the cost, split into (state part, bias part)."""
     control = _check_control(control, problem)
-    dx = control.state - problem.background_state
-    db = control.bias - problem.background_bias
-    d = innovation(problem, control)
-    rinv_d = problem.obs_covariance.solve(d)
     jac_state, jac_bias = problem.operator.jacobians(control.state, control.bias)
-    grad_state = problem.state_covariance.solve(dx) - jac_state.T @ rinv_d
-    grad_bias = problem.bias_covariance.solve(db) - jac_bias.T @ rinv_d
+    grad_state, grad_bias, _ = _gradient(
+        problem, control, innovation(problem, control), jac_state, jac_bias
+    )
     return grad_state, grad_bias
 
 
@@ -292,19 +305,19 @@ def minimize(
     def unflatten(v: np.ndarray) -> Control:
         return Control(v[:n_state], v[n_state:])
 
-    def cost_at(v: np.ndarray) -> float:
-        return cost(unflatten(v), problem)
+    def cost_at(v: np.ndarray):
+        # The innovation at v is kept for the gradient there, so each
+        # control point evaluates the operator once.
+        c = unflatten(v)
+        d = innovation(problem, c)
+        return cost(c, problem, d), d
 
     obs_scale = np.abs(problem.obs_values)
 
-    def grad_and_jac(v: np.ndarray):
+    def grad_and_jac(v: np.ndarray, d: np.ndarray):
         c = unflatten(v)
-        dx = c.state - problem.background_state
-        db = c.bias - problem.background_bias
-        rinv_d = problem.obs_covariance.solve(innovation(problem, c))
         jac_state, jac_bias = problem.operator.jacobians(c.state, c.bias)
-        gs = problem.state_covariance.solve(dx) - jac_state.T @ rinv_d
-        gb = problem.bias_covariance.solve(db) - jac_bias.T @ rinv_d
+        gs, gb, rinv_d = _gradient(problem, c, d, jac_state, jac_bias)
         if hold_bias_fixed:
             gb = np.zeros_like(gb)
         cancel_scale = 2.0 * float(np.abs(rinv_d) @ obs_scale)
@@ -335,10 +348,10 @@ def minimize(
         )
 
     point = np.concatenate([current.state, current.bias])
-    j = cost_at(point)
+    j, d = cost_at(point)
     if not np.isfinite(j):
         raise MinimizationError("cost is non-finite at the initial control", current)
-    g, jac_state, jac_bias, cancel_scale = grad_and_jac(point)
+    g, jac_state, jac_bias, cancel_scale = grad_and_jac(point, d)
     tol = gradient_tolerance * max(1.0, float(np.linalg.norm(g)))
     scaled_g = g / jacobi_diagonal(jac_state, jac_bias)
 
@@ -355,7 +368,7 @@ def minimize(
         if abs(alpha * slope) <= noise_floor:
             # Below cost resolution: take the model step as-is.
             trial = point + alpha * direction
-            j_trial = cost_at(trial)
+            j_trial, d_trial = cost_at(trial)
             if not np.isfinite(j_trial):
                 raise MinimizationError(
                     "cost became non-finite during line search", unflatten(point)
@@ -364,7 +377,7 @@ def minimize(
             accepted = False
             for _ in range(_MAX_BACKTRACKS):
                 trial = point + alpha * direction
-                j_trial = cost_at(trial)
+                j_trial, d_trial = cost_at(trial)
                 if not np.isfinite(j_trial):
                     raise MinimizationError(
                         "cost became non-finite during line search", unflatten(point)
@@ -379,7 +392,7 @@ def minimize(
                 direction = -scaled_g
                 continue
 
-        g_new, jac_state, jac_bias, cancel_scale = grad_and_jac(trial)
+        g_new, jac_state, jac_bias, cancel_scale = grad_and_jac(trial, d_trial)
         scaled_g_new = g_new / jacobi_diagonal(jac_state, jac_bias)
         # Preconditioned Polak-Ribiere with the nonnegativity cap; a
         # negative beta resets to scaled steepest descent automatically.

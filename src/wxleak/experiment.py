@@ -313,6 +313,9 @@ def config_from_dict(raw: dict, seed_override: int | None = None) -> ScenarioCon
         in_band_power_dbw=_number(mask_block["in_band_power_dbw"], "mask.in_band_power_dbw"),
     )
     field_block = dict(resolved["field"])
+    # Checked before a density-class preset replaces it: a bad value is
+    # rejected even where the preset would not use it.
+    field_block["count"] = _integer(field_block["count"], "field.count")
     if field_block["density_class"] == "metropolitan":
         field_block["count"] = 250
     elif field_block["density_class"] == "rural":
@@ -321,7 +324,7 @@ def config_from_dict(raw: dict, seed_override: int | None = None) -> ScenarioCon
         "field",
         TransmitterField,
         density_class=field_block["density_class"],
-        count=int(field_block["count"]),
+        count=field_block["count"],
         per_device_eirp_dbw=_number(
             field_block["per_device_eirp_dbw"], "field.per_device_eirp_dbw"
         ),
@@ -378,7 +381,13 @@ def config_from_dict(raw: dict, seed_override: int | None = None) -> ScenarioCon
         raise ConfigError("must span at least one model time step", field="forecast_length")
     obs_block = resolved["observations"]
     if obs_block["locations"] is not None:
-        locations = tuple(int(loc) for loc in obs_block["locations"])
+        if not isinstance(obs_block["locations"], (list, tuple)) or not obs_block["locations"]:
+            raise ConfigError(
+                "must be a non-empty list of integers", field="observations.locations"
+            )
+        locations = tuple(
+            _integer(loc, "observations.locations") for loc in obs_block["locations"]
+        )
         if any(not 0 <= loc < grid_size for loc in locations):
             raise ConfigError(
                 "locations must index the model grid", field="observations.locations"

@@ -209,9 +209,15 @@ def diagnostics(trajectory: Trajectory, params: ModelParams) -> ForecastDiagnost
     if len(trajectory.states) == 0:
         raise ValidationError("trajectory is empty")
     n = trajectory.states[0].grid_size
-    precip = np.zeros(n)
-    for state in trajectory.states[:-1]:
-        precip += condensation(state.moisture_field, params) * params.dt
+    # condensation(q, params) * dt at every left point, computed in place on
+    # one (steps, n) matrix so that no second matrix is allocated. A sum over
+    # axis 0 adds its rows one after another, as a step-by-step loop would.
+    sink = np.array([state.moisture_field for state in trajectory.states[:-1]]).reshape(-1, n)
+    sink -= params.condensation_threshold
+    np.maximum(0.0, sink, out=sink)
+    sink *= params.condensation_rate
+    sink *= params.dt
+    precip = sink.sum(axis=0)
     t2m = trajectory.final.temperature_field + TEMPERATURE_REPORT_OFFSET_K
     return ForecastDiagnostics(precip, t2m)
 

@@ -121,7 +121,9 @@ class RadianceOperator:
     Moisture below zero is floored before evaluating the column (matching
     the model's own clipping), with zero sensitivity there. Evaluation is
     vectorized over observations; predictors without a vectorized form fall
-    back to per-observation calls.
+    back to per-observation calls. Everything that does not depend on the
+    control (resolved predictors, their slopes, the scan positions, the
+    Jacobian's nonzero positions) is fixed at construction.
     """
 
     mapping: ColumnMapping
@@ -135,10 +137,24 @@ class RadianceOperator:
             raise ValidationError("one location per observation required")
         if any(not 0 <= loc < self.grid_size for loc in self.obs_locations):
             raise ValidationError("observation locations must index the model grid")
-        object.__setattr__(self, "_locs", np.array(self.obs_locations, dtype=int))
-        object.__setattr__(
-            self, "_scan", np.array([o.scan_position for o in self.observations], dtype=float)
-        )
+        defs = self.bias_template.resolved()
+        locs = np.array(self.obs_locations, dtype=int)
+        moist_locs = self.grid_size + locs
+        row_starts = np.arange(len(self.observations)) * self.n_state
+        constants = {
+            "_defs": defs,
+            "_slopes": tuple((p.d_surface_temperature, p.d_water_vapor) for p in defs),
+            "_locs": locs,
+            "_moist_locs": moist_locs,
+            "_scan": np.array([o.scan_position for o in self.observations], dtype=float),
+            # Positions of d/dT and d/dq in the row-major (n_obs, n_state) Jacobian.
+            "_flat_temp": row_starts + locs,
+            "_flat_moist": row_starts + moist_locs,
+        }
+        for name, value in constants.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def n_state(self) -> int:
@@ -149,64 +165,51 @@ class RadianceOperator:
         return 1 + self.bias_template.n_predictors
 
     def _columns(self, state: np.ndarray):
-        """(surface temperature, floored moisture, raw-moisture-positive mask)."""
-        locs = self._locs  # type: ignore[attr-defined]
-        t_surf = self.mapping.surface_offset_k + state[locs]
-        q_raw = state[self.grid_size + locs]
-        return t_surf, np.maximum(0.0, q_raw), q_raw > 0.0
+        """(surface temperature, floored moisture, raw moisture) at the observed cells."""
+        q_raw = state[self._moist_locs]
+        return self.mapping.surface_offset_k + state[self._locs], np.maximum(0.0, q_raw), q_raw
 
-    def _predictor_matrix(self, t_surf, q, defs) -> np.ndarray:
-        columns = []
-        for pdef in defs:
+    def _fill_predictors(self, t_surf, q, out: np.ndarray) -> np.ndarray:
+        """Write the predictor values as the columns of ``out``, shape (n_obs, k)."""
+        for i, pdef in enumerate(self._defs):
             if pdef.vector_value is not None:
-                columns.append(pdef.vector_value(t_surf, q, self._scan))  # type: ignore[attr-defined]
+                out[:, i] = pdef.vector_value(t_surf, q, self._scan)
             else:
-                columns.append(
-                    np.array(
-                        [
-                            pdef.value(
-                                self.mapping.column(ts - self.mapping.surface_offset_k, qq),
-                                obs,
-                            )
-                            for ts, qq, obs in zip(t_surf, q, self.observations)
-                        ]
-                    )
-                )
-        if not columns:
-            return np.zeros((len(self.observations), 0))
-        return np.column_stack(columns)
+                out[:, i] = [
+                    pdef.value(self.mapping.column(ts - self.mapping.surface_offset_k, qq), obs)
+                    for ts, qq, obs in zip(t_surf, q, self.observations)
+                ]
+        return out
 
     def values(self, state: np.ndarray, bias: np.ndarray) -> np.ndarray:
         t_surf, q, _ = self._columns(state)
         t_atm = self.mapping.atmosphere_temperature_k
         w = np.exp(-self.mapping.params.opacity_coefficient * q)
         h = t_surf * w + t_atm * (1.0 - w)
-        pred = self._predictor_matrix(t_surf, q, self.bias_template.resolved())
+        pred = self._fill_predictors(t_surf, q, np.empty((len(q), len(self._defs))))
         return h + bias[0] + pred @ bias[1:]
 
     def jacobians(self, state: np.ndarray, bias: np.ndarray):
         n_obs = len(self.observations)
-        defs = self.bias_template.resolved()
-        t_surf, q, active = self._columns(state)
+        t_surf, q, q_raw = self._columns(state)
         t_atm = self.mapping.atmosphere_temperature_k
         kappa = self.mapping.params.opacity_coefficient
         w = np.exp(-kappa * q)
 
         d_dtemp = w.copy()
         d_dmoist = kappa * (t_atm - t_surf) * w
-        for coeff, pdef in zip(bias[1:], defs):
-            d_dtemp += coeff * pdef.d_surface_temperature
-            d_dmoist += coeff * pdef.d_water_vapor
-        d_dmoist = np.where(active, d_dmoist, 0.0)
+        for coeff, (d_temp, d_moist) in zip(bias[1:], self._slopes):
+            d_dtemp += coeff * d_temp
+            d_dmoist += coeff * d_moist
+        d_dmoist = np.where(q_raw > 0.0, d_dmoist, 0.0)
 
-        rows = np.arange(n_obs)
-        locs = self._locs  # type: ignore[attr-defined]
         jac_state = np.zeros((n_obs, self.n_state))
-        jac_state[rows, locs] = d_dtemp
-        jac_state[rows, self.grid_size + locs] = d_dmoist
+        flat = jac_state.reshape(-1)
+        flat[self._flat_temp] = d_dtemp
+        flat[self._flat_moist] = d_dmoist
         jac_bias = np.empty((n_obs, self.n_bias))
         jac_bias[:, 0] = 1.0
-        jac_bias[:, 1:] = self._predictor_matrix(t_surf, q, defs)
+        self._fill_predictors(t_surf, q, jac_bias[:, 1:])
         return jac_state, jac_bias
 
 

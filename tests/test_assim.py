@@ -1,10 +1,13 @@
 """Tests for the variational analysis: cost, gradient, minimizer."""
 
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from wxleak import assim
 from wxleak.assim import (
     AssimilationProblem,
     Control,
@@ -19,7 +22,12 @@ from wxleak.errors import MinimizationError, ValidationError
 from wxleak.forward import BiasModel, RadianceObservation
 from wxleak.leakage import VICTIM_CHANNEL
 from wxleak.model import ModelParams, ModelState, nature_run
-from wxleak.osse import ColumnMapping, build_problem, synthesize_observations
+from wxleak.osse import (
+    ColumnMapping,
+    RadianceOperator,
+    build_problem,
+    synthesize_observations,
+)
 
 
 def obs_list(values, stddev=1.0):
@@ -499,3 +507,138 @@ def _permuted_operator(operator, perm):
             return jac_state[perm], jac_bias[perm]
 
     return Permuted()
+
+
+class ReferenceRadianceOperator:
+    """The radiance operator with no set-up at construction: predictors are
+    resolved, index arrays built and the predictor matrix stacked on every
+    call, in the same arithmetic order as ``RadianceOperator``."""
+
+    def __init__(self, operator):
+        self.op = operator
+        self.n_state = operator.n_state
+        self.n_bias = operator.n_bias
+
+    def _columns(self, state):
+        locs = np.array(self.op.obs_locations, dtype=int)
+        t_surf = self.op.mapping.surface_offset_k + state[locs]
+        q_raw = state[self.op.grid_size + locs]
+        return t_surf, np.maximum(0.0, q_raw), q_raw > 0.0
+
+    def _predictor_matrix(self, t_surf, q):
+        scan = np.array([o.scan_position for o in self.op.observations], dtype=float)
+        columns = [p.vector_value(t_surf, q, scan) for p in self.op.bias_template.resolved()]
+        if not columns:
+            return np.zeros((len(t_surf), 0))
+        return np.column_stack(columns)
+
+    def values(self, state, bias):
+        t_surf, q, _ = self._columns(state)
+        mapping = self.op.mapping
+        w = np.exp(-mapping.params.opacity_coefficient * q)
+        h = t_surf * w + mapping.atmosphere_temperature_k * (1.0 - w)
+        return h + bias[0] + self._predictor_matrix(t_surf, q) @ bias[1:]
+
+    def jacobians(self, state, bias):
+        t_surf, q, active = self._columns(state)
+        kappa = self.op.mapping.params.opacity_coefficient
+        w = np.exp(-kappa * q)
+        d_dtemp = w.copy()
+        d_dmoist = kappa * (self.op.mapping.atmosphere_temperature_k - t_surf) * w
+        for coeff, pdef in zip(bias[1:], self.op.bias_template.resolved()):
+            d_dtemp += coeff * pdef.d_surface_temperature
+            d_dmoist += coeff * pdef.d_water_vapor
+        d_dmoist = np.where(active, d_dmoist, 0.0)
+        n_obs = len(t_surf)
+        rows = np.arange(n_obs)
+        locs = np.array(self.op.obs_locations, dtype=int)
+        jac_state = np.zeros((n_obs, self.n_state))
+        jac_state[rows, locs] = d_dtemp
+        jac_state[rows, self.op.grid_size + locs] = d_dmoist
+        jac_bias = np.empty((n_obs, self.n_bias))
+        jac_bias[:, 0] = 1.0
+        jac_bias[:, 1:] = self._predictor_matrix(t_surf, q)
+        return jac_state, jac_bias
+
+
+def _recomputing_cost(monkeypatch):
+    """Make ``assim.cost`` ignore a supplied innovation and evaluate its own."""
+    original = assim.cost
+    monkeypatch.setattr(
+        assim, "cost", lambda control, problem, residual=None: original(control, problem)
+    )
+
+
+class TestOperatorEvaluations:
+    """The analysis evaluates the operator once per control point."""
+
+    @pytest.mark.parametrize("hold_bias_fixed", [False, True])
+    def test_call_counts(self, monkeypatch, hold_bias_fixed):
+        counts = Counter()
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(RadianceOperator, "values")
+        counted(RadianceOperator, "jacobians")
+        counted(assim, "cost")
+        for seed in range(3):
+            counts.clear()
+            problem = radiance_problem(seed + 40)
+            assert problem.operator.n_bias == 3
+            result = minimize(problem, hold_bias_fixed=hold_bias_fixed)
+            assert result.iterations > 0
+            assert counts["values"] == counts["cost"]
+            assert counts["jacobians"] == result.iterations + 1
+
+    @pytest.mark.parametrize(
+        "predictors", [(), ("scan_position",), ("surface_temperature", "scan_position")]
+    )
+    def test_operator_bitwise_equal_reference(self, predictors):
+        problem = radiance_problem(11, predictors=predictors)
+        operator = problem.operator
+        reference = ReferenceRadianceOperator(operator)
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            state = problem.background_state + rng.normal(0.0, 3.0, operator.n_state)
+            bias = problem.background_bias + rng.normal(0.0, 0.1, operator.n_bias)
+            assert np.array_equal(operator.values(state, bias), reference.values(state, bias))
+            for got, expected in zip(
+                operator.jacobians(state, bias), reference.jacobians(state, bias)
+            ):
+                assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("hold_bias_fixed", [False, True])
+    def test_analysis_bitwise_equal_recomputing_oracle(self, monkeypatch, hold_bias_fixed):
+        """Reusing the innovation and the operator's fixed set-up changes no bit:
+        the oracle recomputes the innovation for the gradient and rebuilds the
+        operator's constants on every call."""
+        problem = radiance_problem(12)
+
+        def analyse(p):
+            steps = []
+            result = minimize(
+                p,
+                hold_bias_fixed=hold_bias_fixed,
+                on_iteration=lambda *args: steps.append(args),
+            )
+            return result, steps
+
+        result, steps = analyse(problem)
+        _recomputing_cost(monkeypatch)
+        expected, expected_steps = analyse(
+            dataclasses.replace(problem, operator=ReferenceRadianceOperator(problem.operator))
+        )
+        assert result.iterations == expected.iterations > 0
+        assert steps == expected_steps
+        assert np.array_equal(result.analysis_state, expected.analysis_state)
+        assert np.array_equal(result.analysis_bias, expected.analysis_bias)
+        assert result.final_cost == expected.final_cost
+        assert result.gradient_norm == expected.gradient_norm
+        assert result.converged == expected.converged

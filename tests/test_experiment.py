@@ -143,6 +143,13 @@ class TestConfigLoading:
             ('hold_bias_fixed: "no"', "hold_bias_fixed"),
             ("ensemble_size: true", "ensemble_size"),
             ("forecast_length: 0.001", "forecast_length"),
+            ("field: {count: 2.7}", "field.count"),
+            ("field: {count: true}", "field.count"),
+            ("field: {density_class: metropolitan, count: 2.7}", "field.count"),
+            ("observations: {locations: [0.9, 5.5]}", "observations.locations"),
+            ("observations: {locations: [0, false]}", "observations.locations"),
+            ("observations: {locations: 3}", "observations.locations"),
+            ("observations: {locations: []}", "observations.locations"),
         ],
     )
     def test_bad_value_rejected_at_load_naming_field(self, tmp_path, text, field):

@@ -9,6 +9,7 @@ from wxleak.model import (
     ModelParams,
     ModelState,
     Trajectory,
+    condensation,
     diagnostics,
     integrate,
     nature_run,
@@ -250,6 +251,24 @@ class TestDiagnostics:
         )
         total = diagnostics(whole, params).accumulated_precipitation_mm
         assert np.allclose(split_sum, total, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("grid_size, n_steps", [(40, 1200), (4, 7), (5, 30), (41, 200)])
+    def test_precipitation_bitwise_equal_loop_oracle(self, grid_size, n_steps):
+        """The vectorised sum adds the steps in the order of a step-by-step loop."""
+        params = ModelParams()
+        traj = integrate(smooth_initial_state(grid_size), params, n_steps)
+        expected = np.zeros(grid_size)
+        for state in traj.states[:-1]:
+            expected += condensation(state.moisture_field, params) * params.dt
+        assert np.any(expected > 0.0)
+        assert np.array_equal(diagnostics(traj, params).accumulated_precipitation_mm, expected)
+
+    def test_zero_step_trajectory_has_zero_precipitation(self):
+        params = ModelParams()
+        traj = integrate(smooth_initial_state(6), params, 0)
+        precip = diagnostics(traj, params).accumulated_precipitation_mm
+        assert precip.shape == (6,)
+        assert np.all(precip == 0.0)
 
     def test_temperature_report_offset(self):
         params = ModelParams()
