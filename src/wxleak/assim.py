@@ -307,9 +307,10 @@ def minimize(
 
     def cost_at(v: np.ndarray):
         # The innovation at v is kept for the gradient there, so each
-        # control point evaluates the operator once.
+        # control point evaluates the operator once. The views of v have
+        # the problem's shapes by construction; ``cost`` checks them once.
         c = unflatten(v)
-        d = innovation(problem, c)
+        d = problem.obs_values - problem.operator.values(c.state, c.bias)
         return cost(c, problem, d), d
 
     obs_scale = np.abs(problem.obs_values)
@@ -358,9 +359,10 @@ def minimize(
     iterations = 0
     direction = -scaled_g
     while float(np.linalg.norm(g)) > tol and iterations < max_iterations:
-        if float(g @ direction) >= 0.0:
-            direction = -scaled_g  # restart: direction lost descent
         slope = float(g @ direction)
+        if slope >= 0.0:
+            direction = -scaled_g  # restart: direction lost descent
+            slope = float(g @ direction)
         curv = curvature_along(jac_state, jac_bias, direction)
         alpha = -slope / curv if curv > 0 else 1.0
         noise_floor = _EPS * (32.0 * abs(j) + cancel_scale)

@@ -379,6 +379,12 @@ def config_from_dict(raw: dict, seed_override: int | None = None) -> ScenarioCon
     )
     if _forecast_steps(forecast_length, params) < 1:
         raise ConfigError("must span at least one model time step", field="forecast_length")
+    steps = forecast_length / params.dt
+    if abs(steps - round(steps)) > 1e-9 * steps:
+        raise ConfigError(
+            f"must be a whole number of model time steps (dt {params.dt:g}, got {steps:.6g})",
+            field="forecast_length",
+        )
     obs_block = resolved["observations"]
     if obs_block["locations"] is not None:
         if not isinstance(obs_block["locations"], (list, tuple)) or not obs_block["locations"]:

@@ -47,16 +47,20 @@ class ModelParams:
             raise ValidationError("condensation rate must be >= 0")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False, slots=True)
 class ModelState:
-    """Temperature and moisture fields on the cyclic grid (read-only arrays)."""
+    """Temperature and moisture fields on the cyclic grid.
 
-    temperature_field: np.ndarray
-    moisture_field: np.ndarray
+    The state is held as one read-only vector ``[T, q]`` of length 2N;
+    ``temperature_field`` and ``moisture_field`` are read-only views of its
+    halves, made on access so that a stored state costs one array.
+    """
 
-    def __post_init__(self):
-        temperature = np.array(self.temperature_field, dtype=float)
-        moisture = np.array(self.moisture_field, dtype=float)
+    vector: np.ndarray
+
+    def __init__(self, temperature_field, moisture_field):
+        temperature = np.asarray(temperature_field, dtype=float)
+        moisture = np.asarray(moisture_field, dtype=float)
         if temperature.shape != moisture.shape or temperature.ndim != 1:
             raise ValidationError("temperature and moisture fields must be equal-length vectors")
         if temperature.shape[0] < 4:
@@ -65,29 +69,34 @@ class ModelState:
             raise ValidationError("model state must be finite")
         if np.any(moisture < 0):
             raise ValidationError("moisture must be >= 0")
-        temperature.setflags(write=False)
-        moisture.setflags(write=False)
-        object.__setattr__(self, "temperature_field", temperature)
-        object.__setattr__(self, "moisture_field", moisture)
+        vector = np.concatenate([temperature, moisture])
+        vector.setflags(write=False)
+        object.__setattr__(self, "vector", vector)
 
     @classmethod
-    def _trusted(cls, temperature: np.ndarray, moisture: np.ndarray) -> ModelState:
-        """Wrap fields the caller has already validated, without copying them.
+    def _trusted(cls, vector: np.ndarray) -> ModelState:
+        """Wrap a ``[T, q]`` vector the caller has already validated, without copying it.
 
-        The caller guarantees equal-length 1-D float vectors of at least 4
-        cells, all finite, with moisture >= 0; ``step`` establishes each of
-        these for its output. The arrays are made read-only here.
+        The caller guarantees a 1-D float vector of even length of at least 8,
+        all finite, with its moisture half >= 0; ``step`` establishes each of
+        these for its output. The vector is made read-only here.
         """
-        temperature.setflags(write=False)
-        moisture.setflags(write=False)
+        vector.setflags(write=False)
         state = object.__new__(cls)
-        object.__setattr__(state, "temperature_field", temperature)
-        object.__setattr__(state, "moisture_field", moisture)
+        object.__setattr__(state, "vector", vector)
         return state
 
     @property
     def grid_size(self) -> int:
-        return self.temperature_field.shape[0]
+        return self.vector.shape[0] // 2
+
+    @property
+    def temperature_field(self) -> np.ndarray:
+        return self.vector[: self.vector.shape[0] // 2]
+
+    @property
+    def moisture_field(self) -> np.ndarray:
+        return self.vector[self.vector.shape[0] // 2 :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,56 +141,84 @@ class ForecastDiagnostics:
         object.__setattr__(self, "two_meter_temperature_k", t2m)
 
 
-def condensation(moisture: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Condensation sink r * max(0, q - q_c), per grid point."""
-    return params.condensation_rate * np.maximum(0.0, moisture - params.condensation_threshold)
+def condensation(
+    moisture: np.ndarray, params: ModelParams, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Condensation sink r * max(0, q - q_c), per grid point (written to ``out`` if given)."""
+    return np.multiply(
+        params.condensation_rate,
+        np.maximum(0.0, moisture - params.condensation_threshold),
+        out=out,
+    )
 
 
 @lru_cache(maxsize=8)
-def _neighbours(grid_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only cyclic index arrays of neighbours k+1, k-1 and k-2."""
-    k = np.arange(grid_size)
-    indices = ((k + 1) % grid_size, (k - 1) % grid_size, (k - 2) % grid_size)
-    for index in indices:
-        index.setflags(write=False)
-    return indices
+def _stencil(grid_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only constants of ``tendencies`` on a grid of N cells.
+
+    ``gather`` picks 9N values out of a ``[T, q]`` vector; with k over the
+    grid and neighbours taken cyclically, block by block they are
+
+        T[k+1]  (q[k], q[k-1]) per k  T[k-2]  (q[k+1], q[k]) per k  T[k-1]  T[k]  T[k]
+
+    so that the first 3N minus the next 3N is, in one subtraction,
+    T[k+1] - T[k-2] and then, per k, the negated forward difference
+    q[k] - q[k+1] followed by the negated backward difference q[k-1] - q[k].
+    The last block is a work area. ``select`` indexes that 3N result: k
+    for T[k+1] - T[k-2], then N + 2k for cell k's forward difference; adding
+    ``[T[k-1], T[k]] > threshold`` (never true in the first half, T[k] > 0
+    in the second) moves to the backward difference where the wind is
+    positive.
+    """
+    n = grid_size
+    k = np.arange(n)
+    right, left, left2 = (k + 1) % n, (k - 1) % n, (k - 2) % n
+    minuend = np.stack([n + k, n + left], axis=1).reshape(-1)
+    subtrahend = np.stack([n + right, n + k], axis=1).reshape(-1)
+    gather = np.concatenate([right, minuend, left2, subtrahend, left, k, k])
+    select = np.concatenate([k, n + 2 * k])
+    threshold = np.concatenate([np.full(n, np.inf), np.zeros(n)])
+    for constant in (gather, select, threshold):
+        constant.setflags(write=False)
+    return gather, select, threshold
 
 
-def tendencies(
-    temperature: np.ndarray, moisture: np.ndarray, params: ModelParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand side of the coupled system (no clipping)."""
-    t = temperature
-    q = moisture
-    right, left, left2 = _neighbours(t.shape[0])
-    dt_dt = (
-        (t[right] - t[left2]) * t[left]
-        - t
-        + params.forcing
-        + params.moisture_coupling * q
-    )
-    backward = q - q[left]
-    forward_ = q[right] - q
-    dq_dt = -t * np.where(t > 0.0, backward, forward_) - condensation(q, params)
-    return dt_dt, dq_dt
+def tendencies(state: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Right-hand side ``[dT/dt, dq/dt]`` of the coupled system at ``[T, q]`` (no clipping)."""
+    n = state.shape[0] // 2
+    q = state[n:]
+    gather, select, threshold = _stencil(n)
+    gathered = state[gather]
+    differences = gathered[: 3 * n] - gathered[3 * n : 6 * n]
+    factors = gathered[6 * n : 8 * n]  # [T[k-1], T[k]]
+    # [(T[k+1] - T[k-2]) T[k-1], T[k] (negated upwind moisture difference)];
+    # -T times a difference equals T times the negated one exactly.
+    out = differences[select + (factors > threshold)] * factors
+    condensation(q, params, out=gathered[8 * n :])
+    out -= gathered[7 * n :]  # [T[k], condensation]
+    # dT/dt is completed in place, in the order ((... - T) + F) + c_q q.
+    dt_dt = out[:n]
+    dt_dt += params.forcing
+    dt_dt += params.moisture_coupling * q
+    return out
 
 
 def step(state: ModelState, params: ModelParams) -> ModelState:
     """Advance one RK4 step of length ``params.dt``; moisture clipped at 0."""
     h = params.dt
-    t0, q0 = state.temperature_field, state.moisture_field
+    x0 = state.vector
 
-    k1t, k1q = tendencies(t0, q0, params)
-    k2t, k2q = tendencies(t0 + 0.5 * h * k1t, q0 + 0.5 * h * k1q, params)
-    k3t, k3q = tendencies(t0 + 0.5 * h * k2t, q0 + 0.5 * h * k2q, params)
-    k4t, k4q = tendencies(t0 + h * k3t, q0 + h * k3q, params)
+    k1 = tendencies(x0, params)
+    k2 = tendencies(x0 + 0.5 * h * k1, params)
+    k3 = tendencies(x0 + 0.5 * h * k2, params)
+    k4 = tendencies(x0 + h * k3, params)
 
-    t1 = t0 + (h / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
-    q1 = q0 + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-    q1 = np.maximum(q1, 0.0)
-    if not (np.isfinite(t1).all() and np.isfinite(q1).all()):
+    x1 = x0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    moisture = x1[x1.shape[0] // 2 :]
+    np.maximum(moisture, 0.0, out=moisture)
+    if not np.isfinite(x1).all():
         raise ModelBlowUpError(0)
-    return ModelState._trusted(t1, q1)
+    return ModelState._trusted(x1)
 
 
 def integrate(state: ModelState, params: ModelParams, n_steps: int) -> Trajectory:
@@ -190,12 +227,15 @@ def integrate(state: ModelState, params: ModelParams, n_steps: int) -> Trajector
         raise ValidationError("step count must be >= 0")
     states = [state]
     current = state
-    for i in range(n_steps):
-        try:
-            current = step(current, params)
-        except ModelBlowUpError as exc:
-            raise ModelBlowUpError(i) from exc
-        states.append(current)
+    # A blow-up is reported by step's finiteness check; the overflow on the
+    # way there would only add floating-point warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            try:
+                current = step(current, params)
+            except ModelBlowUpError as exc:
+                raise ModelBlowUpError(i) from exc
+            states.append(current)
     times = np.arange(n_steps + 1, dtype=float) * params.dt
     return Trajectory(tuple(states), times)
 
@@ -210,9 +250,14 @@ def diagnostics(trajectory: Trajectory, params: ModelParams) -> ForecastDiagnost
         raise ValidationError("trajectory is empty")
     n = trajectory.states[0].grid_size
     # condensation(q, params) * dt at every left point, computed in place on
-    # one (steps, n) matrix so that no second matrix is allocated. A sum over
-    # axis 0 adds its rows one after another, as a step-by-step loop would.
-    sink = np.array([state.moisture_field for state in trajectory.states[:-1]]).reshape(-1, n)
+    # one (steps, n) matrix so that no second matrix is allocated; its rows
+    # are copied straight from the state vectors, with no view per state. A
+    # sum over axis 0 adds the rows one after another, as a step-by-step
+    # loop would.
+    left_points = trajectory.states[:-1]
+    sink = np.empty((len(left_points), n))
+    for row, state in zip(sink, left_points):
+        row[...] = state.vector[n:]
     sink -= params.condensation_threshold
     np.maximum(0.0, sink, out=sink)
     sink *= params.condensation_rate
@@ -244,9 +289,10 @@ def nature_run(
     temperature = params.forcing + 0.5 * np.array(rng.normals(grid_size))
     moisture = np.maximum(0.0, moisture_base + 2.0 * np.array(rng.normals(grid_size)))
     state = ModelState(temperature, moisture)
-    for i in range(spinup_steps):
-        try:
-            state = step(state, params)
-        except ModelBlowUpError as exc:
-            raise ModelBlowUpError(i) from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(spinup_steps):
+            try:
+                state = step(state, params)
+            except ModelBlowUpError as exc:
+                raise ModelBlowUpError(i) from exc
     return integrate(state, params, run_steps)

@@ -224,7 +224,7 @@ def build_problem(
 ) -> AssimilationProblem:
     """Assemble the analysis problem for one cycle with diagonal covariances."""
     n = background.grid_size
-    x_b = np.concatenate([background.temperature_field, background.moisture_field])
+    x_b = background.vector.copy()
     beta_b = np.array(
         [background_bias.constant_coefficient_k, *background_bias.coefficients]
     )

@@ -597,6 +597,23 @@ class TestOperatorEvaluations:
             assert counts["values"] == counts["cost"]
             assert counts["jacobians"] == result.iterations + 1
 
+    @pytest.mark.parametrize("hold_bias_fixed", [False, True])
+    def test_one_control_check_per_cost_evaluation(self, monkeypatch, hold_bias_fixed):
+        """Each trial control is validated once, inside ``cost``; ``init`` once more."""
+        counts = Counter()
+        for name in ("_check_control", "cost"):
+            original = getattr(assim, name)
+
+            def wrapper(*args, _original=original, _name=name, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(assim, name, wrapper)
+        problem = radiance_problem(41)
+        result = minimize(problem, hold_bias_fixed=hold_bias_fixed)
+        assert result.iterations > 0
+        assert counts["_check_control"] == counts["cost"] + 1
+
     @pytest.mark.parametrize(
         "predictors", [(), ("scan_position",), ("surface_temperature", "scan_position")]
     )

@@ -1,6 +1,9 @@
 """Tests for config loading, scenario execution, report emission and the CLI."""
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -143,6 +146,8 @@ class TestConfigLoading:
             ('hold_bias_fixed: "no"', "hold_bias_fixed"),
             ("ensemble_size: true", "ensemble_size"),
             ("forecast_length: 0.001", "forecast_length"),
+            ("forecast_length: 1.004", "forecast_length"),
+            ("{forecast_length: 0.5, model: {dt: 0.03}}", "forecast_length"),
             ("field: {count: 2.7}", "field.count"),
             ("field: {count: true}", "field.count"),
             ("field: {density_class: metropolitan, count: 2.7}", "field.count"),
@@ -160,6 +165,16 @@ class TestConfigLoading:
         assert excinfo.value.field == field
         result = CliRunner().invoke(main, ["run", str(path)])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize(
+        "length, steps",
+        [(12.0, 1200), (1.0, 100), (0.75, 75), (0.5, 50), (0.2, 20), (0.05, 5), (0.29, 29)],
+    )
+    def test_whole_step_forecast_lengths_load(self, length, steps):
+        """Lengths that are whole numbers of dt load, also where length / dt
+        is not an integer in floating point (0.29 / 0.01 is 28.999999999999996)."""
+        config = config_from_dict({"forecast_length": length})
+        assert experiment._forecast_steps(config.forecast_length, config.model_params) == steps
 
     def test_shipped_config_hash_unchanged(self):
         """Validation never rewrites a valid config, so its hash stays put."""
@@ -452,6 +467,22 @@ class TestCli:
         runner = CliRunner()
         result = runner.invoke(main, ["noise-table", "--min", "-10", "--max", "-20"])
         assert result.exit_code == 1
+
+    def test_blow_up_exit_2_without_floating_point_warnings(self, tmp_path):
+        """A time step that blows the model up reports the step and exits 2,
+        and the overflow on the way there prints no RuntimeWarning."""
+        path = tmp_path / "blowup.yaml"
+        path.write_text("model: {dt: 0.5}\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        pythonpath = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=pythonpath)
+        result = subprocess.run(
+            [sys.executable, "-m", "wxleak.cli", "run", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 2
+        assert "runtime error: non-finite model state after step 2" in result.stderr
+        assert "RuntimeWarning" not in result.stderr
 
     def test_check_passes(self):
         runner = CliRunner()

@@ -66,6 +66,9 @@ def roll_step(t0, q0, p):
     return t1, np.maximum(q1, 0.0)
 
 
+MISMATCH = "temperature and moisture fields must be equal-length vectors"
+
+
 def smooth_initial_state(n=40):
     k = np.arange(n)
     return ModelState(
@@ -96,6 +99,40 @@ class TestModelState:
         with pytest.raises(ValueError):
             state.temperature_field[0] = 1.0
 
+    def test_copies_inputs_into_one_read_only_vector(self):
+        t = np.linspace(-1.0, 1.0, 6)
+        q = np.linspace(0.0, 30.0, 6)
+        state = ModelState(t, q)
+        t_before, q_before = t.copy(), q.copy()
+        t[:] = 99.0
+        q[:] = 99.0
+        assert np.array_equal(state.temperature_field, t_before)
+        assert np.array_equal(state.moisture_field, q_before)
+        assert np.array_equal(state.vector, np.concatenate([t_before, q_before]))
+        assert state.grid_size == 6
+        for field in (state.vector, state.temperature_field, state.moisture_field):
+            assert not field.flags.writeable
+            with pytest.raises(ValueError):
+                field[0] = 1.0
+        with pytest.raises(AttributeError):
+            state.vector = np.zeros(12)
+
+    @pytest.mark.parametrize(
+        "t, q, message",
+        [
+            (np.zeros(5), np.zeros(4), MISMATCH),
+            (np.zeros((2, 4)), np.zeros((2, 4)), MISMATCH),
+            (np.zeros(3), np.zeros(3), "grid needs at least 4 cells"),
+            (np.array([0.0, np.inf, 0.0, 0.0]), np.zeros(4), "model state must be finite"),
+            (np.zeros(4), np.array([0.0, np.nan, 0.0, 0.0]), "model state must be finite"),
+            (np.zeros(4), np.array([0.0, 1.0, -0.1, 0.0]), "moisture must be >= 0"),
+        ],
+    )
+    def test_validation_messages(self, t, q, message):
+        with pytest.raises(ValidationError) as excinfo:
+            ModelState(t, q)
+        assert str(excinfo.value) == message
+
 
 class TestStep:
     def test_uniform_forcing_fixed_point(self):
@@ -121,7 +158,7 @@ class TestStep:
         for _ in range(20):
             t = rng.normal(5, 4, 16)
             q = np.abs(rng.normal(22, 8, 16))
-            dt_vec, dq_vec = tendencies(t, q, params)
+            dt_vec, dq_vec = np.split(tendencies(np.concatenate([t, q]), params), 2)
             dt_ref, dq_ref = loop_tendencies(t, q, params)
             assert np.max(np.abs(dt_vec - dt_ref)) < 1e-12
             assert np.max(np.abs(dq_vec - dq_ref)) < 1e-12
@@ -133,7 +170,7 @@ class TestStep:
         for _ in range(20):
             t = rng.normal(2, 6, n)
             q = np.abs(rng.normal(22, 8, n))
-            dt_vec, dq_vec = tendencies(t, q, params)
+            dt_vec, dq_vec = np.split(tendencies(np.concatenate([t, q]), params), 2)
             dt_ref, dq_ref = roll_tendencies(t, q, params)
             assert np.array_equal(dt_vec, dt_ref)
             assert np.array_equal(dq_vec, dq_ref)
@@ -154,14 +191,49 @@ class TestStep:
             current = step(current, params)
             assert np.all(current.moisture_field >= 0.0)
 
+    @pytest.mark.parametrize("n", [4, 5, 40, 41])
+    def test_step_and_integrate_bitwise_equal_roll_oracle(self, n):
+        """Zero temperatures exercise the upwind switch; moisture starts on
+        both sides of the condensation threshold and at zero."""
+        params = ModelParams()
+        rng = np.random.default_rng(100 + n)
+        t = rng.normal(2.0, 6.0, n)
+        t[::3] = 0.0
+        k = np.arange(n)
+        q = params.condensation_threshold + np.where(k % 2 == 0, 5.0, -5.0)
+        q += rng.normal(0.0, 1.0, n)
+        q[1::4] = 0.0
+        q[2] = params.condensation_threshold
+        state = ModelState(t, q)
+        assert np.any(q > params.condensation_threshold)
+        assert np.any((q > 0.0) & (q < params.condensation_threshold))
+        t_ref, q_ref = roll_step(t, q, params)
+        stepped = step(state, params)
+        assert np.array_equal(stepped.temperature_field, t_ref)
+        assert np.array_equal(stepped.moisture_field, q_ref)
+        traj = integrate(state, params, 300)
+        for expected in traj.states[1:]:
+            t, q = roll_step(t, q, params)
+            assert np.array_equal(expected.temperature_field, t)
+            assert np.array_equal(expected.moisture_field, q)
+
     def test_blow_up_reports_step(self):
-        """Oversized time step blows up and the error names the step index."""
+        """Oversized time step blows up and the error names the step index:
+        the step at which the oracle first turns non-finite."""
         params = ModelParams(dt=2.0)
         state = smooth_initial_state()
+        t, q = state.temperature_field, state.moisture_field
+        expected = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(50):
+                t, q = roll_step(t, q, params)
+                if not (np.isfinite(t).all() and np.isfinite(q).all()):
+                    expected = i
+                    break
+        assert expected is not None
         with pytest.raises(ModelBlowUpError) as excinfo:
-            with np.errstate(over="ignore", invalid="ignore"):
-                integrate(state, params, 50)
-        assert excinfo.value.step_index >= 0
+            integrate(state, params, 50)
+        assert excinfo.value.step_index == expected
 
 
 class TestIntegrate:
