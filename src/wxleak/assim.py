@@ -22,6 +22,7 @@ not depend on step-size luck.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Protocol
 
@@ -353,12 +354,15 @@ def minimize(
     if not np.isfinite(j):
         raise MinimizationError("cost is non-finite at the initial control", current)
     g, jac_state, jac_bias, cancel_scale = grad_and_jac(point, d)
-    tol = gradient_tolerance * max(1.0, float(np.linalg.norm(g)))
+    # For a 1-D float vector this is np.linalg.norm's own sqrt(g . g), bit
+    # for bit, without its per-call set-up; it is computed once per point.
+    g_norm = math.sqrt(float(g @ g))
+    tol = gradient_tolerance * max(1.0, g_norm)
     scaled_g = g / jacobi_diagonal(jac_state, jac_bias)
 
     iterations = 0
     direction = -scaled_g
-    while float(np.linalg.norm(g)) > tol and iterations < max_iterations:
+    while g_norm > tol and iterations < max_iterations:
         slope = float(g @ direction)
         if slope >= 0.0:
             direction = -scaled_g  # restart: direction lost descent
@@ -401,17 +405,17 @@ def minimize(
         beta_pr = float(g_new @ (scaled_g_new - scaled_g)) / float(g @ scaled_g)
         direction = -scaled_g_new + max(0.0, beta_pr) * direction
         point, j, g, scaled_g = trial, j_trial, g_new, scaled_g_new
+        g_norm = math.sqrt(float(g @ g))
         iterations += 1
         if on_iteration is not None:
-            on_iteration(iterations, j, float(np.linalg.norm(g)))
+            on_iteration(iterations, j, g_norm)
 
-    gradient_norm = float(np.linalg.norm(g))
     result = unflatten(point)
     return AnalysisResult(
         analysis_state=result.state.copy(),
         analysis_bias=result.bias.copy(),
         final_cost=j,
-        gradient_norm=gradient_norm,
+        gradient_norm=g_norm,
         iterations=iterations,
-        converged=gradient_norm <= tol,
+        converged=g_norm <= tol,
     )

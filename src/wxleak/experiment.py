@@ -236,6 +236,13 @@ def _integer(value, field: str, minimum: int | None = None) -> int:
     return value
 
 
+def _list(value, field: str) -> list | tuple:
+    """A sequence from the config; strings and mappings are not lists."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError("must be a list", field=field)
+    return value
+
+
 def config_from_dict(raw: dict, seed_override: int | None = None) -> ScenarioConfig:
     """Validate a parsed config mapping and build the resolved ScenarioConfig."""
     defaulted: list[str] = []
@@ -303,12 +310,15 @@ def config_from_dict(raw: dict, seed_override: int | None = None) -> ScenarioCon
         ),
     )
     mask_block = resolved["mask"]
+    breakpoints = _list(mask_block["breakpoints"], "mask.breakpoints")
+    if any(not isinstance(bp, (list, tuple)) or len(bp) != 2 for bp in breakpoints):
+        raise ConfigError("must be a list of [offset_hz, db] pairs", field="mask.breakpoints")
     mask = build(
         "mask",
         EmissionMask,
         breakpoints=tuple(
             (_number(o, "mask.breakpoints"), _number(p, "mask.breakpoints"))
-            for o, p in mask_block["breakpoints"]
+            for o, p in breakpoints
         ),
         in_band_power_dbw=_number(mask_block["in_band_power_dbw"], "mask.in_band_power_dbw"),
     )
@@ -335,8 +345,12 @@ def config_from_dict(raw: dict, seed_override: int | None = None) -> ScenarioCon
     mapping = build(
         "forward",
         ColumnMapping,
-        params=ForwardOperatorParams(
-            _number(fwd_block["opacity_coefficient"], "forward.opacity_coefficient")
+        params=build(
+            "forward",
+            ForwardOperatorParams,
+            opacity_coefficient=_number(
+                fwd_block["opacity_coefficient"], "forward.opacity_coefficient"
+            ),
         ),
         surface_offset_k=_number(fwd_block["surface_offset_k"], "forward.surface_offset_k"),
         atmosphere_temperature_k=_number(
@@ -344,14 +358,20 @@ def config_from_dict(raw: dict, seed_override: int | None = None) -> ScenarioCon
         ),
     )
     bias_block = resolved["bias"]
+    predictors = _list(bias_block["predictors"], "bias.predictors")
+    if any(not isinstance(name, str) for name in predictors):
+        raise ConfigError("must be a list of predictor names", field="bias.predictors")
     bias = build(
         "bias",
         BiasModel,
         constant_coefficient_k=_number(
             bias_block["constant_coefficient_k"], "bias.constant_coefficient_k"
         ),
-        coefficients=tuple(_number(c, "bias.coefficients") for c in bias_block["coefficients"]),
-        predictor_definitions=tuple(bias_block["predictors"]),
+        coefficients=tuple(
+            _number(c, "bias.coefficients")
+            for c in _list(bias_block["coefficients"], "bias.coefficients")
+        ),
+        predictor_definitions=tuple(predictors),
     )
     cov_block = resolved["covariances"]
     state_variance, bias_variance, obs_error_stddev = (

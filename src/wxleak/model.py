@@ -14,6 +14,15 @@ because the advecting field is rough. Moisture is clipped at zero after
 every step. The condensation sink doubles as the precipitation diagnostic:
 whatever it removes is counted as rain.
 
+A step runs on a ``Workspace``: buffers for the stage inputs, k1..k4 and
+the final combination, which ``integrate`` and ``nature_run`` make once per
+call and pass to every step, and index constants cached per grid size. One
+gather from a source buffer ``[T, q, q_c, 0, 1, r, c_q]`` yields every
+operand of a tendency, so a tendency is nine numpy calls and a step 52,
+each on a whole vector. On the 40-cell grid a step's cost is per-call
+overhead, not arithmetic. A tendency evaluates the formulas above left to
+right, so a step gives the same bits on a shared workspace or its own.
+
 Reporting conventions (never used inside the dynamics): one state unit of
 accumulated condensate is one millimetre of precipitation, and temperature
 is reported as the state value plus a 273 K offset.
@@ -141,103 +150,219 @@ class ForecastDiagnostics:
         object.__setattr__(self, "two_meter_temperature_k", t2m)
 
 
-def condensation(
-    moisture: np.ndarray, params: ModelParams, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Condensation sink r * max(0, q - q_c), per grid point (written to ``out`` if given)."""
-    return np.multiply(
-        params.condensation_rate,
-        np.maximum(0.0, moisture - params.condensation_threshold),
-        out=out,
-    )
+def condensation(moisture: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Condensation sink r * max(0, q - q_c), per grid point."""
+    return params.condensation_rate * np.maximum(0.0, moisture - params.condensation_threshold)
 
 
 @lru_cache(maxsize=8)
-def _stencil(grid_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only constants of ``tendencies`` on a grid of N cells.
+def _layout(grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only constants of the RK4 workspace on a grid of N cells.
 
-    ``gather`` picks 9N values out of a ``[T, q]`` vector; with k over the
-    grid and neighbours taken cyclically, block by block they are
+    ``gather`` picks 17N values out of a workspace's source buffer
+    ``[T, q, q_c, 0, 1, r, c_q]``. With k over the grid and neighbours taken
+    cyclically, its minuend, subtrahend and factor blocks are
 
-        T[k+1]  (q[k], q[k-1]) per k  T[k-2]  (q[k+1], q[k]) per k  T[k-1]  T[k]  T[k]
+        T[k+1]  q[k]    T  q    q  q[k-1]
+        T[k-2]  q[k+1]  0  q_c  0  q[k]
+        T[k-1]  T[k]    1  r    c_q
 
-    so that the first 3N minus the next 3N is, in one subtraction,
-    T[k+1] - T[k-2] and then, per k, the negated forward difference
-    q[k] - q[k+1] followed by the negated backward difference q[k-1] - q[k].
-    The last block is a work area. ``select`` indexes that 3N result: k
-    for T[k+1] - T[k-2], then N + 2k for cell k's forward difference; adding
-    ``[T[k-1], T[k]] > threshold`` (never true in the first half, T[k] > 0
-    in the second) moves to the backward difference where the wind is
-    positive.
+    so that one subtraction gives T[k+1] - T[k-2], the negated forward
+    moisture difference, T, q - q_c, q and the negated backward difference,
+    and one product of its first 5N values with the factors gives
+    [A, B, T, r max(0, q - q_c), c_q q] once the backward difference has
+    replaced the forward one where T > 0 and q - q_c is floored at zero.
+    ``zeros`` is 2N zeros.
     """
     n = grid_size
     k = np.arange(n)
     right, left, left2 = (k + 1) % n, (k - 1) % n, (k - 2) % n
-    minuend = np.stack([n + k, n + left], axis=1).reshape(-1)
-    subtrahend = np.stack([n + right, n + k], axis=1).reshape(-1)
-    gather = np.concatenate([right, minuend, left2, subtrahend, left, k, k])
-    select = np.concatenate([k, n + 2 * k])
-    threshold = np.concatenate([np.full(n, np.inf), np.zeros(n)])
-    for constant in (gather, select, threshold):
+    q_c, zero, one, rate, coupling = (np.full(n, 2 * n + i) for i in range(5))
+    gather = np.concatenate(
+        [right, n + k, k, n + k, n + k, n + left]
+        + [left2, n + right, zero, q_c, zero, n + k]
+        + [left, k, one, rate, coupling]
+    )
+    zeros = np.zeros(2 * n)
+    for constant in (gather, zeros):
         constant.setflags(write=False)
-    return gather, select, threshold
+    return gather, zeros
+
+
+class Workspace:
+    """Buffers of RK4 steps on a grid of ``grid_size`` cells under ``params``.
+
+    ``integrate`` and ``nature_run`` make one per call and pass it to every
+    ``step``, so a run allocates its stage inputs, ``k1..k4`` and the final
+    combination once. Every buffer is a view fixed at construction, and the
+    scalars of a step are held as vectors: numpy applies a vector operand
+    with less per-call overhead, and a constant vector gives the same bits.
+    """
+
+    __slots__ = (
+        "params", "size", "source", "point", "temperature", "gather",
+        "gathered", "minuend", "subtrahend", "factors", "differences",
+        "forward", "excess", "backward", "operands", "wind", "products",
+        "leading", "sinks", "moisture_term", "increment", "stages",
+        "zeros", "zeros_n", "forcing", "half_h", "h", "two", "sixth_h",
+    )  # fmt: skip
+
+    def __init__(self, grid_size: int, params: ModelParams):
+        if grid_size < 4:
+            raise ValidationError("grid needs at least 4 cells")
+        n = grid_size
+        self.params = params
+        self.size = 2 * n
+        self.gather, self.zeros = _layout(n)
+        self.zeros_n = self.zeros[:n]
+        self.source = np.empty(2 * n + 5)
+        self.source[2 * n :] = (
+            params.condensation_threshold,
+            0.0,
+            1.0,
+            params.condensation_rate,
+            params.moisture_coupling,
+        )
+        self.point = self.source[: 2 * n]
+        self.temperature = self.source[:n]
+        self.gathered = np.empty(17 * n)
+        self.minuend = self.gathered[: 6 * n]
+        self.subtrahend = self.gathered[6 * n : 12 * n]
+        self.factors = self.gathered[12 * n :]
+        self.differences = np.empty(6 * n)
+        self.forward = self.differences[n : 2 * n]
+        self.excess = self.differences[3 * n : 4 * n]
+        self.backward = self.differences[5 * n :]
+        self.operands = self.differences[: 5 * n]
+        self.wind = np.empty(n, dtype=bool)
+        self.products = np.empty(5 * n)
+        self.leading = self.products[: 2 * n]
+        self.sinks = self.products[2 * n : 4 * n]
+        self.moisture_term = self.products[4 * n :]
+        self.increment = np.empty(2 * n)
+        self.stages = tuple((k, k[:n]) for k in np.empty((4, 2 * n)))
+        h = params.dt
+        self.forcing = np.full(n, params.forcing)
+        self.half_h = np.full(2 * n, 0.5 * h)
+        self.h = np.full(2 * n, h)
+        self.two = np.full(2 * n, 2.0)
+        self.sixth_h = np.full(2 * n, h / 6.0)
+
+    def tendencies(self, out: np.ndarray, out_temperature: np.ndarray) -> None:
+        """Write the right-hand side at ``point`` to ``out``; ``out_temperature`` is its first half.
+
+        The arithmetic per cell is, in order, (T[k+1] - T[k-2]) T[k-1] - T[k]
+        + F + c_q q for dT/dt and T[k] (negated upwind moisture difference)
+        - r max(0, q - q_c) for dq/dt; -T times a difference equals T times
+        the negated one exactly, as do x - 0 and x 1.
+        """
+        self.source.take(self.gather, out=self.gathered, mode="clip")
+        np.subtract(self.minuend, self.subtrahend, out=self.differences)
+        np.maximum(self.zeros_n, self.excess, out=self.excess)
+        np.greater(self.temperature, self.zeros_n, out=self.wind)
+        np.putmask(self.forward, self.wind, self.backward)
+        np.multiply(self.operands, self.factors, out=self.products)
+        np.subtract(self.leading, self.sinks, out=out)
+        out_temperature += self.forcing
+        out_temperature += self.moisture_term
 
 
 def tendencies(state: np.ndarray, params: ModelParams) -> np.ndarray:
     """Right-hand side ``[dT/dt, dq/dt]`` of the coupled system at ``[T, q]`` (no clipping)."""
-    n = state.shape[0] // 2
-    q = state[n:]
-    gather, select, threshold = _stencil(n)
-    gathered = state[gather]
-    differences = gathered[: 3 * n] - gathered[3 * n : 6 * n]
-    factors = gathered[6 * n : 8 * n]  # [T[k-1], T[k]]
-    # [(T[k+1] - T[k-2]) T[k-1], T[k] (negated upwind moisture difference)];
-    # -T times a difference equals T times the negated one exactly.
-    out = differences[select + (factors > threshold)] * factors
-    condensation(q, params, out=gathered[8 * n :])
-    out -= gathered[7 * n :]  # [T[k], condensation]
-    # dT/dt is completed in place, in the order ((... - T) + F) + c_q q.
-    dt_dt = out[:n]
-    dt_dt += params.forcing
-    dt_dt += params.moisture_coupling * q
+    workspace = Workspace(state.shape[0] // 2, params)
+    np.copyto(workspace.point, state)
+    out, out_temperature = workspace.stages[0]
+    workspace.tendencies(out, out_temperature)
     return out
 
 
-def step(state: ModelState, params: ModelParams) -> ModelState:
-    """Advance one RK4 step of length ``params.dt``; moisture clipped at 0."""
-    h = params.dt
+def step(
+    state: ModelState, params: ModelParams, workspace: Workspace | None = None
+) -> ModelState:
+    """Advance one RK4 step of length ``params.dt``; moisture clipped at 0.
+
+    ``workspace`` must have been made for the state's grid size and for
+    ``params``; without one, the step makes its own.
+    """
     x0 = state.vector
+    if workspace is None:
+        workspace = Workspace(x0.shape[0] // 2, params)
+    elif workspace.size != x0.shape[0] or (
+        workspace.params is not params and workspace.params != params
+    ):
+        raise ValidationError("workspace was made for another grid size or other parameters")
+    ws = workspace
+    (k1, k1_t), (k2, k2_t), (k3, k3_t), (k4, k4_t) = ws.stages
+    point, increment = ws.point, ws.increment
 
-    k1 = tendencies(x0, params)
-    k2 = tendencies(x0 + 0.5 * h * k1, params)
-    k3 = tendencies(x0 + 0.5 * h * k2, params)
-    k4 = tendencies(x0 + h * k3, params)
+    # Stage inputs x0 + (h / 2) k1, x0 + (h / 2) k2 and x0 + h k3.
+    np.copyto(point, x0)
+    ws.tendencies(k1, k1_t)
+    np.multiply(k1, ws.half_h, out=increment)
+    np.add(x0, increment, out=point)
+    ws.tendencies(k2, k2_t)
+    np.multiply(k2, ws.half_h, out=increment)
+    np.add(x0, increment, out=point)
+    ws.tendencies(k3, k3_t)
+    np.multiply(k3, ws.h, out=increment)
+    np.add(x0, increment, out=point)
+    ws.tendencies(k4, k4_t)
 
-    x1 = x0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    moisture = x1[x1.shape[0] // 2 :]
-    np.maximum(moisture, 0.0, out=moisture)
-    if not np.isfinite(x1).all():
+    # x0 + (h / 6) (k1 + 2 k2 + 2 k3 + k4), left to right, into a new vector.
+    np.multiply(k2, ws.two, out=k2)
+    np.add(k1, k2, out=k1)
+    np.multiply(k3, ws.two, out=k3)
+    np.add(k1, k3, out=k1)
+    np.add(k1, k4, out=k1)
+    np.multiply(k1, ws.sixth_h, out=k1)
+    x1 = np.add(x0, k1)
+    moisture = x1[ws.size // 2 :]
+    np.maximum(moisture, ws.zeros_n, out=moisture)
+    # x1 @ 0 is NaN exactly when some element of x1 is NaN or infinite.
+    if not x1 @ ws.zeros == 0.0:
         raise ModelBlowUpError(0)
     return ModelState._trusted(x1)
 
 
-def integrate(state: ModelState, params: ModelParams, n_steps: int) -> Trajectory:
-    """Repeated stepping; returns n_steps + 1 states starting at ``state``."""
-    if n_steps < 0:
-        raise ValidationError("step count must be >= 0")
-    states = [state]
-    current = state
-    # A blow-up is reported by step's finiteness check; the overflow on the
-    # way there would only add floating-point warnings.
+def _advance(
+    state: ModelState,
+    params: ModelParams,
+    n_steps: int,
+    workspace: Workspace,
+    states: list[ModelState] | None = None,
+) -> ModelState:
+    """Take ``n_steps`` steps from ``state`` and return the last state,
+    appending each new state to ``states`` if given.
+
+    A blow-up is re-raised with the index of the failing step within this
+    call. It is reported by step's finiteness check; the overflow on the way
+    there would only add floating-point warnings.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
             try:
-                current = step(current, params)
+                state = step(state, params, workspace)
             except ModelBlowUpError as exc:
                 raise ModelBlowUpError(i) from exc
-            states.append(current)
+            if states is not None:
+                states.append(state)
+    return state
+
+
+def _trajectory(
+    state: ModelState, params: ModelParams, n_steps: int, workspace: Workspace
+) -> Trajectory:
+    if n_steps < 0:
+        raise ValidationError("step count must be >= 0")
+    states = [state]
+    _advance(state, params, n_steps, workspace, states)
     times = np.arange(n_steps + 1, dtype=float) * params.dt
     return Trajectory(tuple(states), times)
+
+
+def integrate(state: ModelState, params: ModelParams, n_steps: int) -> Trajectory:
+    """Repeated stepping on one workspace; returns n_steps + 1 states starting at ``state``."""
+    return _trajectory(state, params, n_steps, Workspace(state.grid_size, params))
 
 
 def diagnostics(trajectory: Trajectory, params: ModelParams) -> ForecastDiagnostics:
@@ -289,10 +414,6 @@ def nature_run(
     temperature = params.forcing + 0.5 * np.array(rng.normals(grid_size))
     moisture = np.maximum(0.0, moisture_base + 2.0 * np.array(rng.normals(grid_size)))
     state = ModelState(temperature, moisture)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(spinup_steps):
-            try:
-                state = step(state, params)
-            except ModelBlowUpError as exc:
-                raise ModelBlowUpError(i) from exc
-    return integrate(state, params, run_steps)
+    workspace = Workspace(grid_size, params)
+    state = _advance(state, params, spinup_steps, workspace)
+    return _trajectory(state, params, run_steps, workspace)

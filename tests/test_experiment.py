@@ -155,6 +155,11 @@ class TestConfigLoading:
             ("observations: {locations: [0, false]}", "observations.locations"),
             ("observations: {locations: 3}", "observations.locations"),
             ("observations: {locations: []}", "observations.locations"),
+            ("mask: {breakpoints: 3}", "mask.breakpoints"),
+            ("mask: {breakpoints: [[0.0, 0.0, 1.0]]}", "mask.breakpoints"),
+            ("bias: {coefficients: 1.0}", "bias.coefficients"),
+            ("bias: {coefficients: [1.0], predictors: [[1]]}", "bias.predictors"),
+            ("forward: {opacity_coefficient: -1.0}", "forward"),
         ],
     )
     def test_bad_value_rejected_at_load_naming_field(self, tmp_path, text, field):

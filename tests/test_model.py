@@ -9,6 +9,7 @@ from wxleak.model import (
     ModelParams,
     ModelState,
     Trajectory,
+    Workspace,
     condensation,
     diagnostics,
     integrate,
@@ -234,6 +235,85 @@ class TestStep:
         with pytest.raises(ModelBlowUpError) as excinfo:
             integrate(state, params, 50)
         assert excinfo.value.step_index == expected
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_at_any_position_raises(self, value):
+        params = ModelParams()
+        vector = smooth_initial_state().vector
+        workspace = Workspace(40, params)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(vector.shape[0]):
+                bad = vector.copy()
+                bad[i] = value
+                with pytest.raises(ModelBlowUpError):
+                    step(ModelState._trusted(bad), params, workspace)
+
+    def test_finiteness_check_sees_every_element(self):
+        """A NaN in the last multiplier reaches exactly one element of the
+        new state, and the moisture clip keeps it; each must be caught."""
+        params = ModelParams()
+        state = smooth_initial_state()
+        workspace = Workspace(40, params)
+        for i in range(80):
+            workspace.sixth_h[i] = np.nan
+            with np.errstate(invalid="ignore"), pytest.raises(ModelBlowUpError):
+                step(state, params, workspace)
+            workspace.sixth_h[i] = params.dt / 6.0
+        assert np.array_equal(step(state, params, workspace).vector, step(state, params).vector)
+
+    def test_interleaved_forecasts_bitwise_equal_roll_oracle(self):
+        params = ModelParams()
+        states = [smooth_initial_state(40), smooth_initial_state(41)]
+        workspaces = [Workspace(40, params), Workspace(41, params)]
+        fields = [(s.temperature_field, s.moisture_field) for s in states]
+        for _ in range(200):
+            for i in range(2):
+                states[i] = step(states[i], params, workspaces[i])
+                fields[i] = roll_step(*fields[i], params)
+                assert np.array_equal(states[i].temperature_field, fields[i][0])
+                assert np.array_equal(states[i].moisture_field, fields[i][1])
+
+    def test_returned_vectors_share_no_memory(self):
+        params = ModelParams()
+        workspace = Workspace(40, params)
+        buffers = [
+            value
+            for value in (getattr(workspace, name) for name in Workspace.__slots__)
+            if isinstance(value, np.ndarray)
+        ]
+        buffers += [k for pair in workspace.stages for k in pair]
+        previous = smooth_initial_state()
+        for _ in range(5):
+            current = step(previous, params, workspace)
+            assert not np.shares_memory(current.vector, previous.vector)
+            for buffer in buffers:
+                assert not np.shares_memory(current.vector, buffer)
+            previous = current
+
+    @pytest.mark.parametrize("n", [4, 5, 40, 41])
+    def test_step_without_workspace_equals_step_with_one(self, n):
+        params = ModelParams(dt=0.02)
+        workspace = Workspace(n, params)
+        state = smooth_initial_state(n)
+        for _ in range(50):
+            stepped = step(state, params, workspace)
+            assert np.array_equal(stepped.vector, step(state, params).vector)
+            state = stepped
+
+    def test_mismatched_workspace_rejected(self):
+        params = ModelParams()
+        with pytest.raises(ValidationError):
+            step(smooth_initial_state(41), params, Workspace(40, params))
+        with pytest.raises(ValidationError):
+            step(smooth_initial_state(), params, Workspace(40, ModelParams(dt=0.02)))
+        stepped = step(smooth_initial_state(), params, Workspace(40, ModelParams()))
+        assert np.array_equal(stepped.vector, step(smooth_initial_state(), params).vector)
+
+    def test_minimum_grid_size(self):
+        with pytest.raises(ValidationError):
+            Workspace(3, ModelParams())
 
 
 class TestIntegrate:
