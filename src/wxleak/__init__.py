@@ -12,7 +12,6 @@ from .assim import (
     AssimilationProblem,
     Control,
     CovarianceSpec,
-    LinearOperator,
     cost,
     gradient,
     innovation,
@@ -32,7 +31,6 @@ from .forward import (
     RadianceObservation,
     bias_corrected_forward,
     forward,
-    forward_tangent,
     predictors,
 )
 from .leakage import (

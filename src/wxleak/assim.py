@@ -54,46 +54,21 @@ class Control(NamedTuple):
 
 @dataclass(frozen=True)
 class CovarianceSpec:
-    """Diagonal or full error covariance with its inverse application.
+    """Diagonal error covariance, held as its variances, with its inverse application.
 
-    Full matrices are factorized at construction; a non-positive-definite
-    matrix fails here, never inside the minimizer.
+    Non-positive or non-finite variances fail here, never inside the
+    minimizer.
     """
 
-    kind: str
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if self.kind == "diagonal":
-            values = np.atleast_1d(values)
-            if values.ndim != 1:
-                raise ValidationError("diagonal covariance takes a 1-d variance vector")
-            if np.any(values <= 0) or not np.all(np.isfinite(values)):
-                raise ValidationError("diagonal variances must be positive and finite")
-            object.__setattr__(self, "values", values)
-            object.__setattr__(self, "_chol", None)
-        elif self.kind == "full":
-            if values.ndim != 2 or values.shape[0] != values.shape[1]:
-                raise ValidationError("full covariance must be a square matrix")
-            if not np.allclose(values, values.T, rtol=1e-12, atol=0.0):
-                raise ValidationError("full covariance must be symmetric")
-            try:
-                chol = np.linalg.cholesky(values)
-            except np.linalg.LinAlgError as exc:
-                raise ValidationError("covariance matrix is not positive definite") from exc
-            object.__setattr__(self, "values", values)
-            object.__setattr__(self, "_chol", chol)
-        else:
-            raise ValidationError(f"unknown covariance kind {self.kind!r}")
-
-    @classmethod
-    def diagonal(cls, variances) -> "CovarianceSpec":
-        return cls("diagonal", np.asarray(variances, dtype=float))
-
-    @classmethod
-    def full(cls, matrix) -> "CovarianceSpec":
-        return cls("full", np.asarray(matrix, dtype=float))
+        values = np.atleast_1d(np.asarray(self.values, dtype=float))
+        if values.ndim != 1:
+            raise ValidationError("diagonal covariance takes a 1-d variance vector")
+        if np.any(values <= 0) or not np.all(np.isfinite(values)):
+            raise ValidationError("diagonal variances must be positive and finite")
+        object.__setattr__(self, "values", values)
 
     @property
     def dim(self) -> int:
@@ -101,11 +76,7 @@ class CovarianceSpec:
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         """Apply the inverse covariance to a vector."""
-        if self.kind == "diagonal":
-            return v / self.values
-        chol = self._chol  # type: ignore[attr-defined]
-        w = np.linalg.solve(chol, v)
-        return np.linalg.solve(chol.T, w)
+        return v / self.values
 
     def quadratic(self, v: np.ndarray) -> float:
         """v' C^-1 v."""
@@ -113,11 +84,7 @@ class CovarianceSpec:
 
     def inverse_diagonal(self) -> np.ndarray:
         """Diagonal of the inverse covariance (used for scaling)."""
-        if self.kind == "diagonal":
-            return 1.0 / self.values
-        if self.dim == 0:
-            return np.zeros(0)
-        return np.diag(np.linalg.inv(self.values)).copy()
+        return 1.0 / self.values
 
 
 class ObservationOperator(Protocol):
@@ -131,29 +98,6 @@ class ObservationOperator(Protocol):
 
     def jacobians(self, state: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(d values / d state, d values / d bias), shapes (n_obs, n_state), (n_obs, n_bias)."""
-
-
-@dataclass(frozen=True)
-class LinearOperator:
-    """Affine observation operator: values = Hx @ state + Hb @ bias + offset."""
-
-    state_matrix: np.ndarray
-    bias_matrix: np.ndarray
-    offset: np.ndarray
-
-    @property
-    def n_state(self) -> int:
-        return self.state_matrix.shape[1]
-
-    @property
-    def n_bias(self) -> int:
-        return self.bias_matrix.shape[1]
-
-    def values(self, state: np.ndarray, bias: np.ndarray) -> np.ndarray:
-        return self.state_matrix @ state + self.bias_matrix @ bias + self.offset
-
-    def jacobians(self, state: np.ndarray, bias: np.ndarray):
-        return self.state_matrix, self.bias_matrix
 
 
 @dataclass(frozen=True)
@@ -275,13 +219,10 @@ def gradient(control: Control, problem: AssimilationProblem) -> tuple[np.ndarray
 
 def minimize(
     problem: AssimilationProblem,
-    init: Control | None = None,
-    max_iterations: int = MAX_ITERATIONS,
-    gradient_tolerance: float = GRADIENT_TOLERANCE,
     hold_bias_fixed: bool = False,
     on_iteration: Callable[[int, float, float], None] | None = None,
 ) -> AnalysisResult:
-    """Minimize the cost from ``init`` (default: the background control).
+    """Minimize the cost from the background control.
 
     The control is badly scaled (state curvatures near one, bias curvatures
     in the hundreds), so directions are shaped by a Jacobi preconditioner,
@@ -293,15 +234,14 @@ def minimize(
     step is accepted outright; the gradient norm is the progress measure
     there.
 
-    ``hold_bias_fixed`` freezes the bias coefficients at their initial
-    values, reproducing a cadence where corrections are re-estimated less
-    often than the state. ``on_iteration`` receives
+    Iteration stops once the gradient norm falls to ``GRADIENT_TOLERANCE``
+    times max(1, its norm at the background), or after ``MAX_ITERATIONS``
+    accepted steps. ``hold_bias_fixed`` freezes the bias coefficients at
+    their background values, reproducing a cadence where corrections are
+    re-estimated less often than the state. ``on_iteration`` receives
     (iteration, cost, gradient norm) after every accepted step.
     """
-    if init is None:
-        init = problem.background_control()
-    current = _check_control(init, problem)
-    n_state = current.state.shape[0]
+    n_state = problem.background_state.shape[0]
 
     def unflatten(v: np.ndarray) -> Control:
         return Control(v[:n_state], v[n_state:])
@@ -349,20 +289,22 @@ def minimize(
             + problem.obs_covariance.quadratic(ap)
         )
 
-    point = np.concatenate([current.state, current.bias])
+    point = np.concatenate([problem.background_state, problem.background_bias])
     j, d = cost_at(point)
     if not np.isfinite(j):
-        raise MinimizationError("cost is non-finite at the initial control", current)
+        raise MinimizationError(
+            "cost is non-finite at the initial control", problem.background_control()
+        )
     g, jac_state, jac_bias, cancel_scale = grad_and_jac(point, d)
     # For a 1-D float vector this is np.linalg.norm's own sqrt(g . g), bit
     # for bit, without its per-call set-up; it is computed once per point.
     g_norm = math.sqrt(float(g @ g))
-    tol = gradient_tolerance * max(1.0, g_norm)
+    tol = GRADIENT_TOLERANCE * max(1.0, g_norm)
     scaled_g = g / jacobi_diagonal(jac_state, jac_bias)
 
     iterations = 0
     direction = -scaled_g
-    while g_norm > tol and iterations < max_iterations:
+    while g_norm > tol and iterations < MAX_ITERATIONS:
         slope = float(g @ direction)
         if slope >= 0.0:
             direction = -scaled_g  # restart: direction lost descent

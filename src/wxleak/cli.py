@@ -34,62 +34,50 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
 
-def _run_scenario_command(
-    config_path: str,
-    out: str | None,
-    verbose: bool,
-    seed_override: int | None,
-    force_default_sweep: bool,
-) -> None:
-    try:
-        config = load_config(config_path, seed_override=seed_override)
-        if force_default_sweep:
-            config = replace(config, leakage_levels=DEFAULT_LEAKAGE_SWEEP_DBW)
-        if verbose:
-            click.echo(f"loaded config {config_path} (hash {config.config_hash[:12]})")
-            if config.defaulted_fields:
-                click.echo(f"defaults applied: {', '.join(config.defaulted_fields)}")
-        report = run_scenario(config, trace_stream=sys.stdout if verbose else None)
-    except ValidationError as exc:
-        click.echo(f"validation error: {exc}", err=True)
-        sys.exit(EXIT_VALIDATION)
-    except Exception as exc:
-        click.echo(f"runtime error: {exc}", err=True)
-        sys.exit(EXIT_RUNTIME)
-    emit_summary(report, sys.stdout)
-    if out is not None:
-        try:
-            emit_csv(report, out)
-        except OSError as exc:
-            click.echo(f"runtime error: could not write {out}: {exc}", err=True)
-            sys.exit(EXIT_RUNTIME)
-        if verbose:
-            click.echo(f"wrote {out}")
-
-
 @click.group()
 def main() -> None:
     """Leakage-to-forecast impact simulator."""
 
 
-@main.command()
-@click.argument("config_path", metavar="CONFIG")
-@click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write report CSV here.")
-@click.option("--verbose", is_flag=True, help="Print provenance and progress.")
-@click.option("--seed-override", type=int, default=None, help="Replace all seeds (n, n+1, n+2).")
-def run(config_path: str, out: str | None, verbose: bool, seed_override: int | None) -> None:
-    """Run the scenario described by CONFIG."""
-    _run_scenario_command(config_path, out, verbose, seed_override, force_default_sweep=False)
+def _scenario_command(name: str, help_text: str, force_default_sweep: bool) -> None:
+    """Register ``run`` or ``sweep``: one option stack and one body for both."""
+
+    @main.command(name, help=help_text)
+    @click.argument("config_path", metavar="CONFIG")
+    @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write report CSV here.")
+    @click.option("--verbose", is_flag=True, help="Print provenance and progress.")
+    @click.option("--seed-override", type=int, default=None, help="Replace all seeds (n, n+1, n+2).")
+    def command(config_path: str, out: str | None, verbose: bool, seed_override: int | None) -> None:
+        try:
+            config = load_config(config_path, seed_override=seed_override)
+            if force_default_sweep:
+                config = replace(config, leakage_levels=DEFAULT_LEAKAGE_SWEEP_DBW)
+            if verbose:
+                click.echo(f"loaded config {config_path} (hash {config.config_hash[:12]})")
+                if config.defaulted_fields:
+                    click.echo(f"defaults applied: {', '.join(config.defaulted_fields)}")
+            report = run_scenario(config, trace_stream=sys.stdout if verbose else None)
+        except ValidationError as exc:
+            click.echo(f"validation error: {exc}", err=True)
+            sys.exit(EXIT_VALIDATION)
+        except Exception as exc:
+            click.echo(f"runtime error: {exc}", err=True)
+            sys.exit(EXIT_RUNTIME)
+        emit_summary(report, sys.stdout)
+        if out is not None:
+            try:
+                emit_csv(report, out)
+            except OSError as exc:
+                click.echo(f"runtime error: could not write {out}: {exc}", err=True)
+                sys.exit(EXIT_RUNTIME)
+            if verbose:
+                click.echo(f"wrote {out}")
 
 
-@main.command()
-@click.argument("config_path", metavar="CONFIG")
-@click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write report CSV here.")
-@click.option("--verbose", is_flag=True, help="Print provenance and progress.")
-@click.option("--seed-override", type=int, default=None, help="Replace all seeds (n, n+1, n+2).")
-def sweep(config_path: str, out: str | None, verbose: bool, seed_override: int | None) -> None:
-    """Run CONFIG with the default leakage sweep (-55 to -15 dBW)."""
-    _run_scenario_command(config_path, out, verbose, seed_override, force_default_sweep=True)
+_scenario_command("run", "Run the scenario described by CONFIG.", force_default_sweep=False)
+_scenario_command(
+    "sweep", "Run CONFIG with the default leakage sweep (-55 to -15 dBW).", force_default_sweep=True
+)
 
 
 @main.command("noise-table")
@@ -97,8 +85,8 @@ def sweep(config_path: str, out: str | None, verbose: bool, seed_override: int |
 @click.option("--min", "min_dbw", type=float, default=-55.0, show_default=True, help="Lowest leakage level, dBW.")
 @click.option("--max", "max_dbw", type=float, default=-15.0, show_default=True, help="Highest leakage level, dBW.")
 @click.option("--step", type=float, default=1.0, show_default=True, help="Level spacing, dB.")
-@click.option("--pathloss", type=float, default=130.0, show_default=True, help="Total link pathloss, dB.")
-@click.option("--efficiency", type=float, default=0.95, show_default=True, help="Antenna radiation efficiency.")
+@click.option("--pathloss", type=float, default=LinkBudget().total_pathloss_db, show_default=True, help="Total link pathloss, dB.")
+@click.option("--efficiency", type=float, default=AntennaModel().radiation_efficiency, show_default=True, help="Antenna radiation efficiency.")
 def noise_table_command(
     out: str | None,
     min_dbw: float,

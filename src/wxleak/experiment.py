@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import TextIO
 
 import numpy as np
@@ -126,17 +126,14 @@ class ScenarioReport:
         return (self.baseline, *self.levels)
 
 
+# The link, antenna, field and model sections map field for field onto their
+# dataclasses (beside field.density_class and model.grid_size), so those
+# dataclasses' defaults are the section defaults.
 _SECTION_DEFAULTS = {
-    "link": {"distance_km": 800.0, "total_pathloss_db": 130.0, "transmittance": 1.0},
-    "antenna": {"radiation_efficiency": 0.95, "physical_temperature_k": 290.0},
-    "mask": {"breakpoints": None, "in_band_power_dbw": 0.0},
-    "field": {
-        "density_class": "custom",
-        "count": 1,
-        "per_device_eirp_dbw": -43.0,
-        "elevation_gain_db": 0.0,
-        "footprint_side_km": 48.0,
-    },
+    "link": asdict(LinkBudget()),
+    "antenna": asdict(AntennaModel()),
+    "mask": {"breakpoints": None},
+    "field": {"density_class": "custom", **asdict(TransmitterField())},
     "forward": {
         "opacity_coefficient": 0.05,
         "surface_offset_k": 273.0,
@@ -148,17 +145,14 @@ _SECTION_DEFAULTS = {
         "bias_variance": 0.5,
         "observation_stddev_k": 0.3,
     },
-    "model": {
-        "grid_size": 40,
-        "forcing": 8.0,
-        "moisture_coupling": 0.1,
-        "condensation_threshold": 25.0,
-        "condensation_rate": 0.2,
-        "dt": 0.01,
-    },
+    "model": {"grid_size": 40, **asdict(ModelParams())},
     "observations": {"count": 20, "locations": None},
     "seeds": {"nature": 101, "obs_noise": 202, "init": 303},
 }
+
+#: Emitters per footprint for each ``field.density_class``: plumbing presets,
+#: not measured densities. ``custom`` (None here) takes ``field.count``.
+_DENSITY_COUNTS = {"custom": None, "metropolitan": 250, "rural": 10}
 
 _TOP_DEFAULTS = {
     "leakage_levels": list(DEFAULT_LEAKAGE_SWEEP_DBW),
@@ -236,6 +230,11 @@ def _integer(value, field: str, minimum: int | None = None) -> int:
     return value
 
 
+def _numbers(block: dict, section: str) -> dict:
+    """Every entry of a config section as a finite number, keyed as in the section."""
+    return {key: _number(value, f"{section}.{key}") for key, value in block.items()}
+
+
 def _list(value, field: str) -> list | tuple:
     """A sequence from the config; strings and mappings are not lists."""
     if not isinstance(value, (list, tuple)):
@@ -290,27 +289,9 @@ def config_from_dict(raw: dict, seed_override: int | None = None) -> ScenarioCon
         except ValidationError as exc:
             raise ConfigError(str(exc), field=section) from exc
 
-    link_block = resolved["link"]
-    link = build(
-        "link",
-        LinkBudget,
-        distance_km=_number(link_block["distance_km"], "link.distance_km"),
-        total_pathloss_db=_number(link_block["total_pathloss_db"], "link.total_pathloss_db"),
-        transmittance=_number(link_block["transmittance"], "link.transmittance"),
-    )
-    antenna_block = resolved["antenna"]
-    antenna = build(
-        "antenna",
-        AntennaModel,
-        radiation_efficiency=_number(
-            antenna_block["radiation_efficiency"], "antenna.radiation_efficiency"
-        ),
-        physical_temperature_k=_number(
-            antenna_block["physical_temperature_k"], "antenna.physical_temperature_k"
-        ),
-    )
-    mask_block = resolved["mask"]
-    breakpoints = _list(mask_block["breakpoints"], "mask.breakpoints")
+    link = build("link", LinkBudget, **_numbers(resolved["link"], "link"))
+    antenna = build("antenna", AntennaModel, **_numbers(resolved["antenna"], "antenna"))
+    breakpoints = _list(resolved["mask"]["breakpoints"], "mask.breakpoints")
     if any(not isinstance(bp, (list, tuple)) or len(bp) != 2 for bp in breakpoints):
         raise ConfigError("must be a list of [offset_hz, db] pairs", field="mask.breakpoints")
     mask = build(
@@ -320,43 +301,32 @@ def config_from_dict(raw: dict, seed_override: int | None = None) -> ScenarioCon
             (_number(o, "mask.breakpoints"), _number(p, "mask.breakpoints"))
             for o, p in breakpoints
         ),
-        in_band_power_dbw=_number(mask_block["in_band_power_dbw"], "mask.in_band_power_dbw"),
     )
     field_block = dict(resolved["field"])
-    # Checked before a density-class preset replaces it: a bad value is
-    # rejected even where the preset would not use it.
-    field_block["count"] = _integer(field_block["count"], "field.count")
-    if field_block["density_class"] == "metropolitan":
-        field_block["count"] = 250
-    elif field_block["density_class"] == "rural":
-        field_block["count"] = 10
+    density_class = field_block.pop("density_class")
+    if not isinstance(density_class, str) or density_class not in _DENSITY_COUNTS:
+        raise ConfigError(
+            f"must be one of {sorted(_DENSITY_COUNTS)}, got {density_class!r}",
+            field="field.density_class",
+        )
+    device_count = _integer(field_block.pop("count"), "field.count")
+    preset = _DENSITY_COUNTS[density_class]
+    if preset is not None:
+        if "field.count" not in defaulted:
+            raise ConfigError(
+                f"density_class {density_class} sets the count ({preset}); "
+                "omit count or use density_class custom",
+                field="field.count",
+            )
+        device_count = preset
     field = build(
-        "field",
-        TransmitterField,
-        density_class=field_block["density_class"],
-        count=field_block["count"],
-        per_device_eirp_dbw=_number(
-            field_block["per_device_eirp_dbw"], "field.per_device_eirp_dbw"
-        ),
-        elevation_gain_db=_number(field_block["elevation_gain_db"], "field.elevation_gain_db"),
-        footprint_side_km=_number(field_block["footprint_side_km"], "field.footprint_side_km"),
+        "field", TransmitterField, count=device_count, **_numbers(field_block, "field")
     )
-    fwd_block = resolved["forward"]
-    mapping = build(
-        "forward",
-        ColumnMapping,
-        params=build(
-            "forward",
-            ForwardOperatorParams,
-            opacity_coefficient=_number(
-                fwd_block["opacity_coefficient"], "forward.opacity_coefficient"
-            ),
-        ),
-        surface_offset_k=_number(fwd_block["surface_offset_k"], "forward.surface_offset_k"),
-        atmosphere_temperature_k=_number(
-            fwd_block["atmosphere_temperature_k"], "forward.atmosphere_temperature_k"
-        ),
+    fwd = _numbers(resolved["forward"], "forward")
+    opacity = build(
+        "forward", ForwardOperatorParams, opacity_coefficient=fwd.pop("opacity_coefficient")
     )
+    mapping = build("forward", ColumnMapping, params=opacity, **fwd)
     bias_block = resolved["bias"]
     predictors = _list(bias_block["predictors"], "bias.predictors")
     if any(not isinstance(name, str) for name in predictors):
@@ -373,30 +343,13 @@ def config_from_dict(raw: dict, seed_override: int | None = None) -> ScenarioCon
         ),
         predictor_definitions=tuple(predictors),
     )
-    cov_block = resolved["covariances"]
-    state_variance, bias_variance, obs_error_stddev = (
-        _number(cov_block[key], f"covariances.{key}")
-        for key in ("state_variance", "bias_variance", "observation_stddev_k")
-    )
-    if state_variance <= 0 or bias_variance <= 0 or obs_error_stddev <= 0:
+    cov = _numbers(resolved["covariances"], "covariances")
+    if any(value <= 0 for value in cov.values()):
         raise ConfigError("variances and stddevs must be positive", field="covariances")
 
-    model_block = resolved["model"]
-    grid_size = _integer(model_block["grid_size"], "model.grid_size", minimum=4)
-    params = build(
-        "model",
-        ModelParams,
-        **{
-            key: _number(model_block[key], f"model.{key}")
-            for key in (
-                "forcing",
-                "moisture_coupling",
-                "condensation_threshold",
-                "condensation_rate",
-                "dt",
-            )
-        },
-    )
+    model_block = dict(resolved["model"])
+    grid_size = _integer(model_block.pop("grid_size"), "model.grid_size", minimum=4)
+    params = build("model", ModelParams, **_numbers(model_block, "model"))
     if _forecast_steps(forecast_length, params) < 1:
         raise ConfigError("must span at least one model time step", field="forecast_length")
     steps = forecast_length / params.dt
@@ -436,9 +389,9 @@ def config_from_dict(raw: dict, seed_override: int | None = None) -> ScenarioCon
         field=field,
         mapping=mapping,
         bias=bias,
-        state_variance=state_variance,
-        bias_variance=bias_variance,
-        obs_error_stddev_k=obs_error_stddev,
+        state_variance=cov["state_variance"],
+        bias_variance=cov["bias_variance"],
+        obs_error_stddev_k=cov["observation_stddev_k"],
         model_params=params,
         grid_size=grid_size,
         obs_locations=locations,

@@ -75,43 +75,37 @@ class RadianceObservation:
 class PredictorDef:
     """A named bias predictor with its state sensitivities.
 
-    ``value`` evaluates the predictor for one observation; ``vector_value``,
-    when provided, evaluates it for a whole observation set from arrays of
-    (surface temperature, water vapor, scan position) and keeps the analysis
-    hot path free of per-observation Python. The two derivative fields give
-    the predictor's sensitivity to the column surface temperature and water
+    ``value`` evaluates the predictor for one observation, as observation
+    synthesis does; ``vector_value`` evaluates it for a whole observation
+    set from arrays of (surface temperature, water vapor, scan position),
+    as the analysis operator does. The two derivative fields give the
+    predictor's sensitivity to the column surface temperature and water
     vapor, needed by the analytic assimilation gradient.
     """
 
     name: str
     value: Callable[[ColumnState, RadianceObservation], float]
-    vector_value: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
+    vector_value: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     d_surface_temperature: float = 0.0
     d_water_vapor: float = 0.0
 
 
-PREDICTOR_REGISTRY: dict[str, PredictorDef] = {}
-
-
-def register_predictor(definition: PredictorDef) -> None:
-    PREDICTOR_REGISTRY[definition.name] = definition
-
-
-register_predictor(
-    PredictorDef(
-        "surface_temperature",
-        lambda state, obs: state.surface_temperature_k,
-        vector_value=lambda t_surf, q, scan: t_surf,
-        d_surface_temperature=1.0,
+PREDICTOR_REGISTRY: dict[str, PredictorDef] = {
+    p.name: p
+    for p in (
+        PredictorDef(
+            "surface_temperature",
+            lambda state, obs: state.surface_temperature_k,
+            vector_value=lambda t_surf, q, scan: t_surf,
+            d_surface_temperature=1.0,
+        ),
+        PredictorDef(
+            "scan_position",
+            lambda state, obs: float(obs.scan_position),
+            vector_value=lambda t_surf, q, scan: scan,
+        ),
     )
-)
-register_predictor(
-    PredictorDef(
-        "scan_position",
-        lambda state, obs: float(obs.scan_position),
-        vector_value=lambda t_surf, q, scan: scan,
-    )
-)
+}
 
 
 @dataclass(frozen=True)
@@ -158,16 +152,6 @@ def forward(state: ColumnState, params: ForwardOperatorParams) -> float:
     return state.surface_temperature_k * w + state.atmosphere_temperature_k * (1.0 - w)
 
 
-def forward_tangent(state: ColumnState, params: ForwardOperatorParams) -> float:
-    """d(T_b)/d(water vapor): analytic derivative of ``forward``."""
-    kappa = params.opacity_coefficient
-    return (
-        kappa
-        * (state.atmosphere_temperature_k - state.surface_temperature_k)
-        * math.exp(-kappa * state.water_vapor_kg_m2)
-    )
-
-
 def predictors(
     state: ColumnState, obs: RadianceObservation, bias: BiasModel
 ) -> list[float]:
@@ -198,7 +182,5 @@ __all__ = [
     "VICTIM_CHANNEL",
     "bias_corrected_forward",
     "forward",
-    "forward_tangent",
     "predictors",
-    "register_predictor",
 ]

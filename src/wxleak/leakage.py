@@ -20,9 +20,7 @@ linear units (watts), conversions happen only at function boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .errors import MaskCoverageError, ValidationError
 
@@ -33,10 +31,8 @@ BOLTZMANN_J_PER_K = 1.380649e-23
 #: exactly zero watts.
 NO_LEAKAGE_DBW = float("-inf")
 
-#: Trapezoid subintervals per mask segment when integrating in linear units.
-#: For a 60 dB swing across one segment the relative quadrature error is
-#: about (ln(10^6)/16384)^2 / 12 < 1e-7, well inside the 1e-6 contract.
-_SEGMENT_INTERVALS = 16384
+#: Natural-log growth per dB of a power ratio: 10^(p/10) = exp(p * _NEPER_PER_DB).
+_NEPER_PER_DB = math.log(10.0) / 10.0
 
 
 def db_to_linear(db: float) -> float:
@@ -104,12 +100,11 @@ class EmissionMask:
     PSD in dB relative to the in-band PSD), sorted strictly by offset.
     Between breakpoints the PSD interpolates linearly in dB; outside the
     covered span the mask is undefined and integration raises
-    ``MaskCoverageError``. ``in_band_power_dbw`` is the reference emission
-    level the relative PSD is anchored to (bookkeeping for per-device use).
+    ``MaskCoverageError``. Only ratios of mask integrals are used, so the
+    in-band level the PSD is relative to never enters a result.
     """
 
     breakpoints: tuple[tuple[float, float], ...]
-    in_band_power_dbw: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(
@@ -122,8 +117,6 @@ class EmissionMask:
             raise ValidationError("mask breakpoints must be strictly increasing in offset")
         if not all(math.isfinite(p) for _, p in self.breakpoints):
             raise ValidationError("mask PSD values must be finite")
-        if not math.isfinite(self.in_band_power_dbw):
-            raise ValidationError("mask in-band power must be finite")
 
     def psd_db(self, offset_hz: float) -> float:
         """Relative PSD at one offset (dB); linear interpolation between breakpoints."""
@@ -139,8 +132,11 @@ class EmissionMask:
     def integrate_linear(self, f_low_hz: float, f_high_hz: float, center_hz: float) -> float:
         """Integrate 10^(PSD/10) over [f_low, f_high] (absolute Hz).
 
-        Trapezoidal rule on a fine grid inside each dB-linear segment;
-        the result is linear power times hertz, relative to the in-band PSD.
+        Exact inside each dB-linear segment: over [a, b] the PSD is
+        10^(p_a/10) exp(x (f - a)/(b - a)) with x = (p_b - p_a) ln(10)/10,
+        whose integral is 10^(p_a/10) (b - a) expm1(x)/x, and (b - a) times
+        the level for a flat segment (x = 0). The result is linear power
+        times hertz, relative to the in-band PSD.
         """
         lo = f_low_hz - center_hz
         hi = f_high_hz - center_hz
@@ -159,10 +155,9 @@ class EmissionMask:
             if b <= a:
                 continue
             slope = (p1 - p0) / (o1 - o0)
-            offsets = np.linspace(a, b, _SEGMENT_INTERVALS + 1)
-            power = 10.0 ** ((p0 + slope * (offsets - o0)) / 10.0)
-            h = (b - a) / _SEGMENT_INTERVALS
-            total += float(0.5 * h * (power[0] + power[-1]) + h * np.sum(power[1:-1]))
+            x = slope * (b - a) * _NEPER_PER_DB
+            width = (b - a) if x == 0.0 else (b - a) * math.expm1(x) / x
+            total += db_to_linear(p0 + slope * (a - o0)) * width
         return total
 
 
@@ -189,105 +184,48 @@ def default_emission_mask() -> EmissionMask:
 
 @dataclass(frozen=True)
 class TransmitterField:
-    """Population of emitters inside one sensor footprint."""
+    """Population of identical emitters inside one sensor footprint."""
 
-    density_class: str = "custom"
     count: int = 1
     per_device_eirp_dbw: float = -43.0
     elevation_gain_db: float = 0.0
-    footprint_side_km: float = 48.0
-
-    _CLASSES = ("metropolitan", "rural", "custom")
 
     def __post_init__(self):
-        if self.density_class not in self._CLASSES:
-            raise ValidationError(
-                f"unknown density class {self.density_class!r}; expected one of {self._CLASSES}"
-            )
         if self.count < 0:
             raise ValidationError("transmitter count must be >= 0")
-        if self.footprint_side_km <= 0:
-            raise ValidationError("footprint side must be positive")
-
-    @classmethod
-    def metropolitan(cls, per_device_eirp_dbw: float = -43.0) -> "TransmitterField":
-        """Preset: 250 emitters per footprint. A plumbing knob, not a measured density."""
-        return cls("metropolitan", 250, per_device_eirp_dbw)
-
-    @classmethod
-    def rural(cls, per_device_eirp_dbw: float = -43.0) -> "TransmitterField":
-        """Preset: 10 emitters per footprint. A plumbing knob, not a measured density."""
-        return cls("rural", 10, per_device_eirp_dbw)
 
 
 @dataclass(frozen=True)
 class LinkBudget:
     """Ground-to-satellite path for leakage power.
 
-    ``total_pathloss_db`` is the all-inclusive link loss (antenna and system
-    gains already folded in); ``distance_km`` is kept for documentation and
-    free-space cross-checks only. ``absorption`` and ``transmittance`` split
-    the signal energy passing the atmosphere and always sum to one:
-    absorption is stored as the exact complement of transmittance.
+    ``total_pathloss_db`` is the all-inclusive link loss (distance, antenna
+    and system gains already folded in); ``transmittance`` is the fraction
+    of the signal energy that passes the atmosphere.
     """
 
-    distance_km: float = 800.0
     total_pathloss_db: float = 130.0
     transmittance: float = 1.0
-    absorption: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.distance_km <= 0:
-            raise ValidationError("link distance must be positive")
         if self.total_pathloss_db <= 0:
             raise ValidationError("total pathloss must be positive")
         if not 0.0 <= self.transmittance <= 1.0:
             raise ValidationError("transmittance must lie in [0, 1]")
-        complement = 1.0 - self.transmittance
-        if self.absorption is None:
-            object.__setattr__(self, "absorption", complement)
-        elif self.absorption != complement:
-            raise ValidationError(
-                f"absorption {self.absorption!r} must equal 1 - transmittance ({complement!r})"
-            )
-
-    def free_space_pathloss_db(self, frequency_hz: float) -> float:
-        """FSPL cross-check: 20 log10(4 pi d f / c). Not used in the chain."""
-        c = 2.99792458e8
-        return 20.0 * math.log10(4.0 * math.pi * self.distance_km * 1e3 * frequency_hz / c)
 
 
 @dataclass(frozen=True)
 class AntennaModel:
-    """Radiometer antenna: radiation efficiency and self-emission temperature.
-
-    ``loss_factor`` is the reciprocal of the efficiency; when both are given
-    they must agree to 1e-12 relative.
-    """
+    """Radiometer antenna: radiation efficiency and self-emission temperature."""
 
     radiation_efficiency: float = 0.95
     physical_temperature_k: float = 290.0
-    loss_factor: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         if not 0.0 <= self.radiation_efficiency <= 1.0:
             raise ValidationError("radiation efficiency must lie in [0, 1]")
         if self.physical_temperature_k <= 0:
             raise ValidationError("antenna physical temperature must be positive")
-        derived = math.inf if self.radiation_efficiency == 0.0 else 1.0 / self.radiation_efficiency
-        if self.loss_factor is None:
-            object.__setattr__(self, "loss_factor", derived)
-        else:
-            if self.loss_factor < 1.0:
-                raise ValidationError("loss factor must be >= 1")
-            if derived == math.inf:
-                if self.loss_factor != math.inf:
-                    raise ValidationError("zero efficiency requires an infinite loss factor")
-            elif abs(self.loss_factor - derived) > 1e-12 * derived:
-                raise ValidationError(
-                    f"loss factor {self.loss_factor!r} inconsistent with efficiency "
-                    f"{self.radiation_efficiency!r} (expected {derived!r})"
-                )
 
 
 @dataclass(frozen=True)

@@ -120,8 +120,8 @@ class RadianceOperator:
     column for beta_0 is one and the others are the predictor values.
     Moisture below zero is floored before evaluating the column (matching
     the model's own clipping), with zero sensitivity there. Evaluation is
-    vectorized over observations; predictors without a vectorized form fall
-    back to per-observation calls. Everything that does not depend on the
+    vectorized over observations, predictors included. Everything that does
+    not depend on the
     control (resolved predictors, their slopes, the scan positions, the
     Jacobian's nonzero positions) is fixed at construction.
     """
@@ -172,13 +172,7 @@ class RadianceOperator:
     def _fill_predictors(self, t_surf, q, out: np.ndarray) -> np.ndarray:
         """Write the predictor values as the columns of ``out``, shape (n_obs, k)."""
         for i, pdef in enumerate(self._defs):
-            if pdef.vector_value is not None:
-                out[:, i] = pdef.vector_value(t_surf, q, self._scan)
-            else:
-                out[:, i] = [
-                    pdef.value(self.mapping.column(ts - self.mapping.surface_offset_k, qq), obs)
-                    for ts, qq, obs in zip(t_surf, q, self.observations)
-                ]
+            out[:, i] = pdef.vector_value(t_surf, q, self._scan)
         return out
 
     def values(self, state: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -238,9 +232,9 @@ def build_problem(
     return AssimilationProblem(
         background_state=x_b,
         background_bias=beta_b,
-        state_covariance=CovarianceSpec.diagonal(np.full(2 * n, state_variance)),
-        bias_covariance=CovarianceSpec.diagonal(np.full(len(beta_b), bias_variance)),
-        obs_covariance=CovarianceSpec.diagonal(
+        state_covariance=CovarianceSpec(np.full(2 * n, state_variance)),
+        bias_covariance=CovarianceSpec(np.full(len(beta_b), bias_variance)),
+        obs_covariance=CovarianceSpec(
             np.array([o.error_stddev_k**2 for o in observations])
         ),
         observations=tuple(observations),

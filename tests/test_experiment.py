@@ -96,6 +96,15 @@ class TestConfigLoading:
         assert config.field.count == 250
         config = config_from_dict({"field": {"density_class": "rural"}})
         assert config.field.count == 10
+        config = config_from_dict({"field": {"density_class": "custom", "count": 7}})
+        assert config.field.count == 7
+
+    def test_shipped_yaml_is_the_defaults_table(self):
+        """configs/default.yaml sets every key of the defaults tables, at its
+        default value, and nothing else."""
+        path = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
+        shipped = yaml.safe_load(path.read_text())
+        assert shipped == {**experiment._TOP_DEFAULTS, **experiment._SECTION_DEFAULTS}
 
     def test_explicit_locations_override_count(self):
         config = config_from_dict(
@@ -151,6 +160,12 @@ class TestConfigLoading:
             ("field: {count: 2.7}", "field.count"),
             ("field: {count: true}", "field.count"),
             ("field: {density_class: metropolitan, count: 2.7}", "field.count"),
+            ("field: {density_class: metropolitan, count: 250}", "field.count"),
+            ("field: {density_class: rural, count: 3}", "field.count"),
+            ("field: {density_class: suburban}", "field.density_class"),
+            ("link: {distance_km: 800.0}", "link"),
+            ("mask: {in_band_power_dbw: 0.0}", "mask"),
+            ("field: {footprint_side_km: 48.0}", "field"),
             ("observations: {locations: [0.9, 5.5]}", "observations.locations"),
             ("observations: {locations: [0, false]}", "observations.locations"),
             ("observations: {locations: 3}", "observations.locations"),
@@ -185,7 +200,7 @@ class TestConfigLoading:
         """Validation never rewrites a valid config, so its hash stays put."""
         path = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
         assert load_config(str(path)).config_hash == (
-            "1f6dd6580d46dffc6bfc86d26f69e4d5c6f46e7370a64c032f1199ac619ac73d"
+            "333533d87570fcfeaecd0c97eac3004fe1a6ea2175301c91a5b4998cc8b7ac9b"
         )
 
     def test_parse_error_reports_line(self, tmp_path):

@@ -14,7 +14,6 @@ from wxleak.forward import (
     VICTIM_CHANNEL,
     bias_corrected_forward,
     forward,
-    forward_tangent,
     predictors,
 )
 
@@ -60,38 +59,6 @@ class TestForward:
     def test_negative_vapor_rejected(self):
         with pytest.raises(ValidationError):
             ColumnState(-1.0, 290.0, 250.0)
-
-
-class TestForwardTangent:
-    def test_at_origin(self):
-        state = ColumnState(0.0, 290.0, 250.0)
-        assert math.isclose(forward_tangent(state, PARAMS), 0.05 * (250.0 - 290.0))
-
-    def test_isothermal_is_flat(self):
-        state = ColumnState(12.0, 270.0, 270.0)
-        assert forward_tangent(state, PARAMS) == 0.0
-
-    def test_matches_central_differences(self):
-        """Analytic derivative against h = 1e-4 max(1, q) central differences.
-
-        Sampling stays below six optical depths and away from isothermal
-        columns, where the derivative underflows and a relative comparison
-        stops being meaningful.
-        """
-        rng = np.random.default_rng(100)
-        for _ in range(100):
-            q = float(rng.uniform(0.5, 50))
-            t_s = float(rng.uniform(270, 310))
-            t_a = float(rng.uniform(230, 260))
-            kappa = float(rng.uniform(0.02, 0.12))
-            params = ForwardOperatorParams(kappa)
-            h = 1e-4 * max(1.0, q)
-            fd = (
-                forward(ColumnState(q + h, t_s, t_a), params)
-                - forward(ColumnState(q - h, t_s, t_a), params)
-            ) / (2 * h)
-            analytic = forward_tangent(ColumnState(q, t_s, t_a), params)
-            assert abs(analytic - fd) <= 1e-6 * max(1e-12, abs(fd))
 
 
 class TestPredictors:

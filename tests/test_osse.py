@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from wxleak.errors import ValidationError
-from wxleak.forward import BiasModel, bias_corrected_forward
+from wxleak.forward import (
+    BiasModel,
+    ColumnState,
+    ForwardOperatorParams,
+    RadianceObservation,
+    VICTIM_CHANNEL,
+    bias_corrected_forward,
+    forward,
+)
 from wxleak.model import ModelParams, ModelState, nature_run
 from wxleak.osse import (
     ColumnMapping,
@@ -166,6 +174,42 @@ class TestRadianceOperator:
         assert np.allclose(operator.values(x, beta), operator.values(floored, beta))
         jac_state, _ = operator.jacobians(x, beta)
         assert jac_state[0, n + locations[0]] == 0.0
+
+    @staticmethod
+    def moisture_derivative(q, t_surf, t_atm, kappa):
+        """d T_b / d q from the operator's Jacobian, for one column at cell 0."""
+        mapping = ColumnMapping(ForwardOperatorParams(kappa), t_surf, t_atm)
+        obs = (RadianceObservation(VICTIM_CHANNEL, 260.0, 0.3, 0),)
+        operator = RadianceOperator(mapping, BiasModel(), obs, (0,), grid_size=4)
+        state = np.array([0.0, 0.0, 0.0, 0.0, q, 0.0, 0.0, 0.0])
+        jac_state, _ = operator.jacobians(state, np.zeros(1))
+        return jac_state[0, 4]
+
+    def test_moisture_derivative_matches_scalar_forward(self):
+        """The analytic d T_b / d q against h = 1e-4 max(1, q) central
+        differences of the scalar ``forward``.
+
+        Sampling stays below six optical depths and away from isothermal
+        columns, where the derivative underflows and a relative comparison
+        stops being meaningful.
+        """
+        rng = np.random.default_rng(100)
+        for _ in range(100):
+            q = float(rng.uniform(0.5, 50))
+            t_s = float(rng.uniform(270, 310))
+            t_a = float(rng.uniform(230, 260))
+            kappa = float(rng.uniform(0.02, 0.12))
+            params = ForwardOperatorParams(kappa)
+            h = 1e-4 * max(1.0, q)
+            fd = (
+                forward(ColumnState(q + h, t_s, t_a), params)
+                - forward(ColumnState(q - h, t_s, t_a), params)
+            ) / (2 * h)
+            analytic = self.moisture_derivative(q, t_s, t_a, kappa)
+            assert abs(analytic - fd) <= 1e-6 * max(1e-12, abs(fd))
+
+    def test_isothermal_column_has_no_moisture_sensitivity(self):
+        assert self.moisture_derivative(12.0, 270.0, 270.0, 0.05) == 0.0
 
     def test_location_count_mismatch_rejected(self):
         operator, truth, bias, locations = self.make_operator()
