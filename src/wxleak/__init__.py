@@ -27,8 +27,6 @@ from .errors import (
 from .forward import (
     BiasModel,
     ColumnState,
-    ForwardOperatorParams,
-    RadianceObservation,
     bias_corrected_forward,
     forward,
     predictors,

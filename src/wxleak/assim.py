@@ -23,13 +23,12 @@ not depend on step-size luck.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Protocol
 
 import numpy as np
 
 from .errors import MinimizationError, ValidationError
-from .forward import RadianceObservation
 
 GRADIENT_TOLERANCE = 1e-8
 MAX_ITERATIONS = 500
@@ -102,16 +101,18 @@ class ObservationOperator(Protocol):
 
 @dataclass(frozen=True)
 class AssimilationProblem:
-    """Background, covariances, observations and the operator binding them."""
+    """Background, covariances, observed values and the operator binding them.
+
+    ``obs_values`` is held as a read-only copy, one value per observation.
+    """
 
     background_state: np.ndarray
     background_bias: np.ndarray
     state_covariance: CovarianceSpec
     bias_covariance: CovarianceSpec
     obs_covariance: CovarianceSpec
-    observations: tuple[RadianceObservation, ...]
+    obs_values: np.ndarray
     operator: ObservationOperator
-    obs_values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -120,13 +121,14 @@ class AssimilationProblem:
         object.__setattr__(
             self, "background_bias", np.asarray(self.background_bias, dtype=float)
         )
-        object.__setattr__(self, "observations", tuple(self.observations))
-        obs_values = np.array([o.value_k for o in self.observations])
+        obs_values = np.array(self.obs_values, dtype=float)
+        if obs_values.ndim != 1:
+            raise ValidationError("observed values must be a 1-d vector")
         obs_values.setflags(write=False)
         object.__setattr__(self, "obs_values", obs_values)
         n_state = self.background_state.shape[0]
         n_bias = self.background_bias.shape[0]
-        n_obs = len(self.observations)
+        n_obs = obs_values.shape[0]
         if self.state_covariance.dim != n_state:
             raise ValidationError(
                 f"state covariance dim {self.state_covariance.dim} != state length {n_state}"
@@ -289,68 +291,71 @@ def minimize(
             + problem.obs_covariance.quadratic(ap)
         )
 
-    point = np.concatenate([problem.background_state, problem.background_bias])
-    j, d = cost_at(point)
-    if not np.isfinite(j):
-        raise MinimizationError(
-            "cost is non-finite at the initial control", problem.background_control()
-        )
-    g, jac_state, jac_bias, cancel_scale = grad_and_jac(point, d)
-    # For a 1-D float vector this is np.linalg.norm's own sqrt(g . g), bit
-    # for bit, without its per-call set-up; it is computed once per point.
-    g_norm = math.sqrt(float(g @ g))
-    tol = GRADIENT_TOLERANCE * max(1.0, g_norm)
-    scaled_g = g / jacobi_diagonal(jac_state, jac_bias)
+    # A non-finite cost raises MinimizationError below; the overflow on the
+    # way there would only add floating-point warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        point = np.concatenate([problem.background_state, problem.background_bias])
+        j, d = cost_at(point)
+        if not np.isfinite(j):
+            raise MinimizationError(
+                "cost is non-finite at the initial control", problem.background_control()
+            )
+        g, jac_state, jac_bias, cancel_scale = grad_and_jac(point, d)
+        # For a 1-D float vector this is np.linalg.norm's own sqrt(g . g), bit
+        # for bit, without its per-call set-up; it is computed once per point.
+        g_norm = math.sqrt(float(g @ g))
+        tol = GRADIENT_TOLERANCE * max(1.0, g_norm)
+        scaled_g = g / jacobi_diagonal(jac_state, jac_bias)
 
-    iterations = 0
-    direction = -scaled_g
-    while g_norm > tol and iterations < MAX_ITERATIONS:
-        slope = float(g @ direction)
-        if slope >= 0.0:
-            direction = -scaled_g  # restart: direction lost descent
+        iterations = 0
+        direction = -scaled_g
+        while g_norm > tol and iterations < MAX_ITERATIONS:
             slope = float(g @ direction)
-        curv = curvature_along(jac_state, jac_bias, direction)
-        alpha = -slope / curv if curv > 0 else 1.0
-        noise_floor = _EPS * (32.0 * abs(j) + cancel_scale)
+            if slope >= 0.0:
+                direction = -scaled_g  # restart: direction lost descent
+                slope = float(g @ direction)
+            curv = curvature_along(jac_state, jac_bias, direction)
+            alpha = -slope / curv if curv > 0 else 1.0
+            noise_floor = _EPS * (32.0 * abs(j) + cancel_scale)
 
-        if abs(alpha * slope) <= noise_floor:
-            # Below cost resolution: take the model step as-is.
-            trial = point + alpha * direction
-            j_trial, d_trial = cost_at(trial)
-            if not np.isfinite(j_trial):
-                raise MinimizationError(
-                    "cost became non-finite during line search", unflatten(point)
-                )
-        else:
-            accepted = False
-            for _ in range(_MAX_BACKTRACKS):
+            if abs(alpha * slope) <= noise_floor:
+                # Below cost resolution: take the model step as-is.
                 trial = point + alpha * direction
                 j_trial, d_trial = cost_at(trial)
                 if not np.isfinite(j_trial):
                     raise MinimizationError(
                         "cost became non-finite during line search", unflatten(point)
                     )
-                if j_trial <= j + ARMIJO_C * alpha * slope + noise_floor:
-                    accepted = True
-                    break
-                alpha *= ARMIJO_SHRINK
-            if not accepted:
-                if np.array_equal(direction, -scaled_g):
-                    break  # no progress possible along the scaled descent
-                direction = -scaled_g
-                continue
+            else:
+                accepted = False
+                for _ in range(_MAX_BACKTRACKS):
+                    trial = point + alpha * direction
+                    j_trial, d_trial = cost_at(trial)
+                    if not np.isfinite(j_trial):
+                        raise MinimizationError(
+                            "cost became non-finite during line search", unflatten(point)
+                        )
+                    if j_trial <= j + ARMIJO_C * alpha * slope + noise_floor:
+                        accepted = True
+                        break
+                    alpha *= ARMIJO_SHRINK
+                if not accepted:
+                    if np.array_equal(direction, -scaled_g):
+                        break  # no progress possible along the scaled descent
+                    direction = -scaled_g
+                    continue
 
-        g_new, jac_state, jac_bias, cancel_scale = grad_and_jac(trial, d_trial)
-        scaled_g_new = g_new / jacobi_diagonal(jac_state, jac_bias)
-        # Preconditioned Polak-Ribiere with the nonnegativity cap; a
-        # negative beta resets to scaled steepest descent automatically.
-        beta_pr = float(g_new @ (scaled_g_new - scaled_g)) / float(g @ scaled_g)
-        direction = -scaled_g_new + max(0.0, beta_pr) * direction
-        point, j, g, scaled_g = trial, j_trial, g_new, scaled_g_new
-        g_norm = math.sqrt(float(g @ g))
-        iterations += 1
-        if on_iteration is not None:
-            on_iteration(iterations, j, g_norm)
+            g_new, jac_state, jac_bias, cancel_scale = grad_and_jac(trial, d_trial)
+            scaled_g_new = g_new / jacobi_diagonal(jac_state, jac_bias)
+            # Preconditioned Polak-Ribiere with the nonnegativity cap; a
+            # negative beta resets to scaled steepest descent automatically.
+            beta_pr = float(g_new @ (scaled_g_new - scaled_g)) / float(g @ scaled_g)
+            direction = -scaled_g_new + max(0.0, beta_pr) * direction
+            point, j, g, scaled_g = trial, j_trial, g_new, scaled_g_new
+            g_norm = math.sqrt(float(g @ g))
+            iterations += 1
+            if on_iteration is not None:
+                on_iteration(iterations, j, g_norm)
 
     result = unflatten(point)
     return AnalysisResult(

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import TextIO
 
 import numpy as np
@@ -24,7 +24,7 @@ import yaml
 
 from .assim import minimize
 from .errors import ConfigError, ValidationError
-from .forward import BiasModel, ForwardOperatorParams
+from .forward import BiasModel
 from .leakage import (
     AGGRESSOR_CHANNEL,
     AntennaModel,
@@ -126,20 +126,17 @@ class ScenarioReport:
         return (self.baseline, *self.levels)
 
 
-# The link, antenna, field and model sections map field for field onto their
-# dataclasses (beside field.density_class and model.grid_size), so those
-# dataclasses' defaults are the section defaults.
+# The link, antenna, field, forward, bias and model sections map field for
+# field onto their dataclasses (beside field.density_class and
+# model.grid_size), so those dataclasses' defaults are the section defaults.
+# The other sections' defaults are written here and nowhere else.
 _SECTION_DEFAULTS = {
     "link": asdict(LinkBudget()),
     "antenna": asdict(AntennaModel()),
     "mask": {"breakpoints": None},
     "field": {"density_class": "custom", **asdict(TransmitterField())},
-    "forward": {
-        "opacity_coefficient": 0.05,
-        "surface_offset_k": 273.0,
-        "atmosphere_temperature_k": 250.0,
-    },
-    "bias": {"constant_coefficient_k": 0.0, "coefficients": [], "predictors": []},
+    "forward": asdict(ColumnMapping()),
+    "bias": asdict(BiasModel()),
     "covariances": {
         "state_variance": 1.0,
         "bias_variance": 0.5,
@@ -322,11 +319,7 @@ def config_from_dict(raw: dict, seed_override: int | None = None) -> ScenarioCon
     field = build(
         "field", TransmitterField, count=device_count, **_numbers(field_block, "field")
     )
-    fwd = _numbers(resolved["forward"], "forward")
-    opacity = build(
-        "forward", ForwardOperatorParams, opacity_coefficient=fwd.pop("opacity_coefficient")
-    )
-    mapping = build("forward", ColumnMapping, params=opacity, **fwd)
+    mapping = build("forward", ColumnMapping, **_numbers(resolved["forward"], "forward"))
     bias_block = resolved["bias"]
     predictors = _list(bias_block["predictors"], "bias.predictors")
     if any(not isinstance(name, str) for name in predictors):
@@ -341,7 +334,7 @@ def config_from_dict(raw: dict, seed_override: int | None = None) -> ScenarioCon
             _number(c, "bias.coefficients")
             for c in _list(bias_block["coefficients"], "bias.coefficients")
         ),
-        predictor_definitions=tuple(predictors),
+        predictors=tuple(predictors),
     )
     cov = _numbers(resolved["covariances"], "covariances")
     if any(value <= 0 for value in cov.values()):
@@ -380,7 +373,7 @@ def config_from_dict(raw: dict, seed_override: int | None = None) -> ScenarioCon
         except ValidationError as exc:
             raise ConfigError(str(exc), field="observations.count") from exc
 
-    return ScenarioConfig(
+    config = ScenarioConfig(
         leakage_levels=levels,
         leakage_interpretation=interpretation,
         link=link,
@@ -404,6 +397,22 @@ def config_from_dict(raw: dict, seed_override: int | None = None) -> ScenarioCon
         defaulted_fields=tuple(defaulted),
         config_hash=_canonical_hash(resolved),
     )
+    # Every level must give a finite brightness error under the sections
+    # above, or the run would fail on its first non-finite observation.
+    for level in levels:
+        try:
+            finite = all(math.isfinite(value) for value in leakage_chain(config, level))
+        except OverflowError:
+            finite = False
+        except ValidationError as exc:
+            raise ConfigError(f"level {level:g} dBW: {exc}", field="leakage_levels") from exc
+        if not finite:
+            raise ConfigError(
+                f"level {level:g} dBW gives a non-finite noise temperature or "
+                "brightness error",
+                field="leakage_levels",
+            )
+    return config
 
 
 def _forecast_steps(forecast_length: float, params: ModelParams) -> int:
@@ -439,8 +448,7 @@ def leakage_chain(config: ScenarioConfig, level_dbw: float) -> tuple[float, floa
     """
     if config.leakage_interpretation == "per_device":
         fraction = aci_leakage_fraction(config.mask, AGGRESSOR_CHANNEL, VICTIM_CHANNEL)
-        field = replace(config.field, per_device_eirp_dbw=level_dbw)
-        aggregate_dbw = aggregate_leakage_power(field, fraction)
+        aggregate_dbw = aggregate_leakage_power(config.field, level_dbw, fraction)
     else:
         aggregate_dbw = level_dbw
     p_rx = received_power(aggregate_dbw, config.link)
@@ -469,6 +477,7 @@ def _analyze_and_forecast(config: ScenarioConfig, background: ModelState, observ
         config.mapping,
         state_variance=config.state_variance,
         bias_variance=config.bias_variance,
+        obs_stddev_k=config.obs_error_stddev_k,
     )
     on_iteration = None
     if trace_stream is not None:
@@ -507,50 +516,20 @@ def run_scenario(
         moisture_base=config.model_params.condensation_threshold + 5.0,
     ).final
 
-    obs_baseline = synthesize_observations(
-        truth,
-        config.mapping,
-        config.bias,
-        config.seeds.obs_noise,
-        0.0,
-        config.obs_locations,
-        error_stddev_k=config.obs_error_stddev_k,
-    )
-
     backgrounds = [
         _member_background(config, truth, m) for m in range(config.ensemble_size)
     ]
-    baseline_diags = []
-    baseline_costs = []
-    baseline_converged = True
-    for m, background in enumerate(backgrounds):
-        try:
-            result, diag = _analyze_and_forecast(
-                config, background, obs_baseline,
-                trace_stream=trace_stream, trace_label=f"baseline m{m}",
-            )
-        except Exception as exc:
-            raise ScenarioExecutionError(f"baseline, member {m}: {exc}") from exc
-        baseline_diags.append(diag)
-        baseline_costs.append(result.final_cost)
-        baseline_converged &= result.converged
-
-    baseline = LevelMetrics(
-        label="baseline",
-        leakage_dbw=None,
-        noise_k=0.0,
-        delta_tb_k=0.0,
-        precip_diff_max_mm=0.0,
-        precip_diff_rms_mm=0.0,
-        t2m_diff_max_c=0.0,
-        t2m_diff_rms_c=0.0,
-        analysis_cost=float(np.mean(baseline_costs)),
-        converged=baseline_converged,
-    )
-
-    level_rows = []
-    for level in config.leakage_levels:
-        noise_k, delta_tb = leakage_chain(config, level)
+    baseline_diags = None
+    rows = []
+    # The baseline goes first, through the same path as a level with zero
+    # brightness error; its differences from itself are exact zeros.
+    for level in (None, *config.leakage_levels):
+        if level is None:
+            label = where = trace_label = "baseline"
+            noise_k = delta_tb = 0.0
+        else:
+            label, where, trace_label = f"{level:g}", f"level {level} dBW", f"level {level:g}"
+            noise_k, delta_tb = leakage_chain(config, level)
         observations = synthesize_observations(
             truth,
             config.mapping,
@@ -560,36 +539,33 @@ def run_scenario(
             config.obs_locations,
             error_stddev_k=config.obs_error_stddev_k,
         )
-        precip_max = []
-        precip_rms = []
-        t2m_max = []
-        t2m_rms = []
-        costs = []
-        converged = True
+        results, diags = [], []
         for m, background in enumerate(backgrounds):
             try:
                 result, diag = _analyze_and_forecast(
                     config, background, observations,
-                    trace_stream=trace_stream, trace_label=f"level {level:g} m{m}",
+                    trace_stream=trace_stream, trace_label=f"{trace_label} m{m}",
                 )
             except Exception as exc:
-                raise ScenarioExecutionError(
-                    f"level {level} dBW, member {m}: {exc}"
-                ) from exc
-            d_precip = (
-                diag.accumulated_precipitation_mm
-                - baseline_diags[m].accumulated_precipitation_mm
-            )
-            d_t2m = diag.two_meter_temperature_k - baseline_diags[m].two_meter_temperature_k
+                raise ScenarioExecutionError(f"{where}, member {m}: {exc}") from exc
+            results.append(result)
+            diags.append(diag)
+        if baseline_diags is None:
+            baseline_diags = diags
+        precip_max = []
+        precip_rms = []
+        t2m_max = []
+        t2m_rms = []
+        for diag, base in zip(diags, baseline_diags):
+            d_precip = diag.accumulated_precipitation_mm - base.accumulated_precipitation_mm
+            d_t2m = diag.two_meter_temperature_k - base.two_meter_temperature_k
             precip_max.append(float(np.max(np.abs(d_precip))))
             precip_rms.append(float(np.sqrt(np.mean(d_precip**2))))
             t2m_max.append(float(np.max(np.abs(d_t2m))))
             t2m_rms.append(float(np.sqrt(np.mean(d_t2m**2))))
-            costs.append(result.final_cost)
-            converged &= result.converged
-        level_rows.append(
+        rows.append(
             LevelMetrics(
-                label=f"{level:g}",
+                label=label,
                 leakage_dbw=level,
                 noise_k=noise_k,
                 delta_tb_k=delta_tb,
@@ -597,14 +573,14 @@ def run_scenario(
                 precip_diff_rms_mm=float(np.mean(precip_rms)),
                 t2m_diff_max_c=float(np.mean(t2m_max)),
                 t2m_diff_rms_c=float(np.mean(t2m_rms)),
-                analysis_cost=float(np.mean(costs)),
-                converged=converged,
+                analysis_cost=float(np.mean([r.final_cost for r in results])),
+                converged=all(r.converged for r in results),
             )
         )
 
     return ScenarioReport(
-        baseline=baseline,
-        levels=tuple(level_rows),
+        baseline=rows[0],
+        levels=tuple(rows[1:]),
         config_hash=config.config_hash,
         defaulted_fields=config.defaulted_fields,
         ensemble_size=config.ensemble_size,

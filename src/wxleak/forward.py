@@ -9,7 +9,8 @@ surface and atmosphere emission through a water-vapor opacity term:
 which is transparent at q = 0, saturates to the atmosphere temperature as
 the column moistens, and is monotone in q in between. The bias-corrected
 operator adds a constant coefficient plus a linear combination of named
-predictors evaluated per observation.
+predictors evaluated per observation, at its scan position (the grid cell
+it looks at).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .leakage import ChannelSpec, VICTIM_CHANNEL
 
 
 @dataclass(frozen=True)
@@ -40,51 +40,19 @@ class ColumnState:
 
 
 @dataclass(frozen=True)
-class ForwardOperatorParams:
-    """Opacity coefficient per unit column water vapor, (kg/m^2)^-1.
-
-    The default 0.05 puts typical mid-latitude columns (5 to 50 kg/m^2) in
-    the curved part of the operator.
-    """
-
-    opacity_coefficient: float = 0.05
-
-    def __post_init__(self):
-        if self.opacity_coefficient <= 0:
-            raise ValidationError("opacity coefficient must be positive")
-
-
-@dataclass(frozen=True)
-class RadianceObservation:
-    """One brightness-temperature sample with its error metadata."""
-
-    channel: ChannelSpec
-    value_k: float
-    error_stddev_k: float
-    scan_position: int
-    applied_perturbation_k: float = 0.0
-
-    def __post_init__(self):
-        if self.error_stddev_k <= 0:
-            raise ValidationError("observation error stddev must be positive")
-        if not math.isfinite(self.value_k):
-            raise ValidationError("observation value must be finite")
-
-
-@dataclass(frozen=True)
 class PredictorDef:
     """A named bias predictor with its state sensitivities.
 
-    ``value`` evaluates the predictor for one observation, as observation
-    synthesis does; ``vector_value`` evaluates it for a whole observation
-    set from arrays of (surface temperature, water vapor, scan position),
-    as the analysis operator does. The two derivative fields give the
-    predictor's sensitivity to the column surface temperature and water
+    ``value`` evaluates the predictor for one column at one scan position,
+    as observation synthesis does; ``vector_value`` evaluates it for a whole
+    observation set from arrays of (surface temperature, water vapor, scan
+    position), as the analysis operator does. The two derivative fields give
+    the predictor's sensitivity to the column surface temperature and water
     vapor, needed by the analytic assimilation gradient.
     """
 
     name: str
-    value: Callable[[ColumnState, RadianceObservation], float]
+    value: Callable[[ColumnState, int], float]
     vector_value: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     d_surface_temperature: float = 0.0
     d_water_vapor: float = 0.0
@@ -95,13 +63,13 @@ PREDICTOR_REGISTRY: dict[str, PredictorDef] = {
     for p in (
         PredictorDef(
             "surface_temperature",
-            lambda state, obs: state.surface_temperature_k,
+            lambda state, scan: state.surface_temperature_k,
             vector_value=lambda t_surf, q, scan: t_surf,
             d_surface_temperature=1.0,
         ),
         PredictorDef(
             "scan_position",
-            lambda state, obs: float(obs.scan_position),
+            lambda state, scan: float(scan),
             vector_value=lambda t_surf, q, scan: scan,
         ),
     )
@@ -118,17 +86,16 @@ class BiasModel:
 
     constant_coefficient_k: float = 0.0
     coefficients: tuple[float, ...] = ()
-    predictor_definitions: tuple[str, ...] = ()
+    predictors: tuple[str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
-        object.__setattr__(self, "predictor_definitions", tuple(self.predictor_definitions))
-        if len(self.coefficients) != len(self.predictor_definitions):
+        object.__setattr__(self, "predictors", tuple(self.predictors))
+        if len(self.coefficients) != len(self.predictors):
             raise ValidationError(
-                f"{len(self.coefficients)} coefficients for "
-                f"{len(self.predictor_definitions)} predictors"
+                f"{len(self.coefficients)} coefficients for {len(self.predictors)} predictors"
             )
-        unknown = [n for n in self.predictor_definitions if n not in PREDICTOR_REGISTRY]
+        unknown = [n for n in self.predictors if n not in PREDICTOR_REGISTRY]
         if unknown:
             raise ValidationError(
                 f"unknown predictor name(s) {unknown}; "
@@ -140,46 +107,42 @@ class BiasModel:
 
     @property
     def n_predictors(self) -> int:
-        return len(self.predictor_definitions)
+        return len(self.predictors)
 
     def resolved(self) -> tuple[PredictorDef, ...]:
-        return tuple(PREDICTOR_REGISTRY[n] for n in self.predictor_definitions)
+        return tuple(PREDICTOR_REGISTRY[n] for n in self.predictors)
 
 
-def forward(state: ColumnState, params: ForwardOperatorParams) -> float:
-    """Brightness temperature of a column, in kelvin."""
-    w = math.exp(-params.opacity_coefficient * state.water_vapor_kg_m2)
+def forward(state: ColumnState, opacity_coefficient: float) -> float:
+    """Brightness temperature of a column, in kelvin.
+
+    ``opacity_coefficient`` is the opacity per unit column water vapor,
+    (kg/m^2)^-1.
+    """
+    w = math.exp(-opacity_coefficient * state.water_vapor_kg_m2)
     return state.surface_temperature_k * w + state.atmosphere_temperature_k * (1.0 - w)
 
 
-def predictors(
-    state: ColumnState, obs: RadianceObservation, bias: BiasModel
-) -> list[float]:
+def predictors(state: ColumnState, scan_position: int, bias: BiasModel) -> list[float]:
     """Evaluate the bias model's predictors for one observation."""
-    return [p.value(state, obs) for p in bias.resolved()]
+    return [p.value(state, scan_position) for p in bias.resolved()]
 
 
 def bias_corrected_forward(
-    state: ColumnState,
-    bias: BiasModel,
-    obs: RadianceObservation,
-    params: ForwardOperatorParams,
+    state: ColumnState, bias: BiasModel, scan_position: int, opacity_coefficient: float
 ) -> float:
     """Forward operator plus the bias correction: H + beta_0 + sum(beta_i p_i)."""
     correction = bias.constant_coefficient_k
-    for coeff, value in zip(bias.coefficients, predictors(state, obs, bias)):
+    for coeff, value in zip(bias.coefficients, predictors(state, scan_position, bias)):
         correction += coeff * value
-    return forward(state, params) + correction
+    return forward(state, opacity_coefficient) + correction
 
 
 __all__ = [
     "BiasModel",
     "ColumnState",
-    "ForwardOperatorParams",
     "PredictorDef",
     "PREDICTOR_REGISTRY",
-    "RadianceObservation",
-    "VICTIM_CHANNEL",
     "bias_corrected_forward",
     "forward",
     "predictors",

@@ -187,7 +187,6 @@ class TransmitterField:
     """Population of identical emitters inside one sensor footprint."""
 
     count: int = 1
-    per_device_eirp_dbw: float = -43.0
     elevation_gain_db: float = 0.0
 
     def __post_init__(self):
@@ -268,18 +267,21 @@ def aci_leakage_fraction(
     return leaked / in_band
 
 
-def aggregate_leakage_power(field_: TransmitterField, fraction: float) -> float:
+def aggregate_leakage_power(
+    field_: TransmitterField, per_device_eirp_dbw: float, fraction: float
+) -> float:
     """Total leakage EIRP of a transmitter field toward the satellite, dBW.
 
-    Incoherent (linear-watt) sum of ``count`` identical devices, scaled by
-    the in-victim-band ``fraction`` and the elevation gain. Zero devices or
-    zero fraction yield ``NO_LEAKAGE_DBW``.
+    Incoherent (linear-watt) sum of ``count`` identical devices of in-band
+    EIRP ``per_device_eirp_dbw``, scaled by the in-victim-band ``fraction``
+    and the elevation gain. Zero devices or zero fraction yield
+    ``NO_LEAKAGE_DBW``.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValidationError("leakage fraction must lie in [0, 1]")
     if field_.count == 0 or fraction == 0.0:
         return NO_LEAKAGE_DBW
-    total_w = field_.count * db_to_linear(field_.per_device_eirp_dbw) * fraction
+    total_w = field_.count * db_to_linear(per_device_eirp_dbw) * fraction
     return linear_to_db(total_w) + field_.elevation_gain_db
 
 

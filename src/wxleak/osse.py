@@ -5,9 +5,11 @@ grid cell becomes a single-column atmosphere (surface temperature is the
 cell value plus the reporting offset, the effective atmosphere temperature
 is a fixed constant, moisture is the cell's moisture). On top of that:
 
-* ``synthesize_observations`` builds observations from a truth state, with
-  seeded Gaussian noise and an optional uniform brightness-temperature
-  perturbation, the knob the interference chain drives.
+* ``synthesize_observations`` builds observation values from a truth state,
+  with seeded Gaussian noise and an optional uniform brightness-temperature
+  perturbation, the knob the interference chain drives. An observation is
+  its value and its location (the grid cell, which is also its scan
+  position); values are one array, locations one tuple.
 * ``RadianceOperator`` exposes the same mapping to the variational analysis
   over the flattened control vector [temperature_field, moisture_field].
 """
@@ -20,29 +22,28 @@ import numpy as np
 
 from .assim import AssimilationProblem, CovarianceSpec
 from .errors import ValidationError
-from .forward import (
-    BiasModel,
-    ColumnState,
-    ForwardOperatorParams,
-    RadianceObservation,
-    VICTIM_CHANNEL,
-    bias_corrected_forward,
-)
+from .forward import BiasModel, ColumnState, bias_corrected_forward
 from .model import ModelState, TEMPERATURE_REPORT_OFFSET_K
 from .rng import SeededRng
-
-DEFAULT_OBS_ERROR_STDDEV_K = 0.3
 
 
 @dataclass(frozen=True)
 class ColumnMapping:
-    """Grid cell to single-column state, plus the operator parameters."""
+    """Grid cell to single-column state, plus the operator's opacity.
 
-    params: ForwardOperatorParams = ForwardOperatorParams()
+    ``opacity_coefficient`` is the opacity per unit column water vapor,
+    (kg/m^2)^-1; the default 0.05 puts typical mid-latitude columns (5 to
+    50 kg/m^2) in the curved part of the operator. These fields are the
+    config's ``forward`` section, defaults included.
+    """
+
+    opacity_coefficient: float = 0.05
     surface_offset_k: float = TEMPERATURE_REPORT_OFFSET_K
     atmosphere_temperature_k: float = 250.0
 
     def __post_init__(self):
+        if self.opacity_coefficient <= 0:
+            raise ValidationError("opacity coefficient must be positive")
         if self.atmosphere_temperature_k <= 0:
             raise ValidationError("atmosphere temperature must be positive")
 
@@ -59,7 +60,7 @@ class ColumnMapping:
         )
 
 
-def default_obs_locations(grid_size: int, count: int = 20) -> tuple[int, ...]:
+def default_obs_locations(grid_size: int, count: int) -> tuple[int, ...]:
     """Evenly thinned network: ``count`` cells spread over the grid."""
     if count < 1 or count > grid_size:
         raise ValidationError("observation count must be in [1, grid size]")
@@ -74,42 +75,34 @@ def synthesize_observations(
     obs_error_seed: int,
     delta_tb_k: float,
     obs_locations: tuple[int, ...],
-    error_stddev_k: float = DEFAULT_OBS_ERROR_STDDEV_K,
-) -> tuple[RadianceObservation, ...]:
-    """Observations a radiometer would report over the truth state.
+    error_stddev_k: float,
+) -> np.ndarray:
+    """Brightness temperatures a radiometer would report over the truth state.
 
     Per location: operator value at the truth column, plus the true bias,
-    plus seeded Gaussian noise, plus the uniform perturbation
-    ``delta_tb_k`` (applied to every observation, as a field of emitters
-    spread under the whole footprint would). The perturbation is recorded on
-    each observation for bookkeeping.
+    plus seeded Gaussian noise of ``error_stddev_k``, plus the uniform
+    perturbation ``delta_tb_k`` (applied to every observation, as a field
+    of emitters spread under the whole footprint would). Returns a
+    read-only array of values, one per location, all finite.
     """
     n = truth.grid_size
     if any(not 0 <= loc < n for loc in obs_locations):
         raise ValidationError("observation locations must index the model grid")
+    if not error_stddev_k > 0:
+        raise ValidationError("observation error stddev must be positive")
     rng = SeededRng(obs_error_seed)
-    observations = []
+    values = []
     for loc in obs_locations:
         column = mapping.column_at(truth, loc)
-        proto = RadianceObservation(
-            channel=VICTIM_CHANNEL,
-            value_k=0.0,
-            error_stddev_k=error_stddev_k,
-            scan_position=loc,
-        )
-        value = bias_corrected_forward(column, bias_truth, proto, mapping.params)
+        value = bias_corrected_forward(column, bias_truth, loc, mapping.opacity_coefficient)
         value += rng.normal(0.0, error_stddev_k)
         value += delta_tb_k
-        observations.append(
-            RadianceObservation(
-                channel=VICTIM_CHANNEL,
-                value_k=value,
-                error_stddev_k=error_stddev_k,
-                scan_position=loc,
-                applied_perturbation_k=delta_tb_k,
-            )
-        )
-    return tuple(observations)
+        values.append(value)
+    values = np.array(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("observation value must be finite")
+    values.setflags(write=False)
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,34 +112,31 @@ class RadianceOperator:
     The bias part of the control is [beta_0, beta_1, ...]; its Jacobian
     column for beta_0 is one and the others are the predictor values.
     Moisture below zero is floored before evaluating the column (matching
-    the model's own clipping), with zero sensitivity there. Evaluation is
+    the model's own clipping), with zero sensitivity there. Each
+    observation's location is also its scan position. Evaluation is
     vectorized over observations, predictors included. Everything that does
-    not depend on the
-    control (resolved predictors, their slopes, the scan positions, the
-    Jacobian's nonzero positions) is fixed at construction.
+    not depend on the control (resolved predictors, their slopes, the scan
+    positions, the Jacobian's nonzero positions) is fixed at construction.
     """
 
     mapping: ColumnMapping
     bias_template: BiasModel
-    observations: tuple[RadianceObservation, ...]
     obs_locations: tuple[int, ...]
     grid_size: int
 
     def __post_init__(self):
-        if len(self.observations) != len(self.obs_locations):
-            raise ValidationError("one location per observation required")
         if any(not 0 <= loc < self.grid_size for loc in self.obs_locations):
             raise ValidationError("observation locations must index the model grid")
         defs = self.bias_template.resolved()
         locs = np.array(self.obs_locations, dtype=int)
         moist_locs = self.grid_size + locs
-        row_starts = np.arange(len(self.observations)) * self.n_state
+        row_starts = np.arange(len(locs)) * self.n_state
         constants = {
             "_defs": defs,
             "_slopes": tuple((p.d_surface_temperature, p.d_water_vapor) for p in defs),
             "_locs": locs,
             "_moist_locs": moist_locs,
-            "_scan": np.array([o.scan_position for o in self.observations], dtype=float),
+            "_scan": locs.astype(float),
             # Positions of d/dT and d/dq in the row-major (n_obs, n_state) Jacobian.
             "_flat_temp": row_starts + locs,
             "_flat_moist": row_starts + moist_locs,
@@ -178,16 +168,16 @@ class RadianceOperator:
     def values(self, state: np.ndarray, bias: np.ndarray) -> np.ndarray:
         t_surf, q, _ = self._columns(state)
         t_atm = self.mapping.atmosphere_temperature_k
-        w = np.exp(-self.mapping.params.opacity_coefficient * q)
+        w = np.exp(-self.mapping.opacity_coefficient * q)
         h = t_surf * w + t_atm * (1.0 - w)
         pred = self._fill_predictors(t_surf, q, np.empty((len(q), len(self._defs))))
         return h + bias[0] + pred @ bias[1:]
 
     def jacobians(self, state: np.ndarray, bias: np.ndarray):
-        n_obs = len(self.observations)
+        n_obs = len(self._locs)
         t_surf, q, q_raw = self._columns(state)
         t_atm = self.mapping.atmosphere_temperature_k
-        kappa = self.mapping.params.opacity_coefficient
+        kappa = self.mapping.opacity_coefficient
         w = np.exp(-kappa * q)
 
         d_dtemp = w.copy()
@@ -210,13 +200,16 @@ class RadianceOperator:
 def build_problem(
     background: ModelState,
     background_bias: BiasModel,
-    observations: tuple[RadianceObservation, ...],
+    obs_values: np.ndarray,
     obs_locations: tuple[int, ...],
     mapping: ColumnMapping,
-    state_variance: float = 1.0,
-    bias_variance: float = 0.5,
+    state_variance: float,
+    bias_variance: float,
+    obs_stddev_k: float,
 ) -> AssimilationProblem:
-    """Assemble the analysis problem for one cycle with diagonal covariances."""
+    """Assemble the analysis problem for one cycle with diagonal covariances:
+    ``state_variance`` per state value, ``bias_variance`` per coefficient and
+    ``obs_stddev_k`` squared per observation."""
     n = background.grid_size
     x_b = background.vector.copy()
     beta_b = np.array(
@@ -225,7 +218,6 @@ def build_problem(
     operator = RadianceOperator(
         mapping=mapping,
         bias_template=background_bias,
-        observations=tuple(observations),
         obs_locations=tuple(obs_locations),
         grid_size=n,
     )
@@ -234,10 +226,8 @@ def build_problem(
         background_bias=beta_b,
         state_covariance=CovarianceSpec(np.full(2 * n, state_variance)),
         bias_covariance=CovarianceSpec(np.full(len(beta_b), bias_variance)),
-        obs_covariance=CovarianceSpec(
-            np.array([o.error_stddev_k**2 for o in observations])
-        ),
-        observations=tuple(observations),
+        obs_covariance=CovarianceSpec(np.full(len(obs_values), obs_stddev_k**2)),
+        obs_values=obs_values,
         operator=operator,
     )
 

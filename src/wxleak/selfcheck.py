@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from . import assim, experiment, leakage, model, osse
-from .forward import BiasModel, ColumnState, ForwardOperatorParams
+from .forward import BiasModel, ColumnState
 from .forward import forward as forward_operator
 from .rng import SeededRng
 
@@ -86,22 +86,20 @@ def _check_mask_additivity() -> CheckResult:
 
 
 def _check_aggregation_partition() -> CheckResult:
-    a = leakage.TransmitterField(count=37, per_device_eirp_dbw=-41.0)
-    b = leakage.TransmitterField(count=63, per_device_eirp_dbw=-41.0)
-    union = leakage.TransmitterField(count=100, per_device_eirp_dbw=-41.0)
+    parts = [leakage.TransmitterField(count=c) for c in (37, 63)]
     split = leakage.sum_power_dbw(
-        [leakage.aggregate_leakage_power(a, 0.37), leakage.aggregate_leakage_power(b, 0.37)]
+        [leakage.aggregate_leakage_power(part, -41.0, 0.37) for part in parts]
     )
-    whole = leakage.aggregate_leakage_power(union, 0.37)
+    whole = leakage.aggregate_leakage_power(leakage.TransmitterField(count=100), -41.0, 0.37)
     err = abs(split - whole)
     return CheckResult("aggregation partition invariance", err < 1e-9, f"error {err:.3e} dB")
 
 
 def _check_forward_bounds() -> CheckResult:
-    params = ForwardOperatorParams()
+    kappa = osse.ColumnMapping().opacity_coefficient
     for q in np.linspace(0.0, 120.0, 61):
         state = ColumnState(q, 288.0, 248.0)
-        t_b = forward_operator(state, params)
+        t_b = forward_operator(state, kappa)
         if not (248.0 - 1e-12 <= t_b <= 288.0 + 1e-12):
             return CheckResult("forward operator bounds", False, f"t_b {t_b} at q {q}")
     return CheckResult("forward operator bounds", True, "within [T_atm, T_surf] on grid")
@@ -111,11 +109,17 @@ def _check_gradient() -> CheckResult:
     truth = model.nature_run(model.ModelParams(), 5, 200, 0, grid_size=12).final
     mapping = osse.ColumnMapping()
     bias = BiasModel(0.0, (0.0,), ("surface_temperature",))
-    obs = osse.synthesize_observations(truth, mapping, bias, 9, 0.1, tuple(range(0, 12, 2)))
+    locations = tuple(range(0, 12, 2))
+    shipped = experiment.config_from_dict({})  # the shipped covariances
+    stddev = shipped.obs_error_stddev_k
+    obs = osse.synthesize_observations(truth, mapping, bias, 9, 0.1, locations, stddev)
     background = model.ModelState(
         truth.temperature_field + 0.3, np.maximum(0.0, truth.moisture_field - 0.2)
     )
-    problem = osse.build_problem(background, bias, obs, tuple(range(0, 12, 2)), mapping)
+    problem = osse.build_problem(
+        background, bias, obs, locations, mapping,
+        shipped.state_variance, shipped.bias_variance, stddev,
+    )
     control = problem.background_control()
     gs, gb = assim.gradient(control, problem)
     analytic = np.concatenate([gs, gb])

@@ -18,8 +18,7 @@ from wxleak.assim import (
     minimize,
 )
 from wxleak.errors import MinimizationError, ValidationError
-from wxleak.forward import BiasModel, RadianceObservation
-from wxleak.leakage import VICTIM_CHANNEL
+from wxleak.forward import BiasModel
 from wxleak.model import ModelParams, ModelState, nature_run
 from wxleak.osse import (
     ColumnMapping,
@@ -52,12 +51,6 @@ class LinearOperator:
         return self.state_matrix, self.bias_matrix
 
 
-def obs_list(values, stddev=1.0):
-    return tuple(
-        RadianceObservation(VICTIM_CHANNEL, float(v), stddev, i) for i, v in enumerate(values)
-    )
-
-
 def scalar_bias_problem(obs_variance=1.0):
     """Bias-only scalar case: linear operator x_fixed + beta, innovation 1."""
     x_fixed = 264.715
@@ -68,7 +61,7 @@ def scalar_bias_problem(obs_variance=1.0):
         state_covariance=CovarianceSpec([1.0]),
         bias_covariance=CovarianceSpec([1.0]),
         obs_covariance=CovarianceSpec([obs_variance]),
-        observations=obs_list([x_fixed + 1.0]),
+        obs_values=np.array([x_fixed + 1.0]),
         operator=operator,
     )
 
@@ -91,7 +84,7 @@ def random_linear_problem(seed):
         state_covariance=CovarianceSpec(state_var),
         bias_covariance=CovarianceSpec(bias_var),
         obs_covariance=CovarianceSpec(obs_var),
-        observations=obs_list(rng.normal(size=n_obs) + offset),
+        obs_values=rng.normal(size=n_obs) + offset,
         operator=operator,
     )
     return problem
@@ -123,14 +116,14 @@ def radiance_problem(seed, grid_size=12, n_obs=6, predictors=("surface_temperatu
         predictors,
     )
     locations = tuple(sorted(rng.choice(grid_size, size=n_obs, replace=False).tolist()))
-    observations = synthesize_observations(
-        truth, mapping, bias, seed + 1, float(rng.uniform(0, 0.5)), locations
+    obs_values = synthesize_observations(
+        truth, mapping, bias, seed + 1, float(rng.uniform(0, 0.5)), locations, 0.3
     )
     background = ModelState(
         truth.temperature_field + rng.normal(0, 0.5, grid_size),
         np.maximum(0.0, truth.moisture_field + rng.normal(0, 0.5, grid_size)),
     )
-    return build_problem(background, bias, observations, locations, mapping)
+    return build_problem(background, bias, obs_values, locations, mapping, 1.0, 0.5, 0.3)
 
 
 def finite_difference_gradient(problem, control, h_scale=1e-5):
@@ -183,7 +176,7 @@ class TestCost:
             state_covariance=problem.state_covariance,
             bias_covariance=problem.bias_covariance,
             obs_covariance=problem.obs_covariance,
-            observations=obs_list(perfect_y, stddev=0.3),
+            obs_values=perfect_y,
             operator=problem.operator,
         )
         assert cost(control, perfect) == 0.0
@@ -220,7 +213,7 @@ class TestCost:
                 state_covariance=CovarianceSpec([1.0]),
                 bias_covariance=CovarianceSpec([1.0]),
                 obs_covariance=CovarianceSpec([1.0]),
-                observations=obs_list([260.0]),
+                obs_values=np.array([260.0]),
                 operator=LinearOperator(np.zeros((1, 2)), np.ones((1, 1)), np.zeros(1)),
             )
 
@@ -236,7 +229,7 @@ class TestGradient:
             state_covariance=problem.state_covariance,
             bias_covariance=problem.bias_covariance,
             obs_covariance=problem.obs_covariance,
-            observations=obs_list(perfect_y, stddev=0.3),
+            obs_values=perfect_y,
             operator=problem.operator,
         )
         gs, gb = gradient(control, perfect)
@@ -282,7 +275,7 @@ class TestInnovation:
             state_covariance=problem.state_covariance,
             bias_covariance=problem.bias_covariance,
             obs_covariance=problem.obs_covariance,
-            observations=obs_list(perfect_y, stddev=0.3),
+            obs_values=perfect_y,
             operator=problem.operator,
         )
         assert np.all(innovation(perfect, control) == 0.0)
@@ -295,7 +288,7 @@ class TestInnovation:
             state_covariance=CovarianceSpec([1.0]),
             bias_covariance=CovarianceSpec([1.0]),
             obs_covariance=CovarianceSpec([1.0]),
-            observations=obs_list([260.0]),
+            obs_values=np.array([260.0]),
             operator=operator,
         )
         d = innovation(problem, problem.background_control())
@@ -306,14 +299,13 @@ class TestInnovation:
         problem = radiance_problem(4)
         control = problem.background_control()
         base = innovation(problem, control)
-        shifted_obs = obs_list(problem.obs_values + 0.268, stddev=0.3)
         shifted = AssimilationProblem(
             background_state=problem.background_state,
             background_bias=problem.background_bias,
             state_covariance=problem.state_covariance,
             bias_covariance=problem.bias_covariance,
             obs_covariance=problem.obs_covariance,
-            observations=shifted_obs,
+            obs_values=problem.obs_values + 0.268,
             operator=problem.operator,
         )
         diff = innovation(shifted, control) - base
@@ -336,7 +328,7 @@ class TestMinimize:
             state_covariance=CovarianceSpec([1.0]),
             bias_covariance=CovarianceSpec([1.0]),
             obs_covariance=CovarianceSpec([1.0]),
-            observations=obs_list([x_fixed + 0.25]),
+            obs_values=np.array([x_fixed + 0.25]),
             operator=operator,
         )
         result = minimize(problem)
@@ -394,7 +386,7 @@ class TestMinimize:
             state_covariance=CovarianceSpec([1e-12]),
             bias_covariance=CovarianceSpec([1.0]),
             obs_covariance=CovarianceSpec([1.0]),
-            observations=obs_list([x_fixed + 1.0]),
+            obs_values=np.array([x_fixed + 1.0]),
             operator=operator,
         )
         result = minimize(problem)
@@ -415,7 +407,7 @@ class TestMinimize:
     def test_permuting_observations_leaves_analysis_invariant(self):
         problem = radiance_problem(6)
         rng = np.random.default_rng(0)
-        perm = rng.permutation(len(problem.observations))
+        perm = rng.permutation(len(problem.obs_values))
         permuted = AssimilationProblem(
             background_state=problem.background_state,
             background_bias=problem.background_bias,
@@ -426,7 +418,7 @@ class TestMinimize:
             obs_covariance=CovarianceSpec(
                 problem.obs_covariance.values[perm]
             ),
-            observations=tuple(problem.observations[i] for i in perm),
+            obs_values=problem.obs_values[perm],
             operator=_permuted_operator(problem.operator, perm),
         )
         control = problem.background_control()
@@ -461,7 +453,7 @@ class TestMinimize:
             state_covariance=CovarianceSpec([1.0]),
             bias_covariance=CovarianceSpec([1.0]),
             obs_covariance=CovarianceSpec([1e-8]),
-            observations=obs_list([1e3]),
+            obs_values=np.array([1e3]),
             operator=ExplodingOperator(),
         )
         with np.errstate(over="ignore", invalid="ignore"):
@@ -503,7 +495,7 @@ class ReferenceRadianceOperator:
         return t_surf, np.maximum(0.0, q_raw), q_raw > 0.0
 
     def _predictor_matrix(self, t_surf, q):
-        scan = np.array([o.scan_position for o in self.op.observations], dtype=float)
+        scan = np.array(self.op.obs_locations, dtype=float)
         columns = [p.vector_value(t_surf, q, scan) for p in self.op.bias_template.resolved()]
         if not columns:
             return np.zeros((len(t_surf), 0))
@@ -512,13 +504,13 @@ class ReferenceRadianceOperator:
     def values(self, state, bias):
         t_surf, q, _ = self._columns(state)
         mapping = self.op.mapping
-        w = np.exp(-mapping.params.opacity_coefficient * q)
+        w = np.exp(-mapping.opacity_coefficient * q)
         h = t_surf * w + mapping.atmosphere_temperature_k * (1.0 - w)
         return h + bias[0] + self._predictor_matrix(t_surf, q) @ bias[1:]
 
     def jacobians(self, state, bias):
         t_surf, q, active = self._columns(state)
-        kappa = self.op.mapping.params.opacity_coefficient
+        kappa = self.op.mapping.opacity_coefficient
         w = np.exp(-kappa * q)
         d_dtemp = w.copy()
         d_dmoist = kappa * (self.op.mapping.atmosphere_temperature_k - t_surf) * w

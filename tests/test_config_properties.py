@@ -12,7 +12,7 @@ from wxleak.experiment import config_from_dict
 
 SHIPPED_PATH = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
 SHIPPED = yaml.safe_load(SHIPPED_PATH.read_text())
-SHIPPED_HASH = "333533d87570fcfeaecd0c97eac3004fe1a6ea2175301c91a5b4998cc8b7ac9b"
+SHIPPED_HASH = "68ce3419211e1ba4463c59e68d259cbaa2bb496db20e4087f8033caf95619224"
 
 # Every top-level key and every key of every section, as a path.
 PATHS = sorted(
@@ -20,8 +20,11 @@ PATHS = sorted(
     + [(key, sub) for key, value in SHIPPED.items() if isinstance(value, dict) for sub in value]
 )
 
-# Checks that span two fields name the one whose constraint failed.
+# Checks that span two fields name the one whose constraint failed. Every
+# level must give a finite brightness error through the antenna, whose
+# efficiency divides it.
 RELATED = {
+    "antenna.radiation_efficiency": {"leakage_levels"},
     "field.density_class": {"field.count"},
     "model.dt": {"forecast_length"},
     "model.grid_size": {"observations.count", "observations.locations"},

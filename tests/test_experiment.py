@@ -1,5 +1,6 @@
 """Tests for config loading, scenario execution, report emission and the CLI."""
 
+import json
 import math
 import os
 import subprocess
@@ -12,6 +13,7 @@ from click.testing import CliRunner
 
 import wxleak.experiment as experiment
 import wxleak.model as model
+import wxleak.osse as osse
 from wxleak.cli import main
 from wxleak.errors import ConfigError
 from wxleak.experiment import (
@@ -101,10 +103,13 @@ class TestConfigLoading:
 
     def test_shipped_yaml_is_the_defaults_table(self):
         """configs/default.yaml sets every key of the defaults tables, at its
-        default value, and nothing else."""
+        default value, and nothing else. The tables are compared in the JSON
+        form the config hash reads, where a dataclass's tuple default is the
+        YAML list."""
         path = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
         shipped = yaml.safe_load(path.read_text())
-        assert shipped == {**experiment._TOP_DEFAULTS, **experiment._SECTION_DEFAULTS}
+        tables = {**experiment._TOP_DEFAULTS, **experiment._SECTION_DEFAULTS}
+        assert shipped == json.loads(json.dumps(tables))
 
     def test_explicit_locations_override_count(self):
         config = config_from_dict(
@@ -166,6 +171,11 @@ class TestConfigLoading:
             ("link: {distance_km: 800.0}", "link"),
             ("mask: {in_band_power_dbw: 0.0}", "mask"),
             ("field: {footprint_side_km: 48.0}", "field"),
+            ("field: {per_device_eirp_dbw: -43.0}", "field"),
+            ("leakage_levels: [3100]", "leakage_levels"),
+            ("leakage_levels: [-20, 4000]", "leakage_levels"),
+            ("{leakage_interpretation: per_device, leakage_levels: [4000]}", "leakage_levels"),
+            ("antenna: {radiation_efficiency: 0.0}", "leakage_levels"),
             ("observations: {locations: [0.9, 5.5]}", "observations.locations"),
             ("observations: {locations: [0, false]}", "observations.locations"),
             ("observations: {locations: 3}", "observations.locations"),
@@ -200,7 +210,7 @@ class TestConfigLoading:
         """Validation never rewrites a valid config, so its hash stays put."""
         path = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
         assert load_config(str(path)).config_hash == (
-            "333533d87570fcfeaecd0c97eac3004fe1a6ea2175301c91a5b4998cc8b7ac9b"
+            "68ce3419211e1ba4463c59e68d259cbaa2bb496db20e4087f8033caf95619224"
         )
 
     def test_parse_error_reports_line(self, tmp_path):
@@ -292,6 +302,54 @@ class TestRunScenario:
         n_steps = 50  # forecast_length 0.5 at dt 0.01
         assert calls["integrate"] == cases
         assert calls["step"] == config.spinup_steps + cases * n_steps
+
+    def test_one_synthesis_per_row_one_chain_per_level(self, monkeypatch):
+        """The baseline and each level synthesize their observations once,
+        one scalar operator call per observation, and only the levels run
+        the leakage chain."""
+        config = small_config(ensemble_size=2)  # loading runs the chain too
+        calls = {"synthesize": 0, "chain": 0, "scalar": 0}
+
+        def counted(owner, name, key):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(experiment, "synthesize_observations", "synthesize")
+        counted(experiment, "leakage_chain", "chain")
+        counted(osse, "bias_corrected_forward", "scalar")
+        run_scenario(config)
+        rows = len(config.leakage_levels) + 1
+        assert calls == {
+            "synthesize": rows,
+            "chain": len(config.leakage_levels),
+            "scalar": rows * len(config.obs_locations),
+        }
+
+    @pytest.mark.parametrize(
+        "failing_call, message",
+        [(1, "baseline, member 1: "), (2, "level -30.0 dBW, member 0: ")],
+    )
+    def test_member_failure_names_row_and_member(self, monkeypatch, failing_call, message):
+        """Forecasts run baseline members first, then each level's members;
+        the ``failing_call``-th (from 0) fails."""
+        integrate = experiment.integrate
+        calls = []
+
+        def failing_integrate(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == failing_call + 1:
+                raise RuntimeError("forced failure")
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "integrate", failing_integrate)
+        with pytest.raises(experiment.ScenarioExecutionError) as excinfo:
+            run_scenario(small_config(ensemble_size=2))
+        assert str(excinfo.value) == message + "forced failure"
 
     def test_nonzero_leakage_produces_divergence(self):
         report = run_scenario(small_config(leakage_levels=[-15.0]))
@@ -488,11 +546,23 @@ class TestCli:
         result = runner.invoke(main, ["noise-table", "--min", "-10", "--max", "-20"])
         assert result.exit_code == 1
 
-    def test_blow_up_exit_2_without_floating_point_warnings(self, tmp_path):
-        """A time step that blows the model up reports the step and exits 2,
-        and the overflow on the way there prints no RuntimeWarning."""
+    @pytest.mark.parametrize(
+        "config_text, message",
+        [
+            ("model: {dt: 0.5}", "non-finite model state after step 2"),
+            (
+                "{leakage_levels: [2000], forecast_length: 0.05, spinup_steps: 10}",
+                "level 2000.0 dBW, member 0: cost is non-finite at the initial control",
+            ),
+        ],
+        ids=["model_time_step", "analysis_cost"],
+    )
+    def test_blow_up_exit_2_without_floating_point_warnings(self, tmp_path, config_text, message):
+        """A time step that blows the model up, or observations that overflow
+        the analysis cost, report where it happened and exit 2, and the
+        overflow on the way there prints no RuntimeWarning."""
         path = tmp_path / "blowup.yaml"
-        path.write_text("model: {dt: 0.5}\n")
+        path.write_text(config_text + "\n")
         src = Path(__file__).resolve().parents[1] / "src"
         pythonpath = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
         env = dict(os.environ, PYTHONPATH=pythonpath)
@@ -501,7 +571,7 @@ class TestCli:
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert result.returncode == 2
-        assert "runtime error: non-finite model state after step 2" in result.stderr
+        assert f"runtime error: {message}" in result.stderr
         assert "RuntimeWarning" not in result.stderr
 
     def test_check_passes(self):

@@ -208,12 +208,12 @@ def random_emission_mask(rng):
 
 class TestAggregateLeakagePower:
     def test_single_device_identity(self):
-        field = TransmitterField(count=1, per_device_eirp_dbw=-20.0)
-        assert math.isclose(aggregate_leakage_power(field, 1.0), -20.0, rel_tol=1e-12)
+        field = TransmitterField(count=1)
+        assert math.isclose(aggregate_leakage_power(field, -20.0, 1.0), -20.0, rel_tol=1e-12)
 
     def test_ten_incoherent_sources_add_ten_db(self):
-        field = TransmitterField(count=10, per_device_eirp_dbw=-30.0)
-        assert math.isclose(aggregate_leakage_power(field, 1.0), -20.0, rel_tol=1e-12)
+        field = TransmitterField(count=10)
+        assert math.isclose(aggregate_leakage_power(field, -30.0, 1.0), -20.0, rel_tol=1e-12)
 
     def test_metropolitan_case_against_linear_sum_oracle(self):
         """250 devices at -43 dBW, 1% leaked, +5 dB gain: explicit watt-sum oracle."""
@@ -221,41 +221,41 @@ class TestAggregateLeakagePower:
         for _ in range(250):
             watts += 10.0 ** (-43.0 / 10.0)
         oracle = 10.0 * math.log10(watts * 0.01) + 5.0
-        field = TransmitterField(count=250, per_device_eirp_dbw=-43.0, elevation_gain_db=5.0)
-        assert math.isclose(aggregate_leakage_power(field, 0.01), oracle, rel_tol=1e-12)
+        field = TransmitterField(count=250, elevation_gain_db=5.0)
+        assert math.isclose(aggregate_leakage_power(field, -43.0, 0.01), oracle, rel_tol=1e-12)
 
     def test_zero_count_is_no_leakage(self):
         field = TransmitterField(count=0)
-        assert aggregate_leakage_power(field, 0.5) == NO_LEAKAGE_DBW
+        assert aggregate_leakage_power(field, -43.0, 0.5) == NO_LEAKAGE_DBW
 
     def test_zero_fraction_is_no_leakage(self):
         field = TransmitterField(count=5)
-        assert aggregate_leakage_power(field, 0.0) == NO_LEAKAGE_DBW
+        assert aggregate_leakage_power(field, -43.0, 0.0) == NO_LEAKAGE_DBW
 
     def test_no_leakage_flows_to_zero_watts(self):
         assert received_power(NO_LEAKAGE_DBW, LinkBudget()) == 0.0
 
     def test_partition_invariance(self):
         """Disjoint sub-fields summed in linear units equal the union."""
-        union = TransmitterField(count=100, per_device_eirp_dbw=-41.0)
-        a = TransmitterField(count=37, per_device_eirp_dbw=-41.0)
-        b = TransmitterField(count=63, per_device_eirp_dbw=-41.0)
+        union = TransmitterField(count=100)
+        a = TransmitterField(count=37)
+        b = TransmitterField(count=63)
         split = sum_power_dbw(
-            [aggregate_leakage_power(a, 0.37), aggregate_leakage_power(b, 0.37)]
+            [aggregate_leakage_power(a, -41.0, 0.37), aggregate_leakage_power(b, -41.0, 0.37)]
         )
-        whole = aggregate_leakage_power(union, 0.37)
+        whole = aggregate_leakage_power(union, -41.0, 0.37)
         assert abs(10 ** (split / 10) - 10 ** (whole / 10)) < 1e-12 * 10 ** (whole / 10)
 
     def test_permutation_invariance(self):
         parts = [
-            aggregate_leakage_power(TransmitterField(count=c, per_device_eirp_dbw=-40.0), 0.2)
+            aggregate_leakage_power(TransmitterField(count=c), -40.0, 0.2)
             for c in (5, 17, 3)
         ]
         assert sum_power_dbw(parts) == sum_power_dbw(list(reversed(parts)))
 
     def test_fraction_out_of_range(self):
         with pytest.raises(ValidationError):
-            aggregate_leakage_power(TransmitterField(), 1.5)
+            aggregate_leakage_power(TransmitterField(), -43.0, 1.5)
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValidationError):

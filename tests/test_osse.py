@@ -6,15 +6,7 @@ import numpy as np
 import pytest
 
 from wxleak.errors import ValidationError
-from wxleak.forward import (
-    BiasModel,
-    ColumnState,
-    ForwardOperatorParams,
-    RadianceObservation,
-    VICTIM_CHANNEL,
-    bias_corrected_forward,
-    forward,
-)
+from wxleak.forward import BiasModel, ColumnState, bias_corrected_forward, forward
 from wxleak.model import ModelParams, ModelState, nature_run
 from wxleak.osse import (
     ColumnMapping,
@@ -24,6 +16,9 @@ from wxleak.osse import (
     state_vector_to_model,
     synthesize_observations,
 )
+
+
+STDDEV = 0.3  # observation error stddev, K
 
 
 def truth_state(seed=1, grid_size=12):
@@ -65,19 +60,19 @@ class TestSynthesizeObservations:
         obs = synthesize_observations(
             truth, mapping, bias, 5, 0.0, (0, 2, 4), error_stddev_k=1e-12
         )
-        for o, loc in zip(obs, (0, 2, 4)):
+        for value, loc in zip(obs, (0, 2, 4)):
             expected = bias_corrected_forward(
-                mapping.column_at(truth, loc), bias, o, mapping.params
+                mapping.column_at(truth, loc), bias, loc, mapping.opacity_coefficient
             )
-            assert abs(o.value_k - expected) < 1e-9
+            assert abs(value - expected) < 1e-9
 
     def test_same_seed_identical(self):
         truth = truth_state()
         mapping = ColumnMapping()
         bias = BiasModel()
-        a = synthesize_observations(truth, mapping, bias, 9, 0.0, (0, 2, 4))
-        b = synthesize_observations(truth, mapping, bias, 9, 0.0, (0, 2, 4))
-        assert all(x.value_k == y.value_k for x, y in zip(a, b))
+        a = synthesize_observations(truth, mapping, bias, 9, 0.0, (0, 2, 4), STDDEV)
+        b = synthesize_observations(truth, mapping, bias, 9, 0.0, (0, 2, 4), STDDEV)
+        assert np.array_equal(a, b)
 
     def test_perturbation_difference_exact(self):
         """Two synthesis calls differing only in the injected shift differ by it."""
@@ -85,20 +80,28 @@ class TestSynthesizeObservations:
         mapping = ColumnMapping()
         bias = BiasModel()
         locations = tuple(range(0, 12, 2))
-        base = synthesize_observations(truth, mapping, bias, 9, 0.0, locations)
-        shifted = synthesize_observations(truth, mapping, bias, 9, 0.26826, locations)
-        for a, b in zip(base, shifted):
-            assert abs((b.value_k - a.value_k) - 0.26826) < 1e-12
+        base = synthesize_observations(truth, mapping, bias, 9, 0.0, locations, STDDEV)
+        shifted = synthesize_observations(truth, mapping, bias, 9, 0.26826, locations, STDDEV)
+        assert np.all(np.abs((shifted - base) - 0.26826) < 1e-12)
 
-    def test_perturbation_recorded(self):
-        truth = truth_state()
-        obs = synthesize_observations(truth, ColumnMapping(), BiasModel(), 9, 0.5, (0, 1))
-        assert all(o.applied_perturbation_k == 0.5 for o in obs)
+    def test_read_only_array_one_value_per_location(self):
+        obs = synthesize_observations(
+            truth_state(), ColumnMapping(), BiasModel(), 9, 0.5, (0, 1, 5), STDDEV
+        )
+        assert obs.shape == (3,) and obs.dtype == float
+        with pytest.raises(ValueError):
+            obs[0] = 1.0
 
     def test_scan_position_is_location(self):
+        """A unit scan-position coefficient adds each observation's location."""
         truth = truth_state()
-        obs = synthesize_observations(truth, ColumnMapping(), BiasModel(), 9, 0.0, (3, 7))
-        assert [o.scan_position for o in obs] == [3, 7]
+        mapping = ColumnMapping()
+        locations = (3, 7)
+        plain = synthesize_observations(truth, mapping, BiasModel(), 9, 0.0, locations, 1e-12)
+        scanned = synthesize_observations(
+            truth, mapping, BiasModel(0.0, (1.0,), ("scan_position",)), 9, 0.0, locations, 1e-12
+        )
+        assert np.allclose(scanned - plain, locations, rtol=0.0, atol=1e-9)
 
     def test_true_bias_enters_values(self):
         truth = truth_state()
@@ -107,11 +110,27 @@ class TestSynthesizeObservations:
                                         error_stddev_k=1e-12)
         biased = synthesize_observations(truth, mapping, BiasModel(1.5), 9, 0.0, (0,),
                                          error_stddev_k=1e-12)
-        assert math.isclose(biased[0].value_k - plain[0].value_k, 1.5, rel_tol=1e-9)
+        assert math.isclose(biased[0] - plain[0], 1.5, rel_tol=1e-9)
 
     def test_out_of_grid_location_rejected(self):
         with pytest.raises(ValidationError):
-            synthesize_observations(truth_state(), ColumnMapping(), BiasModel(), 9, 0.0, (99,))
+            synthesize_observations(
+                truth_state(), ColumnMapping(), BiasModel(), 9, 0.0, (99,), STDDEV
+            )
+
+    def test_nonpositive_stddev_rejected(self):
+        for stddev in (0.0, -0.3):
+            with pytest.raises(ValidationError):
+                synthesize_observations(
+                    truth_state(), ColumnMapping(), BiasModel(), 9, 0.0, (0, 1), stddev
+                )
+
+    def test_non_finite_value_rejected(self):
+        for delta_tb in (float("inf"), float("nan")):
+            with pytest.raises(ValidationError, match="finite"):
+                synthesize_observations(
+                    truth_state(), ColumnMapping(), BiasModel(), 9, delta_tb, (0, 1), STDDEV
+                )
 
 
 class TestRadianceOperator:
@@ -119,11 +138,9 @@ class TestRadianceOperator:
         truth = truth_state(grid_size=grid_size)
         bias = bias or BiasModel(0.1, (0.01, -0.02), ("surface_temperature", "scan_position"))
         locations = tuple(range(0, grid_size, 3))
-        obs = synthesize_observations(truth, ColumnMapping(), bias, 11, 0.0, locations)
         operator = RadianceOperator(
             mapping=ColumnMapping(),
             bias_template=bias,
-            observations=obs,
             obs_locations=locations,
             grid_size=grid_size,
         )
@@ -136,9 +153,9 @@ class TestRadianceOperator:
         beta = np.array([bias.constant_coefficient_k, *bias.coefficients])
         values = operator.values(x, beta)
         mapping = ColumnMapping()
-        for got, obs, loc in zip(values, operator.observations, locations):
+        for got, loc in zip(values, locations):
             expected = bias_corrected_forward(
-                mapping.column_at(truth, loc), bias, obs, mapping.params
+                mapping.column_at(truth, loc), bias, loc, mapping.opacity_coefficient
             )
             assert abs(got - expected) < 1e-10
 
@@ -178,9 +195,8 @@ class TestRadianceOperator:
     @staticmethod
     def moisture_derivative(q, t_surf, t_atm, kappa):
         """d T_b / d q from the operator's Jacobian, for one column at cell 0."""
-        mapping = ColumnMapping(ForwardOperatorParams(kappa), t_surf, t_atm)
-        obs = (RadianceObservation(VICTIM_CHANNEL, 260.0, 0.3, 0),)
-        operator = RadianceOperator(mapping, BiasModel(), obs, (0,), grid_size=4)
+        mapping = ColumnMapping(kappa, t_surf, t_atm)
+        operator = RadianceOperator(mapping, BiasModel(), (0,), grid_size=4)
         state = np.array([0.0, 0.0, 0.0, 0.0, q, 0.0, 0.0, 0.0])
         jac_state, _ = operator.jacobians(state, np.zeros(1))
         return jac_state[0, 4]
@@ -199,11 +215,10 @@ class TestRadianceOperator:
             t_s = float(rng.uniform(270, 310))
             t_a = float(rng.uniform(230, 260))
             kappa = float(rng.uniform(0.02, 0.12))
-            params = ForwardOperatorParams(kappa)
             h = 1e-4 * max(1.0, q)
             fd = (
-                forward(ColumnState(q + h, t_s, t_a), params)
-                - forward(ColumnState(q - h, t_s, t_a), params)
+                forward(ColumnState(q + h, t_s, t_a), kappa)
+                - forward(ColumnState(q - h, t_s, t_a), kappa)
             ) / (2 * h)
             analytic = self.moisture_derivative(q, t_s, t_a, kappa)
             assert abs(analytic - fd) <= 1e-6 * max(1e-12, abs(fd))
@@ -211,16 +226,10 @@ class TestRadianceOperator:
     def test_isothermal_column_has_no_moisture_sensitivity(self):
         assert self.moisture_derivative(12.0, 270.0, 270.0, 0.05) == 0.0
 
-    def test_location_count_mismatch_rejected(self):
-        operator, truth, bias, locations = self.make_operator()
-        with pytest.raises(ValidationError):
-            RadianceOperator(
-                mapping=ColumnMapping(),
-                bias_template=bias,
-                observations=operator.observations,
-                obs_locations=locations[:-1],
-                grid_size=truth.grid_size,
-            )
+    def test_out_of_grid_location_rejected(self):
+        for locations in ((0, 12), (-1, 3)):
+            with pytest.raises(ValidationError):
+                RadianceOperator(ColumnMapping(), BiasModel(), locations, grid_size=12)
 
 
 class TestBuildProblem:
@@ -228,19 +237,20 @@ class TestBuildProblem:
         truth = truth_state()
         bias = BiasModel(0.0, (0.0,), ("surface_temperature",))
         locations = (0, 4, 8)
-        obs = synthesize_observations(truth, ColumnMapping(), bias, 3, 0.0, locations)
-        problem = build_problem(truth, bias, obs, locations, ColumnMapping())
+        obs = synthesize_observations(truth, ColumnMapping(), bias, 3, 0.0, locations, STDDEV)
+        problem = build_problem(truth, bias, obs, locations, ColumnMapping(), 1.0, 0.5, STDDEV)
         assert problem.background_state.shape == (24,)
         assert problem.background_bias.shape == (2,)
         assert problem.obs_covariance.dim == 3
+        assert np.array_equal(problem.obs_values, obs)
 
-    def test_obs_covariance_from_error_stddev(self):
+    def test_covariances_from_arguments(self):
         truth = truth_state()
-        obs = synthesize_observations(
-            truth, ColumnMapping(), BiasModel(), 3, 0.0, (0, 2), error_stddev_k=0.5
-        )
-        problem = build_problem(truth, BiasModel(), obs, (0, 2), ColumnMapping())
-        assert np.allclose(problem.obs_covariance.values, 0.25)
+        obs = synthesize_observations(truth, ColumnMapping(), BiasModel(), 3, 0.0, (0, 2), 0.5)
+        problem = build_problem(truth, BiasModel(), obs, (0, 2), ColumnMapping(), 2.0, 0.7, 0.5)
+        assert np.array_equal(problem.obs_covariance.values, [0.25, 0.25])
+        assert np.array_equal(problem.state_covariance.values, np.full(24, 2.0))
+        assert np.array_equal(problem.bias_covariance.values, [0.7])
 
 
 class TestStateVectorRoundTrip:
