@@ -78,8 +78,8 @@ class CovarianceSpec:
         return v / self.values
 
     def quadratic(self, v: np.ndarray) -> float:
-        """v' C^-1 v."""
-        return float(v @ self.solve(v))
+        """v' C^-1 v, as a numpy float."""
+        return v.dot(v / self.values)
 
     def inverse_diagonal(self) -> np.ndarray:
         """Diagonal of the inverse covariance (used for scaling)."""
@@ -192,31 +192,55 @@ def cost(
     dx = control.state - problem.background_state
     db = control.bias - problem.background_bias
     d = innovation(problem, control) if residual is None else residual
-    return 0.5 * (
+    return float(0.5 * _weighted_squares(problem, dx, db, d))
+
+
+def _weighted_squares(problem: AssimilationProblem, dx, db, d):
+    """dx' B^-1 dx + db' B_beta^-1 db + d' R^-1 d, summed in that order.
+
+    Twice the cost for prior and observation residuals; the Gauss-Newton
+    curvature for a direction (px, pb) and its image J p.
+    """
+    return (
         problem.state_covariance.quadratic(dx)
         + problem.bias_covariance.quadratic(db)
         + problem.obs_covariance.quadratic(d)
     )
 
 
-def _gradient(problem: AssimilationProblem, control: Control, residual, jac_state, jac_bias):
-    """(state part, bias part, R^-1 d) of the gradient, from the innovation and Jacobians."""
-    dx = control.state - problem.background_state
-    db = control.bias - problem.background_bias
-    rinv_d = problem.obs_covariance.solve(residual)
-    grad_state = problem.state_covariance.solve(dx) - jac_state.T @ rinv_d
-    grad_bias = problem.bias_covariance.solve(db) - jac_bias.T @ rinv_d
-    return grad_state, grad_bias, rinv_d
+def _prior(problem: AssimilationProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Background and prior variances over the flat control [state, bias]."""
+    background = np.concatenate([problem.background_state, problem.background_bias])
+    variances = np.concatenate(
+        [problem.state_covariance.values, problem.bias_covariance.values]
+    )
+    return background, variances
+
+
+def _gradient(point, background, prior_variances, rinv_d, jac_state, jac_bias) -> np.ndarray:
+    """Flat gradient [state part, bias part] at ``point``, from R^-1 d and the Jacobians.
+
+    The flat prior term takes the same values, element by element, as the
+    state and bias blocks taken apart.
+    """
+    obs_part = np.concatenate([rinv_d @ jac_state, rinv_d @ jac_bias])
+    return (point - background) / prior_variances - obs_part
 
 
 def gradient(control: Control, problem: AssimilationProblem) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradient of the cost, split into (state part, bias part)."""
     control = _check_control(control, problem)
     jac_state, jac_bias = problem.operator.jacobians(control.state, control.bias)
-    grad_state, grad_bias, _ = _gradient(
-        problem, control, innovation(problem, control), jac_state, jac_bias
+    rinv_d = problem.obs_covariance.solve(innovation(problem, control))
+    g = _gradient(
+        np.concatenate([control.state, control.bias]),
+        *_prior(problem),
+        rinv_d,
+        jac_state,
+        jac_bias,
     )
-    return grad_state, grad_bias
+    n_state = control.state.shape[0]
+    return g[:n_state], g[n_state:]
 
 
 def minimize(
@@ -242,8 +266,23 @@ def minimize(
     their background values, reproducing a cadence where corrections are
     re-estimated less often than the state. ``on_iteration`` receives
     (iteration, cost, gradient norm) after every accepted step.
+
+    The background and the prior variances are each held as one vector over
+    the flat control [state, bias], so the prior part of the gradient is one
+    expression. Inner products are ``ndarray.dot``: the same BLAS ddot as
+    ``float(a @ b)`` at less cost per call. The curvature product J p stays
+    one dense BLAS matrix-vector product per block (a sparse form, or one
+    product over both blocks, rounds differently); it and the Jacobi
+    diagonal's R^-1 J^2 also use ``ndarray.dot``, which calls the same gemv
+    as ``@`` at less cost. Only with a single observation does numpy's dot
+    take another BLAS path, which can return -0.0 where ``@`` returns +0.0;
+    a sum of squares and an add to the positive B^-1 lose that sign. The
+    gradient's J' R^-1 d keeps ``@``, where the sign could reach the result.
     """
     n_state = problem.background_state.shape[0]
+    background, prior_variances = _prior(problem)
+    obs_variances = problem.obs_covariance.values
+    obs_scale = np.abs(problem.obs_values)
 
     def unflatten(v: np.ndarray) -> Control:
         return Control(v[:n_state], v[n_state:])
@@ -256,64 +295,50 @@ def minimize(
         d = problem.obs_values - problem.operator.values(c.state, c.bias)
         return cost(c, problem, d), d
 
-    obs_scale = np.abs(problem.obs_values)
-
-    def grad_and_jac(v: np.ndarray, d: np.ndarray):
-        c = unflatten(v)
-        jac_state, jac_bias = problem.operator.jacobians(c.state, c.bias)
-        gs, gb, rinv_d = _gradient(problem, c, d, jac_state, jac_bias)
+    def gradient_at(v: np.ndarray, d: np.ndarray):
+        """Gradient, its Jacobi-scaled form, the Jacobians and the cancellation scale."""
+        jac_state, jac_bias = problem.operator.jacobians(v[:n_state], v[n_state:])
+        rinv_d = d / obs_variances
+        g = _gradient(v, background, prior_variances, rinv_d, jac_state, jac_bias)
         if hold_bias_fixed:
-            gb = np.zeros_like(gb)
-        cancel_scale = 2.0 * float(np.abs(rinv_d) @ obs_scale)
-        return np.concatenate([gs, gb]), jac_state, jac_bias, cancel_scale
-
-    prior_inverse_diag = np.concatenate(
-        [
-            problem.state_covariance.inverse_diagonal(),
-            problem.bias_covariance.inverse_diagonal(),
-        ]
-    )
-    obs_inverse_diag = problem.obs_covariance.inverse_diagonal()
-
-    def jacobi_diagonal(jac_state: np.ndarray, jac_bias: np.ndarray) -> np.ndarray:
-        obs_part = np.concatenate(
-            [(jac_state**2).T @ obs_inverse_diag, (jac_bias**2).T @ obs_inverse_diag]
+            g[n_state:] = 0.0
+        # Jacobi preconditioner: the Gauss-Newton Hessian's diagonal,
+        # B^-1 plus R^-1 weighted squares of each Jacobian column.
+        jacobi = prior_inverse + np.concatenate(
+            [obs_inverse.dot(jac_state * jac_state), obs_inverse.dot(jac_bias * jac_bias)]
         )
-        return prior_inverse_diag + obs_part
+        cancel_scale = 2.0 * np.abs(rinv_d).dot(obs_scale)
+        return g, g / jacobi, jac_state, jac_bias, cancel_scale
 
     def curvature_along(jac_state: np.ndarray, jac_bias: np.ndarray, p: np.ndarray) -> float:
         # Gauss-Newton quadratic model along p; exact for linear operators.
         px, pb = p[:n_state], p[n_state:]
-        ap = jac_state @ px + jac_bias @ pb
-        return (
-            problem.state_covariance.quadratic(px)
-            + problem.bias_covariance.quadratic(pb)
-            + problem.obs_covariance.quadratic(ap)
-        )
+        return _weighted_squares(problem, px, pb, jac_state.dot(px) + jac_bias.dot(pb))
 
     # A non-finite cost raises MinimizationError below; the overflow on the
     # way there would only add floating-point warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        point = np.concatenate([problem.background_state, problem.background_bias])
+        prior_inverse = 1.0 / prior_variances
+        obs_inverse = problem.obs_covariance.inverse_diagonal()
+        point = background
         j, d = cost_at(point)
-        if not np.isfinite(j):
+        if not math.isfinite(j):
             raise MinimizationError(
                 "cost is non-finite at the initial control", problem.background_control()
             )
-        g, jac_state, jac_bias, cancel_scale = grad_and_jac(point, d)
+        g, scaled_g, jac_state, jac_bias, cancel_scale = gradient_at(point, d)
         # For a 1-D float vector this is np.linalg.norm's own sqrt(g . g), bit
         # for bit, without its per-call set-up; it is computed once per point.
-        g_norm = math.sqrt(float(g @ g))
+        g_norm = math.sqrt(g.dot(g))
         tol = GRADIENT_TOLERANCE * max(1.0, g_norm)
-        scaled_g = g / jacobi_diagonal(jac_state, jac_bias)
 
         iterations = 0
         direction = -scaled_g
         while g_norm > tol and iterations < MAX_ITERATIONS:
-            slope = float(g @ direction)
+            slope = g.dot(direction)
             if slope >= 0.0:
                 direction = -scaled_g  # restart: direction lost descent
-                slope = float(g @ direction)
+                slope = g.dot(direction)
             curv = curvature_along(jac_state, jac_bias, direction)
             alpha = -slope / curv if curv > 0 else 1.0
             noise_floor = _EPS * (32.0 * abs(j) + cancel_scale)
@@ -322,7 +347,7 @@ def minimize(
                 # Below cost resolution: take the model step as-is.
                 trial = point + alpha * direction
                 j_trial, d_trial = cost_at(trial)
-                if not np.isfinite(j_trial):
+                if not math.isfinite(j_trial):
                     raise MinimizationError(
                         "cost became non-finite during line search", unflatten(point)
                     )
@@ -331,7 +356,7 @@ def minimize(
                 for _ in range(_MAX_BACKTRACKS):
                     trial = point + alpha * direction
                     j_trial, d_trial = cost_at(trial)
-                    if not np.isfinite(j_trial):
+                    if not math.isfinite(j_trial):
                         raise MinimizationError(
                             "cost became non-finite during line search", unflatten(point)
                         )
@@ -345,14 +370,13 @@ def minimize(
                     direction = -scaled_g
                     continue
 
-            g_new, jac_state, jac_bias, cancel_scale = grad_and_jac(trial, d_trial)
-            scaled_g_new = g_new / jacobi_diagonal(jac_state, jac_bias)
+            g_new, scaled_g_new, jac_state, jac_bias, cancel_scale = gradient_at(trial, d_trial)
             # Preconditioned Polak-Ribiere with the nonnegativity cap; a
             # negative beta resets to scaled steepest descent automatically.
-            beta_pr = float(g_new @ (scaled_g_new - scaled_g)) / float(g @ scaled_g)
-            direction = -scaled_g_new + max(0.0, beta_pr) * direction
+            beta_pr = g_new.dot(scaled_g_new - scaled_g) / g.dot(scaled_g)
+            direction = max(0.0, beta_pr) * direction - scaled_g_new
             point, j, g, scaled_g = trial, j_trial, g_new, scaled_g_new
-            g_norm = math.sqrt(float(g @ g))
+            g_norm = math.sqrt(g.dot(g))
             iterations += 1
             if on_iteration is not None:
                 on_iteration(iterations, j, g_norm)

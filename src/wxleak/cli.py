@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``run CONFIG``    - execute the scenario exactly as configured
-* ``sweep CONFIG``  - same, but force the default 7-level leakage sweep
+* ``sweep CONFIG``  - same, with the default 7-level leakage sweep in place of
+  the file's levels, validated and hashed as if written in it
 * ``noise-table``   - emit the induced-noise-temperature curve as CSV
 * ``check``         - run the built-in invariant self-tests
 
@@ -13,7 +14,6 @@ Exit codes: 0 success, 1 validation/config error, 2 runtime error.
 from __future__ import annotations
 
 import sys
-from dataclasses import replace
 
 import click
 
@@ -49,9 +49,11 @@ def _scenario_command(name: str, help_text: str, force_default_sweep: bool) -> N
     @click.option("--seed-override", type=int, default=None, help="Replace all seeds (n, n+1, n+2).")
     def command(config_path: str, out: str | None, verbose: bool, seed_override: int | None) -> None:
         try:
-            config = load_config(config_path, seed_override=seed_override)
-            if force_default_sweep:
-                config = replace(config, leakage_levels=DEFAULT_LEAKAGE_SWEEP_DBW)
+            config = load_config(
+                config_path,
+                seed_override=seed_override,
+                leakage_levels=DEFAULT_LEAKAGE_SWEEP_DBW if force_default_sweep else None,
+            )
             if verbose:
                 click.echo(f"loaded config {config_path} (hash {config.config_hash[:12]})")
                 if config.defaulted_fields:

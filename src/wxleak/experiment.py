@@ -239,10 +239,22 @@ def _list(value, field: str) -> list | tuple:
     return value
 
 
-def config_from_dict(raw: dict, seed_override: int | None = None) -> ScenarioConfig:
-    """Validate a parsed config mapping and build the resolved ScenarioConfig."""
+def config_from_dict(
+    raw: dict,
+    seed_override: int | None = None,
+    leakage_levels: tuple[float, ...] | None = None,
+) -> ScenarioConfig:
+    """Validate a parsed config mapping and build the resolved ScenarioConfig.
+
+    ``leakage_levels``, when given, replace the mapping's levels as if they
+    were written in it: they are validated, hashed and not listed as
+    defaulted.
+    """
     defaulted: list[str] = []
     resolved = _resolve(raw, defaulted)
+    if leakage_levels is not None:
+        resolved["leakage_levels"] = list(leakage_levels)
+        defaulted = [name for name in defaulted if name != "leakage_levels"]
     if seed_override is not None:
         resolved["seeds"] = {
             "nature": int(seed_override),
@@ -397,19 +409,21 @@ def config_from_dict(raw: dict, seed_override: int | None = None) -> ScenarioCon
         defaulted_fields=tuple(defaulted),
         config_hash=_canonical_hash(resolved),
     )
-    # Every level must give a finite brightness error under the sections
-    # above, or the run would fail on its first non-finite observation.
+    # Every level must give a finite noise temperature and a brightness
+    # error whose observation cost n_obs (delta_tb / sigma_o)^2 is finite, or
+    # the run would fail on its first observation or its first analysis.
     for level in levels:
         try:
-            finite = all(math.isfinite(value) for value in leakage_chain(config, level))
+            noise_k, delta_tb = leakage_chain(config, level)
         except OverflowError:
-            finite = False
+            noise_k = delta_tb = math.inf
         except ValidationError as exc:
             raise ConfigError(f"level {level:g} dBW: {exc}", field="leakage_levels") from exc
-        if not finite:
+        scaled = delta_tb / config.obs_error_stddev_k
+        if not (math.isfinite(noise_k) and math.isfinite(len(locations) * (scaled * scaled))):
             raise ConfigError(
-                f"level {level:g} dBW gives a non-finite noise temperature or "
-                "brightness error",
+                f"level {level:g} dBW gives a noise temperature of {noise_k:.3g} K and a "
+                f"brightness error of {delta_tb:.3g} K, whose observation cost is not finite",
                 field="leakage_levels",
             )
     return config
@@ -420,8 +434,13 @@ def _forecast_steps(forecast_length: float, params: ModelParams) -> int:
     return int(round(forecast_length / params.dt))
 
 
-def load_config(path: str, seed_override: int | None = None) -> ScenarioConfig:
-    """Parse and validate a YAML scenario config file."""
+def load_config(
+    path: str,
+    seed_override: int | None = None,
+    leakage_levels: tuple[float, ...] | None = None,
+) -> ScenarioConfig:
+    """Parse and validate a YAML scenario config file (see ``config_from_dict``
+    for the two overrides)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
@@ -435,7 +454,7 @@ def load_config(path: str, seed_override: int | None = None) -> ScenarioConfig:
         raise ConfigError(f"could not parse config: {exc}", line=line) from exc
     if raw is None:
         raw = {}
-    return config_from_dict(raw, seed_override=seed_override)
+    return config_from_dict(raw, seed_override=seed_override, leakage_levels=leakage_levels)
 
 
 def leakage_chain(config: ScenarioConfig, level_dbw: float) -> tuple[float, float]:

@@ -114,9 +114,21 @@ class RadianceOperator:
     Moisture below zero is floored before evaluating the column (matching
     the model's own clipping), with zero sensitivity there. Each
     observation's location is also its scan position. Evaluation is
-    vectorized over observations, predictors included. Everything that does
-    not depend on the control (resolved predictors, their slopes, the scan
-    positions, the Jacobian's nonzero positions) is fixed at construction.
+    vectorized over observations, predictors included.
+
+    Everything that does not depend on the control is fixed at
+    construction: the resolved predictors and their nonzero slopes, the
+    scan positions, one gather index ``[locs, grid_size + locs]`` that reads
+    both fields in one call, the Jacobian's nonzero positions, a bias
+    Jacobian whose first column is already ones, and the mapping's
+    constants (surface offset, atmosphere temperature, opacity and its
+    negation) together with zero and one, each as a vector of length n_obs.
+    A vector operand gives the same bits as the scalar it holds and costs
+    less per numpy call. ``jacobians`` skips the term c * 0.0 of a zero
+    predictor slope: for a finite coefficient c it changes no value other
+    than -0.0, and a derivative is -0.0 only where exp(-kappa q) underflows
+    to zero. Within those limits every result is bit-identical to the
+    scalar form.
     """
 
     mapping: ColumnMapping
@@ -129,17 +141,36 @@ class RadianceOperator:
             raise ValidationError("observation locations must index the model grid")
         defs = self.bias_template.resolved()
         locs = np.array(self.obs_locations, dtype=int)
-        moist_locs = self.grid_size + locs
-        row_starts = np.arange(len(locs)) * self.n_state
+        n_obs = len(locs)
+        row_starts = np.arange(n_obs) * self.n_state
+        jac_bias = np.zeros((n_obs, self.n_bias))
+        jac_bias[:, 0] = 1.0
+
+        def full(value: float) -> np.ndarray:
+            return np.full(n_obs, value, dtype=float)
+
         constants = {
             "_defs": defs,
-            "_slopes": tuple((p.d_surface_temperature, p.d_water_vapor) for p in defs),
-            "_locs": locs,
-            "_moist_locs": moist_locs,
+            # (index into bias, slope) for every nonzero predictor slope.
+            "_temp_slopes": tuple(
+                (i + 1, p.d_surface_temperature) for i, p in enumerate(defs)
+                if p.d_surface_temperature != 0.0
+            ),
+            "_moist_slopes": tuple(
+                (i + 1, p.d_water_vapor) for i, p in enumerate(defs) if p.d_water_vapor != 0.0
+            ),
+            "_gather": np.concatenate([locs, self.grid_size + locs]),
             "_scan": locs.astype(float),
             # Positions of d/dT and d/dq in the row-major (n_obs, n_state) Jacobian.
             "_flat_temp": row_starts + locs,
-            "_flat_moist": row_starts + moist_locs,
+            "_flat_moist": row_starts + self.grid_size + locs,
+            "_jac_bias": jac_bias,
+            "_surface_offset": full(self.mapping.surface_offset_k),
+            "_t_atm": full(self.mapping.atmosphere_temperature_k),
+            "_kappa": full(self.mapping.opacity_coefficient),
+            "_neg_kappa": full(-self.mapping.opacity_coefficient),
+            "_zeros": full(0.0),
+            "_ones": full(1.0),
         }
         for name, value in constants.items():
             if isinstance(value, np.ndarray):
@@ -156,44 +187,43 @@ class RadianceOperator:
 
     def _columns(self, state: np.ndarray):
         """(surface temperature, floored moisture, raw moisture) at the observed cells."""
-        q_raw = state[self._moist_locs]
-        return self.mapping.surface_offset_k + state[self._locs], np.maximum(0.0, q_raw), q_raw
+        cells = state[self._gather]
+        n_obs = len(self._scan)
+        q_raw = cells[n_obs:]
+        return self._surface_offset + cells[:n_obs], np.maximum(self._zeros, q_raw), q_raw
 
-    def _fill_predictors(self, t_surf, q, out: np.ndarray) -> np.ndarray:
-        """Write the predictor values as the columns of ``out``, shape (n_obs, k)."""
-        for i, pdef in enumerate(self._defs):
+    def _fill_predictors(self, t_surf, q, out: np.ndarray, first: int) -> np.ndarray:
+        """Write the predictor values as the columns of ``out`` from ``first`` on."""
+        for i, pdef in enumerate(self._defs, start=first):
             out[:, i] = pdef.vector_value(t_surf, q, self._scan)
         return out
 
     def values(self, state: np.ndarray, bias: np.ndarray) -> np.ndarray:
         t_surf, q, _ = self._columns(state)
-        t_atm = self.mapping.atmosphere_temperature_k
-        w = np.exp(-self.mapping.opacity_coefficient * q)
-        h = t_surf * w + t_atm * (1.0 - w)
-        pred = self._fill_predictors(t_surf, q, np.empty((len(q), len(self._defs))))
-        return h + bias[0] + pred @ bias[1:]
+        w = np.exp(self._neg_kappa * q)
+        h = t_surf * w + self._t_atm * (self._ones - w)
+        pred = self._fill_predictors(t_surf, q, np.empty((len(q), len(self._defs))), 0)
+        # ndarray.dot costs less per call than @. With one observation the two
+        # can differ in the sign of a zero, which the add loses: h + beta_0 is
+        # never -0.0, because h is not (t_atm > 0).
+        return h + bias[0] + pred.dot(bias[1:])
 
     def jacobians(self, state: np.ndarray, bias: np.ndarray):
-        n_obs = len(self._locs)
         t_surf, q, q_raw = self._columns(state)
-        t_atm = self.mapping.atmosphere_temperature_k
-        kappa = self.mapping.opacity_coefficient
-        w = np.exp(-kappa * q)
+        w = np.exp(self._neg_kappa * q)
+        d_dmoist = self._kappa * (self._t_atm - t_surf) * w
+        d_dtemp = w
+        for index, slope in self._temp_slopes:
+            d_dtemp = d_dtemp + bias[index] * slope
+        for index, slope in self._moist_slopes:
+            d_dmoist = d_dmoist + bias[index] * slope
+        d_dmoist = np.where(q_raw > self._zeros, d_dmoist, self._zeros)
 
-        d_dtemp = w.copy()
-        d_dmoist = kappa * (t_atm - t_surf) * w
-        for coeff, (d_temp, d_moist) in zip(bias[1:], self._slopes):
-            d_dtemp += coeff * d_temp
-            d_dmoist += coeff * d_moist
-        d_dmoist = np.where(q_raw > 0.0, d_dmoist, 0.0)
-
-        jac_state = np.zeros((n_obs, self.n_state))
+        jac_state = np.zeros((len(q), self.n_state))
         flat = jac_state.reshape(-1)
         flat[self._flat_temp] = d_dtemp
         flat[self._flat_moist] = d_dmoist
-        jac_bias = np.empty((n_obs, self.n_bias))
-        jac_bias[:, 0] = 1.0
-        self._fill_predictors(t_surf, q, jac_bias[:, 1:])
+        jac_bias = self._fill_predictors(t_surf, q, self._jac_bias.copy(), 1)
         return jac_state, jac_bias
 
 

@@ -66,11 +66,12 @@ def scalar_bias_problem(obs_variance=1.0):
     )
 
 
-def random_linear_problem(seed):
+def random_linear_problem(seed, n_obs=None):
     rng = np.random.default_rng(seed)
     n_state = int(rng.integers(3, 41))
     n_bias = int(rng.integers(1, 4))
-    n_obs = int(rng.integers(2, 21))
+    drawn_n_obs = int(rng.integers(2, 21))
+    n_obs = drawn_n_obs if n_obs is None else n_obs
     state_matrix = rng.normal(size=(n_obs, n_state)) * 0.5
     bias_matrix = rng.normal(size=(n_obs, n_bias))
     offset = rng.normal(size=n_obs)
@@ -434,33 +435,41 @@ class TestMinimize:
 
     def test_non_finite_cost_raises_with_last_iterate(self):
         """An operator that overflows along the search path reports the last finite point."""
-
-        class ExplodingOperator:
-            n_state = 1
-            n_bias = 1
-
-            def values(self, state, bias):
-                with np.errstate(over="ignore"):
-                    return np.array([float(np.exp(state[0])) + bias[0]])
-
-            def jacobians(self, state, bias):
-                with np.errstate(over="ignore"):
-                    return np.array([[float(np.exp(state[0]))]]), np.array([[1.0]])
-
-        problem = AssimilationProblem(
-            background_state=np.array([0.0]),
-            background_bias=np.array([0.0]),
-            state_covariance=CovarianceSpec([1.0]),
-            bias_covariance=CovarianceSpec([1.0]),
-            obs_covariance=CovarianceSpec([1e-8]),
-            obs_values=np.array([1e3]),
-            operator=ExplodingOperator(),
-        )
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(MinimizationError) as excinfo:
-                minimize(problem)
+                minimize(exploding_problem(0.0))
         assert excinfo.value.last_control is not None
         assert np.all(np.isfinite(excinfo.value.last_control.state))
+
+
+class ExplodingOperator:
+    """values = exp(state) + bias: overflows once the state passes about 709."""
+
+    n_state = 1
+    n_bias = 1
+
+    def values(self, state, bias):
+        with np.errstate(over="ignore"):
+            return np.array([float(np.exp(state[0])) + bias[0]])
+
+    def jacobians(self, state, bias):
+        with np.errstate(over="ignore"):
+            return np.array([[float(np.exp(state[0]))]]), np.array([[1.0]])
+
+
+def exploding_problem(background_state):
+    """A problem on ``ExplodingOperator`` whose tight observation pulls the
+    state up until the cost overflows (from 0.0 the line search reaches it; from
+    1000.0 the background cost is already non-finite)."""
+    return AssimilationProblem(
+        background_state=np.array([background_state]),
+        background_bias=np.array([0.0]),
+        state_covariance=CovarianceSpec([1.0]),
+        bias_covariance=CovarianceSpec([1.0]),
+        obs_covariance=CovarianceSpec([1e-8]),
+        obs_values=np.array([1e3]),
+        operator=ExplodingOperator(),
+    )
 
 
 def _permuted_operator(operator, perm):
@@ -628,3 +637,237 @@ class TestOperatorEvaluations:
         assert result.final_cost == expected.final_cost
         assert result.gradient_norm == expected.gradient_norm
         assert result.converged == expected.converged
+
+
+def _reference_quadratic(covariance, v):
+    return float(v @ covariance.solve(v))
+
+
+def _reference_cost(problem, state, bias, residual):
+    dx = state - problem.background_state
+    db = bias - problem.background_bias
+    return 0.5 * (
+        _reference_quadratic(problem.state_covariance, dx)
+        + _reference_quadratic(problem.bias_covariance, db)
+        + _reference_quadratic(problem.obs_covariance, residual)
+    )
+
+
+def reference_minimize(problem, hold_bias_fixed=False, on_iteration=None):
+    """The minimizer as first written, kept as the bitwise oracle: the cost and
+    gradient in separate state and bias blocks, every inner product as
+    ``float(a @ b)``, the Jacobi diagonal from ``(J**2).T @ R^-1``. Its
+    constants are read from ``assim``, so a test that changes them changes
+    both minimizers."""
+    n_state = problem.background_state.shape[0]
+
+    def unflatten(v):
+        return Control(v[:n_state], v[n_state:])
+
+    def cost_at(v):
+        c = unflatten(v)
+        d = problem.obs_values - problem.operator.values(c.state, c.bias)
+        return _reference_cost(problem, c.state, c.bias, d), d
+
+    obs_scale = np.abs(problem.obs_values)
+
+    def grad_and_jac(v, d):
+        c = unflatten(v)
+        jac_state, jac_bias = problem.operator.jacobians(c.state, c.bias)
+        dx = c.state - problem.background_state
+        db = c.bias - problem.background_bias
+        rinv_d = problem.obs_covariance.solve(d)
+        gs = problem.state_covariance.solve(dx) - jac_state.T @ rinv_d
+        gb = problem.bias_covariance.solve(db) - jac_bias.T @ rinv_d
+        if hold_bias_fixed:
+            gb = np.zeros_like(gb)
+        cancel_scale = 2.0 * float(np.abs(rinv_d) @ obs_scale)
+        return np.concatenate([gs, gb]), jac_state, jac_bias, cancel_scale
+
+    prior_inverse_diag = np.concatenate(
+        [
+            problem.state_covariance.inverse_diagonal(),
+            problem.bias_covariance.inverse_diagonal(),
+        ]
+    )
+    obs_inverse_diag = problem.obs_covariance.inverse_diagonal()
+
+    def jacobi_diagonal(jac_state, jac_bias):
+        obs_part = np.concatenate(
+            [(jac_state**2).T @ obs_inverse_diag, (jac_bias**2).T @ obs_inverse_diag]
+        )
+        return prior_inverse_diag + obs_part
+
+    def curvature_along(jac_state, jac_bias, p):
+        px, pb = p[:n_state], p[n_state:]
+        ap = jac_state @ px + jac_bias @ pb
+        return (
+            _reference_quadratic(problem.state_covariance, px)
+            + _reference_quadratic(problem.bias_covariance, pb)
+            + _reference_quadratic(problem.obs_covariance, ap)
+        )
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        point = np.concatenate([problem.background_state, problem.background_bias])
+        j, d = cost_at(point)
+        if not np.isfinite(j):
+            raise MinimizationError(
+                "cost is non-finite at the initial control", problem.background_control()
+            )
+        g, jac_state, jac_bias, cancel_scale = grad_and_jac(point, d)
+        g_norm = math.sqrt(float(g @ g))
+        tol = assim.GRADIENT_TOLERANCE * max(1.0, g_norm)
+        scaled_g = g / jacobi_diagonal(jac_state, jac_bias)
+
+        iterations = 0
+        direction = -scaled_g
+        while g_norm > tol and iterations < assim.MAX_ITERATIONS:
+            slope = float(g @ direction)
+            if slope >= 0.0:
+                direction = -scaled_g
+                slope = float(g @ direction)
+            curv = curvature_along(jac_state, jac_bias, direction)
+            alpha = -slope / curv if curv > 0 else 1.0
+            noise_floor = assim._EPS * (32.0 * abs(j) + cancel_scale)
+
+            if abs(alpha * slope) <= noise_floor:
+                trial = point + alpha * direction
+                j_trial, d_trial = cost_at(trial)
+                if not np.isfinite(j_trial):
+                    raise MinimizationError(
+                        "cost became non-finite during line search", unflatten(point)
+                    )
+            else:
+                accepted = False
+                for _ in range(assim._MAX_BACKTRACKS):
+                    trial = point + alpha * direction
+                    j_trial, d_trial = cost_at(trial)
+                    if not np.isfinite(j_trial):
+                        raise MinimizationError(
+                            "cost became non-finite during line search", unflatten(point)
+                        )
+                    if j_trial <= j + assim.ARMIJO_C * alpha * slope + noise_floor:
+                        accepted = True
+                        break
+                    alpha *= assim.ARMIJO_SHRINK
+                if not accepted:
+                    if np.array_equal(direction, -scaled_g):
+                        break
+                    direction = -scaled_g
+                    continue
+
+            g_new, jac_state, jac_bias, cancel_scale = grad_and_jac(trial, d_trial)
+            scaled_g_new = g_new / jacobi_diagonal(jac_state, jac_bias)
+            beta_pr = float(g_new @ (scaled_g_new - scaled_g)) / float(g @ scaled_g)
+            direction = -scaled_g_new + max(0.0, beta_pr) * direction
+            point, j, g, scaled_g = trial, j_trial, g_new, scaled_g_new
+            g_norm = math.sqrt(float(g @ g))
+            iterations += 1
+            if on_iteration is not None:
+                on_iteration(iterations, j, g_norm)
+
+    result = unflatten(point)
+    return assim.AnalysisResult(
+        analysis_state=result.state.copy(),
+        analysis_bias=result.bias.copy(),
+        final_cost=j,
+        gradient_norm=g_norm,
+        iterations=iterations,
+        converged=g_norm <= tol,
+    )
+
+
+def _same_bits(got, expected) -> bool:
+    got, expected = np.asarray(got), np.asarray(expected)
+    return np.array_equal(got, expected) and got.tobytes() == expected.tobytes()
+
+
+class TestMinimizeMatchesReference:
+    """``minimize`` gives, bit for bit, what the reference minimizer gives on the
+    reference operator: every ``AnalysisResult`` field and every iteration record."""
+
+    @staticmethod
+    def assert_same_analysis(problem, hold_bias_fixed, reference_problem=None):
+        steps, expected_steps = [], []
+        result = minimize(
+            problem, hold_bias_fixed=hold_bias_fixed, on_iteration=lambda *a: steps.append(a)
+        )
+        expected = reference_minimize(
+            problem if reference_problem is None else reference_problem,
+            hold_bias_fixed=hold_bias_fixed,
+            on_iteration=lambda *a: expected_steps.append(a),
+        )
+        for field in dataclasses.fields(assim.AnalysisResult):
+            got, want = getattr(result, field.name), getattr(expected, field.name)
+            assert _same_bits(got, want), field.name
+        assert steps == expected_steps
+        return result
+
+    @pytest.mark.parametrize("hold_bias_fixed", [False, True])
+    @pytest.mark.parametrize(
+        "predictors", [(), ("scan_position",), ("surface_temperature", "scan_position")]
+    )
+    def test_radiance_problems(self, predictors, hold_bias_fixed):
+        for seed in (3, 12, 40):
+            problem = radiance_problem(seed, predictors=predictors)
+            reference = dataclasses.replace(
+                problem, operator=ReferenceRadianceOperator(problem.operator)
+            )
+            result = self.assert_same_analysis(problem, hold_bias_fixed, reference)
+            assert result.iterations > 0
+
+    @pytest.mark.parametrize("hold_bias_fixed", [False, True])
+    def test_linear_problems(self, hold_bias_fixed):
+        for seed in range(10):
+            self.assert_same_analysis(random_linear_problem(seed), hold_bias_fixed)
+
+    @pytest.mark.parametrize("hold_bias_fixed", [False, True])
+    def test_one_observation(self, hold_bias_fixed):
+        """With one observation numpy's dot and matmul take different BLAS
+        paths; the analysis must not see it, also with exact zeros of both
+        signs in the Jacobian and the background."""
+        self.assert_same_analysis(scalar_bias_problem(), hold_bias_fixed)
+        for seed in range(6):
+            problem = radiance_problem(seed, n_obs=1)
+            reference = dataclasses.replace(
+                problem, operator=ReferenceRadianceOperator(problem.operator)
+            )
+            self.assert_same_analysis(problem, hold_bias_fixed, reference)
+            problem = random_linear_problem(seed, n_obs=1)
+            columns = np.arange(problem.operator.n_state)
+            # Two of three columns become exact zeros, half of them -0.0.
+            mask = (columns % 3 == 0) * np.where(columns % 2, -1.0, 1.0)
+            sparse = dataclasses.replace(
+                problem.operator, state_matrix=problem.operator.state_matrix * mask
+            )
+            background = problem.background_state.copy()
+            background[1::4] = -0.0
+            self.assert_same_analysis(
+                dataclasses.replace(problem, operator=sparse, background_state=background),
+                hold_bias_fixed,
+            )
+
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(assim, "MAX_ITERATIONS", 2)
+        result = self.assert_same_analysis(radiance_problem(21), False)
+        assert not result.converged
+
+    @pytest.mark.parametrize(
+        "background_state, message",
+        [
+            (1000.0, "cost is non-finite at the initial control"),
+            (0.0, "cost became non-finite during line search"),
+        ],
+    )
+    def test_minimization_errors(self, background_state, message):
+        problem = exploding_problem(background_state)
+        errors = []
+        for minimizer in (minimize, reference_minimize):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(MinimizationError) as excinfo:
+                    minimizer(problem)
+            errors.append(excinfo.value)
+        got, expected = errors
+        assert str(got) == str(expected) == message
+        assert _same_bits(got.last_control.state, expected.last_control.state)
+        assert _same_bits(got.last_control.bias, expected.last_control.bias)

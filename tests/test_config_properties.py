@@ -22,9 +22,11 @@ PATHS = sorted(
 
 # Checks that span two fields name the one whose constraint failed. Every
 # level must give a finite brightness error through the antenna, whose
-# efficiency divides it.
+# efficiency divides it, and a finite observation cost, which the
+# observation error stddev divides.
 RELATED = {
     "antenna.radiation_efficiency": {"leakage_levels"},
+    "covariances.observation_stddev_k": {"leakage_levels"},
     "field.density_class": {"field.count"},
     "model.dt": {"forecast_length"},
     "model.grid_size": {"observations.count", "observations.locations"},

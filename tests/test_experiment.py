@@ -176,6 +176,11 @@ class TestConfigLoading:
             ("leakage_levels: [-20, 4000]", "leakage_levels"),
             ("{leakage_interpretation: per_device, leakage_levels: [4000]}", "leakage_levels"),
             ("antenna: {radiation_efficiency: 0.0}", "leakage_levels"),
+            (
+                "{antenna: {radiation_efficiency: 1.0e-310}, leakage_levels: [-300], "
+                "forecast_length: 0.05, spinup_steps: 10}",
+                "leakage_levels",
+            ),
             ("observations: {locations: [0.9, 5.5]}", "observations.locations"),
             ("observations: {locations: [0, false]}", "observations.locations"),
             ("observations: {locations: 3}", "observations.locations"),
@@ -532,6 +537,47 @@ class TestCli:
         rows = parse_report_csv(str(out))
         assert len(rows) == 1 + len(DEFAULT_LEAKAGE_SWEEP_DBW)
 
+    @pytest.mark.parametrize("efficiency", ["1.0e-310", "1.0e-160"])
+    def test_sweep_validates_the_levels_it_runs(self, tmp_path, efficiency):
+        """The default sweep's levels are checked at load, not the file's: at
+        efficiency 1e-160 the file's -300 dBW loads, but from -55 dBW up the
+        sweep's levels give an observation cost that overflows."""
+        path = tmp_path / "tiny.yaml"
+        path.write_text(
+            f"{{antenna: {{radiation_efficiency: {efficiency}}}, leakage_levels: [-300], "
+            "forecast_length: 0.05, spinup_steps: 10}\n"
+        )
+        if efficiency == "1.0e-160":
+            assert load_config(str(path)).leakage_levels == (-300.0,)
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(str(path), leakage_levels=DEFAULT_LEAKAGE_SWEEP_DBW)
+        assert excinfo.value.field == "leakage_levels"
+        result = CliRunner().invoke(main, ["sweep", str(path)])
+        assert result.exit_code == 1
+        assert "leakage_levels" in result.output
+
+    def test_sweep_hashes_the_levels_it_runs(self, tmp_path):
+        """A sweep report equals, hash line included, the run report of the same
+        file with the default sweep written in, whatever levels the file had."""
+        raw = {"forecast_length": 0.05, "spinup_steps": 10}
+        reports = []
+        for name, command, levels in [
+            ("one", "sweep", [-20.0]),
+            ("two", "sweep", [-30.0, -10.0]),
+            ("written", "run", list(DEFAULT_LEAKAGE_SWEEP_DBW)),
+        ]:
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(yaml.safe_dump(dict(raw, leakage_levels=levels)))
+            out = tmp_path / f"{name}.csv"
+            result = CliRunner().invoke(main, [command, str(path), "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            defaults = [line for line in result.output.splitlines() if "defaults" in line]
+            reports.append((out.read_bytes(), defaults))
+        assert reports[0] == reports[1] == reports[2]
+        csv_lines = reports[0][0].decode().splitlines()
+        assert len(csv_lines) == 2 + 1 + len(DEFAULT_LEAKAGE_SWEEP_DBW)
+        assert "leakage_levels" not in reports[0][1][0]
+
     def test_noise_table_command(self, tmp_path):
         runner = CliRunner()
         out = tmp_path / "noise.csv"
@@ -551,8 +597,9 @@ class TestCli:
         [
             ("model: {dt: 0.5}", "non-finite model state after step 2"),
             (
-                "{leakage_levels: [2000], forecast_length: 0.05, spinup_steps: 10}",
-                "level 2000.0 dBW, member 0: cost is non-finite at the initial control",
+                "{covariances: {observation_stddev_k: 1.0e-160}, leakage_levels: [-300], "
+                "forecast_length: 0.05, spinup_steps: 10}",
+                "baseline, member 0: cost is non-finite at the initial control",
             ),
         ],
         ids=["model_time_step", "analysis_cost"],
