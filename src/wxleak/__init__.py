@@ -10,8 +10,6 @@ given leakage level can be measured end to end on one machine.
 from .assim import (
     AnalysisResult,
     AssimilationProblem,
-    Control,
-    CovarianceSpec,
     cost,
     gradient,
     innovation,
@@ -39,7 +37,6 @@ from .leakage import (
     EmissionMask,
     LinkBudget,
     NO_LEAKAGE_DBW,
-    NoiseTemperature,
     TransmitterField,
     VICTIM_CHANNEL,
     aci_leakage_fraction,

@@ -7,9 +7,11 @@ The analysis minimizes
                + 1/2 (y - H_hat(x, beta))' R^-1 (y - H_hat(x, beta))
 
 over the model state x and the bias coefficients beta together, so the bias
-correction is re-estimated inside every analysis. All three covariance
-weights enter through their inverses; pinning the state (near-zero B
-variances) recovers the bias-only problem.
+correction is re-estimated inside every analysis. The three covariances are
+diagonal, held as vectors of variances, and enter through their inverses;
+pinning the state (near-zero B variances) recovers the bias-only problem.
+``cost``, ``gradient``, ``innovation`` and the minimizer all work on one flat
+control vector v = [x, beta].
 
 The minimizer is a Polak-Ribiere nonlinear conjugate gradient with automatic
 restart and an Armijo backtracking line search (c = 1e-4, shrink 0.5),
@@ -23,8 +25,8 @@ not depend on step-size luck.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Protocol
+from dataclasses import dataclass, field
+from typing import Callable, Protocol
 
 import numpy as np
 
@@ -44,48 +46,6 @@ _MAX_BACKTRACKS = 60
 _EPS = float(np.finfo(float).eps)
 
 
-class Control(NamedTuple):
-    """One point in the augmented control space."""
-
-    state: np.ndarray
-    bias: np.ndarray
-
-
-@dataclass(frozen=True)
-class CovarianceSpec:
-    """Diagonal error covariance, held as its variances, with its inverse application.
-
-    Non-positive or non-finite variances fail here, never inside the
-    minimizer.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.atleast_1d(np.asarray(self.values, dtype=float))
-        if values.ndim != 1:
-            raise ValidationError("diagonal covariance takes a 1-d variance vector")
-        if np.any(values <= 0) or not np.all(np.isfinite(values)):
-            raise ValidationError("diagonal variances must be positive and finite")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-    def solve(self, v: np.ndarray) -> np.ndarray:
-        """Apply the inverse covariance to a vector."""
-        return v / self.values
-
-    def quadratic(self, v: np.ndarray) -> float:
-        """v' C^-1 v, as a numpy float."""
-        return v.dot(v / self.values)
-
-    def inverse_diagonal(self) -> np.ndarray:
-        """Diagonal of the inverse covariance (used for scaling)."""
-        return 1.0 / self.values
-
-
 class ObservationOperator(Protocol):
     """What the analysis needs from a (possibly nonlinear) operator."""
 
@@ -99,53 +59,71 @@ class ObservationOperator(Protocol):
         """(d values / d state, d values / d bias), shapes (n_obs, n_state), (n_obs, n_bias)."""
 
 
+def _variances(values, count: int, what: str) -> np.ndarray:
+    """A read-only copy of one diagonal covariance: ``count`` positive, finite variances."""
+    variances = np.array(values, dtype=float)
+    if variances.ndim != 1 or variances.shape[0] != count:
+        raise ValidationError(f"{what} variances must be a 1-d vector of {count} values")
+    if np.any(variances <= 0) or not np.all(np.isfinite(variances)):
+        raise ValidationError(f"{what} variances must be positive and finite")
+    variances.setflags(write=False)
+    return variances
+
+
 @dataclass(frozen=True)
 class AssimilationProblem:
-    """Background, covariances, observed values and the operator binding them.
+    """Background, diagonal covariances, observed values and the operator binding them.
 
-    ``obs_values`` is held as a read-only copy, one value per observation.
+    The three covariances are held as their variances: one per state value,
+    one per bias coefficient and one per observation, each a read-only 1-d
+    vector, positive and finite. ``obs_values`` is held as a read-only copy.
+    Construction also fixes the flat ``background`` and ``prior_variances``
+    over the control [state, bias], the vector every cost, gradient and
+    minimizer iterate is written in.
     """
 
     background_state: np.ndarray
     background_bias: np.ndarray
-    state_covariance: CovarianceSpec
-    bias_covariance: CovarianceSpec
-    obs_covariance: CovarianceSpec
+    state_variances: np.ndarray
+    bias_variances: np.ndarray
+    obs_variances: np.ndarray
     obs_values: np.ndarray
     operator: ObservationOperator
+    background: np.ndarray = field(init=False)
+    prior_variances: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "background_state", np.asarray(self.background_state, dtype=float)
-        )
-        object.__setattr__(
-            self, "background_bias", np.asarray(self.background_bias, dtype=float)
-        )
+        background_state = np.asarray(self.background_state, dtype=float)
+        background_bias = np.asarray(self.background_bias, dtype=float)
         obs_values = np.array(self.obs_values, dtype=float)
         if obs_values.ndim != 1:
             raise ValidationError("observed values must be a 1-d vector")
         obs_values.setflags(write=False)
-        object.__setattr__(self, "obs_values", obs_values)
-        n_state = self.background_state.shape[0]
-        n_bias = self.background_bias.shape[0]
-        n_obs = obs_values.shape[0]
-        if self.state_covariance.dim != n_state:
-            raise ValidationError(
-                f"state covariance dim {self.state_covariance.dim} != state length {n_state}"
-            )
-        if self.bias_covariance.dim != n_bias:
-            raise ValidationError(
-                f"bias covariance dim {self.bias_covariance.dim} != coefficient count {n_bias}"
-            )
-        if self.obs_covariance.dim != n_obs:
-            raise ValidationError(
-                f"obs covariance dim {self.obs_covariance.dim} != observation count {n_obs}"
-            )
+        n_state, n_bias = len(background_state), len(background_bias)
         if self.operator.n_state != n_state or self.operator.n_bias != n_bias:
             raise ValidationError("operator dimensions do not match the problem")
+        state_variances = _variances(self.state_variances, n_state, "state")
+        bias_variances = _variances(self.bias_variances, n_bias, "bias")
+        background = np.concatenate([background_state, background_bias])
+        prior_variances = np.concatenate([state_variances, bias_variances])
+        background.setflags(write=False)
+        prior_variances.setflags(write=False)
+        fields = {
+            "background_state": background_state,
+            "background_bias": background_bias,
+            "state_variances": state_variances,
+            "bias_variances": bias_variances,
+            "obs_variances": _variances(self.obs_variances, len(obs_values), "observation"),
+            "obs_values": obs_values,
+            "background": background,
+            "prior_variances": prior_variances,
+        }
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
-    def background_control(self) -> Control:
-        return Control(self.background_state.copy(), self.background_bias.copy())
+    @property
+    def n_state(self) -> int:
+        return self.background_state.shape[0]
 
 
 @dataclass(frozen=True)
@@ -160,38 +138,37 @@ class AnalysisResult:
     converged: bool
 
 
-def _check_control(control: Control, problem: AssimilationProblem) -> Control:
-    state = np.asarray(control.state, dtype=float)
-    bias = np.asarray(control.bias, dtype=float)
-    if state.shape != problem.background_state.shape:
+def _check_control(v, problem: AssimilationProblem) -> np.ndarray:
+    """The flat control [state, bias] as a float vector of the problem's length."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != problem.background.shape:
         raise ValidationError(
-            f"control state shape {state.shape} != background {problem.background_state.shape}"
+            f"control shape {v.shape} != background {problem.background.shape}"
         )
-    if bias.shape != problem.background_bias.shape:
-        raise ValidationError(
-            f"control bias shape {bias.shape} != background {problem.background_bias.shape}"
-        )
-    return Control(state, bias)
+    return v
 
 
-def innovation(problem: AssimilationProblem, control: Control) -> np.ndarray:
-    """Observation-minus-operator residual y - H_hat(x, beta), per observation."""
-    control = _check_control(control, problem)
-    return problem.obs_values - problem.operator.values(control.state, control.bias)
+def _innovation(problem: AssimilationProblem, v: np.ndarray) -> np.ndarray:
+    n_state = problem.n_state
+    return problem.obs_values - problem.operator.values(v[:n_state], v[n_state:])
 
 
-def cost(
-    control: Control, problem: AssimilationProblem, residual: np.ndarray | None = None
-) -> float:
-    """The three-term quadratic cost at one control point.
+def innovation(problem: AssimilationProblem, v) -> np.ndarray:
+    """Observation-minus-operator residual y - H_hat(x, beta) at the flat control ``v``."""
+    return _innovation(problem, _check_control(v, problem))
 
-    ``residual`` is the innovation at ``control`` when the caller already
-    has it; otherwise it is computed here.
+
+def cost(v, problem: AssimilationProblem, residual: np.ndarray | None = None) -> float:
+    """The three-term quadratic cost at the flat control ``v``.
+
+    ``residual`` is the innovation at ``v`` when the caller already has it;
+    otherwise it is computed here.
     """
-    control = _check_control(control, problem)
-    dx = control.state - problem.background_state
-    db = control.bias - problem.background_bias
-    d = innovation(problem, control) if residual is None else residual
+    v = _check_control(v, problem)
+    n_state = problem.n_state
+    dx = v[:n_state] - problem.background_state
+    db = v[n_state:] - problem.background_bias
+    d = _innovation(problem, v) if residual is None else residual
     return float(0.5 * _weighted_squares(problem, dx, db, d))
 
 
@@ -202,45 +179,29 @@ def _weighted_squares(problem: AssimilationProblem, dx, db, d):
     curvature for a direction (px, pb) and its image J p.
     """
     return (
-        problem.state_covariance.quadratic(dx)
-        + problem.bias_covariance.quadratic(db)
-        + problem.obs_covariance.quadratic(d)
+        dx.dot(dx / problem.state_variances)
+        + db.dot(db / problem.bias_variances)
+        + d.dot(d / problem.obs_variances)
     )
 
 
-def _prior(problem: AssimilationProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Background and prior variances over the flat control [state, bias]."""
-    background = np.concatenate([problem.background_state, problem.background_bias])
-    variances = np.concatenate(
-        [problem.state_covariance.values, problem.bias_covariance.values]
-    )
-    return background, variances
-
-
-def _gradient(point, background, prior_variances, rinv_d, jac_state, jac_bias) -> np.ndarray:
+def _gradient(point, problem: AssimilationProblem, rinv_d, jac_state, jac_bias) -> np.ndarray:
     """Flat gradient [state part, bias part] at ``point``, from R^-1 d and the Jacobians.
 
     The flat prior term takes the same values, element by element, as the
     state and bias blocks taken apart.
     """
     obs_part = np.concatenate([rinv_d @ jac_state, rinv_d @ jac_bias])
-    return (point - background) / prior_variances - obs_part
+    return (point - problem.background) / problem.prior_variances - obs_part
 
 
-def gradient(control: Control, problem: AssimilationProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradient of the cost, split into (state part, bias part)."""
-    control = _check_control(control, problem)
-    jac_state, jac_bias = problem.operator.jacobians(control.state, control.bias)
-    rinv_d = problem.obs_covariance.solve(innovation(problem, control))
-    g = _gradient(
-        np.concatenate([control.state, control.bias]),
-        *_prior(problem),
-        rinv_d,
-        jac_state,
-        jac_bias,
-    )
-    n_state = control.state.shape[0]
-    return g[:n_state], g[n_state:]
+def gradient(v, problem: AssimilationProblem) -> np.ndarray:
+    """Analytic gradient of the cost at the flat control ``v``, as [state part, bias part]."""
+    v = _check_control(v, problem)
+    n_state = problem.n_state
+    jac_state, jac_bias = problem.operator.jacobians(v[:n_state], v[n_state:])
+    rinv_d = _innovation(problem, v) / problem.obs_variances
+    return _gradient(v, problem, rinv_d, jac_state, jac_bias)
 
 
 def minimize(
@@ -267,10 +228,11 @@ def minimize(
     re-estimated less often than the state. ``on_iteration`` receives
     (iteration, cost, gradient norm) after every accepted step.
 
-    The background and the prior variances are each held as one vector over
-    the flat control [state, bias], so the prior part of the gradient is one
-    expression. Inner products are ``ndarray.dot``: the same BLAS ddot as
-    ``float(a @ b)`` at less cost per call. The curvature product J p stays
+    Every iterate is one flat control [state, bias], the layout of the
+    problem's ``background`` and ``prior_variances``, so the prior part of
+    the gradient is one expression; ``MinimizationError.last_control`` is
+    such a vector too. Inner products are ``ndarray.dot``: the same BLAS
+    ddot as ``float(a @ b)`` at less cost per call. The curvature product J p stays
     one dense BLAS matrix-vector product per block (a sparse form, or one
     product over both blocks, rounds differently); it and the Jacobi
     diagonal's R^-1 J^2 also use ``ndarray.dot``, which calls the same gemv
@@ -279,27 +241,21 @@ def minimize(
     a sum of squares and an add to the positive B^-1 lose that sign. The
     gradient's J' R^-1 d keeps ``@``, where the sign could reach the result.
     """
-    n_state = problem.background_state.shape[0]
-    background, prior_variances = _prior(problem)
-    obs_variances = problem.obs_covariance.values
+    n_state = problem.n_state
+    obs_variances = problem.obs_variances
     obs_scale = np.abs(problem.obs_values)
-
-    def unflatten(v: np.ndarray) -> Control:
-        return Control(v[:n_state], v[n_state:])
 
     def cost_at(v: np.ndarray):
         # The innovation at v is kept for the gradient there, so each
-        # control point evaluates the operator once. The views of v have
-        # the problem's shapes by construction; ``cost`` checks them once.
-        c = unflatten(v)
-        d = problem.obs_values - problem.operator.values(c.state, c.bias)
-        return cost(c, problem, d), d
+        # control point evaluates the operator once; ``cost`` checks v once.
+        d = _innovation(problem, v)
+        return cost(v, problem, d), d
 
     def gradient_at(v: np.ndarray, d: np.ndarray):
         """Gradient, its Jacobi-scaled form, the Jacobians and the cancellation scale."""
         jac_state, jac_bias = problem.operator.jacobians(v[:n_state], v[n_state:])
         rinv_d = d / obs_variances
-        g = _gradient(v, background, prior_variances, rinv_d, jac_state, jac_bias)
+        g = _gradient(v, problem, rinv_d, jac_state, jac_bias)
         if hold_bias_fixed:
             g[n_state:] = 0.0
         # Jacobi preconditioner: the Gauss-Newton Hessian's diagonal,
@@ -318,14 +274,12 @@ def minimize(
     # A non-finite cost raises MinimizationError below; the overflow on the
     # way there would only add floating-point warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        prior_inverse = 1.0 / prior_variances
-        obs_inverse = problem.obs_covariance.inverse_diagonal()
-        point = background
+        prior_inverse = 1.0 / problem.prior_variances
+        obs_inverse = 1.0 / obs_variances
+        point = problem.background
         j, d = cost_at(point)
         if not math.isfinite(j):
-            raise MinimizationError(
-                "cost is non-finite at the initial control", problem.background_control()
-            )
+            raise MinimizationError("cost is non-finite at the initial control", point)
         g, scaled_g, jac_state, jac_bias, cancel_scale = gradient_at(point, d)
         # For a 1-D float vector this is np.linalg.norm's own sqrt(g . g), bit
         # for bit, without its per-call set-up; it is computed once per point.
@@ -348,18 +302,14 @@ def minimize(
                 trial = point + alpha * direction
                 j_trial, d_trial = cost_at(trial)
                 if not math.isfinite(j_trial):
-                    raise MinimizationError(
-                        "cost became non-finite during line search", unflatten(point)
-                    )
+                    raise MinimizationError("cost became non-finite during line search", point)
             else:
                 accepted = False
                 for _ in range(_MAX_BACKTRACKS):
                     trial = point + alpha * direction
                     j_trial, d_trial = cost_at(trial)
                     if not math.isfinite(j_trial):
-                        raise MinimizationError(
-                            "cost became non-finite during line search", unflatten(point)
-                        )
+                        raise MinimizationError("cost became non-finite during line search", point)
                     if j_trial <= j + ARMIJO_C * alpha * slope + noise_floor:
                         accepted = True
                         break
@@ -381,10 +331,9 @@ def minimize(
             if on_iteration is not None:
                 on_iteration(iterations, j, g_norm)
 
-    result = unflatten(point)
     return AnalysisResult(
-        analysis_state=result.state.copy(),
-        analysis_bias=result.bias.copy(),
+        analysis_state=point[:n_state].copy(),
+        analysis_bias=point[n_state:].copy(),
         final_cost=j,
         gradient_norm=g_norm,
         iterations=iterations,

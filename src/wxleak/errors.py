@@ -52,7 +52,9 @@ class ModelBlowUpError(RuntimeError):
 class MinimizationError(RuntimeError):
     """The cost function became non-finite during minimization.
 
-    ``last_control`` holds the last iterate with a finite cost.
+    ``last_control`` holds the flat control [state, bias] of the last
+    iterate with a finite cost, or the background when the cost is already
+    non-finite there.
     """
 
     def __init__(self, message: str, last_control=None):

@@ -349,8 +349,18 @@ def config_from_dict(
         predictors=tuple(predictors),
     )
     cov = _numbers(resolved["covariances"], "covariances")
-    if any(value <= 0 for value in cov.values()):
-        raise ConfigError("variances and stddevs must be positive", field="covariances")
+    for key, value in cov.items():
+        if value <= 0:
+            raise ConfigError("must be positive", field=f"covariances.{key}")
+        # The analysis weights by the inverse of each variance (the square of
+        # the observation stddev); a variance or inverse that overflows, or a
+        # square that underflows to zero, would otherwise fail or stall mid-run.
+        variance = value * value if key == "observation_stddev_k" else value
+        if not (0.0 < variance < math.inf and math.isfinite(1.0 / variance)):
+            raise ConfigError(
+                f"variance {variance:.3g}: it and its inverse must be finite and nonzero",
+                field=f"covariances.{key}",
+            )
 
     model_block = dict(resolved["model"])
     grid_size = _integer(model_block.pop("grid_size"), "model.grid_size", minimum=4)
@@ -471,8 +481,8 @@ def leakage_chain(config: ScenarioConfig, level_dbw: float) -> tuple[float, floa
     else:
         aggregate_dbw = level_dbw
     p_rx = received_power(aggregate_dbw, config.link)
-    noise = induced_noise_temperature(p_rx, VICTIM_CHANNEL)
-    return noise.value_k, brightness_perturbation(noise, config.antenna)
+    noise_k = induced_noise_temperature(p_rx, VICTIM_CHANNEL)
+    return noise_k, brightness_perturbation(noise_k, config.antenna)
 
 
 def _member_background(config: ScenarioConfig, truth: ModelState, member: int) -> ModelState:
@@ -683,13 +693,13 @@ def noise_table(
     rows = []
     for level in levels_dbw:
         p_rx = received_power(level, link)
-        noise = induced_noise_temperature(p_rx, VICTIM_CHANNEL)
+        noise_k = induced_noise_temperature(p_rx, VICTIM_CHANNEL)
         rows.append(
             {
                 "leakage_dBW": level,
                 "received_power_W": p_rx,
-                "noise_K": noise.value_k,
-                "delta_tb_K": brightness_perturbation(noise, antenna),
+                "noise_K": noise_k,
+                "delta_tb_K": brightness_perturbation(noise_k, antenna),
             }
         )
     return rows

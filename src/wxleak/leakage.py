@@ -53,10 +53,8 @@ def sum_power_dbw(levels_dbw: list[float]) -> float:
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """A radio channel described by its center, width and edges (all Hz)."""
+    """A radio channel between two edge frequencies (Hz)."""
 
-    center_frequency_hz: float
-    bandwidth_hz: float
     f_low_hz: float
     f_high_hz: float
 
@@ -65,31 +63,26 @@ class ChannelSpec:
             raise ValidationError(
                 f"channel edges inverted: f_low {self.f_low_hz:.6g} >= f_high {self.f_high_hz:.6g}"
             )
-        if self.bandwidth_hz <= 0:
-            raise ValidationError("channel bandwidth must be positive")
-        width = self.f_high_hz - self.f_low_hz
-        if not math.isclose(width, self.bandwidth_hz, rel_tol=1e-12):
-            raise ValidationError(
-                f"bandwidth {self.bandwidth_hz:.6g} Hz does not match edges ({width:.6g} Hz)"
-            )
+
+    @property
+    def center_frequency_hz(self) -> float:
+        return (self.f_low_hz + self.f_high_hz) / 2.0
+
+    @property
+    def bandwidth_hz(self) -> float:
+        return self.f_high_hz - self.f_low_hz
 
     @classmethod
     def from_center(cls, center_hz: float, bandwidth_hz: float) -> "ChannelSpec":
         half = bandwidth_hz / 2.0
-        return cls(center_hz, bandwidth_hz, center_hz - half, center_hz + half)
-
-    @classmethod
-    def from_edges(cls, f_low_hz: float, f_high_hz: float) -> "ChannelSpec":
-        return cls(
-            (f_low_hz + f_high_hz) / 2.0, f_high_hz - f_low_hz, f_low_hz, f_high_hz
-        )
+        return cls(center_hz - half, center_hz + half)
 
 
 #: The passive water-vapor sensing channel: 23.8 GHz center, 270 MHz wide.
 VICTIM_CHANNEL = ChannelSpec.from_center(23.8e9, 270e6)
 
 #: The adjacent 5G mmWave allocation, 24.25 to 27.5 GHz.
-AGGRESSOR_CHANNEL = ChannelSpec.from_edges(24.25e9, 27.5e9)
+AGGRESSOR_CHANNEL = ChannelSpec(24.25e9, 27.5e9)
 
 
 @dataclass(frozen=True)
@@ -117,17 +110,6 @@ class EmissionMask:
             raise ValidationError("mask breakpoints must be strictly increasing in offset")
         if not all(math.isfinite(p) for _, p in self.breakpoints):
             raise ValidationError("mask PSD values must be finite")
-
-    def psd_db(self, offset_hz: float) -> float:
-        """Relative PSD at one offset (dB); linear interpolation between breakpoints."""
-        pts = self.breakpoints
-        if offset_hz < pts[0][0] or offset_hz > pts[-1][0]:
-            raise MaskCoverageError(offset_hz, offset_hz)
-        for (o0, p0), (o1, p1) in zip(pts, pts[1:]):
-            if o0 <= offset_hz <= o1:
-                t = (offset_hz - o0) / (o1 - o0)
-                return p0 + t * (p1 - p0)
-        raise MaskCoverageError(offset_hz, offset_hz)  # pragma: no cover
 
     def integrate_linear(self, f_low_hz: float, f_high_hz: float, center_hz: float) -> float:
         """Integrate 10^(PSD/10) over [f_low, f_high] (absolute Hz).
@@ -227,27 +209,6 @@ class AntennaModel:
             raise ValidationError("antenna physical temperature must be positive")
 
 
-@dataclass(frozen=True)
-class NoiseTemperature:
-    """Equivalent noise temperature of a received power over a bandwidth."""
-
-    value_k: float
-    source_power_w: float
-    bandwidth_hz: float
-
-    def __post_init__(self):
-        if self.value_k < 0:
-            raise ValidationError("noise temperature must be >= 0")
-        if self.bandwidth_hz <= 0:
-            raise ValidationError("noise bandwidth must be positive")
-        expected = self.value_k * BOLTZMANN_J_PER_K * self.bandwidth_hz
-        scale = max(abs(expected), abs(self.source_power_w))
-        if scale > 0 and abs(expected - self.source_power_w) > 1e-9 * scale:
-            raise ValidationError(
-                "noise temperature, bandwidth and source power are inconsistent"
-            )
-
-
 def aci_leakage_fraction(
     mask: EmissionMask, aggressor: ChannelSpec, victim: ChannelSpec
 ) -> float:
@@ -296,15 +257,14 @@ def received_power(leakage_dbw: float, link: LinkBudget) -> float:
     return db_to_linear(leakage_dbw - link.total_pathloss_db) * link.transmittance
 
 
-def induced_noise_temperature(p_rx_w: float, channel: ChannelSpec) -> NoiseTemperature:
-    """Noise temperature equivalent to ``p_rx_w`` over the channel bandwidth.
+def induced_noise_temperature(p_rx_w: float, channel: ChannelSpec) -> float:
+    """Noise temperature (K) equivalent to ``p_rx_w`` over the channel bandwidth.
 
     T = P / (k_B * B).
     """
     if p_rx_w < 0:
         raise ValidationError("received power must be >= 0")
-    value = p_rx_w / (BOLTZMANN_J_PER_K * channel.bandwidth_hz)
-    return NoiseTemperature(value, p_rx_w, channel.bandwidth_hz)
+    return p_rx_w / (BOLTZMANN_J_PER_K * channel.bandwidth_hz)
 
 
 def antenna_temperature(t_b_k: float, antenna: AntennaModel) -> float:
@@ -319,16 +279,18 @@ def antenna_temperature(t_b_k: float, antenna: AntennaModel) -> float:
     return eta * t_b_k + (1.0 - eta) * antenna.physical_temperature_k
 
 
-def brightness_perturbation(noise: NoiseTemperature, antenna: AntennaModel) -> float:
+def brightness_perturbation(noise_k: float, antenna: AntennaModel) -> float:
     """Brightness-temperature error implied by an antenna-temperature rise.
 
     A retrieval unaware of the interference inverts the antenna relation
-    holding the physical temperature fixed, so a noise rise of dT_a maps to
-    a scene error dT_b = dT_a / eta. Undefined for a zero-efficiency antenna
-    (it sees only itself).
+    holding the physical temperature fixed, so a noise rise dT_a of
+    ``noise_k`` kelvin maps to a scene error dT_b = dT_a / eta. Undefined
+    for a zero-efficiency antenna (it sees only itself).
     """
+    if noise_k < 0:
+        raise ValidationError("noise temperature must be >= 0")
     if antenna.radiation_efficiency <= 0.0:
         raise ValidationError(
             "brightness perturbation undefined at zero radiation efficiency"
         )
-    return noise.value_k / antenna.radiation_efficiency
+    return noise_k / antenna.radiation_efficiency

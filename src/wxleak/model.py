@@ -110,22 +110,14 @@ class ModelState:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Uniformly spaced sequence of states, including the initial one."""
+    """States one model time step ``dt`` apart, starting with the initial one."""
 
     states: tuple[ModelState, ...]
-    times: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
-        times = np.asarray(self.times, dtype=float)
-        times.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        if len(self.states) != times.shape[0] or len(self.states) == 0:
-            raise ValidationError("trajectory needs one time per state")
-        if len(self.states) > 1:
-            dts = np.diff(times)
-            if np.any(dts <= 0) or not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
-                raise ValidationError("trajectory times must increase uniformly")
+        if len(self.states) == 0:
+            raise ValidationError("trajectory needs at least one state")
 
     @property
     def final(self) -> ModelState:
@@ -356,8 +348,7 @@ def _trajectory(
         raise ValidationError("step count must be >= 0")
     states = [state]
     _advance(state, params, n_steps, workspace, states)
-    times = np.arange(n_steps + 1, dtype=float) * params.dt
-    return Trajectory(tuple(states), times)
+    return Trajectory(tuple(states))
 
 
 def integrate(state: ModelState, params: ModelParams, n_steps: int) -> Trajectory:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assim import AssimilationProblem, CovarianceSpec
+from .assim import AssimilationProblem
 from .errors import ValidationError
 from .forward import BiasModel, ColumnState, bias_corrected_forward
 from .model import ModelState, TEMPERATURE_REPORT_OFFSET_K
@@ -254,9 +254,9 @@ def build_problem(
     return AssimilationProblem(
         background_state=x_b,
         background_bias=beta_b,
-        state_covariance=CovarianceSpec(np.full(2 * n, state_variance)),
-        bias_covariance=CovarianceSpec(np.full(len(beta_b), bias_variance)),
-        obs_covariance=CovarianceSpec(np.full(len(obs_values), obs_stddev_k**2)),
+        state_variances=np.full(2 * n, state_variance),
+        bias_variances=np.full(len(beta_b), bias_variance),
+        obs_variances=np.full(len(obs_values), obs_stddev_k**2),
         obs_values=obs_values,
         operator=operator,
     )

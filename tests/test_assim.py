@@ -10,8 +10,6 @@ import pytest
 from wxleak import assim
 from wxleak.assim import (
     AssimilationProblem,
-    Control,
-    CovarianceSpec,
     cost,
     gradient,
     innovation,
@@ -58,9 +56,9 @@ def scalar_bias_problem(obs_variance=1.0):
     return AssimilationProblem(
         background_state=np.array([0.0]),
         background_bias=np.array([0.0]),
-        state_covariance=CovarianceSpec([1.0]),
-        bias_covariance=CovarianceSpec([1.0]),
-        obs_covariance=CovarianceSpec([obs_variance]),
+        state_variances=[1.0],
+        bias_variances=[1.0],
+        obs_variances=[obs_variance],
         obs_values=np.array([x_fixed + 1.0]),
         operator=operator,
     )
@@ -82,9 +80,9 @@ def random_linear_problem(seed, n_obs=None):
     problem = AssimilationProblem(
         background_state=rng.normal(size=n_state),
         background_bias=rng.normal(size=n_bias) * 0.1,
-        state_covariance=CovarianceSpec(state_var),
-        bias_covariance=CovarianceSpec(bias_var),
-        obs_covariance=CovarianceSpec(obs_var),
+        state_variances=state_var,
+        bias_variances=bias_var,
+        obs_variances=obs_var,
         obs_values=rng.normal(size=n_obs) + offset,
         operator=operator,
     )
@@ -96,11 +94,9 @@ def direct_solve(problem):
     op = problem.operator
     a = np.hstack([op.state_matrix, op.bias_matrix])
     c_inv = np.diag(
-        np.concatenate(
-            [1.0 / problem.state_covariance.values, 1.0 / problem.bias_covariance.values]
-        )
+        np.concatenate([1.0 / problem.state_variances, 1.0 / problem.bias_variances])
     )
-    r_inv = np.diag(1.0 / problem.obs_covariance.values)
+    r_inv = np.diag(1.0 / problem.obs_variances)
     background = np.concatenate([problem.background_state, problem.background_bias])
     rhs = c_inv @ background + a.T @ r_inv @ (problem.obs_values - op.offset)
     return np.linalg.solve(c_inv + a.T @ r_inv @ a, rhs)
@@ -127,13 +123,7 @@ def radiance_problem(seed, grid_size=12, n_obs=6, predictors=("surface_temperatu
     return build_problem(background, bias, obs_values, locations, mapping, 1.0, 0.5, 0.3)
 
 
-def finite_difference_gradient(problem, control, h_scale=1e-5):
-    flat = np.concatenate([control.state, control.bias])
-    n_state = control.state.shape[0]
-
-    def cost_flat(v):
-        return cost(Control(v[:n_state], v[n_state:]), problem)
-
+def finite_difference_gradient(problem, flat, h_scale=1e-5):
     out = np.zeros_like(flat)
     for i in range(flat.shape[0]):
         h = h_scale * max(1.0, abs(flat[i]))
@@ -141,79 +131,102 @@ def finite_difference_gradient(problem, control, h_scale=1e-5):
         down = flat.copy()
         up[i] += h
         down[i] -= h
-        out[i] = (cost_flat(up) - cost_flat(down)) / (2 * h)
+        out[i] = (cost(up, problem) - cost(down, problem)) / (2 * h)
     return out
 
 
-class TestCovarianceSpec:
-    def test_diagonal_solve(self):
-        spec = CovarianceSpec([2.0, 4.0])
-        assert np.allclose(spec.solve(np.array([2.0, 4.0])), [1.0, 1.0])
-        assert math.isclose(spec.quadratic(np.array([2.0, 4.0])), 2.0 + 4.0)
+class TestVariances:
+    """Each covariance is a vector of positive, finite variances, one per
+    state value, coefficient or observation, checked at construction."""
 
-    def test_nonpositive_variance_rejected(self):
+    @staticmethod
+    def problem_with(**variances):
+        operator = LinearOperator(np.zeros((2, 2)), np.ones((2, 1)), np.zeros(2))
+        kwargs = dict(
+            background_state=np.zeros(2),
+            background_bias=np.zeros(1),
+            state_variances=[1.0, 1.0],
+            bias_variances=[1.0],
+            obs_variances=[1.0, 1.0],
+            obs_values=np.array([260.0, 261.0]),
+            operator=operator,
+        )
+        return AssimilationProblem(**{**kwargs, **variances})
+
+    @pytest.mark.parametrize("name", ["state_variances", "obs_variances"])
+    def test_nonpositive_variance_rejected(self, name):
         with pytest.raises(ValidationError):
-            CovarianceSpec([1.0, 0.0])
+            self.problem_with(**{name: [1.0, 0.0]})
 
-    def test_inverse_diagonal_is_reciprocal_variance(self):
-        spec = CovarianceSpec([2.0, 4.0, 0.5])
-        assert np.array_equal(spec.inverse_diagonal(), [0.5, 0.25, 2.0])
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("state_variances", [1.0, np.inf]),
+            ("bias_variances", [np.nan]),
+            ("obs_variances", [[1.0, 0.0], [0.0, 1.0]]),
+        ],
+    )
+    def test_non_finite_or_matrix_variances_rejected(self, name, bad):
+        with pytest.raises(ValidationError):
+            self.problem_with(**{name: bad})
 
-    def test_non_finite_or_matrix_variances_rejected(self):
-        for bad in ([1.0, np.inf], [np.nan], [[1.0, 0.0], [0.0, 1.0]]):
-            with pytest.raises(ValidationError):
-                CovarianceSpec(bad)
+    def test_held_read_only_with_the_flat_prior(self):
+        source = np.array([2.0, 4.0])
+        problem = self.problem_with(state_variances=source, bias_variances=[0.5])
+        source[0] = 9.0
+        assert np.array_equal(problem.state_variances, [2.0, 4.0])
+        assert np.array_equal(problem.prior_variances, [2.0, 4.0, 0.5])
+        assert np.array_equal(problem.background, np.zeros(3))
+        for name in ("state_variances", "bias_variances", "obs_variances",
+                     "prior_variances", "background"):
+            assert not getattr(problem, name).flags.writeable, name
 
 
 class TestCost:
     def test_zero_at_perfect_background(self):
         """All three terms vanish when background reproduces the observations."""
         problem = radiance_problem(1)
-        control = problem.background_control()
-        perfect_y = problem.operator.values(control.state, control.bias)
-        perfect = AssimilationProblem(
-            background_state=problem.background_state,
-            background_bias=problem.background_bias,
-            state_covariance=problem.state_covariance,
-            bias_covariance=problem.bias_covariance,
-            obs_covariance=problem.obs_covariance,
-            obs_values=perfect_y,
-            operator=problem.operator,
-        )
+        control = problem.background
+        perfect_y = problem.operator.values(problem.background_state, problem.background_bias)
+        perfect = dataclasses.replace(problem, obs_values=perfect_y)
         assert cost(control, perfect) == 0.0
 
     def test_scalar_case_at_background(self):
         problem = scalar_bias_problem()
-        assert math.isclose(cost(problem.background_control(), problem), 0.5, rel_tol=1e-12)
+        assert math.isclose(cost(problem.background, problem), 0.5, rel_tol=1e-12)
 
     def test_scalar_case_at_optimum(self):
         problem = scalar_bias_problem()
-        control = Control(np.array([0.0]), np.array([0.5]))
+        control = np.array([0.0, 0.5])
         assert math.isclose(cost(control, problem), 0.25, rel_tol=1e-12)
 
     def test_nonnegative(self):
         for seed in range(5):
             problem = random_linear_problem(seed)
             rng = np.random.default_rng(seed + 100)
-            control = Control(
+            control = np.concatenate([
                 problem.background_state + rng.normal(size=problem.background_state.shape),
                 problem.background_bias + rng.normal(size=problem.background_bias.shape),
-            )
+            ])
             assert cost(control, problem) >= 0.0
 
     def test_dimension_mismatch_rejected(self):
         problem = scalar_bias_problem()
         with pytest.raises(ValidationError):
-            cost(Control(np.zeros(2), np.zeros(1)), problem)
+            cost(np.zeros(3), problem)
+        with pytest.raises(ValidationError):
+            gradient(np.zeros(1), problem)
+        with pytest.raises(ValidationError):
+            innovation(problem, np.zeros((2, 1)))
 
     def test_covariance_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             AssimilationProblem(
                 background_state=np.zeros(2),
                 background_bias=np.zeros(1),
-                state_covariance=CovarianceSpec([1.0]),
-                bias_covariance=CovarianceSpec([1.0]),
-                obs_covariance=CovarianceSpec([1.0]),
+                state_variances=[1.0],
+                bias_variances=[1.0],
+                obs_variances=[1.0],
                 obs_values=np.array([260.0]),
                 operator=LinearOperator(np.zeros((1, 2)), np.ones((1, 1)), np.zeros(1)),
             )
@@ -222,35 +235,25 @@ class TestCost:
 class TestGradient:
     def test_zero_at_stationary_point(self):
         problem = radiance_problem(2)
-        control = problem.background_control()
-        perfect_y = problem.operator.values(control.state, control.bias)
-        perfect = AssimilationProblem(
-            background_state=problem.background_state,
-            background_bias=problem.background_bias,
-            state_covariance=problem.state_covariance,
-            bias_covariance=problem.bias_covariance,
-            obs_covariance=problem.obs_covariance,
-            obs_values=perfect_y,
-            operator=problem.operator,
-        )
-        gs, gb = gradient(control, perfect)
-        assert np.all(gs == 0.0) and np.all(gb == 0.0)
+        control = problem.background
+        perfect_y = problem.operator.values(problem.background_state, problem.background_bias)
+        perfect = dataclasses.replace(problem, obs_values=perfect_y)
+        assert np.all(gradient(control, perfect) == 0.0)
 
     def test_scalar_hand_derivative(self):
         problem = scalar_bias_problem()
-        _, gb = gradient(problem.background_control(), problem)
+        gb = gradient(problem.background, problem)[problem.n_state:]
         assert math.isclose(gb[0], -1.0, rel_tol=1e-12)
 
     def test_matches_finite_differences_linear(self):
         for seed in range(10):
             problem = random_linear_problem(seed)
             rng = np.random.default_rng(seed + 50)
-            control = Control(
+            control = np.concatenate([
                 problem.background_state + 0.3 * rng.normal(size=problem.background_state.shape),
                 problem.background_bias + 0.3 * rng.normal(size=problem.background_bias.shape),
-            )
-            gs, gb = gradient(control, problem)
-            analytic = np.concatenate([gs, gb])
+            ])
+            analytic = gradient(control, problem)
             fd = finite_difference_gradient(problem, control)
             assert np.linalg.norm(analytic - fd) <= 1e-6 * np.linalg.norm(fd)
 
@@ -258,9 +261,8 @@ class TestGradient:
         """Analytic gradient of the nonlinear operator, predictors included."""
         for seed in range(10):
             problem = radiance_problem(seed)
-            control = problem.background_control()
-            gs, gb = gradient(control, problem)
-            analytic = np.concatenate([gs, gb])
+            control = problem.background
+            analytic = gradient(control, problem)
             fd = finite_difference_gradient(problem, control)
             assert np.linalg.norm(analytic - fd) <= 1e-6 * np.linalg.norm(fd)
 
@@ -268,17 +270,9 @@ class TestGradient:
 class TestInnovation:
     def test_perfect_fit_is_zero(self):
         problem = radiance_problem(3)
-        control = problem.background_control()
-        perfect_y = problem.operator.values(control.state, control.bias)
-        perfect = AssimilationProblem(
-            background_state=problem.background_state,
-            background_bias=problem.background_bias,
-            state_covariance=problem.state_covariance,
-            bias_covariance=problem.bias_covariance,
-            obs_covariance=problem.obs_covariance,
-            obs_values=perfect_y,
-            operator=problem.operator,
-        )
+        control = problem.background
+        perfect_y = problem.operator.values(problem.background_state, problem.background_bias)
+        perfect = dataclasses.replace(problem, obs_values=perfect_y)
         assert np.all(innovation(perfect, control) == 0.0)
 
     def test_single_observation_hand_value(self):
@@ -286,29 +280,21 @@ class TestInnovation:
         problem = AssimilationProblem(
             background_state=np.zeros(1),
             background_bias=np.zeros(1),
-            state_covariance=CovarianceSpec([1.0]),
-            bias_covariance=CovarianceSpec([1.0]),
-            obs_covariance=CovarianceSpec([1.0]),
+            state_variances=[1.0],
+            bias_variances=[1.0],
+            obs_variances=[1.0],
             obs_values=np.array([260.0]),
             operator=operator,
         )
-        d = innovation(problem, problem.background_control())
+        d = innovation(problem, problem.background)
         assert math.isclose(d[0], -4.715, rel_tol=1e-12)
 
     def test_uniform_shift_appears_per_observation(self):
         """A constant brightness increase shows up one-for-one in the residual."""
         problem = radiance_problem(4)
-        control = problem.background_control()
+        control = problem.background
         base = innovation(problem, control)
-        shifted = AssimilationProblem(
-            background_state=problem.background_state,
-            background_bias=problem.background_bias,
-            state_covariance=problem.state_covariance,
-            bias_covariance=problem.bias_covariance,
-            obs_covariance=problem.obs_covariance,
-            obs_values=problem.obs_values + 0.268,
-            operator=problem.operator,
-        )
+        shifted = dataclasses.replace(problem, obs_values=problem.obs_values + 0.268)
         diff = innovation(shifted, control) - base
         assert np.all(np.abs(diff - 0.268) < 1e-12)
 
@@ -326,9 +312,9 @@ class TestMinimize:
         problem = AssimilationProblem(
             background_state=np.array([1.0]),
             background_bias=np.array([0.25]),
-            state_covariance=CovarianceSpec([1.0]),
-            bias_covariance=CovarianceSpec([1.0]),
-            obs_covariance=CovarianceSpec([1.0]),
+            state_variances=[1.0],
+            bias_variances=[1.0],
+            obs_variances=[1.0],
             obs_values=np.array([x_fixed + 0.25]),
             operator=operator,
         )
@@ -356,13 +342,13 @@ class TestMinimize:
         for seed in range(5):
             problem = random_linear_problem(seed + 40)
             result = minimize(problem)
-            assert result.final_cost <= cost(problem.background_control(), problem)
+            assert result.final_cost <= cost(problem.background, problem)
             assert result.final_cost >= 0.0
 
     def test_converged_implies_tolerance(self):
         problem = random_linear_problem(77)
         result = minimize(problem)
-        g0 = np.concatenate(gradient(problem.background_control(), problem))
+        g0 = gradient(problem.background, problem)
         tolerance = 1e-8 * max(1.0, float(np.linalg.norm(g0)))
         assert result.converged
         assert result.gradient_norm <= tolerance
@@ -374,7 +360,7 @@ class TestMinimize:
     def test_obs_variance_to_zero_drives_innovation_to_zero(self):
         problem = scalar_bias_problem(obs_variance=1e-12)
         result = minimize(problem)
-        d = innovation(problem, Control(result.analysis_state, result.analysis_bias))
+        d = innovation(problem, np.concatenate([result.analysis_state, result.analysis_bias]))
         assert abs(d[0]) <= 1e-6
 
     def test_pinned_state_recovers_bias_only_analysis(self):
@@ -384,9 +370,9 @@ class TestMinimize:
         problem = AssimilationProblem(
             background_state=np.array([3.0]),
             background_bias=np.array([0.0]),
-            state_covariance=CovarianceSpec([1e-12]),
-            bias_covariance=CovarianceSpec([1.0]),
-            obs_covariance=CovarianceSpec([1.0]),
+            state_variances=[1e-12],
+            bias_variances=[1.0],
+            obs_variances=[1.0],
             obs_values=np.array([x_fixed + 1.0]),
             operator=operator,
         )
@@ -398,7 +384,7 @@ class TestMinimize:
         problem = radiance_problem(9)
         result = minimize(problem, hold_bias_fixed=True)
         assert np.array_equal(result.analysis_bias, problem.background_bias)
-        assert result.final_cost <= cost(problem.background_control(), problem)
+        assert result.final_cost <= cost(problem.background, problem)
 
     def test_radiance_problems_converge(self):
         for seed in range(5):
@@ -412,22 +398,15 @@ class TestMinimize:
         permuted = AssimilationProblem(
             background_state=problem.background_state,
             background_bias=problem.background_bias,
-            state_covariance=problem.state_covariance,
-            bias_covariance=CovarianceSpec(
-                problem.bias_covariance.values
-            ),
-            obs_covariance=CovarianceSpec(
-                problem.obs_covariance.values[perm]
-            ),
+            state_variances=problem.state_variances,
+            bias_variances=problem.bias_variances,
+            obs_variances=problem.obs_variances[perm],
             obs_values=problem.obs_values[perm],
             operator=_permuted_operator(problem.operator, perm),
         )
-        control = problem.background_control()
+        control = problem.background
         assert abs(cost(control, problem) - cost(control, permuted)) < 1e-10
-        gs_a, gb_a = gradient(control, problem)
-        gs_b, gb_b = gradient(control, permuted)
-        assert np.allclose(gs_a, gs_b, atol=1e-10)
-        assert np.allclose(gb_a, gb_b, atol=1e-10)
+        assert np.allclose(gradient(control, problem), gradient(control, permuted), atol=1e-10)
         r_a = minimize(problem)
         r_b = minimize(permuted)
         assert np.allclose(r_a.analysis_state, r_b.analysis_state, atol=1e-10)
@@ -439,7 +418,7 @@ class TestMinimize:
             with pytest.raises(MinimizationError) as excinfo:
                 minimize(exploding_problem(0.0))
         assert excinfo.value.last_control is not None
-        assert np.all(np.isfinite(excinfo.value.last_control.state))
+        assert np.all(np.isfinite(excinfo.value.last_control))
 
 
 class ExplodingOperator:
@@ -464,9 +443,9 @@ def exploding_problem(background_state):
     return AssimilationProblem(
         background_state=np.array([background_state]),
         background_bias=np.array([0.0]),
-        state_covariance=CovarianceSpec([1.0]),
-        bias_covariance=CovarianceSpec([1.0]),
-        obs_covariance=CovarianceSpec([1e-8]),
+        state_variances=[1.0],
+        bias_variances=[1.0],
+        obs_variances=[1e-8],
         obs_values=np.array([1e3]),
         operator=ExplodingOperator(),
     )
@@ -542,9 +521,7 @@ class ReferenceRadianceOperator:
 def _recomputing_cost(monkeypatch):
     """Make ``assim.cost`` ignore a supplied innovation and evaluate its own."""
     original = assim.cost
-    monkeypatch.setattr(
-        assim, "cost", lambda control, problem, residual=None: original(control, problem)
-    )
+    monkeypatch.setattr(assim, "cost", lambda v, problem, residual=None: original(v, problem))
 
 
 class TestOperatorEvaluations:
@@ -639,18 +616,26 @@ class TestOperatorEvaluations:
         assert result.converged == expected.converged
 
 
-def _reference_quadratic(covariance, v):
-    return float(v @ covariance.solve(v))
+def _reference_quadratic(variances, v):
+    return float(v @ (v / variances))
 
 
 def _reference_cost(problem, state, bias, residual):
     dx = state - problem.background_state
     db = bias - problem.background_bias
     return 0.5 * (
-        _reference_quadratic(problem.state_covariance, dx)
-        + _reference_quadratic(problem.bias_covariance, db)
-        + _reference_quadratic(problem.obs_covariance, residual)
+        _reference_quadratic(problem.state_variances, dx)
+        + _reference_quadratic(problem.bias_variances, db)
+        + _reference_quadratic(problem.obs_variances, residual)
     )
+
+
+def _reference_gradient(problem, state, bias, residual, jac_state, jac_bias):
+    """(state block, bias block, R^-1 d), each block its own prior term minus J' R^-1 d."""
+    rinv_d = residual / problem.obs_variances
+    gs = (state - problem.background_state) / problem.state_variances - jac_state.T @ rinv_d
+    gb = (bias - problem.background_bias) / problem.bias_variances - jac_bias.T @ rinv_d
+    return gs, gb, rinv_d
 
 
 def reference_minimize(problem, hold_bias_fixed=False, on_iteration=None):
@@ -661,36 +646,26 @@ def reference_minimize(problem, hold_bias_fixed=False, on_iteration=None):
     both minimizers."""
     n_state = problem.background_state.shape[0]
 
-    def unflatten(v):
-        return Control(v[:n_state], v[n_state:])
-
     def cost_at(v):
-        c = unflatten(v)
-        d = problem.obs_values - problem.operator.values(c.state, c.bias)
-        return _reference_cost(problem, c.state, c.bias, d), d
+        d = problem.obs_values - problem.operator.values(v[:n_state], v[n_state:])
+        return _reference_cost(problem, v[:n_state], v[n_state:], d), d
 
     obs_scale = np.abs(problem.obs_values)
 
     def grad_and_jac(v, d):
-        c = unflatten(v)
-        jac_state, jac_bias = problem.operator.jacobians(c.state, c.bias)
-        dx = c.state - problem.background_state
-        db = c.bias - problem.background_bias
-        rinv_d = problem.obs_covariance.solve(d)
-        gs = problem.state_covariance.solve(dx) - jac_state.T @ rinv_d
-        gb = problem.bias_covariance.solve(db) - jac_bias.T @ rinv_d
+        jac_state, jac_bias = problem.operator.jacobians(v[:n_state], v[n_state:])
+        gs, gb, rinv_d = _reference_gradient(
+            problem, v[:n_state], v[n_state:], d, jac_state, jac_bias
+        )
         if hold_bias_fixed:
             gb = np.zeros_like(gb)
         cancel_scale = 2.0 * float(np.abs(rinv_d) @ obs_scale)
         return np.concatenate([gs, gb]), jac_state, jac_bias, cancel_scale
 
     prior_inverse_diag = np.concatenate(
-        [
-            problem.state_covariance.inverse_diagonal(),
-            problem.bias_covariance.inverse_diagonal(),
-        ]
+        [1.0 / problem.state_variances, 1.0 / problem.bias_variances]
     )
-    obs_inverse_diag = problem.obs_covariance.inverse_diagonal()
+    obs_inverse_diag = 1.0 / problem.obs_variances
 
     def jacobi_diagonal(jac_state, jac_bias):
         obs_part = np.concatenate(
@@ -702,18 +677,16 @@ def reference_minimize(problem, hold_bias_fixed=False, on_iteration=None):
         px, pb = p[:n_state], p[n_state:]
         ap = jac_state @ px + jac_bias @ pb
         return (
-            _reference_quadratic(problem.state_covariance, px)
-            + _reference_quadratic(problem.bias_covariance, pb)
-            + _reference_quadratic(problem.obs_covariance, ap)
+            _reference_quadratic(problem.state_variances, px)
+            + _reference_quadratic(problem.bias_variances, pb)
+            + _reference_quadratic(problem.obs_variances, ap)
         )
 
     with np.errstate(over="ignore", invalid="ignore"):
         point = np.concatenate([problem.background_state, problem.background_bias])
         j, d = cost_at(point)
         if not np.isfinite(j):
-            raise MinimizationError(
-                "cost is non-finite at the initial control", problem.background_control()
-            )
+            raise MinimizationError("cost is non-finite at the initial control", point)
         g, jac_state, jac_bias, cancel_scale = grad_and_jac(point, d)
         g_norm = math.sqrt(float(g @ g))
         tol = assim.GRADIENT_TOLERANCE * max(1.0, g_norm)
@@ -735,7 +708,7 @@ def reference_minimize(problem, hold_bias_fixed=False, on_iteration=None):
                 j_trial, d_trial = cost_at(trial)
                 if not np.isfinite(j_trial):
                     raise MinimizationError(
-                        "cost became non-finite during line search", unflatten(point)
+                        "cost became non-finite during line search", point
                     )
             else:
                 accepted = False
@@ -744,7 +717,7 @@ def reference_minimize(problem, hold_bias_fixed=False, on_iteration=None):
                     j_trial, d_trial = cost_at(trial)
                     if not np.isfinite(j_trial):
                         raise MinimizationError(
-                            "cost became non-finite during line search", unflatten(point)
+                            "cost became non-finite during line search", point
                         )
                     if j_trial <= j + assim.ARMIJO_C * alpha * slope + noise_floor:
                         accepted = True
@@ -766,10 +739,9 @@ def reference_minimize(problem, hold_bias_fixed=False, on_iteration=None):
             if on_iteration is not None:
                 on_iteration(iterations, j, g_norm)
 
-    result = unflatten(point)
     return assim.AnalysisResult(
-        analysis_state=result.state.copy(),
-        analysis_bias=result.bias.copy(),
+        analysis_state=point[:n_state].copy(),
+        analysis_bias=point[n_state:].copy(),
         final_cost=j,
         gradient_norm=g_norm,
         iterations=iterations,
@@ -780,6 +752,32 @@ def reference_minimize(problem, hold_bias_fixed=False, on_iteration=None):
 def _same_bits(got, expected) -> bool:
     got, expected = np.asarray(got), np.asarray(expected)
     return np.array_equal(got, expected) and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "make, seed",
+    [(random_linear_problem, seed) for seed in range(10)]
+    + [(radiance_problem, seed) for seed in (3, 12, 40)],
+)
+def test_flat_cost_and_gradient_bitwise_equal_block_formulas(make, seed):
+    """``cost``, ``gradient`` and ``innovation`` on the flat control give what the
+    reference's state and bias blocks give, bit for bit."""
+    problem = make(seed)
+    n_state = problem.n_state
+    rng = np.random.default_rng(seed + 7)
+    points = [problem.background] + [
+        problem.background + rng.normal(0.0, 0.5, problem.background.shape) for _ in range(3)
+    ]
+    for v in points:
+        state, bias = v[:n_state], v[n_state:]
+        d = problem.obs_values - problem.operator.values(state, bias)
+        jac_state, jac_bias = problem.operator.jacobians(state, bias)
+        gs, gb, _ = _reference_gradient(problem, state, bias, d, jac_state, jac_bias)
+        expected_cost = _reference_cost(problem, state, bias, d)
+        assert _same_bits(innovation(problem, v), d)
+        assert _same_bits(cost(v, problem), expected_cost)
+        assert _same_bits(cost(v, problem, d), expected_cost)
+        assert _same_bits(gradient(v, problem), np.concatenate([gs, gb]))
 
 
 class TestMinimizeMatchesReference:
@@ -869,5 +867,5 @@ class TestMinimizeMatchesReference:
             errors.append(excinfo.value)
         got, expected = errors
         assert str(got) == str(expected) == message
-        assert _same_bits(got.last_control.state, expected.last_control.state)
-        assert _same_bits(got.last_control.bias, expected.last_control.bias)
+        assert got.last_control.shape == problem.background.shape
+        assert _same_bits(got.last_control, expected.last_control)

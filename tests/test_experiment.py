@@ -190,6 +190,19 @@ class TestConfigLoading:
             ("bias: {coefficients: 1.0}", "bias.coefficients"),
             ("bias: {coefficients: [1.0], predictors: [[1]]}", "bias.predictors"),
             ("forward: {opacity_coefficient: -1.0}", "forward"),
+            ("covariances: {bias_variance: 0.0}", "covariances.bias_variance"),
+            (
+                "{covariances: {observation_stddev_k: 1.0e-160}, leakage_levels: [-300], "
+                "forecast_length: 0.05, spinup_steps: 10}",
+                "covariances.observation_stddev_k",
+            ),
+            (
+                "{covariances: {state_variance: 1.0e-320}, leakage_levels: [-30], "
+                "forecast_length: 0.05, spinup_steps: 10}",
+                "covariances.state_variance",
+            ),
+            ("covariances: {observation_stddev_k: 1.0e-170}", "covariances.observation_stddev_k"),
+            ("covariances: {observation_stddev_k: 1.0e200}", "covariances.observation_stddev_k"),
         ],
     )
     def test_bad_value_rejected_at_load_naming_field(self, tmp_path, text, field):
@@ -597,8 +610,8 @@ class TestCli:
         [
             ("model: {dt: 0.5}", "non-finite model state after step 2"),
             (
-                "{covariances: {observation_stddev_k: 1.0e-160}, leakage_levels: [-300], "
-                "forecast_length: 0.05, spinup_steps: 10}",
+                "{covariances: {observation_stddev_k: 1.5e-154}, background_noise_std: 3.0, "
+                "leakage_levels: [-300], forecast_length: 0.05, spinup_steps: 10}",
                 "baseline, member 0: cost is non-finite at the initial control",
             ),
         ],

@@ -343,10 +343,6 @@ class TestIntegrate:
             assert np.array_equal(expected.temperature_field, t)
             assert np.array_equal(expected.moisture_field, q)
 
-    def test_times_uniform(self):
-        traj = integrate(smooth_initial_state(), ModelParams(dt=0.02), 10)
-        assert np.allclose(np.diff(traj.times), 0.02, rtol=1e-12)
-
     def test_rk4_self_convergence(self):
         """Halving dt shrinks the fixed-time error by roughly 2^4."""
         state = smooth_initial_state()
@@ -461,12 +457,6 @@ class TestNatureRun:
 
 
 class TestTrajectoryValidation:
-    def test_time_state_count_mismatch(self):
-        state = smooth_initial_state()
+    def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            Trajectory((state,), np.array([0.0, 1.0]))
-
-    def test_nonuniform_times_rejected(self):
-        state = smooth_initial_state()
-        with pytest.raises(ValidationError):
-            Trajectory((state, state, state), np.array([0.0, 0.1, 0.3]))
+            Trajectory(())

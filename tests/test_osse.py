@@ -241,16 +241,16 @@ class TestBuildProblem:
         problem = build_problem(truth, bias, obs, locations, ColumnMapping(), 1.0, 0.5, STDDEV)
         assert problem.background_state.shape == (24,)
         assert problem.background_bias.shape == (2,)
-        assert problem.obs_covariance.dim == 3
+        assert problem.obs_variances.shape == (3,)
         assert np.array_equal(problem.obs_values, obs)
 
     def test_covariances_from_arguments(self):
         truth = truth_state()
         obs = synthesize_observations(truth, ColumnMapping(), BiasModel(), 3, 0.0, (0, 2), 0.5)
         problem = build_problem(truth, BiasModel(), obs, (0, 2), ColumnMapping(), 2.0, 0.7, 0.5)
-        assert np.array_equal(problem.obs_covariance.values, [0.25, 0.25])
-        assert np.array_equal(problem.state_covariance.values, np.full(24, 2.0))
-        assert np.array_equal(problem.bias_covariance.values, [0.7])
+        assert np.array_equal(problem.obs_variances, [0.25, 0.25])
+        assert np.array_equal(problem.state_variances, np.full(24, 2.0))
+        assert np.array_equal(problem.bias_variances, [0.7])
 
 
 class TestStateVectorRoundTrip:
