@@ -480,9 +480,17 @@ def leakage_chain(config: ScenarioConfig, level_dbw: float) -> tuple[float, floa
         aggregate_dbw = aggregate_leakage_power(config.field, level_dbw, fraction)
     else:
         aggregate_dbw = level_dbw
-    p_rx = received_power(aggregate_dbw, config.link)
+    _, noise_k, delta_tb = _aggregate_chain(aggregate_dbw, config.link, config.antenna)
+    return noise_k, delta_tb
+
+
+def _aggregate_chain(
+    aggregate_dbw: float, link: LinkBudget, antenna: AntennaModel
+) -> tuple[float, float, float]:
+    """Aggregate leakage (dBW) to (received power W, noise temperature K, brightness error K)."""
+    p_rx = received_power(aggregate_dbw, link)
     noise_k = induced_noise_temperature(p_rx, VICTIM_CHANNEL)
-    return noise_k, brightness_perturbation(noise_k, config.antenna)
+    return p_rx, noise_k, brightness_perturbation(noise_k, antenna)
 
 
 def _member_background(config: ScenarioConfig, truth: ModelState, member: int) -> ModelState:
@@ -692,14 +700,13 @@ def noise_table(
     """Induced-noise curve: one row per leakage level (aggregate dBW)."""
     rows = []
     for level in levels_dbw:
-        p_rx = received_power(level, link)
-        noise_k = induced_noise_temperature(p_rx, VICTIM_CHANNEL)
+        p_rx, noise_k, delta_tb = _aggregate_chain(level, link, antenna)
         rows.append(
             {
                 "leakage_dBW": level,
                 "received_power_W": p_rx,
                 "noise_K": noise_k,
-                "delta_tb_K": brightness_perturbation(noise_k, antenna),
+                "delta_tb_K": delta_tb,
             }
         )
     return rows

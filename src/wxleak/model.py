@@ -14,14 +14,18 @@ because the advecting field is rough. Moisture is clipped at zero after
 every step. The condensation sink doubles as the precipitation diagnostic:
 whatever it removes is counted as rain.
 
-A step runs on a ``Workspace``: buffers for the stage inputs, k1..k4 and
-the final combination, which ``integrate`` and ``nature_run`` make once per
-call and pass to every step, and index constants cached per grid size. One
+A step runs on a ``Workspace``, which ``integrate`` and ``nature_run`` make
+once per call and pass to every step: buffers for the stage inputs, the
+stage matrix k1..k4 and the final combination, index constants cached per
+grid size, and the step itself, bound once as a closure over them. One
 gather from a source buffer ``[T, q, q_c, 0, 1, r, c_q]`` yields every
-operand of a tendency, so a tendency is nine numpy calls and a step 52,
+operand of a tendency, so a tendency is nine numpy calls; the stage
+combination is one doubling and one row reduce, and a step is 49 calls,
 each on a whole vector. On the 40-cell grid a step's cost is per-call
-overhead, not arithmetic. A tendency evaluates the formulas above left to
-right, so a step gives the same bits on a shared workspace or its own.
+overhead, not arithmetic, so the closure passes every output positionally
+and reads its buffers from closure cells, not attributes. A tendency
+evaluates the formulas above left to right, so a step gives the same bits
+on a shared workspace or its own.
 
 Reporting conventions (never used inside the dynamics): one state unit of
 accumulated condensate is one millimetre of precipitation, and temperature
@@ -182,90 +186,115 @@ def _layout(grid_size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Workspace:
-    """Buffers of RK4 steps on a grid of ``grid_size`` cells under ``params``.
+    """The RK4 step on a grid of ``grid_size`` cells under ``params``, bound once.
 
     ``integrate`` and ``nature_run`` make one per call and pass it to every
     ``step``, so a run allocates its stage inputs, ``k1..k4`` and the final
-    combination once. Every buffer is a view fixed at construction, and the
-    scalars of a step are held as vectors: numpy applies a vector operand
-    with less per-call overhead, and a constant vector gives the same bits.
+    combination once. The constructor builds ``step(x0) -> x1`` and
+    ``tendencies(x) -> dx/dt`` as closures over those buffers, the step's
+    constant vectors and the numpy callables they use. Outputs are passed
+    positionally, except to ``np.maximum``, which deprecates that. A
+    constant vector costs numpy less per call than a scalar and gives the
+    same bits. ``buffers`` holds every array the step writes, and
+    ``sixth_h`` is the vector h / 6 that scales the stage combination.
     """
 
-    __slots__ = (
-        "params", "size", "source", "point", "temperature", "gather",
-        "gathered", "minuend", "subtrahend", "factors", "differences",
-        "forward", "excess", "backward", "operands", "wind", "products",
-        "leading", "sinks", "moisture_term", "increment", "stages",
-        "zeros", "zeros_n", "forcing", "half_h", "h", "two", "sixth_h",
-    )  # fmt: skip
+    __slots__ = ("params", "size", "buffers", "sixth_h", "tendencies", "step")
 
     def __init__(self, grid_size: int, params: ModelParams):
         if grid_size < 4:
             raise ValidationError("grid needs at least 4 cells")
         n = grid_size
-        self.params = params
-        self.size = 2 * n
-        self.gather, self.zeros = _layout(n)
-        self.zeros_n = self.zeros[:n]
-        self.source = np.empty(2 * n + 5)
-        self.source[2 * n :] = (
+        gather, zeros = _layout(n)
+        zeros_n = zeros[:n]
+        source = np.empty(2 * n + 5)
+        source[2 * n :] = (
             params.condensation_threshold,
             0.0,
             1.0,
             params.condensation_rate,
             params.moisture_coupling,
         )
-        self.point = self.source[: 2 * n]
-        self.temperature = self.source[:n]
-        self.gathered = np.empty(17 * n)
-        self.minuend = self.gathered[: 6 * n]
-        self.subtrahend = self.gathered[6 * n : 12 * n]
-        self.factors = self.gathered[12 * n :]
-        self.differences = np.empty(6 * n)
-        self.forward = self.differences[n : 2 * n]
-        self.excess = self.differences[3 * n : 4 * n]
-        self.backward = self.differences[5 * n :]
-        self.operands = self.differences[: 5 * n]
-        self.wind = np.empty(n, dtype=bool)
-        self.products = np.empty(5 * n)
-        self.leading = self.products[: 2 * n]
-        self.sinks = self.products[2 * n : 4 * n]
-        self.moisture_term = self.products[4 * n :]
-        self.increment = np.empty(2 * n)
-        self.stages = tuple((k, k[:n]) for k in np.empty((4, 2 * n)))
+        point, temperature = source[: 2 * n], source[:n]
+        gathered = np.empty(17 * n)
+        minuend, subtrahend = gathered[: 6 * n], gathered[6 * n : 12 * n]
+        factors = gathered[12 * n :]
+        differences = np.empty(6 * n)
+        operands, forward = differences[: 5 * n], differences[n : 2 * n]
+        excess, backward = differences[3 * n : 4 * n], differences[5 * n :]
+        wind = np.empty(n, dtype=bool)
+        products = np.empty(5 * n)
+        leading, sinks = products[: 2 * n], products[2 * n : 4 * n]
+        moisture_term = products[4 * n :]
+        increment = np.empty(2 * n)
+        stages = np.empty((4, 2 * n))
+        k1, k2, k3, k4, doubled = stages[0], stages[1], stages[2], stages[3], stages[1:3]
+        k1_t, k2_t, k3_t, k4_t = k1[:n], k2[:n], k3[:n], k4[:n]
         h = params.dt
-        self.forcing = np.full(n, params.forcing)
-        self.half_h = np.full(2 * n, 0.5 * h)
-        self.h = np.full(2 * n, h)
-        self.two = np.full(2 * n, 2.0)
-        self.sixth_h = np.full(2 * n, h / 6.0)
+        forcing = np.full(n, params.forcing)
+        scales = np.empty((3, 2 * n))
+        scales[0], scales[1], scales[2] = 0.5 * h, h, h / 6.0
+        half_h, full_h, sixth_h = scales[0], scales[1], scales[2]
+        take, putmask, greater, maximum = source.take, np.putmask, np.greater, np.maximum
+        add, subtract, multiply, add_rows = np.add, np.subtract, np.multiply, np.add.reduce
 
-    def tendencies(self, out: np.ndarray, out_temperature: np.ndarray) -> None:
-        """Write the right-hand side at ``point`` to ``out``; ``out_temperature`` is its first half.
+        def rhs(out, out_temperature):
+            # In order per cell: (T[k+1] - T[k-2]) T[k-1] - T[k] + F + c_q q
+            # for dT/dt and T[k] (negated upwind moisture difference)
+            # - r max(0, q - q_c) for dq/dt; -T times a difference equals T
+            # times the negated one exactly, as do x - 0 and x 1.
+            take(gather, None, gathered, "clip")
+            subtract(minuend, subtrahend, differences)
+            maximum(zeros_n, excess, out=excess)
+            greater(temperature, zeros_n, wind)
+            putmask(forward, wind, backward)
+            multiply(operands, factors, products)
+            subtract(leading, sinks, out)
+            add(out_temperature, forcing, out_temperature)
+            add(out_temperature, moisture_term, out_temperature)
 
-        The arithmetic per cell is, in order, (T[k+1] - T[k-2]) T[k-1] - T[k]
-        + F + c_q q for dT/dt and T[k] (negated upwind moisture difference)
-        - r max(0, q - q_c) for dq/dt; -T times a difference equals T times
-        the negated one exactly, as do x - 0 and x 1.
-        """
-        self.source.take(self.gather, out=self.gathered, mode="clip")
-        np.subtract(self.minuend, self.subtrahend, out=self.differences)
-        np.maximum(self.zeros_n, self.excess, out=self.excess)
-        np.greater(self.temperature, self.zeros_n, out=self.wind)
-        np.putmask(self.forward, self.wind, self.backward)
-        np.multiply(self.operands, self.factors, out=self.products)
-        np.subtract(self.leading, self.sinks, out=out)
-        out_temperature += self.forcing
-        out_temperature += self.moisture_term
+        def tendencies(x):
+            point[...] = x
+            out = np.empty(2 * n)
+            rhs(out, out[:n])
+            return out
+
+        def step(x0):
+            # Stage inputs x0 + (h / 2) k1, x0 + (h / 2) k2 and x0 + h k3.
+            point[...] = x0
+            rhs(k1, k1_t)
+            multiply(k1, half_h, increment)
+            add(x0, increment, point)
+            rhs(k2, k2_t)
+            multiply(k2, half_h, increment)
+            add(x0, increment, point)
+            rhs(k3, k3_t)
+            multiply(k3, full_h, increment)
+            add(x0, increment, point)
+            rhs(k4, k4_t)
+            # x0 + (h / 6) (((k1 + 2 k2) + 2 k3) + k4) into a new vector: 2 k
+            # is k + k exactly, and a reduce over the stage matrix's leading
+            # axis adds its rows one after another onto -0.0, which, unlike
+            # numpy's default start 0.0, keeps the sign of a zero sum.
+            add(doubled, doubled, doubled)
+            add_rows(stages, 0, None, increment, False, -0.0)
+            multiply(increment, sixth_h, increment)
+            x1 = add(x0, increment)
+            moisture = x1[n:]
+            maximum(moisture, zeros_n, out=moisture)
+            # x1 . 0 is NaN exactly when some element of x1 is NaN or infinite.
+            if not x1.dot(zeros) == 0.0:
+                raise ModelBlowUpError(0)
+            return x1
+
+        self.params, self.size, self.sixth_h = params, 2 * n, sixth_h
+        self.buffers = (source, gathered, differences, wind, products, increment, stages)
+        self.tendencies, self.step = tendencies, step
 
 
 def tendencies(state: np.ndarray, params: ModelParams) -> np.ndarray:
     """Right-hand side ``[dT/dt, dq/dt]`` of the coupled system at ``[T, q]`` (no clipping)."""
-    workspace = Workspace(state.shape[0] // 2, params)
-    np.copyto(workspace.point, state)
-    out, out_temperature = workspace.stages[0]
-    workspace.tendencies(out, out_temperature)
-    return out
+    return Workspace(state.shape[0] // 2, params).tendencies(state)
 
 
 def step(
@@ -283,37 +312,7 @@ def step(
         workspace.params is not params and workspace.params != params
     ):
         raise ValidationError("workspace was made for another grid size or other parameters")
-    ws = workspace
-    (k1, k1_t), (k2, k2_t), (k3, k3_t), (k4, k4_t) = ws.stages
-    point, increment = ws.point, ws.increment
-
-    # Stage inputs x0 + (h / 2) k1, x0 + (h / 2) k2 and x0 + h k3.
-    np.copyto(point, x0)
-    ws.tendencies(k1, k1_t)
-    np.multiply(k1, ws.half_h, out=increment)
-    np.add(x0, increment, out=point)
-    ws.tendencies(k2, k2_t)
-    np.multiply(k2, ws.half_h, out=increment)
-    np.add(x0, increment, out=point)
-    ws.tendencies(k3, k3_t)
-    np.multiply(k3, ws.h, out=increment)
-    np.add(x0, increment, out=point)
-    ws.tendencies(k4, k4_t)
-
-    # x0 + (h / 6) (k1 + 2 k2 + 2 k3 + k4), left to right, into a new vector.
-    np.multiply(k2, ws.two, out=k2)
-    np.add(k1, k2, out=k1)
-    np.multiply(k3, ws.two, out=k3)
-    np.add(k1, k3, out=k1)
-    np.add(k1, k4, out=k1)
-    np.multiply(k1, ws.sixth_h, out=k1)
-    x1 = np.add(x0, k1)
-    moisture = x1[ws.size // 2 :]
-    np.maximum(moisture, ws.zeros_n, out=moisture)
-    # x1 @ 0 is NaN exactly when some element of x1 is NaN or infinite.
-    if not x1 @ ws.zeros == 0.0:
-        raise ModelBlowUpError(0)
-    return ModelState._trusted(x1)
+    return ModelState._trusted(workspace.step(x0))
 
 
 def _advance(

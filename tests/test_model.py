@@ -1,5 +1,8 @@
 """Tests for the toy forecast model and its trajectory machinery."""
 
+import inspect
+import warnings
+
 import numpy as np
 import pytest
 
@@ -65,6 +68,24 @@ def roll_step(t0, q0, p):
     t1 = t0 + (h / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
     q1 = q0 + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
     return t1, np.maximum(q1, 0.0)
+
+
+def closure_arrays(function):
+    """Every array held by ``function``'s closure, through nested closures."""
+    arrays = []
+    for cell in function.__closure__ or ():
+        value = cell.cell_contents
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+        elif inspect.isfunction(value):
+            arrays += closure_arrays(value)
+    return arrays
+
+
+def mixed_state(n=40, seed=0):
+    """Temperatures of both signs, moisture on both sides of the threshold."""
+    rng = np.random.default_rng(seed)
+    return ModelState(rng.normal(2.0, 6.0, n), np.abs(rng.normal(25.0, 6.0, n)))
 
 
 MISMATCH = "temperature and moisture fields must be equal-length vectors"
@@ -256,6 +277,7 @@ class TestWorkspace:
         params = ModelParams()
         state = smooth_initial_state()
         workspace = Workspace(40, params)
+        assert any(array is workspace.sixth_h for array in closure_arrays(workspace.step))
         for i in range(80):
             workspace.sixth_h[i] = np.nan
             with np.errstate(invalid="ignore"), pytest.raises(ModelBlowUpError):
@@ -275,21 +297,30 @@ class TestWorkspace:
                 assert np.array_equal(states[i].temperature_field, fields[i][0])
                 assert np.array_equal(states[i].moisture_field, fields[i][1])
 
+    def test_buffers_hold_every_array_a_step_writes(self):
+        params = ModelParams()
+        workspace = Workspace(40, params)
+        held = closure_arrays(workspace.step) + closure_arrays(workspace.tendencies)
+        step(mixed_state(seed=1), params, workspace)
+        before = [array.copy() for array in held]
+        step(mixed_state(seed=2), params, workspace)
+        written = [a for a, b in zip(held, before) if not np.array_equal(a, b, equal_nan=True)]
+        for array in written:
+            assert any(np.shares_memory(array, buffer) for buffer in workspace.buffers)
+        for buffer in workspace.buffers:
+            assert any(np.shares_memory(array, buffer) for array in written)
+
     def test_returned_vectors_share_no_memory(self):
         params = ModelParams()
         workspace = Workspace(40, params)
-        buffers = [
-            value
-            for value in (getattr(workspace, name) for name in Workspace.__slots__)
-            if isinstance(value, np.ndarray)
-        ]
-        buffers += [k for pair in workspace.stages for k in pair]
-        previous = smooth_initial_state()
+        held = closure_arrays(workspace.step) + closure_arrays(workspace.tendencies)
+        held += workspace.buffers
+        previous = mixed_state()
         for _ in range(5):
             current = step(previous, params, workspace)
             assert not np.shares_memory(current.vector, previous.vector)
-            for buffer in buffers:
-                assert not np.shares_memory(current.vector, buffer)
+            for array in held:
+                assert not np.shares_memory(current.vector, array)
             previous = current
 
     @pytest.mark.parametrize("n", [4, 5, 40, 41])
@@ -317,6 +348,14 @@ class TestWorkspace:
 
 
 class TestIntegrate:
+    def test_default_forecast_raises_no_warning(self):
+        """A 1200-step forecast, the default lead, warns of nothing: no
+        floating-point fault and no deprecated numpy call."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            final = integrate(mixed_state(), ModelParams(), 1200).final
+        assert np.isfinite(final.vector).all()
+
     def test_zero_steps(self):
         state = smooth_initial_state()
         traj = integrate(state, ModelParams(), 0)
