@@ -22,13 +22,6 @@ from .errors import (
     ModelBlowUpError,
     ValidationError,
 )
-from .forward import (
-    BiasModel,
-    ColumnState,
-    bias_corrected_forward,
-    forward,
-    predictors,
-)
 from .leakage import (
     AGGRESSOR_CHANNEL,
     AntennaModel,
@@ -58,8 +51,10 @@ from .model import (
     step,
 )
 from .osse import (
+    BiasModel,
     ColumnMapping,
     RadianceOperator,
+    bias_corrected_forward,
     build_problem,
     default_obs_locations,
     state_vector_to_model,

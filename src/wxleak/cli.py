@@ -56,8 +56,6 @@ def _scenario_command(name: str, help_text: str, force_default_sweep: bool) -> N
             )
             if verbose:
                 click.echo(f"loaded config {config_path} (hash {config.config_hash[:12]})")
-                if config.defaulted_fields:
-                    click.echo(f"defaults applied: {', '.join(config.defaulted_fields)}")
             report = run_scenario(config, trace_stream=sys.stdout if verbose else None)
         except ValidationError as exc:
             click.echo(f"validation error: {exc}", err=True)

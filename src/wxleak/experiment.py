@@ -5,9 +5,9 @@ default, every default actually applied is recorded in the report, and the
 report carries a digest of the resolved config so identical runs are
 identifiable by hash alone.
 
-A scenario is: one synthetic-truth state, one observation set per leakage
-level (identical noise realization, shifted by the level's induced
-brightness-temperature error), one variational analysis and forecast per
+A scenario is: one synthetic-truth state, one noisy observation set
+synthesized from it and shifted per leakage level by the level's induced
+brightness-temperature error, one variational analysis and forecast per
 ensemble member, and difference metrics against the unperturbed baseline.
 """
 
@@ -24,7 +24,6 @@ import yaml
 
 from .assim import minimize
 from .errors import ConfigError, ValidationError
-from .forward import BiasModel
 from .leakage import (
     AGGRESSOR_CHANNEL,
     AntennaModel,
@@ -41,6 +40,7 @@ from .leakage import (
 )
 from .model import ModelParams, ModelState, diagnostics, integrate, nature_run
 from .osse import (
+    BiasModel,
     ColumnMapping,
     build_problem,
     default_obs_locations,
@@ -536,13 +536,13 @@ def run_scenario(
 ) -> ScenarioReport:
     """Execute baseline plus every leakage level; difference the forecasts.
 
-    Observation noise is one fixed realization shared by the baseline and
-    every level, so levels differ only through the injected brightness
-    error. Ensemble members differ only in their background perturbation;
-    metrics are averaged over members. Levels and members are independent,
-    but results are always assembled in config order. When ``trace_stream``
-    is given (the CLI's verbose mode), every analysis writes its iteration
-    trace there.
+    The truth's noisy observations are synthesized once; the baseline and
+    every level add their brightness error to that one array, so levels
+    differ only through the injected error. Ensemble members differ only in
+    their background perturbation; metrics are averaged over members. Levels
+    and members are independent, but results are always assembled in config
+    order. When ``trace_stream`` is given (the CLI's verbose mode), every
+    analysis writes its iteration trace there.
     """
     truth = nature_run(
         config.model_params,
@@ -553,6 +553,14 @@ def run_scenario(
         moisture_base=config.model_params.condensation_threshold + 5.0,
     ).final
 
+    observed = synthesize_observations(
+        truth,
+        config.mapping,
+        config.bias,
+        config.seeds.obs_noise,
+        config.obs_locations,
+        error_stddev_k=config.obs_error_stddev_k,
+    )
     backgrounds = [
         _member_background(config, truth, m) for m in range(config.ensemble_size)
     ]
@@ -567,15 +575,7 @@ def run_scenario(
         else:
             label, where, trace_label = f"{level:g}", f"level {level} dBW", f"level {level:g}"
             noise_k, delta_tb = leakage_chain(config, level)
-        observations = synthesize_observations(
-            truth,
-            config.mapping,
-            config.bias,
-            config.seeds.obs_noise,
-            delta_tb,
-            config.obs_locations,
-            error_stddev_k=config.obs_error_stddev_k,
-        )
+        observations = observed + delta_tb
         results, diags = [], []
         for m, background in enumerate(backgrounds):
             try:

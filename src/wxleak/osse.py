@@ -1,35 +1,113 @@
-"""Synthetic-truth harness: model state to radiance observations and back.
+"""Radiance observations: the 23.8 GHz operator, its bias correction, and
+the synthetic-truth harness around them.
 
-Ties the toy model to the radiance operator. A ``ColumnMapping`` says how a
-grid cell becomes a single-column atmosphere (surface temperature is the
-cell value plus the reporting offset, the effective atmosphere temperature
-is a fixed constant, moisture is the cell's moisture). On top of that:
+A grid cell becomes a single column: its surface temperature is the cell's
+temperature plus the reporting offset, its atmosphere temperature is a fixed
+constant, and its water vapor is the cell's moisture floored at zero. The
+operator blends surface and atmosphere emission through a water-vapor
+opacity term:
+
+    T_b(q) = T_surf * exp(-kappa q) + T_atm * (1 - exp(-kappa q))
+
+which is transparent at q = 0, saturates to the atmosphere temperature as
+the column moistens, and is monotone in q in between. The bias-corrected
+operator adds a constant coefficient plus a linear combination of named
+predictors evaluated per observation, at its scan position (the grid cell
+it looks at). On top of that:
 
 * ``synthesize_observations`` builds observation values from a truth state,
-  with seeded Gaussian noise and an optional uniform brightness-temperature
-  perturbation, the knob the interference chain drives. An observation is
-  its value and its location (the grid cell, which is also its scan
-  position); values are one array, locations one tuple.
-* ``RadianceOperator`` exposes the same mapping to the variational analysis
-  over the flattened control vector [temperature_field, moisture_field].
+  with seeded Gaussian noise, one ``bias_corrected_forward`` call per
+  observation. An observation is its value and its location (the grid cell,
+  which is also its scan position); values are one array, locations one
+  tuple.
+* ``RadianceOperator`` evaluates the same operator, vectorized, for the
+  variational analysis over the flattened control vector
+  [temperature_field, moisture_field].
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .assim import AssimilationProblem
 from .errors import ValidationError
-from .forward import BiasModel, ColumnState, bias_corrected_forward
 from .model import ModelState, TEMPERATURE_REPORT_OFFSET_K
 from .rng import SeededRng
 
 
 @dataclass(frozen=True)
+class PredictorDef:
+    """A named bias predictor with its surface-temperature slope.
+
+    ``value(t_surf, q, scan)`` evaluates the predictor from a column's
+    surface temperature, water vapor and scan position: on floats for one
+    observation, as synthesis does, or on arrays for a whole observation
+    set, as the analysis operator does. ``d_surface_temperature`` is its
+    derivative with respect to the column surface temperature, needed by
+    the analytic assimilation gradient; no predictor depends on the water
+    vapor.
+    """
+
+    name: str
+    value: Callable
+    d_surface_temperature: float = 0.0
+
+
+PREDICTOR_REGISTRY: dict[str, PredictorDef] = {
+    p.name: p
+    for p in (
+        PredictorDef(
+            "surface_temperature", lambda t_surf, q, scan: t_surf, d_surface_temperature=1.0
+        ),
+        PredictorDef("scan_position", lambda t_surf, q, scan: scan),
+    )
+}
+
+
+@dataclass(frozen=True)
+class BiasModel:
+    """Constant plus per-predictor linear bias correction.
+
+    Predictor names are resolved against the registry at construction, so a
+    typo fails at load time rather than mid-assimilation.
+    """
+
+    constant_coefficient_k: float = 0.0
+    coefficients: tuple[float, ...] = ()
+    predictors: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
+        object.__setattr__(self, "predictors", tuple(self.predictors))
+        if len(self.coefficients) != len(self.predictors):
+            raise ValidationError(
+                f"{len(self.coefficients)} coefficients for {len(self.predictors)} predictors"
+            )
+        unknown = [n for n in self.predictors if n not in PREDICTOR_REGISTRY]
+        if unknown:
+            raise ValidationError(
+                f"unknown predictor name(s) {unknown}; "
+                f"registered: {sorted(PREDICTOR_REGISTRY)}"
+            )
+        values = (self.constant_coefficient_k, *self.coefficients)
+        if not all(math.isfinite(v) for v in values):
+            raise ValidationError("bias coefficients must be finite")
+
+    @property
+    def n_predictors(self) -> int:
+        return len(self.predictors)
+
+    def resolved(self) -> tuple[PredictorDef, ...]:
+        return tuple(PREDICTOR_REGISTRY[n] for n in self.predictors)
+
+
+@dataclass(frozen=True)
 class ColumnMapping:
-    """Grid cell to single-column state, plus the operator's opacity.
+    """Grid cell to single column, plus the operator's opacity.
 
     ``opacity_coefficient`` is the opacity per unit column water vapor,
     (kg/m^2)^-1; the default 0.05 puts typical mid-latitude columns (5 to
@@ -47,17 +125,30 @@ class ColumnMapping:
         if self.atmosphere_temperature_k <= 0:
             raise ValidationError("atmosphere temperature must be positive")
 
-    def column(self, temperature_value: float, moisture_value: float) -> ColumnState:
-        return ColumnState(
-            water_vapor_kg_m2=max(0.0, moisture_value),
-            surface_temperature_k=self.surface_offset_k + temperature_value,
-            atmosphere_temperature_k=self.atmosphere_temperature_k,
-        )
 
-    def column_at(self, state: ModelState, location: int) -> ColumnState:
-        return self.column(
-            float(state.temperature_field[location]), float(state.moisture_field[location])
-        )
+def bias_corrected_forward(
+    mapping: ColumnMapping,
+    bias: BiasModel,
+    temperature_value: float,
+    moisture_value: float,
+    scan_position: int,
+) -> float:
+    """Brightness temperature of one observation, in kelvin: the operator at
+    the column of a cell holding these temperature and moisture values, plus
+    the bias correction beta_0 + sum(beta_i p_i) at ``scan_position``.
+
+    Raises ``ValidationError`` when the column's surface temperature is not
+    positive, as a large negative ``surface_offset_k`` makes it.
+    """
+    q = max(0.0, moisture_value)
+    t_surf = mapping.surface_offset_k + temperature_value
+    if t_surf <= 0:
+        raise ValidationError("column temperatures must be positive")
+    correction = bias.constant_coefficient_k
+    for coeff, pdef in zip(bias.coefficients, bias.resolved()):
+        correction += coeff * pdef.value(t_surf, q, scan_position)
+    w = math.exp(-mapping.opacity_coefficient * q)
+    return t_surf * w + mapping.atmosphere_temperature_k * (1.0 - w) + correction
 
 
 def default_obs_locations(grid_size: int, count: int) -> tuple[int, ...]:
@@ -73,17 +164,14 @@ def synthesize_observations(
     mapping: ColumnMapping,
     bias_truth: BiasModel,
     obs_error_seed: int,
-    delta_tb_k: float,
     obs_locations: tuple[int, ...],
     error_stddev_k: float,
 ) -> np.ndarray:
     """Brightness temperatures a radiometer would report over the truth state.
 
     Per location: operator value at the truth column, plus the true bias,
-    plus seeded Gaussian noise of ``error_stddev_k``, plus the uniform
-    perturbation ``delta_tb_k`` (applied to every observation, as a field
-    of emitters spread under the whole footprint would). Returns a
-    read-only array of values, one per location, all finite.
+    plus seeded Gaussian noise of ``error_stddev_k``. Returns a read-only
+    array of values, one per location, all finite.
     """
     n = truth.grid_size
     if any(not 0 <= loc < n for loc in obs_locations):
@@ -91,14 +179,17 @@ def synthesize_observations(
     if not error_stddev_k > 0:
         raise ValidationError("observation error stddev must be positive")
     rng = SeededRng(obs_error_seed)
-    values = []
-    for loc in obs_locations:
-        column = mapping.column_at(truth, loc)
-        value = bias_corrected_forward(column, bias_truth, loc, mapping.opacity_coefficient)
-        value += rng.normal(0.0, error_stddev_k)
-        value += delta_tb_k
-        values.append(value)
-    values = np.array(values, dtype=float)
+    temperature, moisture = truth.temperature_field, truth.moisture_field
+    values = np.array(
+        [
+            bias_corrected_forward(
+                mapping, bias_truth, float(temperature[loc]), float(moisture[loc]), loc
+            )
+            + rng.normal(0.0, error_stddev_k)
+            for loc in obs_locations
+        ],
+        dtype=float,
+    )
     if not np.all(np.isfinite(values)):
         raise ValidationError("observation value must be finite")
     values.setflags(write=False)
@@ -127,8 +218,8 @@ class RadianceOperator:
     less per numpy call. ``jacobians`` skips the term c * 0.0 of a zero
     predictor slope: for a finite coefficient c it changes no value other
     than -0.0, and a derivative is -0.0 only where exp(-kappa q) underflows
-    to zero. Within those limits every result is bit-identical to the
-    scalar form.
+    to zero. Within those limits every result is bit-identical to the same
+    arithmetic on scalar constants.
     """
 
     mapping: ColumnMapping
@@ -155,9 +246,6 @@ class RadianceOperator:
             "_temp_slopes": tuple(
                 (i + 1, p.d_surface_temperature) for i, p in enumerate(defs)
                 if p.d_surface_temperature != 0.0
-            ),
-            "_moist_slopes": tuple(
-                (i + 1, p.d_water_vapor) for i, p in enumerate(defs) if p.d_water_vapor != 0.0
             ),
             "_gather": np.concatenate([locs, self.grid_size + locs]),
             "_scan": locs.astype(float),
@@ -195,7 +283,7 @@ class RadianceOperator:
     def _fill_predictors(self, t_surf, q, out: np.ndarray, first: int) -> np.ndarray:
         """Write the predictor values as the columns of ``out`` from ``first`` on."""
         for i, pdef in enumerate(self._defs, start=first):
-            out[:, i] = pdef.vector_value(t_surf, q, self._scan)
+            out[:, i] = pdef.value(t_surf, q, self._scan)
         return out
 
     def values(self, state: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -215,8 +303,6 @@ class RadianceOperator:
         d_dtemp = w
         for index, slope in self._temp_slopes:
             d_dtemp = d_dtemp + bias[index] * slope
-        for index, slope in self._moist_slopes:
-            d_dmoist = d_dmoist + bias[index] * slope
         d_dmoist = np.where(q_raw > self._zeros, d_dmoist, self._zeros)
 
         jac_state = np.zeros((len(q), self.n_state))

@@ -14,8 +14,6 @@ from typing import Callable
 import numpy as np
 
 from . import assim, experiment, leakage, model, osse
-from .forward import BiasModel, ColumnState
-from .forward import forward as forward_operator
 from .rng import SeededRng
 
 
@@ -96,10 +94,9 @@ def _check_aggregation_partition() -> CheckResult:
 
 
 def _check_forward_bounds() -> CheckResult:
-    kappa = osse.ColumnMapping().opacity_coefficient
+    mapping = osse.ColumnMapping(surface_offset_k=288.0, atmosphere_temperature_k=248.0)
     for q in np.linspace(0.0, 120.0, 61):
-        state = ColumnState(q, 288.0, 248.0)
-        t_b = forward_operator(state, kappa)
+        t_b = osse.bias_corrected_forward(mapping, osse.BiasModel(), 0.0, float(q), 0)
         if not (248.0 - 1e-12 <= t_b <= 288.0 + 1e-12):
             return CheckResult("forward operator bounds", False, f"t_b {t_b} at q {q}")
     return CheckResult("forward operator bounds", True, "within [T_atm, T_surf] on grid")
@@ -108,11 +105,11 @@ def _check_forward_bounds() -> CheckResult:
 def _check_gradient() -> CheckResult:
     truth = model.nature_run(model.ModelParams(), 5, 200, 0, grid_size=12).final
     mapping = osse.ColumnMapping()
-    bias = BiasModel(0.0, (0.0,), ("surface_temperature",))
+    bias = osse.BiasModel(0.0, (0.0,), ("surface_temperature",))
     locations = tuple(range(0, 12, 2))
     shipped = experiment.config_from_dict({})  # the shipped covariances
     stddev = shipped.obs_error_stddev_k
-    obs = osse.synthesize_observations(truth, mapping, bias, 9, 0.1, locations, stddev)
+    obs = osse.synthesize_observations(truth, mapping, bias, 9, locations, stddev) + 0.1
     background = model.ModelState(
         truth.temperature_field + 0.3, np.maximum(0.0, truth.moisture_field - 0.2)
     )

@@ -16,9 +16,9 @@ from wxleak.assim import (
     minimize,
 )
 from wxleak.errors import MinimizationError, ValidationError
-from wxleak.forward import BiasModel
 from wxleak.model import ModelParams, ModelState, nature_run
 from wxleak.osse import (
+    BiasModel,
     ColumnMapping,
     RadianceOperator,
     build_problem,
@@ -113,9 +113,8 @@ def radiance_problem(seed, grid_size=12, n_obs=6, predictors=("surface_temperatu
         predictors,
     )
     locations = tuple(sorted(rng.choice(grid_size, size=n_obs, replace=False).tolist()))
-    obs_values = synthesize_observations(
-        truth, mapping, bias, seed + 1, float(rng.uniform(0, 0.5)), locations, 0.3
-    )
+    delta_tb = float(rng.uniform(0, 0.5))
+    obs_values = synthesize_observations(truth, mapping, bias, seed + 1, locations, 0.3) + delta_tb
     background = ModelState(
         truth.temperature_field + rng.normal(0, 0.5, grid_size),
         np.maximum(0.0, truth.moisture_field + rng.normal(0, 0.5, grid_size)),
@@ -484,7 +483,7 @@ class ReferenceRadianceOperator:
 
     def _predictor_matrix(self, t_surf, q):
         scan = np.array(self.op.obs_locations, dtype=float)
-        columns = [p.vector_value(t_surf, q, scan) for p in self.op.bias_template.resolved()]
+        columns = [p.value(t_surf, q, scan) for p in self.op.bias_template.resolved()]
         if not columns:
             return np.zeros((len(t_surf), 0))
         return np.column_stack(columns)
@@ -504,7 +503,6 @@ class ReferenceRadianceOperator:
         d_dmoist = kappa * (self.op.mapping.atmosphere_temperature_k - t_surf) * w
         for coeff, pdef in zip(bias[1:], self.op.bias_template.resolved()):
             d_dtemp += coeff * pdef.d_surface_temperature
-            d_dmoist += coeff * pdef.d_water_vapor
         d_dmoist = np.where(active, d_dmoist, 0.0)
         n_obs = len(t_surf)
         rows = np.arange(n_obs)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
@@ -31,6 +32,8 @@ from wxleak.experiment import (
     run_scenario,
 )
 from wxleak.leakage import AntennaModel, LinkBudget
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 SMALL_RUN = {
     "leakage_levels": [-30.0, -20.0],
@@ -321,10 +324,10 @@ class TestRunScenario:
         assert calls["integrate"] == cases
         assert calls["step"] == config.spinup_steps + cases * n_steps
 
-    def test_one_synthesis_per_row_one_chain_per_level(self, monkeypatch):
-        """The baseline and each level synthesize their observations once,
-        one scalar operator call per observation, and only the levels run
-        the leakage chain."""
+    def test_one_synthesis_per_scenario_one_chain_per_level(self, monkeypatch):
+        """The truth's observations are synthesized once per scenario, one
+        scalar operator call per observation, and only the levels run the
+        leakage chain."""
         config = small_config(ensemble_size=2)  # loading runs the chain too
         calls = {"synthesize": 0, "chain": 0, "scalar": 0}
 
@@ -341,12 +344,61 @@ class TestRunScenario:
         counted(experiment, "leakage_chain", "chain")
         counted(osse, "bias_corrected_forward", "scalar")
         run_scenario(config)
-        rows = len(config.leakage_levels) + 1
         assert calls == {
-            "synthesize": rows,
+            "synthesize": 1,
             "chain": len(config.leakage_levels),
-            "scalar": rows * len(config.obs_locations),
+            "scalar": len(config.obs_locations),
         }
+
+    def test_levels_shift_the_one_synthesis_by_their_delta_tb(self, monkeypatch):
+        """Every analysis of a row sees the synthesized observations plus the
+        row's brightness error, bit for bit, so rows differ only through the
+        injected error."""
+        synthesized, analysed = [], []
+        synthesize, build_problem = experiment.synthesize_observations, experiment.build_problem
+
+        def recording_synthesize(*args, **kwargs):
+            synthesized.append(synthesize(*args, **kwargs))
+            return synthesized[-1]
+
+        def recording_build_problem(background, bias, observations, *args, **kwargs):
+            analysed.append(observations)
+            return build_problem(background, bias, observations, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "synthesize_observations", recording_synthesize)
+        monkeypatch.setattr(experiment, "build_problem", recording_build_problem)
+        config = small_config(ensemble_size=2)
+        report = run_scenario(config)
+        (observed,) = synthesized
+        expected = [observed + row.delta_tb_k for row in report.rows for _ in range(2)]
+        assert len(analysed) == len(expected)
+        for got, want in zip(analysed, expected):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_benchmark_tracer_counts_match_the_config(self, monkeypatch):
+        """The benchmark's tracer patches wxleak names from outside; a moved
+        or renamed one loses its counts. Under ``Tracer().installed()`` a
+        small scenario gives what the benchmark's trace self-tests assert:
+        RK4 steps, forecasts and analyses from the config, and one Jacobian
+        per analysis plus one per iteration. Synthesis runs once, one scalar
+        operator call per observation."""
+        monkeypatch.syspath_prepend(str(BENCH_DIR))
+        from tracing import Tracer
+
+        one_predictor = {"coefficients": [0.01], "predictors": ["surface_temperature"]}
+        config = small_config(ensemble_size=2, bias=one_predictor)
+        with Tracer().installed() as tracer:
+            run_scenario(config)
+        calls, _, _ = tracer.totals()
+        cases = (len(config.leakage_levels) + 1) * config.ensemble_size
+        n_steps = 50  # forecast_length 0.5 at dt 0.01
+        assert tracer.counts["model.steps"] == config.spinup_steps + cases * n_steps
+        assert calls["model.integrate"] == calls["assim.minimize"] == cases
+        iterations = tracer.counts["analysis_result.iterations"]
+        assert iterations > 0
+        assert calls["osse.operator_jacobians"] - calls["assim.minimize"] == iterations
+        assert calls["osse.synthesize"] == 1
+        assert calls["forward.scalar"] == len(config.obs_locations)
 
     @pytest.mark.parametrize(
         "failing_call, message",
@@ -645,4 +697,15 @@ class TestCli:
         runner = CliRunner()
         result = runner.invoke(main, ["run", self.write_config(tmp_path), "--verbose"])
         assert result.exit_code == 0
-        assert "defaults applied" in result.output
+        assert result.output.count("defaults applied") == 1
+
+    def test_nonpositive_surface_temperature_exit_1(self, tmp_path):
+        """An offset that puts a column's surface below 0 K is rejected when
+        the truth's observations are synthesized."""
+        path = tmp_path / "cold.yaml"
+        path.write_text(
+            "{forward: {surface_offset_k: -500.0}, forecast_length: 0.05, spinup_steps: 10}\n"
+        )
+        result = CliRunner().invoke(main, ["run", str(path)])
+        assert result.exit_code == 1
+        assert "column temperatures must be positive" in result.output

@@ -43,19 +43,26 @@ def loop_tendencies(t, q, p):
 
 
 def roll_tendencies(t, q, p):
-    """The right-hand side written with np.roll, in the production arithmetic order."""
+    """The right-hand side written with np.roll, in the production arithmetic
+    order: the moisture advection is the negated upwind difference times T,
+    which keeps the program's sign of a zero tendency."""
     dt_dt = (
         (np.roll(t, -1) - np.roll(t, 2)) * np.roll(t, 1)
         - t
         + p.forcing
         + p.moisture_coupling * q
     )
-    backward = q - np.roll(q, 1)
-    forward_ = np.roll(q, -1) - q
-    dq_dt = -t * np.where(t > 0.0, backward, forward_) - p.condensation_rate * np.maximum(
-        0.0, q - p.condensation_threshold
+    negated_backward = np.roll(q, 1) - q
+    negated_forward = q - np.roll(q, -1)
+    dq_dt = np.where(t > 0.0, negated_backward, negated_forward) * t - p.condensation_rate * (
+        np.maximum(0.0, q - p.condensation_threshold)
     )
     return dt_dt, dq_dt
+
+
+def assert_bitwise(got, want):
+    """Equal bit patterns: unlike ``np.array_equal``, -0.0 differs from +0.0."""
+    assert np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
 
 
 def roll_step(t0, q0, p):
@@ -192,10 +199,15 @@ class TestStep:
         for _ in range(20):
             t = rng.normal(2, 6, n)
             q = np.abs(rng.normal(22, 8, n))
+            # Dry cells under negative temperatures: the upwind difference is
+            # +0.0 and cells 0 and 1 have a moisture tendency of -0.0.
+            t[:3] = -3.0
+            q[:3] = 0.0
             dt_vec, dq_vec = np.split(tendencies(np.concatenate([t, q]), params), 2)
             dt_ref, dq_ref = roll_tendencies(t, q, params)
-            assert np.array_equal(dt_vec, dt_ref)
-            assert np.array_equal(dq_vec, dq_ref)
+            assert np.signbit(dq_vec[:2]).all()
+            assert_bitwise(dt_vec, dt_ref)
+            assert_bitwise(dq_vec, dq_ref)
 
     def test_fields_read_only(self):
         stepped = step(smooth_initial_state(), ModelParams())
@@ -231,13 +243,13 @@ class TestStep:
         assert np.any((q > 0.0) & (q < params.condensation_threshold))
         t_ref, q_ref = roll_step(t, q, params)
         stepped = step(state, params)
-        assert np.array_equal(stepped.temperature_field, t_ref)
-        assert np.array_equal(stepped.moisture_field, q_ref)
+        assert_bitwise(stepped.temperature_field, t_ref)
+        assert_bitwise(stepped.moisture_field, q_ref)
         traj = integrate(state, params, 300)
         for expected in traj.states[1:]:
             t, q = roll_step(t, q, params)
-            assert np.array_equal(expected.temperature_field, t)
-            assert np.array_equal(expected.moisture_field, q)
+            assert_bitwise(expected.temperature_field, t)
+            assert_bitwise(expected.moisture_field, q)
 
     def test_blow_up_reports_step(self):
         """Oversized time step blows up and the error names the step index:
@@ -294,8 +306,8 @@ class TestWorkspace:
             for i in range(2):
                 states[i] = step(states[i], params, workspaces[i])
                 fields[i] = roll_step(*fields[i], params)
-                assert np.array_equal(states[i].temperature_field, fields[i][0])
-                assert np.array_equal(states[i].moisture_field, fields[i][1])
+                assert_bitwise(states[i].temperature_field, fields[i][0])
+                assert_bitwise(states[i].moisture_field, fields[i][1])
 
     def test_buffers_hold_every_array_a_step_writes(self):
         params = ModelParams()
@@ -379,8 +391,8 @@ class TestIntegrate:
         t, q = state.temperature_field, state.moisture_field
         for expected in traj.states[1:]:
             t, q = roll_step(t, q, params)
-            assert np.array_equal(expected.temperature_field, t)
-            assert np.array_equal(expected.moisture_field, q)
+            assert_bitwise(expected.temperature_field, t)
+            assert_bitwise(expected.moisture_field, q)
 
     def test_rk4_self_convergence(self):
         """Halving dt shrinks the fixed-time error by roughly 2^4."""

@@ -1,4 +1,5 @@
-"""Tests for the synthetic-observation harness and the analysis operator."""
+"""Tests for the radiance operator, its bias correction, the
+synthetic-observation harness and the analysis operator."""
 
 import math
 
@@ -6,11 +7,13 @@ import numpy as np
 import pytest
 
 from wxleak.errors import ValidationError
-from wxleak.forward import BiasModel, ColumnState, bias_corrected_forward, forward
-from wxleak.model import ModelParams, ModelState, nature_run
+from wxleak.model import ModelParams, nature_run
 from wxleak.osse import (
+    PREDICTOR_REGISTRY,
+    BiasModel,
     ColumnMapping,
     RadianceOperator,
+    bias_corrected_forward,
     build_problem,
     default_obs_locations,
     state_vector_to_model,
@@ -19,25 +22,124 @@ from wxleak.osse import (
 
 
 STDDEV = 0.3  # observation error stddev, K
+KAPPA = ColumnMapping().opacity_coefficient
 
 
 def truth_state(seed=1, grid_size=12):
     return nature_run(ModelParams(), seed, 150, 0, grid_size=grid_size).final
 
 
+def brightness(q, t_surf, t_atm, kappa=KAPPA, bias=BiasModel(), scan=0):
+    """Bias-corrected brightness temperature of a column whose surface
+    temperature is ``t_surf``: a cell holding 0 under an offset of ``t_surf``."""
+    return bias_corrected_forward(ColumnMapping(kappa, t_surf, t_atm), bias, 0.0, q, scan)
+
+
+def scalar_at(truth, loc, mapping, bias):
+    """The scalar operator at one cell of a model state."""
+    return bias_corrected_forward(
+        mapping, bias, float(truth.temperature_field[loc]), float(truth.moisture_field[loc]), loc
+    )
+
+
+class TestForward:
+    def test_transparent_limit(self):
+        """Dry column: the radiometer sees the surface."""
+        assert brightness(0.0, 290.0, 250.0) == 290.0
+
+    def test_opaque_limit(self):
+        assert abs(brightness(1e6, 290.0, 250.0) - 250.0) < 1e-9
+
+    def test_hand_arithmetic(self):
+        """kappa 0.05, q 20: one optical depth exactly."""
+        assert math.isclose(brightness(20.0, 290.0, 250.0), 264.7151776468577, rel_tol=1e-12)
+
+    def test_monotone_decreasing_when_surface_warmer(self):
+        values = [brightness(q, 290.0, 250.0) for q in np.linspace(0, 80, 40)]
+        assert all(b < a for a, b in zip(values, values[1:]))
+
+    def test_monotone_increasing_when_atmosphere_warmer(self):
+        values = [brightness(q, 250.0, 290.0) for q in np.linspace(0, 80, 40)]
+        assert all(b > a for a, b in zip(values, values[1:]))
+
+    def test_bounded_by_temperatures(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            t_s = float(rng.uniform(240, 310))
+            t_a = float(rng.uniform(220, 300))
+            q = float(rng.uniform(0, 200))
+            t_b = brightness(q, t_s, t_a)
+            assert min(t_s, t_a) - 1e-12 <= t_b <= max(t_s, t_a) + 1e-12
+
+    def test_invalid_opacity_rejected(self):
+        with pytest.raises(ValidationError):
+            ColumnMapping(opacity_coefficient=0.0)
+
+
+class TestPredictors:
+    def test_empty_list(self):
+        assert BiasModel().resolved() == ()
+
+    def test_surface_temperature_pass_through(self):
+        """One ``value`` serves one observation's floats and a set's arrays."""
+        value = PREDICTOR_REGISTRY["surface_temperature"].value
+        assert value(290.0, 10.0, 0) == 290.0
+        t_surf = np.array([290.0, 281.5])
+        assert np.array_equal(value(t_surf, np.array([10.0, 0.0]), np.array([0.0, 3.0])), t_surf)
+
+    def test_scan_position_pass_through(self):
+        value = PREDICTOR_REGISTRY["scan_position"].value
+        assert value(290.0, 10.0, 7) == 7
+        scan = np.array([7.0, 2.0])
+        assert np.array_equal(value(np.array([290.0, 281.5]), np.array([10.0, 0.0]), scan), scan)
+
+    def test_unknown_predictor_fails_at_construction(self):
+        with pytest.raises(ValidationError) as excinfo:
+            BiasModel(0.0, (1.0,), ("latitude",))
+        assert "latitude" in str(excinfo.value)
+
+    def test_coefficient_length_mismatch(self):
+        with pytest.raises(ValidationError):
+            BiasModel(0.0, (1.0, 2.0), ("scan_position",))
+
+
+class TestBiasCorrectedForward:
+    def test_collapses_to_forward_with_zero_coefficients(self):
+        bias = BiasModel(0.0, (0.0, 0.0), ("surface_temperature", "scan_position"))
+        assert brightness(20.0, 290.0, 250.0, bias=bias) == brightness(20.0, 290.0, 250.0)
+
+    def test_constant_offset(self):
+        got = brightness(20.0, 290.0, 250.0, bias=BiasModel(1.5))
+        assert math.isclose(got, 264.7151776468577 + 1.5, rel_tol=1e-12)
+
+    def test_surface_predictor_contribution(self):
+        bias = BiasModel(0.0, (0.01,), ("surface_temperature",))
+        got = brightness(20.0, 290.0, 250.0, bias=bias)
+        assert math.isclose(got, brightness(20.0, 290.0, 250.0) + 2.9, rel_tol=1e-12)
+
+    def test_correction_affine_in_coefficients(self):
+        """Doubling every coefficient doubles the correction term exactly."""
+        scan = 5
+        base = brightness(15.0, 285.0, 255.0)
+        one = BiasModel(0.7, (0.02, -0.1), ("surface_temperature", "scan_position"))
+        two = BiasModel(1.4, (0.04, -0.2), ("surface_temperature", "scan_position"))
+        c1 = brightness(15.0, 285.0, 255.0, bias=one, scan=scan) - base
+        c2 = brightness(15.0, 285.0, 255.0, bias=two, scan=scan) - base
+        assert abs(c2 - 2.0 * c1) <= 1e-12 * abs(c2)
+
+
 class TestColumnMapping:
     def test_surface_offset_and_fixed_atmosphere(self):
-        mapping = ColumnMapping()
-        state = ModelState(np.full(6, 10.0), np.full(6, 20.0))
-        column = mapping.column_at(state, 2)
-        assert column.surface_temperature_k == 283.0
-        assert column.atmosphere_temperature_k == 250.0
-        assert column.water_vapor_kg_m2 == 20.0
+        """A cell holding 10 under the default 273 K offset is a 283 K surface
+        under the fixed 250 K atmosphere."""
+        got = bias_corrected_forward(ColumnMapping(), BiasModel(), 10.0, 20.0, 2)
+        w = math.exp(-1.0)
+        assert math.isclose(got, 283.0 * w + 250.0 * (1.0 - w), rel_tol=1e-12)
 
     def test_negative_moisture_floored(self):
         mapping = ColumnMapping()
-        column = mapping.column(5.0, -3.0)
-        assert column.water_vapor_kg_m2 == 0.0
+        floored = bias_corrected_forward(mapping, BiasModel(), 5.0, -3.0, 0)
+        assert floored == bias_corrected_forward(mapping, BiasModel(), 5.0, 0.0, 0)
 
 
 class TestDefaultObsLocations:
@@ -57,36 +159,21 @@ class TestSynthesizeObservations:
         truth = truth_state()
         mapping = ColumnMapping()
         bias = BiasModel()
-        obs = synthesize_observations(
-            truth, mapping, bias, 5, 0.0, (0, 2, 4), error_stddev_k=1e-12
-        )
+        obs = synthesize_observations(truth, mapping, bias, 5, (0, 2, 4), error_stddev_k=1e-12)
         for value, loc in zip(obs, (0, 2, 4)):
-            expected = bias_corrected_forward(
-                mapping.column_at(truth, loc), bias, loc, mapping.opacity_coefficient
-            )
-            assert abs(value - expected) < 1e-9
+            assert abs(value - scalar_at(truth, loc, mapping, bias)) < 1e-9
 
     def test_same_seed_identical(self):
         truth = truth_state()
         mapping = ColumnMapping()
         bias = BiasModel()
-        a = synthesize_observations(truth, mapping, bias, 9, 0.0, (0, 2, 4), STDDEV)
-        b = synthesize_observations(truth, mapping, bias, 9, 0.0, (0, 2, 4), STDDEV)
+        a = synthesize_observations(truth, mapping, bias, 9, (0, 2, 4), STDDEV)
+        b = synthesize_observations(truth, mapping, bias, 9, (0, 2, 4), STDDEV)
         assert np.array_equal(a, b)
-
-    def test_perturbation_difference_exact(self):
-        """Two synthesis calls differing only in the injected shift differ by it."""
-        truth = truth_state()
-        mapping = ColumnMapping()
-        bias = BiasModel()
-        locations = tuple(range(0, 12, 2))
-        base = synthesize_observations(truth, mapping, bias, 9, 0.0, locations, STDDEV)
-        shifted = synthesize_observations(truth, mapping, bias, 9, 0.26826, locations, STDDEV)
-        assert np.all(np.abs((shifted - base) - 0.26826) < 1e-12)
 
     def test_read_only_array_one_value_per_location(self):
         obs = synthesize_observations(
-            truth_state(), ColumnMapping(), BiasModel(), 9, 0.5, (0, 1, 5), STDDEV
+            truth_state(), ColumnMapping(), BiasModel(), 9, (0, 1, 5), STDDEV
         )
         assert obs.shape == (3,) and obs.dtype == float
         with pytest.raises(ValueError):
@@ -97,40 +184,44 @@ class TestSynthesizeObservations:
         truth = truth_state()
         mapping = ColumnMapping()
         locations = (3, 7)
-        plain = synthesize_observations(truth, mapping, BiasModel(), 9, 0.0, locations, 1e-12)
+        plain = synthesize_observations(truth, mapping, BiasModel(), 9, locations, 1e-12)
         scanned = synthesize_observations(
-            truth, mapping, BiasModel(0.0, (1.0,), ("scan_position",)), 9, 0.0, locations, 1e-12
+            truth, mapping, BiasModel(0.0, (1.0,), ("scan_position",)), 9, locations, 1e-12
         )
         assert np.allclose(scanned - plain, locations, rtol=0.0, atol=1e-9)
 
     def test_true_bias_enters_values(self):
         truth = truth_state()
         mapping = ColumnMapping()
-        plain = synthesize_observations(truth, mapping, BiasModel(), 9, 0.0, (0,),
+        plain = synthesize_observations(truth, mapping, BiasModel(), 9, (0,),
                                         error_stddev_k=1e-12)
-        biased = synthesize_observations(truth, mapping, BiasModel(1.5), 9, 0.0, (0,),
+        biased = synthesize_observations(truth, mapping, BiasModel(1.5), 9, (0,),
                                          error_stddev_k=1e-12)
         assert math.isclose(biased[0] - plain[0], 1.5, rel_tol=1e-9)
 
     def test_out_of_grid_location_rejected(self):
         with pytest.raises(ValidationError):
             synthesize_observations(
-                truth_state(), ColumnMapping(), BiasModel(), 9, 0.0, (99,), STDDEV
+                truth_state(), ColumnMapping(), BiasModel(), 9, (99,), STDDEV
             )
 
     def test_nonpositive_stddev_rejected(self):
         for stddev in (0.0, -0.3):
             with pytest.raises(ValidationError):
                 synthesize_observations(
-                    truth_state(), ColumnMapping(), BiasModel(), 9, 0.0, (0, 1), stddev
+                    truth_state(), ColumnMapping(), BiasModel(), 9, (0, 1), stddev
                 )
 
     def test_non_finite_value_rejected(self):
-        for delta_tb in (float("inf"), float("nan")):
+        """Finite coefficients whose correction overflows to inf, or to
+        inf - inf = nan, are caught."""
+        surface = ("surface_temperature", "surface_temperature")
+        for bias in (
+            BiasModel(0.0, (1e308,), surface[:1]),
+            BiasModel(0.0, (1e308, -1e308), surface),
+        ):
             with pytest.raises(ValidationError, match="finite"):
-                synthesize_observations(
-                    truth_state(), ColumnMapping(), BiasModel(), 9, delta_tb, (0, 1), STDDEV
-                )
+                synthesize_observations(truth_state(), ColumnMapping(), bias, 9, (0, 1), STDDEV)
 
 
 class TestRadianceOperator:
@@ -152,12 +243,8 @@ class TestRadianceOperator:
         x = np.concatenate([truth.temperature_field, truth.moisture_field])
         beta = np.array([bias.constant_coefficient_k, *bias.coefficients])
         values = operator.values(x, beta)
-        mapping = ColumnMapping()
         for got, loc in zip(values, locations):
-            expected = bias_corrected_forward(
-                mapping.column_at(truth, loc), bias, loc, mapping.opacity_coefficient
-            )
-            assert abs(got - expected) < 1e-10
+            assert abs(got - scalar_at(truth, loc, ColumnMapping(), bias)) < 1e-10
 
     def test_jacobians_match_finite_differences(self):
         operator, truth, bias, _ = self.make_operator()
@@ -203,7 +290,7 @@ class TestRadianceOperator:
 
     def test_moisture_derivative_matches_scalar_forward(self):
         """The analytic d T_b / d q against h = 1e-4 max(1, q) central
-        differences of the scalar ``forward``.
+        differences of the scalar ``bias_corrected_forward``.
 
         Sampling stays below six optical depths and away from isothermal
         columns, where the derivative underflows and a relative comparison
@@ -216,10 +303,7 @@ class TestRadianceOperator:
             t_a = float(rng.uniform(230, 260))
             kappa = float(rng.uniform(0.02, 0.12))
             h = 1e-4 * max(1.0, q)
-            fd = (
-                forward(ColumnState(q + h, t_s, t_a), kappa)
-                - forward(ColumnState(q - h, t_s, t_a), kappa)
-            ) / (2 * h)
+            fd = (brightness(q + h, t_s, t_a, kappa) - brightness(q - h, t_s, t_a, kappa)) / (2 * h)
             analytic = self.moisture_derivative(q, t_s, t_a, kappa)
             assert abs(analytic - fd) <= 1e-6 * max(1e-12, abs(fd))
 
@@ -237,7 +321,7 @@ class TestBuildProblem:
         truth = truth_state()
         bias = BiasModel(0.0, (0.0,), ("surface_temperature",))
         locations = (0, 4, 8)
-        obs = synthesize_observations(truth, ColumnMapping(), bias, 3, 0.0, locations, STDDEV)
+        obs = synthesize_observations(truth, ColumnMapping(), bias, 3, locations, STDDEV)
         problem = build_problem(truth, bias, obs, locations, ColumnMapping(), 1.0, 0.5, STDDEV)
         assert problem.background_state.shape == (24,)
         assert problem.background_bias.shape == (2,)
@@ -246,7 +330,7 @@ class TestBuildProblem:
 
     def test_covariances_from_arguments(self):
         truth = truth_state()
-        obs = synthesize_observations(truth, ColumnMapping(), BiasModel(), 3, 0.0, (0, 2), 0.5)
+        obs = synthesize_observations(truth, ColumnMapping(), BiasModel(), 3, (0, 2), 0.5)
         problem = build_problem(truth, BiasModel(), obs, (0, 2), ColumnMapping(), 2.0, 0.7, 0.5)
         assert np.array_equal(problem.obs_variances, [0.25, 0.25])
         assert np.array_equal(problem.state_variances, np.full(24, 2.0))
