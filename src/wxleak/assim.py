@@ -165,34 +165,44 @@ def cost(v, problem: AssimilationProblem, residual: np.ndarray | None = None) ->
     otherwise it is computed here.
     """
     v = _check_control(v, problem)
-    n_state = problem.n_state
-    dx = v[:n_state] - problem.background_state
-    db = v[n_state:] - problem.background_bias
     d = _innovation(problem, v) if residual is None else residual
-    return float(0.5 * _weighted_squares(problem, dx, db, d))
+    return float(0.5 * _weighted_squares(problem, v - problem.background, d))
 
 
-def _weighted_squares(problem: AssimilationProblem, dx, db, d):
-    """dx' B^-1 dx + db' B_beta^-1 db + d' R^-1 d, summed in that order.
+def _weighted_squares(problem: AssimilationProblem, p, d):
+    """dx' B^-1 dx + db' B_beta^-1 db + d' R^-1 d for the flat p = [dx, db],
+    summed in that order.
 
     Twice the cost for prior and observation residuals; the Gauss-Newton
-    curvature for a direction (px, pb) and its image J p.
+    curvature for a direction p and its image J p. One division by the flat
+    prior variances gives the same elements as one per block.
     """
+    n_state = problem.n_state
+    weighted = p / problem.prior_variances
     return (
-        dx.dot(dx / problem.state_variances)
-        + db.dot(db / problem.bias_variances)
+        p[:n_state].dot(weighted[:n_state])
+        + p[n_state:].dot(weighted[n_state:])
         + d.dot(d / problem.obs_variances)
     )
 
 
-def _gradient(point, problem: AssimilationProblem, rinv_d, jac_state, jac_bias) -> np.ndarray:
+def _gradient(
+    point, problem: AssimilationProblem, rinv_d, jac_state, jac_bias, obs_part: np.ndarray
+) -> np.ndarray:
     """Flat gradient [state part, bias part] at ``point``, from R^-1 d and the Jacobians.
 
     The flat prior term takes the same values, element by element, as the
-    state and bias blocks taken apart.
+    state and bias blocks taken apart. Each block of J' R^-1 d is written
+    by ``np.matmul`` (which is ``@``) into its half of ``obs_part``, a
+    scratch vector of the control's length.
     """
-    obs_part = np.concatenate([rinv_d @ jac_state, rinv_d @ jac_bias])
-    return (point - problem.background) / problem.prior_variances - obs_part
+    n_state = problem.n_state
+    np.matmul(rinv_d, jac_state, obs_part[:n_state])
+    np.matmul(rinv_d, jac_bias, obs_part[n_state:])
+    g = np.subtract(point, problem.background)
+    np.divide(g, problem.prior_variances, g)
+    np.subtract(g, obs_part, g)
+    return g
 
 
 def gradient(v, problem: AssimilationProblem) -> np.ndarray:
@@ -201,7 +211,7 @@ def gradient(v, problem: AssimilationProblem) -> np.ndarray:
     n_state = problem.n_state
     jac_state, jac_bias = problem.operator.jacobians(v[:n_state], v[n_state:])
     rinv_d = _innovation(problem, v) / problem.obs_variances
-    return _gradient(v, problem, rinv_d, jac_state, jac_bias)
+    return _gradient(v, problem, rinv_d, jac_state, jac_bias, np.empty(v.shape[0]))
 
 
 def minimize(
@@ -232,51 +242,67 @@ def minimize(
     problem's ``background`` and ``prior_variances``, so the prior part of
     the gradient is one expression; ``MinimizationError.last_control`` is
     such a vector too. Inner products are ``ndarray.dot``: the same BLAS
-    ddot as ``float(a @ b)`` at less cost per call. The curvature product J p stays
-    one dense BLAS matrix-vector product per block (a sparse form, or one
-    product over both blocks, rounds differently); it and the Jacobi
-    diagonal's R^-1 J^2 also use ``ndarray.dot``, which calls the same gemv
-    as ``@`` at less cost. Only with a single observation does numpy's dot
-    take another BLAS path, which can return -0.0 where ``@`` returns +0.0;
-    a sum of squares and an add to the positive B^-1 lose that sign. The
-    gradient's J' R^-1 d keeps ``@``, where the sign could reach the result.
+    ddot as ``float(a @ b)`` at less cost per call. The curvature product
+    J p stays one dense BLAS matrix-vector product per block (a sparse
+    form, or one product over both blocks, rounds differently); it and the
+    Jacobi diagonal's R^-1 J^2 also use ``ndarray.dot``, which calls the
+    same gemv as ``@`` at less cost. Only with a single observation does
+    numpy's dot take another BLAS path, which can return -0.0 where ``@``
+    returns +0.0; a sum of squares and an add to the positive B^-1 lose
+    that sign. The gradient's J' R^-1 d keeps ``np.matmul``, which is
+    ``@``, where the sign could reach the result.
+
+    The two blocks of J' R^-1 d, and the two of R^-1 J^2, are written into
+    the halves of one vector each, allocated once per call, in place of a
+    concatenation per iterate. The loop binds the operator's methods and
+    the numpy callables it uses once, passes outputs positionally, and
+    forms each trial point and direction in the buffer of its first
+    product. Each of these gives the same bits as the expression it
+    replaces.
     """
     n_state = problem.n_state
-    obs_variances = problem.obs_variances
-    obs_scale = np.abs(problem.obs_values)
+    obs_values, obs_variances = problem.obs_values, problem.obs_variances
+    background, prior_variances = problem.background, problem.prior_variances
+    values, jacobians = problem.operator.values, problem.operator.jacobians
+    obs_scale = np.abs(obs_values)
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    # The observation part of the gradient and the Jacobi diagonal, each
+    # written block by block into one vector; both are read at once.
+    obs_part, jacobi = np.empty((2, background.shape[0]))
+    jacobi_state, jacobi_bias = jacobi[:n_state], jacobi[n_state:]
 
     def cost_at(v: np.ndarray):
         # The innovation at v is kept for the gradient there, so each
         # control point evaluates the operator once; ``cost`` checks v once.
-        d = _innovation(problem, v)
+        d = subtract(obs_values, values(v[:n_state], v[n_state:]))
         return cost(v, problem, d), d
 
     def gradient_at(v: np.ndarray, d: np.ndarray):
         """Gradient, its Jacobi-scaled form, the Jacobians and the cancellation scale."""
-        jac_state, jac_bias = problem.operator.jacobians(v[:n_state], v[n_state:])
-        rinv_d = d / obs_variances
-        g = _gradient(v, problem, rinv_d, jac_state, jac_bias)
+        jac_state, jac_bias = jacobians(v[:n_state], v[n_state:])
+        rinv_d = divide(d, obs_variances)
+        g = _gradient(v, problem, rinv_d, jac_state, jac_bias, obs_part)
         if hold_bias_fixed:
             g[n_state:] = 0.0
         # Jacobi preconditioner: the Gauss-Newton Hessian's diagonal,
         # B^-1 plus R^-1 weighted squares of each Jacobian column.
-        jacobi = prior_inverse + np.concatenate(
-            [obs_inverse.dot(jac_state * jac_state), obs_inverse.dot(jac_bias * jac_bias)]
-        )
+        obs_inverse.dot(multiply(jac_state, jac_state), jacobi_state)
+        obs_inverse.dot(multiply(jac_bias, jac_bias), jacobi_bias)
+        add(prior_inverse, jacobi, jacobi)
         cancel_scale = 2.0 * np.abs(rinv_d).dot(obs_scale)
-        return g, g / jacobi, jac_state, jac_bias, cancel_scale
+        return g, divide(g, jacobi), jac_state, jac_bias, cancel_scale
 
     def curvature_along(jac_state: np.ndarray, jac_bias: np.ndarray, p: np.ndarray) -> float:
         # Gauss-Newton quadratic model along p; exact for linear operators.
-        px, pb = p[:n_state], p[n_state:]
-        return _weighted_squares(problem, px, pb, jac_state.dot(px) + jac_bias.dot(pb))
+        image = add(jac_state.dot(p[:n_state]), jac_bias.dot(p[n_state:]))
+        return _weighted_squares(problem, p, image)
 
     # A non-finite cost raises MinimizationError below; the overflow on the
     # way there would only add floating-point warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        prior_inverse = 1.0 / problem.prior_variances
-        obs_inverse = 1.0 / obs_variances
-        point = problem.background
+        prior_inverse = divide(1.0, prior_variances)
+        obs_inverse = divide(1.0, obs_variances)
+        point = background
         j, d = cost_at(point)
         if not math.isfinite(j):
             raise MinimizationError("cost is non-finite at the initial control", point)
@@ -298,15 +324,18 @@ def minimize(
             noise_floor = _EPS * (32.0 * abs(j) + cancel_scale)
 
             if abs(alpha * slope) <= noise_floor:
-                # Below cost resolution: take the model step as-is.
-                trial = point + alpha * direction
+                # Below cost resolution: take the model step as-is. Each
+                # trial is point + alpha * direction, added into the product.
+                trial = multiply(alpha, direction)
+                add(point, trial, trial)
                 j_trial, d_trial = cost_at(trial)
                 if not math.isfinite(j_trial):
                     raise MinimizationError("cost became non-finite during line search", point)
             else:
                 accepted = False
                 for _ in range(_MAX_BACKTRACKS):
-                    trial = point + alpha * direction
+                    trial = multiply(alpha, direction)
+                    add(point, trial, trial)
                     j_trial, d_trial = cost_at(trial)
                     if not math.isfinite(j_trial):
                         raise MinimizationError("cost became non-finite during line search", point)
@@ -324,7 +353,8 @@ def minimize(
             # Preconditioned Polak-Ribiere with the nonnegativity cap; a
             # negative beta resets to scaled steepest descent automatically.
             beta_pr = g_new.dot(scaled_g_new - scaled_g) / g.dot(scaled_g)
-            direction = max(0.0, beta_pr) * direction - scaled_g_new
+            direction = multiply(max(0.0, beta_pr), direction)
+            subtract(direction, scaled_g_new, direction)
             point, j, g, scaled_g = trial, j_trial, g_new, scaled_g_new
             g_norm = math.sqrt(g.dot(g))
             iterations += 1

@@ -38,10 +38,11 @@ from .leakage import (
     induced_noise_temperature,
     received_power,
 )
-from .model import ModelParams, ModelState, diagnostics, integrate, nature_run
+from .model import ModelParams, ModelState, Workspace, diagnostics, integrate, nature_run
 from .osse import (
     BiasModel,
     ColumnMapping,
+    RadianceOperator,
     build_problem,
     default_obs_locations,
     state_vector_to_model,
@@ -331,7 +332,14 @@ def config_from_dict(
     field = build(
         "field", TransmitterField, count=device_count, **_numbers(field_block, "field")
     )
-    mapping = build("forward", ColumnMapping, **_numbers(resolved["forward"], "forward"))
+    forward = _numbers(resolved["forward"], "forward")
+    # A column's surface temperature is this offset plus the cell's state
+    # temperature. An offset <= 0 is no surface temperature in kelvin; a
+    # positive one that some cell's temperature undercuts is rejected when
+    # that column is evaluated.
+    if forward["surface_offset_k"] <= 0:
+        raise ConfigError("must be positive", field="forward.surface_offset_k")
+    mapping = build("forward", ColumnMapping, **forward)
     bias_block = resolved["bias"]
     predictors = _list(bias_block["predictors"], "bias.predictors")
     if any(not isinstance(name, str) for name in predictors):
@@ -505,13 +513,12 @@ def _member_background(config: ScenarioConfig, truth: ModelState, member: int) -
 
 
 def _analyze_and_forecast(config: ScenarioConfig, background: ModelState, observations,
+                          operator: RadianceOperator, workspace: Workspace,
                           trace_stream: TextIO | None = None, trace_label: str = ""):
     problem = build_problem(
         background,
-        config.bias,
+        operator,
         observations,
-        config.obs_locations,
-        config.mapping,
         state_variance=config.state_variance,
         bias_variance=config.bias_variance,
         obs_stddev_k=config.obs_error_stddev_k,
@@ -527,7 +534,7 @@ def _analyze_and_forecast(config: ScenarioConfig, background: ModelState, observ
     )
     analysis = state_vector_to_model(result.analysis_state, config.grid_size)
     n_steps = _forecast_steps(config.forecast_length, config.model_params)
-    forecast = integrate(analysis, config.model_params, n_steps)
+    forecast = integrate(analysis, config.model_params, n_steps, workspace)
     return result, diagnostics(forecast, config.model_params)
 
 
@@ -541,8 +548,10 @@ def run_scenario(
     differ only through the injected error. Ensemble members differ only in
     their background perturbation; metrics are averaged over members. Levels
     and members are independent, but results are always assembled in config
-    order. When ``trace_stream`` is given (the CLI's verbose mode), every
-    analysis writes its iteration trace there.
+    order. Every case shares one observation operator and one RK4
+    workspace, built here once per scenario. When ``trace_stream`` is given
+    (the CLI's verbose mode), every analysis writes its iteration trace
+    there.
     """
     truth = nature_run(
         config.model_params,
@@ -564,6 +573,10 @@ def run_scenario(
     backgrounds = [
         _member_background(config, truth, m) for m in range(config.ensemble_size)
     ]
+    operator = RadianceOperator(
+        config.mapping, config.bias, config.obs_locations, config.grid_size
+    )
+    workspace = Workspace(config.grid_size, config.model_params)
     baseline_diags = None
     rows = []
     # The baseline goes first, through the same path as a level with zero
@@ -580,7 +593,7 @@ def run_scenario(
         for m, background in enumerate(backgrounds):
             try:
                 result, diag = _analyze_and_forecast(
-                    config, background, observations,
+                    config, background, observations, operator, workspace,
                     trace_stream=trace_stream, trace_label=f"{trace_label} m{m}",
                 )
             except Exception as exc:

@@ -14,18 +14,19 @@ because the advecting field is rough. Moisture is clipped at zero after
 every step. The condensation sink doubles as the precipitation diagnostic:
 whatever it removes is counted as rain.
 
-A step runs on a ``Workspace``, which ``integrate`` and ``nature_run`` make
-once per call and pass to every step: buffers for the stage inputs, the
-stage matrix k1..k4 and the final combination, index constants cached per
-grid size, and the step itself, bound once as a closure over them. One
-gather from a source buffer ``[T, q, q_c, 0, 1, r, c_q]`` yields every
-operand of a tendency, so a tendency is nine numpy calls; the stage
-combination is one doubling and one row reduce, and a step is 49 calls,
-each on a whole vector. On the 40-cell grid a step's cost is per-call
-overhead, not arithmetic, so the closure passes every output positionally
-and reads its buffers from closure cells, not attributes. A tendency
-evaluates the formulas above left to right, so a step gives the same bits
-on a shared workspace or its own.
+A step runs on a ``Workspace``, which ``nature_run`` makes once per call,
+``integrate`` takes from its caller or makes, and each passes to every
+step: buffers for the stage inputs, the stage matrix k1..k4 and the final
+combination, index constants cached per grid size, and the step itself,
+bound once as a closure over them. One gather from a source buffer
+``[T, q, q_c, 0, 1, r, c_q]`` yields every operand of a tendency, so a
+tendency is nine numpy calls; the stage combination is one doubling and
+one row reduce, and a step is 49 calls, each on a whole vector. On the
+40-cell grid a step's cost is per-call overhead, not arithmetic, so the
+closure passes every output positionally and reads its buffers from
+closure cells, not attributes. A tendency evaluates the formulas above
+left to right, so a step gives the same bits on a shared workspace or its
+own.
 
 Reporting conventions (never used inside the dynamics): one state unit of
 accumulated condensate is one millimetre of precipitation, and temperature
@@ -188,15 +189,16 @@ def _layout(grid_size: int) -> tuple[np.ndarray, np.ndarray]:
 class Workspace:
     """The RK4 step on a grid of ``grid_size`` cells under ``params``, bound once.
 
-    ``integrate`` and ``nature_run`` make one per call and pass it to every
-    ``step``, so a run allocates its stage inputs, ``k1..k4`` and the final
-    combination once. The constructor builds ``step(x0) -> x1`` and
-    ``tendencies(x) -> dx/dt`` as closures over those buffers, the step's
-    constant vectors and the numpy callables they use. Outputs are passed
-    positionally, except to ``np.maximum``, which deprecates that. A
-    constant vector costs numpy less per call than a scalar and gives the
-    same bits. ``buffers`` holds every array the step writes, and
-    ``sixth_h`` is the vector h / 6 that scales the stage combination.
+    ``nature_run`` makes one per call and ``run_scenario`` one per scenario
+    for all its forecasts; each passes it to every ``step``, so a run
+    allocates its stage inputs, ``k1..k4`` and the final combination once.
+    The constructor builds ``step(x0) -> x1`` and ``tendencies(x) -> dx/dt``
+    as closures over those buffers, the step's constant vectors and the
+    numpy callables they use. Outputs are passed positionally, except to
+    ``np.maximum``, which deprecates that. A constant vector costs numpy
+    less per call than a scalar and gives the same bits. ``buffers`` holds
+    every array the step writes, and ``sixth_h`` is the vector h / 6 that
+    scales the stage combination.
     """
 
     __slots__ = ("params", "size", "buffers", "sixth_h", "tendencies", "step")
@@ -274,10 +276,9 @@ class Workspace:
             rhs(k4, k4_t)
             # x0 + (h / 6) (((k1 + 2 k2) + 2 k3) + k4) into a new vector: 2 k
             # is k + k exactly, and a reduce over the stage matrix's leading
-            # axis adds its rows one after another onto -0.0, which, unlike
-            # numpy's default start 0.0, keeps the sign of a zero sum.
+            # axis adds its rows one after another.
             add(doubled, doubled, doubled)
-            add_rows(stages, 0, None, increment, False, -0.0)
+            add_rows(stages, 0, None, increment)
             multiply(increment, sixth_h, increment)
             x1 = add(x0, increment)
             moisture = x1[n:]
@@ -350,9 +351,21 @@ def _trajectory(
     return Trajectory(tuple(states))
 
 
-def integrate(state: ModelState, params: ModelParams, n_steps: int) -> Trajectory:
-    """Repeated stepping on one workspace; returns n_steps + 1 states starting at ``state``."""
-    return _trajectory(state, params, n_steps, Workspace(state.grid_size, params))
+def integrate(
+    state: ModelState,
+    params: ModelParams,
+    n_steps: int,
+    workspace: Workspace | None = None,
+) -> Trajectory:
+    """Repeated stepping on one workspace; returns n_steps + 1 states starting at ``state``.
+
+    ``workspace`` is as for ``step``; without one, the forecast makes its
+    own. A workspace holds no state between steps, so ``run_scenario``
+    makes one per scenario and passes it to every forecast.
+    """
+    if workspace is None:
+        workspace = Workspace(state.grid_size, params)
+    return _trajectory(state, params, n_steps, workspace)
 
 
 def diagnostics(trajectory: Trajectory, params: ModelParams) -> ForecastDiagnostics:

@@ -22,7 +22,9 @@ it looks at). On top of that:
   tuple.
 * ``RadianceOperator`` evaluates the same operator, vectorized, for the
   variational analysis over the flattened control vector
-  [temperature_field, moisture_field].
+  [temperature_field, moisture_field]. One is built per scenario, and
+  ``build_problem`` wraps it with each analysis's background, observed
+  values and covariances.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ class PredictorDef:
     set, as the analysis operator does. ``d_surface_temperature`` is its
     derivative with respect to the column surface temperature, needed by
     the analytic assimilation gradient; no predictor depends on the water
-    vapor.
+    vapor. A predictor whose slope is zero therefore depends on the scan
+    position alone, and the analysis operator evaluates it once.
     """
 
     name: str
@@ -138,7 +141,8 @@ def bias_corrected_forward(
     the bias correction beta_0 + sum(beta_i p_i) at ``scan_position``.
 
     Raises ``ValidationError`` when the column's surface temperature is not
-    positive, as a large negative ``surface_offset_k`` makes it.
+    positive: the config rejects an offset <= 0 at load, and this catches a
+    positive ``surface_offset_k`` that the cell's temperature undercuts.
     """
     q = max(0.0, moisture_value)
     t_surf = mapping.surface_offset_k + temperature_value
@@ -207,19 +211,26 @@ class RadianceOperator:
     observation's location is also its scan position. Evaluation is
     vectorized over observations, predictors included.
 
-    Everything that does not depend on the control is fixed at
-    construction: the resolved predictors and their nonzero slopes, the
-    scan positions, one gather index ``[locs, grid_size + locs]`` that reads
-    both fields in one call, the Jacobian's nonzero positions, a bias
-    Jacobian whose first column is already ones, and the mapping's
-    constants (surface offset, atmosphere temperature, opacity and its
-    negation) together with zero and one, each as a vector of length n_obs.
-    A vector operand gives the same bits as the scalar it holds and costs
-    less per numpy call. ``jacobians`` skips the term c * 0.0 of a zero
-    predictor slope: for a finite coefficient c it changes no value other
-    than -0.0, and a derivative is -0.0 only where exp(-kappa q) underflows
-    to zero. Within those limits every result is bit-identical to the same
-    arithmetic on scalar constants.
+    It depends on the mapping, the bias template, the locations and the
+    grid size alone, so ``run_scenario`` builds one per scenario and every
+    analysis of the scenario shares it. Everything that does not depend on
+    the control is fixed at construction: the predictors that vary with the
+    surface temperature (those with a nonzero slope), one gather index
+    ``[locs, grid_size + locs]`` that reads both fields in one call, the
+    Jacobian's nonzero positions, and the mapping's constants (surface
+    offset, atmosphere temperature, opacity and its negation) together with
+    zero and one, each as a vector of length n_obs. A predictor with a zero
+    slope depends on the scan position alone, so its column is filled once,
+    in a predictor matrix and in a bias Jacobian template whose first column
+    is ones; ``values`` and ``jacobians`` write only the surface-temperature
+    columns. A vector operand gives the same bits as the scalar it holds
+    and costs less per numpy call. ``jacobians`` skips the term c * 0.0 of
+    a zero predictor slope: for a finite coefficient c it changes no value
+    other than -0.0, and a derivative is -0.0 only where exp(-kappa q)
+    underflows to zero. It zeroes the moisture sensitivity where the raw
+    moisture is <= 0, which equals keeping it where the moisture is > 0 for
+    every moisture but NaN. Within those limits every result is
+    bit-identical to the same arithmetic on scalar constants.
     """
 
     mapping: ColumnMapping
@@ -234,30 +245,36 @@ class RadianceOperator:
         locs = np.array(self.obs_locations, dtype=int)
         n_obs = len(locs)
         row_starts = np.arange(n_obs) * self.n_state
-        jac_bias = np.zeros((n_obs, self.n_bias))
-        jac_bias[:, 0] = 1.0
 
         def full(value: float) -> np.ndarray:
             return np.full(n_obs, value, dtype=float)
 
+        zeros, scan = full(0.0), locs.astype(float)
+        # Predictor values by column, with the constant ones filled in.
+        predictors = np.empty((n_obs, len(defs)))
+        for i, p in enumerate(defs):
+            if p.d_surface_temperature == 0.0:
+                predictors[:, i] = p.value(zeros, zeros, scan)
+        jac_bias = np.empty((n_obs, self.n_bias))
+        jac_bias[:, 0] = 1.0
+        jac_bias[:, 1:] = predictors
         constants = {
-            "_defs": defs,
-            # (index into bias, slope) for every nonzero predictor slope.
-            "_temp_slopes": tuple(
-                (i + 1, p.d_surface_temperature) for i, p in enumerate(defs)
-                if p.d_surface_temperature != 0.0
+            # (column, predictor) for every predictor with a nonzero slope.
+            "_varying": tuple(
+                (i, p) for i, p in enumerate(defs) if p.d_surface_temperature != 0.0
             ),
             "_gather": np.concatenate([locs, self.grid_size + locs]),
-            "_scan": locs.astype(float),
+            "_scan": scan,
             # Positions of d/dT and d/dq in the row-major (n_obs, n_state) Jacobian.
             "_flat_temp": row_starts + locs,
             "_flat_moist": row_starts + self.grid_size + locs,
+            "_predictors": predictors,
             "_jac_bias": jac_bias,
             "_surface_offset": full(self.mapping.surface_offset_k),
             "_t_atm": full(self.mapping.atmosphere_temperature_k),
             "_kappa": full(self.mapping.opacity_coefficient),
             "_neg_kappa": full(-self.mapping.opacity_coefficient),
-            "_zeros": full(0.0),
+            "_zeros": zeros,
             "_ones": full(1.0),
         }
         for name, value in constants.items():
@@ -280,67 +297,75 @@ class RadianceOperator:
         q_raw = cells[n_obs:]
         return self._surface_offset + cells[:n_obs], np.maximum(self._zeros, q_raw), q_raw
 
-    def _fill_predictors(self, t_surf, q, out: np.ndarray, first: int) -> np.ndarray:
-        """Write the predictor values as the columns of ``out`` from ``first`` on."""
-        for i, pdef in enumerate(self._defs, start=first):
-            out[:, i] = pdef.value(t_surf, q, self._scan)
+    def _fill_varying(self, t_surf, q, template: np.ndarray, first: int) -> np.ndarray:
+        """A copy of ``template`` with the varying predictors written as its
+        columns from ``first`` on."""
+        out = template.copy()
+        for i, pdef in self._varying:
+            out[:, first + i] = pdef.value(t_surf, q, self._scan)
         return out
 
     def values(self, state: np.ndarray, bias: np.ndarray) -> np.ndarray:
         t_surf, q, _ = self._columns(state)
-        w = np.exp(self._neg_kappa * q)
-        h = t_surf * w + self._t_atm * (self._ones - w)
-        pred = self._fill_predictors(t_surf, q, np.empty((len(q), len(self._defs))), 0)
+        w = np.multiply(self._neg_kappa, q)
+        np.exp(w, w)
+        # t_surf w + t_atm (1 - w), the second term formed in w's buffer.
+        h = np.multiply(t_surf, w)
+        np.subtract(self._ones, w, w)
+        np.multiply(self._t_atm, w, w)
+        np.add(h, w, h)
+        pred = self._fill_varying(t_surf, q, self._predictors, 0)
         # ndarray.dot costs less per call than @. With one observation the two
         # can differ in the sign of a zero, which the add loses: h + beta_0 is
         # never -0.0, because h is not (t_atm > 0).
-        return h + bias[0] + pred.dot(bias[1:])
+        np.add(h, bias[0], h)
+        np.add(h, pred.dot(bias[1:]), h)
+        return h
 
     def jacobians(self, state: np.ndarray, bias: np.ndarray):
         t_surf, q, q_raw = self._columns(state)
-        w = np.exp(self._neg_kappa * q)
-        d_dmoist = self._kappa * (self._t_atm - t_surf) * w
+        w = np.multiply(self._neg_kappa, q)
+        np.exp(w, w)
+        # kappa (t_atm - t_surf) w, zero where the column is dry.
+        d_dmoist = np.subtract(self._t_atm, t_surf)
+        np.multiply(self._kappa, d_dmoist, d_dmoist)
+        np.multiply(d_dmoist, w, d_dmoist)
+        np.putmask(d_dmoist, q_raw <= self._zeros, 0.0)
         d_dtemp = w
-        for index, slope in self._temp_slopes:
-            d_dtemp = d_dtemp + bias[index] * slope
-        d_dmoist = np.where(q_raw > self._zeros, d_dmoist, self._zeros)
+        for i, pdef in self._varying:
+            d_dtemp = d_dtemp + bias[1 + i] * pdef.d_surface_temperature
 
         jac_state = np.zeros((len(q), self.n_state))
         flat = jac_state.reshape(-1)
         flat[self._flat_temp] = d_dtemp
         flat[self._flat_moist] = d_dmoist
-        jac_bias = self._fill_predictors(t_surf, q, self._jac_bias.copy(), 1)
-        return jac_state, jac_bias
+        return jac_state, self._fill_varying(t_surf, q, self._jac_bias, 1)
 
 
 def build_problem(
     background: ModelState,
-    background_bias: BiasModel,
+    operator: RadianceOperator,
     obs_values: np.ndarray,
-    obs_locations: tuple[int, ...],
-    mapping: ColumnMapping,
     state_variance: float,
     bias_variance: float,
     obs_stddev_k: float,
 ) -> AssimilationProblem:
-    """Assemble the analysis problem for one cycle with diagonal covariances:
-    ``state_variance`` per state value, ``bias_variance`` per coefficient and
-    ``obs_stddev_k`` squared per observation."""
-    n = background.grid_size
+    """Assemble the analysis problem for one cycle on ``operator`` with
+    diagonal covariances: ``state_variance`` per state value,
+    ``bias_variance`` per coefficient and ``obs_stddev_k`` squared per
+    observation. The background bias is the operator's bias template.
+
+    The operator holds everything that stays fixed across a scenario's
+    analyses, so ``run_scenario`` builds it once and passes it to every
+    call; a problem adds only the background, the observed values and the
+    covariances."""
+    template = operator.bias_template
     x_b = background.vector.copy()
-    beta_b = np.array(
-        [background_bias.constant_coefficient_k, *background_bias.coefficients]
-    )
-    operator = RadianceOperator(
-        mapping=mapping,
-        bias_template=background_bias,
-        obs_locations=tuple(obs_locations),
-        grid_size=n,
-    )
+    beta_b = np.array([template.constant_coefficient_k, *template.coefficients])
     return AssimilationProblem(
         background_state=x_b,
         background_bias=beta_b,
-        state_variances=np.full(2 * n, state_variance),
+        state_variances=np.full(len(x_b), state_variance),
         bias_variances=np.full(len(beta_b), bias_variance),
         obs_variances=np.full(len(obs_values), obs_stddev_k**2),
         obs_values=obs_values,

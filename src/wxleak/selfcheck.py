@@ -114,7 +114,7 @@ def _check_gradient() -> CheckResult:
         truth.temperature_field + 0.3, np.maximum(0.0, truth.moisture_field - 0.2)
     )
     problem = osse.build_problem(
-        background, bias, obs, locations, mapping,
+        background, osse.RadianceOperator(mapping, bias, locations, 12), obs,
         shipped.state_variance, shipped.bias_variance, stddev,
     )
     flat = problem.background

@@ -119,7 +119,8 @@ def radiance_problem(seed, grid_size=12, n_obs=6, predictors=("surface_temperatu
         truth.temperature_field + rng.normal(0, 0.5, grid_size),
         np.maximum(0.0, truth.moisture_field + rng.normal(0, 0.5, grid_size)),
     )
-    return build_problem(background, bias, obs_values, locations, mapping, 1.0, 0.5, 0.3)
+    operator = RadianceOperator(mapping, bias, locations, grid_size)
+    return build_problem(background, operator, obs_values, 1.0, 0.5, 0.3)
 
 
 def finite_difference_gradient(problem, flat, h_scale=1e-5):

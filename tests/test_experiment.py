@@ -193,6 +193,8 @@ class TestConfigLoading:
             ("bias: {coefficients: 1.0}", "bias.coefficients"),
             ("bias: {coefficients: [1.0], predictors: [[1]]}", "bias.predictors"),
             ("forward: {opacity_coefficient: -1.0}", "forward"),
+            ("forward: {surface_offset_k: -500.0}", "forward.surface_offset_k"),
+            ("forward: {surface_offset_k: 0.0}", "forward.surface_offset_k"),
             ("covariances: {bias_variance: 0.0}", "covariances.bias_variance"),
             (
                 "{covariances: {observation_stddev_k: 1.0e-160}, leakage_levels: [-300], "
@@ -324,6 +326,30 @@ class TestRunScenario:
         assert calls["integrate"] == cases
         assert calls["step"] == config.spinup_steps + cases * n_steps
 
+    def test_one_operator_and_one_workspace_per_scenario(self, monkeypatch):
+        """``run_scenario`` builds the observation operator and the forecasts'
+        RK4 workspace once and shares them across every level and member, so
+        neither count grows with levels x members (the nature run makes the
+        only other workspace)."""
+        built = {"operator": 0, "workspace": 0}
+        operator_init = osse.RadianceOperator.__post_init__
+        workspace_init = model.Workspace.__init__
+
+        def counted_operator(self):
+            built["operator"] += 1
+            operator_init(self)
+
+        def counted_workspace(self, *args, **kwargs):
+            built["workspace"] += 1
+            workspace_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(osse.RadianceOperator, "__post_init__", counted_operator)
+        monkeypatch.setattr(model.Workspace, "__init__", counted_workspace)
+        for levels, members in (([-30.0], 1), ([-30.0, -20.0, -10.0], 3)):
+            built.update(operator=0, workspace=0)
+            run_scenario(small_config(leakage_levels=levels, ensemble_size=members))
+            assert built == {"operator": 1, "workspace": 2}
+
     def test_one_synthesis_per_scenario_one_chain_per_level(self, monkeypatch):
         """The truth's observations are synthesized once per scenario, one
         scalar operator call per observation, and only the levels run the
@@ -361,9 +387,9 @@ class TestRunScenario:
             synthesized.append(synthesize(*args, **kwargs))
             return synthesized[-1]
 
-        def recording_build_problem(background, bias, observations, *args, **kwargs):
+        def recording_build_problem(background, operator, observations, *args, **kwargs):
             analysed.append(observations)
-            return build_problem(background, bias, observations, *args, **kwargs)
+            return build_problem(background, operator, observations, *args, **kwargs)
 
         monkeypatch.setattr(experiment, "synthesize_observations", recording_synthesize)
         monkeypatch.setattr(experiment, "build_problem", recording_build_problem)
@@ -700,12 +726,12 @@ class TestCli:
         assert result.output.count("defaults applied") == 1
 
     def test_nonpositive_surface_temperature_exit_1(self, tmp_path):
-        """An offset that puts a column's surface below 0 K is rejected when
-        the truth's observations are synthesized."""
+        """A positive offset that an observed cell's temperature undercuts
+        passes the load-time check and is rejected when the truth's
+        observations are synthesized (seed 101's truth reads -5.49 at cell 8
+        after the default spin-up)."""
         path = tmp_path / "cold.yaml"
-        path.write_text(
-            "{forward: {surface_offset_k: -500.0}, forecast_length: 0.05, spinup_steps: 10}\n"
-        )
+        path.write_text("{forward: {surface_offset_k: 1.0}, forecast_length: 0.05}\n")
         result = CliRunner().invoke(main, ["run", str(path)])
         assert result.exit_code == 1
         assert "column temperatures must be positive" in result.output

@@ -141,6 +141,14 @@ class TestColumnMapping:
         floored = bias_corrected_forward(mapping, BiasModel(), 5.0, -3.0, 0)
         assert floored == bias_corrected_forward(mapping, BiasModel(), 5.0, 0.0, 0)
 
+    @pytest.mark.parametrize("temperature", [-1.0, -1.5, -300.0])
+    def test_surface_at_or_below_zero_kelvin_rejected(self, temperature):
+        """A positive offset that the cell's temperature undercuts, which the
+        config's load-time check cannot see, is rejected per column."""
+        mapping = ColumnMapping(surface_offset_k=1.0)
+        with pytest.raises(ValidationError, match="column temperatures must be positive"):
+            bias_corrected_forward(mapping, BiasModel(), temperature, 20.0, 0)
+
 
 class TestDefaultObsLocations:
     def test_every_other_point(self):
@@ -322,7 +330,8 @@ class TestBuildProblem:
         bias = BiasModel(0.0, (0.0,), ("surface_temperature",))
         locations = (0, 4, 8)
         obs = synthesize_observations(truth, ColumnMapping(), bias, 3, locations, STDDEV)
-        problem = build_problem(truth, bias, obs, locations, ColumnMapping(), 1.0, 0.5, STDDEV)
+        operator = RadianceOperator(ColumnMapping(), bias, locations, truth.grid_size)
+        problem = build_problem(truth, operator, obs, 1.0, 0.5, STDDEV)
         assert problem.background_state.shape == (24,)
         assert problem.background_bias.shape == (2,)
         assert problem.obs_variances.shape == (3,)
@@ -331,7 +340,8 @@ class TestBuildProblem:
     def test_covariances_from_arguments(self):
         truth = truth_state()
         obs = synthesize_observations(truth, ColumnMapping(), BiasModel(), 3, (0, 2), 0.5)
-        problem = build_problem(truth, BiasModel(), obs, (0, 2), ColumnMapping(), 2.0, 0.7, 0.5)
+        operator = RadianceOperator(ColumnMapping(), BiasModel(), (0, 2), truth.grid_size)
+        problem = build_problem(truth, operator, obs, 2.0, 0.7, 0.5)
         assert np.array_equal(problem.obs_variances, [0.25, 0.25])
         assert np.array_equal(problem.state_variances, np.full(24, 2.0))
         assert np.array_equal(problem.bias_variances, [0.7])
