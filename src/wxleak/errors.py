@@ -7,7 +7,12 @@ CLI exit-code mapping, can tell them apart.
 
 
 class ValidationError(ValueError):
-    """An input violates a documented invariant."""
+    """An input violates a documented invariant. ``field``, when given, names
+    the attribute whose value broke it; a check across attributes names none."""
+
+    def __init__(self, message: str, field: str | None = None):
+        self.field = field
+        super().__init__(message)
 
 
 class ConfigError(ValidationError):
@@ -18,14 +23,13 @@ class ConfigError(ValidationError):
     """
 
     def __init__(self, message: str, field: str | None = None, line: int | None = None):
-        self.field = field
         self.line = line
         parts = [message]
         if field is not None:
             parts.append(f"(field: {field})")
         if line is not None:
             parts.append(f"(line: {line})")
-        super().__init__(" ".join(parts))
+        super().__init__(" ".join(parts), field)
 
 
 class MaskCoverageError(ValidationError):

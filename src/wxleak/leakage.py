@@ -104,12 +104,12 @@ class EmissionMask:
             self, "breakpoints", tuple((float(o), float(p)) for o, p in self.breakpoints)
         )
         if len(self.breakpoints) < 2:
-            raise ValidationError("emission mask needs at least two breakpoints")
+            raise ValidationError("emission mask needs at least two breakpoints", "breakpoints")
         offsets = [o for o, _ in self.breakpoints]
         if any(b <= a for a, b in zip(offsets, offsets[1:])):
-            raise ValidationError("mask breakpoints must be strictly increasing in offset")
+            raise ValidationError("mask breakpoint offsets must increase strictly", "breakpoints")
         if not all(math.isfinite(p) for _, p in self.breakpoints):
-            raise ValidationError("mask PSD values must be finite")
+            raise ValidationError("mask PSD values must be finite", "breakpoints")
 
     def integrate_linear(self, f_low_hz: float, f_high_hz: float, center_hz: float) -> float:
         """Integrate 10^(PSD/10) over [f_low, f_high] (absolute Hz).
@@ -173,7 +173,7 @@ class TransmitterField:
 
     def __post_init__(self):
         if self.count < 0:
-            raise ValidationError("transmitter count must be >= 0")
+            raise ValidationError("transmitter count must be >= 0", "count")
 
 
 @dataclass(frozen=True)
@@ -190,9 +190,9 @@ class LinkBudget:
 
     def __post_init__(self):
         if self.total_pathloss_db <= 0:
-            raise ValidationError("total pathloss must be positive")
+            raise ValidationError("total pathloss must be positive", "total_pathloss_db")
         if not 0.0 <= self.transmittance <= 1.0:
-            raise ValidationError("transmittance must lie in [0, 1]")
+            raise ValidationError("transmittance must lie in [0, 1]", "transmittance")
 
 
 @dataclass(frozen=True)
@@ -204,9 +204,9 @@ class AntennaModel:
 
     def __post_init__(self):
         if not 0.0 <= self.radiation_efficiency <= 1.0:
-            raise ValidationError("radiation efficiency must lie in [0, 1]")
+            raise ValidationError("radiation efficiency must lie in [0, 1]", "radiation_efficiency")
         if self.physical_temperature_k <= 0:
-            raise ValidationError("antenna physical temperature must be positive")
+            raise ValidationError("physical temperature must be positive", "physical_temperature_k")
 
 
 def aci_leakage_fraction(

@@ -56,9 +56,9 @@ class ModelParams:
 
     def __post_init__(self):
         if self.dt <= 0:
-            raise ValidationError("time step must be positive")
+            raise ValidationError("time step must be positive", "dt")
         if self.condensation_rate < 0:
-            raise ValidationError("condensation rate must be >= 0")
+            raise ValidationError("condensation rate must be >= 0", "condensation_rate")
 
 
 @dataclass(frozen=True, eq=False, init=False, slots=True)
@@ -396,25 +396,20 @@ def diagnostics(trajectory: Trajectory, params: ModelParams) -> ForecastDiagnost
 
 
 def nature_run(
-    params: ModelParams,
-    seed: int,
-    spinup_steps: int,
-    run_steps: int,
-    grid_size: int = 40,
-    moisture_base: float = 30.0,
+    params: ModelParams, seed: int, spinup_steps: int, run_steps: int, grid_size: int = 40
 ) -> Trajectory:
     """Seeded synthetic-truth trajectory.
 
     The initial temperature field is the forcing value plus a 0.5-stddev
-    seeded Gaussian perturbation per cell; moisture starts at
-    ``moisture_base`` plus a 2.0-stddev perturbation, floored at zero. The
-    default base sits above the condensation threshold so forecasts keep
-    precipitating after spin-up. The state is spun up for ``spinup_steps``
-    (discarded), then ``run_steps`` further steps are recorded. Identical
-    seeds give identical trajectories.
+    seeded Gaussian perturbation per cell; moisture starts 5 above the
+    condensation threshold plus a 2.0-stddev perturbation, floored at zero,
+    so forecasts keep precipitating after spin-up. The state is spun up for
+    ``spinup_steps`` (discarded), then ``run_steps`` further steps are
+    recorded. Identical seeds give identical trajectories.
     """
     rng = SeededRng(seed)
     temperature = params.forcing + 0.5 * np.array(rng.normals(grid_size))
+    moisture_base = params.condensation_threshold + 5.0
     moisture = np.maximum(0.0, moisture_base + 2.0 * np.array(rng.normals(grid_size)))
     state = ModelState(temperature, moisture)
     workspace = Workspace(grid_size, params)

@@ -94,7 +94,8 @@ class BiasModel:
         if unknown:
             raise ValidationError(
                 f"unknown predictor name(s) {unknown}; "
-                f"registered: {sorted(PREDICTOR_REGISTRY)}"
+                f"registered: {sorted(PREDICTOR_REGISTRY)}",
+                "predictors",
             )
         values = (self.constant_coefficient_k, *self.coefficients)
         if not all(math.isfinite(v) for v in values):
@@ -124,9 +125,15 @@ class ColumnMapping:
 
     def __post_init__(self):
         if self.opacity_coefficient <= 0:
-            raise ValidationError("opacity coefficient must be positive")
+            raise ValidationError("opacity coefficient must be positive", "opacity_coefficient")
+        # A column's surface temperature is this offset plus its cell's state
+        # temperature; ``bias_corrected_forward`` checks that sum per column.
+        if self.surface_offset_k <= 0:
+            raise ValidationError("surface offset must be positive", "surface_offset_k")
         if self.atmosphere_temperature_k <= 0:
-            raise ValidationError("atmosphere temperature must be positive")
+            raise ValidationError(
+                "atmosphere temperature must be positive", "atmosphere_temperature_k"
+            )
 
 
 def bias_corrected_forward(
@@ -141,7 +148,7 @@ def bias_corrected_forward(
     the bias correction beta_0 + sum(beta_i p_i) at ``scan_position``.
 
     Raises ``ValidationError`` when the column's surface temperature is not
-    positive: the config rejects an offset <= 0 at load, and this catches a
+    positive: ``ColumnMapping`` rejects an offset <= 0, and this catches a
     positive ``surface_offset_k`` that the cell's temperature undercuts.
     """
     q = max(0.0, moisture_value)

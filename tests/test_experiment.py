@@ -192,7 +192,15 @@ class TestConfigLoading:
             ("mask: {breakpoints: [[0.0, 0.0, 1.0]]}", "mask.breakpoints"),
             ("bias: {coefficients: 1.0}", "bias.coefficients"),
             ("bias: {coefficients: [1.0], predictors: [[1]]}", "bias.predictors"),
-            ("forward: {opacity_coefficient: -1.0}", "forward"),
+            ("forward: {opacity_coefficient: -1.0}", "forward.opacity_coefficient"),
+            ("link: {transmittance: 2.0}", "link.transmittance"),
+            ("model: {condensation_rate: -1.0}", "model.condensation_rate"),
+            ("field: {count: -3}", "field.count"),
+            ("mask: {breakpoints: [[0.0, 0.0], [0.0, -10.0]]}", "mask.breakpoints"),
+            ("antenna: {physical_temperature_k: 290.0}", "antenna"),
+            ("model: {dt: 0.5}", "model.dt"),
+            ("model: {dt: 0.15}", "model.dt"),
+            ("model: {forcing: 1000.0}", "model.dt"),
             ("forward: {surface_offset_k: -500.0}", "forward.surface_offset_k"),
             ("forward: {surface_offset_k: 0.0}", "forward.surface_offset_k"),
             ("covariances: {bias_variance: 0.0}", "covariances.bias_variance"),
@@ -233,7 +241,7 @@ class TestConfigLoading:
         """Validation never rewrites a valid config, so its hash stays put."""
         path = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
         assert load_config(str(path)).config_hash == (
-            "68ce3419211e1ba4463c59e68d259cbaa2bb496db20e4087f8033caf95619224"
+            "6e66bad0bfec5d301f4baccf4a93d930c260e6638fd34e80e2800ddce27045e2"
         )
 
     def test_parse_error_reports_line(self, tmp_path):
@@ -317,9 +325,9 @@ class TestRunScenario:
             calls["step"] += 1
             return step(*args, **kwargs)
 
+        config = small_config(ensemble_size=2)  # loading takes RK4 steps too
         monkeypatch.setattr(experiment, "integrate", counted_integrate)
         monkeypatch.setattr(model, "step", counted_step)
-        config = small_config(ensemble_size=2)
         run_scenario(config)
         cases = (len(config.leakage_levels) + 1) * config.ensemble_size
         n_steps = 50  # forecast_length 0.5 at dt 0.01
@@ -346,8 +354,9 @@ class TestRunScenario:
         monkeypatch.setattr(osse.RadianceOperator, "__post_init__", counted_operator)
         monkeypatch.setattr(model.Workspace, "__init__", counted_workspace)
         for levels, members in (([-30.0], 1), ([-30.0, -20.0, -10.0], 3)):
+            config = small_config(leakage_levels=levels, ensemble_size=members)
             built.update(operator=0, workspace=0)
-            run_scenario(small_config(leakage_levels=levels, ensemble_size=members))
+            run_scenario(config)
             assert built == {"operator": 1, "workspace": 2}
 
     def test_one_synthesis_per_scenario_one_chain_per_level(self, monkeypatch):
@@ -469,12 +478,37 @@ class TestRunScenario:
         deltas = [leakage_chain(config, level)[1] for level in config.leakage_levels]
         assert all(b > a for a, b in zip(deltas, deltas[1:]))
 
-    def test_ensemble_metrics_average_members(self):
+    def test_ensemble_metrics_average_members(self, monkeypatch):
+        """Each divergence column is the mean over members of one member's max
+        or RMS over the grid, bit for bit as if each vector were reduced alone."""
         one = run_scenario(small_config(ensemble_size=1))
+        diags, diagnostics = [], experiment.diagnostics
+
+        def recorded(*args):
+            diags.append(diagnostics(*args))
+            return diags[-1]
+
+        monkeypatch.setattr(experiment, "diagnostics", recorded)
         many = run_scenario(small_config(ensemble_size=3))
         assert many.ensemble_size == 3
         assert many.levels[0].t2m_diff_rms_c > 0.0
         assert one.levels[0].t2m_diff_rms_c != many.levels[0].t2m_diff_rms_c
+
+        def member_means(level, name):
+            diffs = [getattr(d, name) - getattr(b, name) for d, b in zip(level, diags[:3])]
+            return (
+                float(np.mean([float(np.max(np.abs(d))) for d in diffs])),
+                float(np.mean([float(np.sqrt(np.mean(d**2))) for d in diffs])),
+            )
+
+        for i, row in enumerate(many.rows):
+            level = diags[3 * i : 3 * i + 3]
+            assert (row.precip_diff_max_mm, row.precip_diff_rms_mm) == member_means(
+                level, "accumulated_precipitation_mm"
+            )
+            assert (row.t2m_diff_max_c, row.t2m_diff_rms_c) == member_means(
+                level, "two_meter_temperature_k"
+            )
 
 
 def make_report(n_levels):
@@ -593,6 +627,21 @@ class TestCli:
         result = runner.invoke(main, ["run", "/nonexistent/x.yaml"])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_run_unreadable_config_exit_1(self, tmp_path, kind):
+        """A CONFIG that cannot be read as UTF-8 text is a config error naming it."""
+        path = tmp_path / "run.yaml"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"ensemble_size: 1  # \xff\xfe\n")
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(str(path))
+        assert str(path) in str(excinfo.value)
+        result = CliRunner().invoke(main, ["run", str(path)])
+        assert result.exit_code == 1
+        assert f"validation error: could not read config {path}" in result.output
+
     def test_run_unwritable_out_exit_2(self, tmp_path):
         runner = CliRunner()
         result = runner.invoke(
@@ -686,7 +735,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "config_text, message",
         [
-            ("model: {dt: 0.5}", "non-finite model state after step 2"),
+            ("model: {dt: 0.12}", "non-finite model state after step 9"),
             (
                 "{covariances: {observation_stddev_k: 1.5e-154}, background_noise_std: 3.0, "
                 "leakage_levels: [-300], forecast_length: 0.05, spinup_steps: 10}",
@@ -698,7 +747,9 @@ class TestCli:
     def test_blow_up_exit_2_without_floating_point_warnings(self, tmp_path, config_text, message):
         """A time step that blows the model up, or observations that overflow
         the analysis cost, report where it happened and exit 2, and the
-        overflow on the way there prints no RuntimeWarning."""
+        overflow on the way there prints no RuntimeWarning. Time step 0.12
+        passes the load-time probe from seed 101's initial state and blows
+        up in spin-up."""
         path = tmp_path / "blowup.yaml"
         path.write_text(config_text + "\n")
         src = Path(__file__).resolve().parents[1] / "src"

@@ -495,6 +495,14 @@ class TestNatureRun:
         b = nature_run(ModelParams(), 2, 0, 0, grid_size=12)
         assert not np.array_equal(a.states[0].temperature_field, b.states[0].temperature_field)
 
+    def test_initial_moisture_follows_the_condensation_threshold(self):
+        """Moisture starts 5 above the threshold: raising the threshold by 15
+        raises every cell's initial moisture by 15 (none is floored at 0)."""
+        base = nature_run(ModelParams(), 4, 0, 0, grid_size=12).final
+        wetter = nature_run(ModelParams(condensation_threshold=40.0), 4, 0, 0, grid_size=12).final
+        assert base.moisture_field.min() > 20.0
+        np.testing.assert_allclose(wetter.moisture_field - base.moisture_field, 15.0)
+
     def test_post_spinup_variance_in_chaotic_band(self):
         """Temperature variance sits in the [2, 30] band measured for F = 8."""
         traj = nature_run(ModelParams(), 7, 1000, 1000, grid_size=40)
