@@ -41,7 +41,6 @@ from .leakage import (
     received_power,
 )
 from .model import (
-    ForecastDiagnostics,
     ModelParams,
     ModelState,
     Trajectory,

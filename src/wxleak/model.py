@@ -17,16 +17,16 @@ whatever it removes is counted as rain.
 A step runs on a ``Workspace``, which ``nature_run`` makes once per call,
 ``integrate`` takes from its caller or makes, and each passes to every
 step: buffers for the stage inputs, the stage matrix k1..k4 and the final
-combination, index constants cached per grid size, and the step itself,
-bound once as a closure over them. One gather from a source buffer
-``[T, q, q_c, 0, 1, r, c_q]`` yields every operand of a tendency, so a
-tendency is nine numpy calls; the stage combination is one doubling and
-one row reduce, and a step is 49 calls, each on a whole vector. On the
-40-cell grid a step's cost is per-call overhead, not arithmetic, so the
-closure passes every output positionally and reads its buffers from
-closure cells, not attributes. A tendency evaluates the formulas above
-left to right, so a step gives the same bits on a shared workspace or its
-own.
+combination, the gather index and zero vector it builds for its grid
+size, and the step itself, bound once as a closure over them. One gather
+from a source buffer ``[T, q, q_c, 0, 1, r, c_q]`` yields every operand of
+a tendency, so a tendency is nine numpy calls; the stage combination is
+one doubling and one row reduce, and a step is 49 calls, each on a whole
+vector. On the 40-cell grid a step's cost is per-call overhead, not
+arithmetic, so the closure passes every output positionally and reads its
+buffers from closure cells, not attributes. A tendency evaluates the
+formulas above left to right, so a step gives the same bits on a shared
+workspace or its own.
 
 Reporting conventions (never used inside the dynamics): one state unit of
 accumulated condensate is one millimetre of precipitation, and temperature
@@ -36,7 +36,6 @@ is reported as the state value plus a 273 K offset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -129,61 +128,9 @@ class Trajectory:
         return self.states[-1]
 
 
-@dataclass(frozen=True, eq=False)
-class ForecastDiagnostics:
-    """Per-grid-point forecast quantities derived from one trajectory."""
-
-    accumulated_precipitation_mm: np.ndarray
-    two_meter_temperature_k: np.ndarray
-
-    def __post_init__(self):
-        precip = np.asarray(self.accumulated_precipitation_mm, dtype=float)
-        t2m = np.asarray(self.two_meter_temperature_k, dtype=float)
-        if np.any(precip < 0):
-            raise ValidationError("accumulated precipitation must be >= 0")
-        precip.setflags(write=False)
-        t2m.setflags(write=False)
-        object.__setattr__(self, "accumulated_precipitation_mm", precip)
-        object.__setattr__(self, "two_meter_temperature_k", t2m)
-
-
 def condensation(moisture: np.ndarray, params: ModelParams) -> np.ndarray:
     """Condensation sink r * max(0, q - q_c), per grid point."""
     return params.condensation_rate * np.maximum(0.0, moisture - params.condensation_threshold)
-
-
-@lru_cache(maxsize=8)
-def _layout(grid_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only constants of the RK4 workspace on a grid of N cells.
-
-    ``gather`` picks 17N values out of a workspace's source buffer
-    ``[T, q, q_c, 0, 1, r, c_q]``. With k over the grid and neighbours taken
-    cyclically, its minuend, subtrahend and factor blocks are
-
-        T[k+1]  q[k]    T  q    q  q[k-1]
-        T[k-2]  q[k+1]  0  q_c  0  q[k]
-        T[k-1]  T[k]    1  r    c_q
-
-    so that one subtraction gives T[k+1] - T[k-2], the negated forward
-    moisture difference, T, q - q_c, q and the negated backward difference,
-    and one product of its first 5N values with the factors gives
-    [A, B, T, r max(0, q - q_c), c_q q] once the backward difference has
-    replaced the forward one where T > 0 and q - q_c is floored at zero.
-    ``zeros`` is 2N zeros.
-    """
-    n = grid_size
-    k = np.arange(n)
-    right, left, left2 = (k + 1) % n, (k - 1) % n, (k - 2) % n
-    q_c, zero, one, rate, coupling = (np.full(n, 2 * n + i) for i in range(5))
-    gather = np.concatenate(
-        [right, n + k, k, n + k, n + k, n + left]
-        + [left2, n + right, zero, q_c, zero, n + k]
-        + [left, k, one, rate, coupling]
-    )
-    zeros = np.zeros(2 * n)
-    for constant in (gather, zeros):
-        constant.setflags(write=False)
-    return gather, zeros
 
 
 class Workspace:
@@ -207,7 +154,29 @@ class Workspace:
         if grid_size < 4:
             raise ValidationError("grid needs at least 4 cells")
         n = grid_size
-        gather, zeros = _layout(n)
+        # ``gather`` picks 17N values out of the source buffer
+        # [T, q, q_c, 0, 1, r, c_q]. With k over the grid and neighbours taken
+        # cyclically, its minuend, subtrahend and factor blocks are
+        #
+        #     T[k+1]  q[k]    T  q    q  q[k-1]
+        #     T[k-2]  q[k+1]  0  q_c  0  q[k]
+        #     T[k-1]  T[k]    1  r    c_q
+        #
+        # so that one subtraction gives T[k+1] - T[k-2], the negated forward
+        # moisture difference, T, q - q_c, q and the negated backward
+        # difference, and one product of its first 5N values with the factors
+        # gives [A, B, T, r max(0, q - q_c), c_q q] once the backward
+        # difference has replaced the forward one where T > 0 and q - q_c is
+        # floored at zero.
+        k = np.arange(n)
+        right, left, left2 = (k + 1) % n, (k - 1) % n, (k - 2) % n
+        q_c, zero, one, rate, coupling = (np.full(n, 2 * n + i) for i in range(5))
+        gather = np.concatenate(
+            [right, n + k, k, n + k, n + k, n + left]
+            + [left2, n + right, zero, q_c, zero, n + k]
+            + [left, k, one, rate, coupling]
+        )
+        zeros = np.zeros(2 * n)
         zeros_n = zeros[:n]
         source = np.empty(2 * n + 5)
         source[2 * n :] = (
@@ -341,16 +310,6 @@ def _advance(
     return state
 
 
-def _trajectory(
-    state: ModelState, params: ModelParams, n_steps: int, workspace: Workspace
-) -> Trajectory:
-    if n_steps < 0:
-        raise ValidationError("step count must be >= 0")
-    states = [state]
-    _advance(state, params, n_steps, workspace, states)
-    return Trajectory(tuple(states))
-
-
 def integrate(
     state: ModelState,
     params: ModelParams,
@@ -363,19 +322,22 @@ def integrate(
     own. A workspace holds no state between steps, so ``run_scenario``
     makes one per scenario and passes it to every forecast.
     """
+    if n_steps < 0:
+        raise ValidationError("step count must be >= 0")
     if workspace is None:
         workspace = Workspace(state.grid_size, params)
-    return _trajectory(state, params, n_steps, workspace)
+    states = [state]
+    _advance(state, params, n_steps, workspace, states)
+    return Trajectory(tuple(states))
 
 
-def diagnostics(trajectory: Trajectory, params: ModelParams) -> ForecastDiagnostics:
-    """Accumulated precipitation and final near-surface temperature.
+def diagnostics(trajectory: Trajectory, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Accumulated precipitation (mm) and final near-surface temperature (K), per cell.
 
     Precipitation integrates the condensation sink with the left-point rule
     over the trajectory's steps, so concatenated trajectories add exactly.
+    It is never negative, as ``ModelParams`` keeps the rate >= 0 and ``dt`` > 0.
     """
-    if len(trajectory.states) == 0:
-        raise ValidationError("trajectory is empty")
     n = trajectory.states[0].grid_size
     # condensation(q, params) * dt at every left point, computed in place on
     # one (steps, n) matrix so that no second matrix is allocated; its rows
@@ -390,9 +352,8 @@ def diagnostics(trajectory: Trajectory, params: ModelParams) -> ForecastDiagnost
     np.maximum(0.0, sink, out=sink)
     sink *= params.condensation_rate
     sink *= params.dt
-    precip = sink.sum(axis=0)
     t2m = trajectory.final.temperature_field + TEMPERATURE_REPORT_OFFSET_K
-    return ForecastDiagnostics(precip, t2m)
+    return sink.sum(axis=0), t2m
 
 
 def nature_run(
@@ -414,4 +375,4 @@ def nature_run(
     state = ModelState(temperature, moisture)
     workspace = Workspace(grid_size, params)
     state = _advance(state, params, spinup_steps, workspace)
-    return _trajectory(state, params, run_steps, workspace)
+    return integrate(state, params, run_steps, workspace)

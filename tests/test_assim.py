@@ -1,12 +1,16 @@
 """Tests for the variational analysis: cost, gradient, minimizer."""
 
+import contextlib
 import dataclasses
+import inspect
 import math
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import wxleak.experiment as experiment
 from wxleak import assim
 from wxleak.assim import (
     AssimilationProblem,
@@ -748,6 +752,31 @@ def reference_minimize(problem, hold_bias_fixed=False, on_iteration=None):
     )
 
 
+@contextlib.contextmanager
+def _lines_run(function):
+    """Count, per source line number, how often ``function``'s own body runs each line."""
+    code, hits = function.__code__, Counter()
+
+    def count(frame, event, arg):
+        if event == "line":
+            hits[frame.f_lineno] += 1
+        return count
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count if frame.f_code is code else None)
+    try:
+        yield hits
+    finally:
+        sys.settrace(previous)
+
+
+def _source_line(function, text) -> int:
+    """The number of the one source line of ``function`` that contains ``text``."""
+    lines, first = inspect.getsourcelines(function)
+    (index,) = [i for i, line in enumerate(lines) if text in line]
+    return first + index
+
+
 def _same_bits(got, expected) -> bool:
     got, expected = np.asarray(got), np.asarray(expected)
     return np.array_equal(got, expected) and got.tobytes() == expected.tobytes()
@@ -848,6 +877,41 @@ class TestMinimizeMatchesReference:
         monkeypatch.setattr(assim, "MAX_ITERATIONS", 2)
         result = self.assert_same_analysis(radiance_problem(21), False)
         assert not result.converged
+
+    def test_restarts_and_backtracks(self, monkeypatch):
+        """The shipped config with the bias held fixed, 200 spin-up steps and a
+        0 dBW aggregate level (a 28.2 K brightness error) gives analyses whose
+        conjugate direction loses descent 3 times and whose line search
+        shrinks a trial step 4 times, per member; each still converges and
+        matches the reference bit for bit."""
+        problems = []
+
+        def recorded(problem, **kwargs):
+            problems.append(problem)
+            return minimize(problem, **kwargs)
+
+        monkeypatch.setattr(experiment, "minimize", recorded)
+        config = experiment.config_from_dict(
+            {
+                "hold_bias_fixed": True,
+                "spinup_steps": 200,
+                "leakage_levels": [0.0],
+                "ensemble_size": 3,
+                "forecast_length": 0.01,
+            }
+        )
+        experiment.run_scenario(config)
+        assert len(problems) == 6
+        restart = _source_line(minimize, "direction = -scaled_g  # restart")
+        shrink = _source_line(minimize, "alpha *= ARMIJO_SHRINK")
+        for problem in problems[3:]:
+            reference = dataclasses.replace(
+                problem, operator=ReferenceRadianceOperator(problem.operator)
+            )
+            with _lines_run(minimize) as hits:
+                result = self.assert_same_analysis(problem, True, reference)
+            assert (hits[restart], hits[shrink]) == (3, 4)
+            assert result.converged
 
     @pytest.mark.parametrize(
         "background_state, message",

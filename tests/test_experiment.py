@@ -142,11 +142,17 @@ class TestConfigLoading:
         assert config.seeds.init == 902
         assert config.config_hash != config_from_dict(dict(SMALL_RUN)).config_hash
 
-    def test_load_config_from_file(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, raw", [(yaml.safe_dump(SMALL_RUN), SMALL_RUN), ("", {})], ids=["small", "empty"]
+    )
+    def test_load_config_from_file(self, tmp_path, text, raw):
+        """A file loads as its mapping does; an empty file loads as ``{}``."""
         path = tmp_path / "run.yaml"
-        path.write_text(yaml.safe_dump(SMALL_RUN))
+        path.write_text(text)
         config = load_config(str(path))
-        assert config.leakage_levels == (-30.0, -20.0)
+        expected = config_from_dict(dict(raw))
+        assert config.leakage_levels == expected.leakage_levels
+        assert config.config_hash == expected.config_hash
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -200,6 +206,7 @@ class TestConfigLoading:
             ("antenna: {physical_temperature_k: 290.0}", "antenna"),
             ("model: {dt: 0.5}", "model.dt"),
             ("model: {dt: 0.15}", "model.dt"),
+            ("model: {dt: 0.12}", "model.dt"),
             ("model: {forcing: 1000.0}", "model.dt"),
             ("forward: {surface_offset_k: -500.0}", "forward.surface_offset_k"),
             ("forward: {surface_offset_k: 0.0}", "forward.surface_offset_k"),
@@ -216,6 +223,18 @@ class TestConfigLoading:
             ),
             ("covariances: {observation_stddev_k: 1.0e-170}", "covariances.observation_stddev_k"),
             ("covariances: {observation_stddev_k: 1.0e200}", "covariances.observation_stddev_k"),
+            ("seeds: {nature: -1}", "seeds.nature"),
+            ("seeds: {nature: 18446744073709551617}", "seeds.nature"),
+            ("seeds: {nature: -18446744073709551615}", "seeds.nature"),
+            ("seeds: {obs_noise: 18446744073709551616}", "seeds.obs_noise"),
+            ("seeds: {init: -3}", "seeds.init"),
+            ("background_noise_std: -1", "background_noise_std"),
+            ("observations: {locations: [40]}", "observations.locations"),
+            ("model: {grid_size: 4}", "observations.count"),
+            ("model: {dt: true}", "model.dt"),
+            ("model: {dt: 0}", "model.dt"),
+            ("forward: {atmosphere_temperature_k: 0}", "forward.atmosphere_temperature_k"),
+            ("[1, 2]", None),
         ],
     )
     def test_bad_value_rejected_at_load_naming_field(self, tmp_path, text, field):
@@ -494,8 +513,8 @@ class TestRunScenario:
         assert many.levels[0].t2m_diff_rms_c > 0.0
         assert one.levels[0].t2m_diff_rms_c != many.levels[0].t2m_diff_rms_c
 
-        def member_means(level, name):
-            diffs = [getattr(d, name) - getattr(b, name) for d, b in zip(level, diags[:3])]
+        def member_means(level, field):
+            diffs = [d[field] - b[field] for d, b in zip(level, diags[:3])]
             return (
                 float(np.mean([float(np.max(np.abs(d))) for d in diffs])),
                 float(np.mean([float(np.sqrt(np.mean(d**2))) for d in diffs])),
@@ -503,12 +522,8 @@ class TestRunScenario:
 
         for i, row in enumerate(many.rows):
             level = diags[3 * i : 3 * i + 3]
-            assert (row.precip_diff_max_mm, row.precip_diff_rms_mm) == member_means(
-                level, "accumulated_precipitation_mm"
-            )
-            assert (row.t2m_diff_max_c, row.t2m_diff_rms_c) == member_means(
-                level, "two_meter_temperature_k"
-            )
+            assert (row.precip_diff_max_mm, row.precip_diff_rms_mm) == member_means(level, 0)
+            assert (row.t2m_diff_max_c, row.t2m_diff_rms_c) == member_means(level, 1)
 
 
 def make_report(n_levels):
@@ -664,6 +679,17 @@ class TestCli:
         )
         assert a.read_bytes() != b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "override, field", [(-1, "seeds.nature"), (2**64 - 2, "seeds.init")]
+    )
+    def test_seed_override_out_of_range_exit_1(self, tmp_path, override, field):
+        """Seeds n, n + 1 and n + 2 must each lie in [0, 2**64), as in the file."""
+        config = self.write_config(tmp_path)
+        assert config_from_dict(dict(SMALL_RUN), seed_override=2**64 - 3).seeds.init == 2**64 - 1
+        result = CliRunner().invoke(main, ["run", config, "--seed-override", str(override)])
+        assert result.exit_code == 1
+        assert f"field: {field}" in result.output
+
     def test_sweep_forces_default_levels(self, tmp_path):
         runner = CliRunner()
         out = tmp_path / "sweep.csv"
@@ -735,7 +761,10 @@ class TestCli:
     @pytest.mark.parametrize(
         "config_text, message",
         [
-            ("model: {dt: 0.12}", "non-finite model state after step 9"),
+            (
+                "{background_noise_std: 1.0e100, forecast_length: 0.05, spinup_steps: 50}",
+                "baseline, member 0: non-finite model state after step 0",
+            ),
             (
                 "{covariances: {observation_stddev_k: 1.5e-154}, background_noise_std: 3.0, "
                 "leakage_levels: [-300], forecast_length: 0.05, spinup_steps: 10}",
@@ -745,11 +774,12 @@ class TestCli:
         ids=["model_time_step", "analysis_cost"],
     )
     def test_blow_up_exit_2_without_floating_point_warnings(self, tmp_path, config_text, message):
-        """A time step that blows the model up, or observations that overflow
+        """A forecast that blows the model up, or observations that overflow
         the analysis cost, report where it happened and exit 2, and the
-        overflow on the way there prints no RuntimeWarning. Time step 0.12
-        passes the load-time probe from seed 101's initial state and blows
-        up in spin-up."""
+        overflow on the way there prints no RuntimeWarning. A background
+        perturbation of 1e100 passes the load-time time-step probe, which
+        starts from the nature run's state, and blows up the baseline
+        forecast from its analysis at the first step."""
         path = tmp_path / "blowup.yaml"
         path.write_text(config_text + "\n")
         src = Path(__file__).resolve().parents[1] / "src"

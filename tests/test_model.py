@@ -8,7 +8,6 @@ import pytest
 
 from wxleak.errors import ModelBlowUpError, ValidationError
 from wxleak.model import (
-    ForecastDiagnostics,
     ModelParams,
     ModelState,
     Trajectory,
@@ -419,24 +418,22 @@ class TestDiagnostics:
         params = ModelParams()
         state = ModelState(np.full(8, 8.0), np.full(8, 10.0))
         traj = integrate(state, params, 20)
-        diag = diagnostics(traj, params)
-        assert np.all(diag.accumulated_precipitation_mm == 0.0)
+        precip, _ = diagnostics(traj, params)
+        assert np.all(precip == 0.0)
 
     def test_single_step_hand_value(self):
         """One step, 5 units above threshold, rate 0.2, dt 0.01: 0.01 mm."""
         params = ModelParams(moisture_coupling=0.0)
         state = ModelState(np.zeros(8), np.full(8, params.condensation_threshold + 5.0))
         traj = integrate(state, params, 1)
-        diag = diagnostics(traj, params)
-        assert np.allclose(diag.accumulated_precipitation_mm, 0.01, rtol=1e-12)
+        precip, _ = diagnostics(traj, params)
+        assert np.allclose(precip, 0.01, rtol=1e-12)
 
     def test_identical_trajectories_identical_diagnostics(self):
         params = ModelParams()
         traj = integrate(smooth_initial_state(), params, 25)
-        a = diagnostics(traj, params)
-        b = diagnostics(traj, params)
-        assert np.array_equal(a.accumulated_precipitation_mm, b.accumulated_precipitation_mm)
-        assert np.array_equal(a.two_meter_temperature_k, b.two_meter_temperature_k)
+        for a, b in zip(diagnostics(traj, params), diagnostics(traj, params)):
+            assert np.array_equal(a, b)
 
     def test_additive_over_concatenation(self):
         params = ModelParams()
@@ -444,11 +441,8 @@ class TestDiagnostics:
         first = integrate(state, params, 15)
         second = integrate(first.final, params, 10)
         whole = integrate(state, params, 25)
-        split_sum = (
-            diagnostics(first, params).accumulated_precipitation_mm
-            + diagnostics(second, params).accumulated_precipitation_mm
-        )
-        total = diagnostics(whole, params).accumulated_precipitation_mm
+        split_sum = diagnostics(first, params)[0] + diagnostics(second, params)[0]
+        total = diagnostics(whole, params)[0]
         assert np.allclose(split_sum, total, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("grid_size, n_steps", [(40, 1200), (4, 7), (5, 30), (41, 200)])
@@ -460,26 +454,20 @@ class TestDiagnostics:
         for state in traj.states[:-1]:
             expected += condensation(state.moisture_field, params) * params.dt
         assert np.any(expected > 0.0)
-        assert np.array_equal(diagnostics(traj, params).accumulated_precipitation_mm, expected)
+        assert np.array_equal(diagnostics(traj, params)[0], expected)
 
     def test_zero_step_trajectory_has_zero_precipitation(self):
         params = ModelParams()
         traj = integrate(smooth_initial_state(6), params, 0)
-        precip = diagnostics(traj, params).accumulated_precipitation_mm
+        precip, _ = diagnostics(traj, params)
         assert precip.shape == (6,)
         assert np.all(precip == 0.0)
 
     def test_temperature_report_offset(self):
         params = ModelParams()
         traj = integrate(smooth_initial_state(), params, 5)
-        diag = diagnostics(traj, params)
-        assert np.allclose(
-            diag.two_meter_temperature_k, traj.final.temperature_field + 273.0
-        )
-
-    def test_negative_precipitation_rejected(self):
-        with pytest.raises(ValidationError):
-            ForecastDiagnostics(np.array([-0.1]), np.array([280.0]))
+        _, t2m = diagnostics(traj, params)
+        assert np.allclose(t2m, traj.final.temperature_field + 273.0)
 
 
 class TestNatureRun:
