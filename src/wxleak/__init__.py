@@ -10,9 +10,9 @@ given leakage level can be measured end to end on one machine.
 from .assim import (
     AnalysisResult,
     AssimilationProblem,
+    build_problem,
     cost,
     gradient,
-    innovation,
     minimize,
 )
 from .errors import (
@@ -54,7 +54,6 @@ from .osse import (
     ColumnMapping,
     RadianceOperator,
     bias_corrected_forward,
-    build_problem,
     default_obs_locations,
     state_vector_to_model,
     synthesize_observations,

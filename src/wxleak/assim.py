@@ -8,10 +8,12 @@ The analysis minimizes
 
 over the model state x and the bias coefficients beta together, so the bias
 correction is re-estimated inside every analysis. The three covariances are
-diagonal, held as vectors of variances, and enter through their inverses;
-pinning the state (near-zero B variances) recovers the bias-only problem.
-``cost``, ``gradient``, ``innovation`` and the minimizer all work on one flat
-control vector v = [x, beta].
+diagonal and enter through their inverses; pinning the state (near-zero B
+variances) recovers the bias-only problem. The problem holds the flat
+control v = [x, beta] alone: its background and its prior variances are one
+vector each in that layout. ``build_problem`` lays them out from a model
+state and the observation operator; ``cost``, ``gradient`` and the
+minimizer all work on v.
 
 The minimizer is a Polak-Ribiere nonlinear conjugate gradient with automatic
 restart and an Armijo backtracking line search (c = 1e-4, shrink 0.5),
@@ -25,12 +27,13 @@ not depend on step-size luck.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
 from .errors import MinimizationError, ValidationError
+from .model import ModelState
 
 GRADIENT_TOLERANCE = 1e-8
 MAX_ITERATIONS = 500
@@ -44,19 +47,6 @@ _MAX_BACKTRACKS = 60
 # of two full-scale brightness temperatures, amplified by R^-1, so the
 # floor is estimated from those magnitudes rather than from the cost alone.
 _EPS = float(np.finfo(float).eps)
-
-
-class ObservationOperator(Protocol):
-    """What the analysis needs from a (possibly nonlinear) operator."""
-
-    n_state: int
-    n_bias: int
-
-    def values(self, state: np.ndarray, bias: np.ndarray) -> np.ndarray:
-        """Predicted observations, shape (n_obs,)."""
-
-    def jacobians(self, state: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(d values / d state, d values / d bias), shapes (n_obs, n_state), (n_obs, n_bias)."""
 
 
 def _variances(values, count: int, what: str) -> np.ndarray:
@@ -74,56 +64,76 @@ def _variances(values, count: int, what: str) -> np.ndarray:
 class AssimilationProblem:
     """Background, diagonal covariances, observed values and the operator binding them.
 
-    The three covariances are held as their variances: one per state value,
-    one per bias coefficient and one per observation, each a read-only 1-d
-    vector, positive and finite. ``obs_values`` is held as a read-only copy.
-    Construction also fixes the flat ``background`` and ``prior_variances``
-    over the control [state, bias], the vector every cost, gradient and
-    minimizer iterate is written in.
+    ``background`` and ``prior_variances`` are written over the flat control
+    [state, bias], the vector every cost, gradient and minimizer iterate is
+    written in; their length is the operator's ``n_state + n_bias``. The
+    covariances are held as their variances, one per control value and one
+    per observation, positive and finite. Every vector is held as a
+    read-only 1-d copy.
     """
 
-    background_state: np.ndarray
-    background_bias: np.ndarray
-    state_variances: np.ndarray
-    bias_variances: np.ndarray
-    obs_variances: np.ndarray
+    background: np.ndarray
+    prior_variances: np.ndarray
     obs_values: np.ndarray
-    operator: ObservationOperator
-    background: np.ndarray = field(init=False)
-    prior_variances: np.ndarray = field(init=False)
+    obs_variances: np.ndarray
+    operator: Any
 
     def __post_init__(self):
-        background_state = np.asarray(self.background_state, dtype=float)
-        background_bias = np.asarray(self.background_bias, dtype=float)
+        n_control = self.operator.n_state + self.operator.n_bias
+        background = np.array(self.background, dtype=float)
         obs_values = np.array(self.obs_values, dtype=float)
+        if background.shape != (n_control,):
+            raise ValidationError(
+                f"background must be a 1-d vector of the operator's {n_control} control values"
+            )
         if obs_values.ndim != 1:
             raise ValidationError("observed values must be a 1-d vector")
-        obs_values.setflags(write=False)
-        n_state, n_bias = len(background_state), len(background_bias)
-        if self.operator.n_state != n_state or self.operator.n_bias != n_bias:
-            raise ValidationError("operator dimensions do not match the problem")
-        state_variances = _variances(self.state_variances, n_state, "state")
-        bias_variances = _variances(self.bias_variances, n_bias, "bias")
-        background = np.concatenate([background_state, background_bias])
-        prior_variances = np.concatenate([state_variances, bias_variances])
         background.setflags(write=False)
-        prior_variances.setflags(write=False)
+        obs_values.setflags(write=False)
         fields = {
-            "background_state": background_state,
-            "background_bias": background_bias,
-            "state_variances": state_variances,
-            "bias_variances": bias_variances,
-            "obs_variances": _variances(self.obs_variances, len(obs_values), "observation"),
-            "obs_values": obs_values,
             "background": background,
-            "prior_variances": prior_variances,
+            "prior_variances": _variances(self.prior_variances, n_control, "prior"),
+            "obs_values": obs_values,
+            "obs_variances": _variances(self.obs_variances, len(obs_values), "observation"),
         }
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
     @property
     def n_state(self) -> int:
-        return self.background_state.shape[0]
+        return self.operator.n_state
+
+
+def build_problem(
+    background: ModelState,
+    operator,
+    obs_values: np.ndarray,
+    state_variance: float,
+    bias_variance: float,
+    obs_stddev_k: float,
+) -> AssimilationProblem:
+    """Assemble the analysis problem for one cycle on ``operator`` with
+    diagonal covariances: ``state_variance`` per state value,
+    ``bias_variance`` per coefficient and ``obs_stddev_k`` squared per
+    observation. The background control is the model state's vector
+    followed by the operator's bias template.
+
+    The operator holds everything that stays fixed across a scenario's
+    analyses, so ``run_scenario`` builds it once and passes it to every
+    call; a problem adds only the background, the observed values and the
+    covariances."""
+    template = operator.bias_template
+    return AssimilationProblem(
+        background=np.concatenate(
+            [background.vector, (template.constant_coefficient_k, *template.coefficients)]
+        ),
+        prior_variances=np.repeat(
+            [state_variance, bias_variance], [operator.n_state, operator.n_bias]
+        ),
+        obs_values=obs_values,
+        obs_variances=np.full(len(obs_values), obs_stddev_k**2),
+        operator=operator,
+    )
 
 
 @dataclass(frozen=True)
@@ -151,11 +161,6 @@ def _check_control(v, problem: AssimilationProblem) -> np.ndarray:
 def _innovation(problem: AssimilationProblem, v: np.ndarray) -> np.ndarray:
     n_state = problem.n_state
     return problem.obs_values - problem.operator.values(v[:n_state], v[n_state:])
-
-
-def innovation(problem: AssimilationProblem, v) -> np.ndarray:
-    """Observation-minus-operator residual y - H_hat(x, beta) at the flat control ``v``."""
-    return _innovation(problem, _check_control(v, problem))
 
 
 def cost(v, problem: AssimilationProblem, residual: np.ndarray | None = None) -> float:

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 validation/config error, 2 runtime error.
 
 from __future__ import annotations
 
+import math
 import sys
 
 import click
@@ -97,6 +98,15 @@ def noise_table_command(
 ) -> None:
     """Emit induced noise temperature vs leakage power as CSV."""
     try:
+        for option, value in (
+            ("--min", min_dbw),
+            ("--max", max_dbw),
+            ("--step", step),
+            ("--pathloss", pathloss),
+            ("--efficiency", efficiency),
+        ):
+            if not math.isfinite(value):
+                raise ValidationError(f"{option} must be finite, got {value}")
         if step <= 0 or max_dbw < min_dbw:
             raise ValidationError("need step > 0 and max >= min")
         link = LinkBudget(total_pathloss_db=pathloss)

@@ -22,7 +22,7 @@ from typing import TextIO
 import numpy as np
 import yaml
 
-from .assim import minimize
+from .assim import build_problem, minimize
 from .errors import ConfigError, ModelBlowUpError, ValidationError
 from .leakage import (
     AGGRESSOR_CHANNEL,
@@ -43,7 +43,6 @@ from .osse import (
     BiasModel,
     ColumnMapping,
     RadianceOperator,
-    build_problem,
     default_obs_locations,
     state_vector_to_model,
     synthesize_observations,
@@ -317,6 +316,12 @@ def config_from_dict(
 
     link = build("link", LinkBudget, **_numbers(resolved["link"], "link"))
     antenna = build("antenna", AntennaModel, **_numbers(resolved["antenna"], "antenna"))
+    if antenna.radiation_efficiency == 0.0:
+        # AntennaModel allows it for the antenna relation; a scenario cannot run.
+        raise ConfigError(
+            "must be positive: the brightness error divides by it",
+            field="antenna.radiation_efficiency",
+        )
     breakpoints = _list(resolved["mask"]["breakpoints"], "mask.breakpoints")
     if any(not isinstance(bp, (list, tuple)) or len(bp) != 2 for bp in breakpoints):
         raise ConfigError("must be a list of [offset_hz, db] pairs", field="mask.breakpoints")
@@ -328,6 +333,12 @@ def config_from_dict(
             for o, p in breakpoints
         ),
     )
+    if interpretation == "per_device":
+        # The leaked fraction depends on the mask alone, whatever the level.
+        try:
+            aci_leakage_fraction(mask, AGGRESSOR_CHANNEL, VICTIM_CHANNEL)
+        except ValidationError as exc:
+            raise ConfigError(str(exc), field="mask.breakpoints") from exc
     field_block = dict(resolved["field"])
     density_class = field_block.pop("density_class")
     if not isinstance(density_class, str) or density_class not in _DENSITY_COUNTS:

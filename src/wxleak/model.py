@@ -128,27 +128,21 @@ class Trajectory:
         return self.states[-1]
 
 
-def condensation(moisture: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Condensation sink r * max(0, q - q_c), per grid point."""
-    return params.condensation_rate * np.maximum(0.0, moisture - params.condensation_threshold)
-
-
 class Workspace:
     """The RK4 step on a grid of ``grid_size`` cells under ``params``, bound once.
 
     ``nature_run`` makes one per call and ``run_scenario`` one per scenario
     for all its forecasts; each passes it to every ``step``, so a run
     allocates its stage inputs, ``k1..k4`` and the final combination once.
-    The constructor builds ``step(x0) -> x1`` and ``tendencies(x) -> dx/dt``
-    as closures over those buffers, the step's constant vectors and the
-    numpy callables they use. Outputs are passed positionally, except to
+    The constructor builds ``step(x0) -> x1`` as a closure over those
+    buffers, the step's constant vectors and the numpy callables it uses. Outputs are passed positionally, except to
     ``np.maximum``, which deprecates that. A constant vector costs numpy
     less per call than a scalar and gives the same bits. ``buffers`` holds
     every array the step writes, and ``sixth_h`` is the vector h / 6 that
     scales the stage combination.
     """
 
-    __slots__ = ("params", "size", "buffers", "sixth_h", "tendencies", "step")
+    __slots__ = ("params", "size", "buffers", "sixth_h", "step")
 
     def __init__(self, grid_size: int, params: ModelParams):
         if grid_size < 4:
@@ -224,12 +218,6 @@ class Workspace:
             add(out_temperature, forcing, out_temperature)
             add(out_temperature, moisture_term, out_temperature)
 
-        def tendencies(x):
-            point[...] = x
-            out = np.empty(2 * n)
-            rhs(out, out[:n])
-            return out
-
         def step(x0):
             # Stage inputs x0 + (h / 2) k1, x0 + (h / 2) k2 and x0 + h k3.
             point[...] = x0
@@ -259,12 +247,7 @@ class Workspace:
 
         self.params, self.size, self.sixth_h = params, 2 * n, sixth_h
         self.buffers = (source, gathered, differences, wind, products, increment, stages)
-        self.tendencies, self.step = tendencies, step
-
-
-def tendencies(state: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Right-hand side ``[dT/dt, dq/dt]`` of the coupled system at ``[T, q]`` (no clipping)."""
-    return Workspace(state.shape[0] // 2, params).tendencies(state)
+        self.step = step
 
 
 def step(

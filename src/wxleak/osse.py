@@ -21,10 +21,10 @@ it looks at). On top of that:
   which is also its scan position); values are one array, locations one
   tuple.
 * ``RadianceOperator`` evaluates the same operator, vectorized, for the
-  variational analysis over the flattened control vector
-  [temperature_field, moisture_field]. One is built per scenario, and
-  ``build_problem`` wraps it with each analysis's background, observed
-  values and covariances.
+  variational analysis over the flattened state vector
+  [temperature_field, moisture_field] and the bias coefficients. One is
+  built per scenario; ``assim.build_problem`` wraps it with each analysis's
+  background, observed values and covariances.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from typing import Callable
 
 import numpy as np
 
-from .assim import AssimilationProblem
 from .errors import ValidationError
 from .model import ModelState, TEMPERATURE_REPORT_OFFSET_K
 from .rng import SeededRng
@@ -347,37 +346,6 @@ class RadianceOperator:
         flat[self._flat_temp] = d_dtemp
         flat[self._flat_moist] = d_dmoist
         return jac_state, self._fill_varying(t_surf, q, self._jac_bias, 1)
-
-
-def build_problem(
-    background: ModelState,
-    operator: RadianceOperator,
-    obs_values: np.ndarray,
-    state_variance: float,
-    bias_variance: float,
-    obs_stddev_k: float,
-) -> AssimilationProblem:
-    """Assemble the analysis problem for one cycle on ``operator`` with
-    diagonal covariances: ``state_variance`` per state value,
-    ``bias_variance`` per coefficient and ``obs_stddev_k`` squared per
-    observation. The background bias is the operator's bias template.
-
-    The operator holds everything that stays fixed across a scenario's
-    analyses, so ``run_scenario`` builds it once and passes it to every
-    call; a problem adds only the background, the observed values and the
-    covariances."""
-    template = operator.bias_template
-    x_b = background.vector.copy()
-    beta_b = np.array([template.constant_coefficient_k, *template.coefficients])
-    return AssimilationProblem(
-        background_state=x_b,
-        background_bias=beta_b,
-        state_variances=np.full(len(x_b), state_variance),
-        bias_variances=np.full(len(beta_b), bias_variance),
-        obs_variances=np.full(len(obs_values), obs_stddev_k**2),
-        obs_values=obs_values,
-        operator=operator,
-    )
 
 
 def state_vector_to_model(vector: np.ndarray, grid_size: int) -> ModelState:

@@ -113,7 +113,7 @@ def _check_gradient() -> CheckResult:
     background = model.ModelState(
         truth.temperature_field + 0.3, np.maximum(0.0, truth.moisture_field - 0.2)
     )
-    problem = osse.build_problem(
+    problem = assim.build_problem(
         background, osse.RadianceOperator(mapping, bias, locations, 12), obs,
         shipped.state_variance, shipped.bias_variance, stddev,
     )

@@ -127,10 +127,7 @@ def test_criterion_3_variational_analysis_correctness():
         if seed % 2 == 0:
             problem = random_linear_problem(seed)
             rng = np.random.default_rng(seed + 1000)
-            control = np.concatenate([
-                problem.background_state + 0.3 * rng.normal(size=problem.background_state.shape),
-                problem.background_bias + 0.3 * rng.normal(size=problem.background_bias.shape),
-            ])
+            control = problem.background + 0.3 * rng.normal(size=problem.background.shape)
         else:
             problem = radiance_problem(seed)
             control = problem.background

@@ -184,7 +184,8 @@ class TestConfigLoading:
             ("leakage_levels: [3100]", "leakage_levels"),
             ("leakage_levels: [-20, 4000]", "leakage_levels"),
             ("{leakage_interpretation: per_device, leakage_levels: [4000]}", "leakage_levels"),
-            ("antenna: {radiation_efficiency: 0.0}", "leakage_levels"),
+            ("antenna: {radiation_efficiency: 0.0}", "antenna.radiation_efficiency"),
+            ("antenna: {radiation_efficiency: 0}", "antenna.radiation_efficiency"),
             (
                 "{antenna: {radiation_efficiency: 1.0e-310}, leakage_levels: [-300], "
                 "forecast_length: 0.05, spinup_steps: 10}",
@@ -203,6 +204,16 @@ class TestConfigLoading:
             ("model: {condensation_rate: -1.0}", "model.condensation_rate"),
             ("field: {count: -3}", "field.count"),
             ("mask: {breakpoints: [[0.0, 0.0], [0.0, -10.0]]}", "mask.breakpoints"),
+            (
+                "{leakage_interpretation: per_device, "
+                "mask: {breakpoints: [[-2.0e9, 0.0], [2.0e9, 0.0]]}}",
+                "mask.breakpoints",
+            ),
+            (
+                "{leakage_interpretation: per_device, "
+                "mask: {breakpoints: [[-1.0e12, -4000.0], [1.0e12, -4000.0]]}}",
+                "mask.breakpoints",
+            ),
             ("antenna: {physical_temperature_k: 290.0}", "antenna"),
             ("model: {dt: 0.5}", "model.dt"),
             ("model: {dt: 0.15}", "model.dt"),
@@ -753,10 +764,23 @@ class TestCli:
         assert lines[0] == "leakage_dBW,received_power_W,noise_K,delta_tb_K"
         assert len(lines) == 1 + 41
 
-    def test_noise_table_bad_range_exit_1(self):
-        runner = CliRunner()
-        result = runner.invoke(main, ["noise-table", "--min", "-10", "--max", "-20"])
+    @pytest.mark.parametrize(
+        "args, option",
+        [
+            (["--min", "-10", "--max", "-20"], None),
+            (["--min", "-inf"], "--min"),
+            (["--min", "nan"], "--min"),
+            (["--max", "inf"], "--max"),
+            (["--step", "nan"], "--step"),
+            (["--pathloss", "nan"], "--pathloss"),
+            (["--efficiency", "nan"], "--efficiency"),
+        ],
+    )
+    def test_noise_table_bad_range_exit_1(self, args, option):
+        result = CliRunner().invoke(main, ["noise-table", *args])
         assert result.exit_code == 1
+        if option is not None:
+            assert f"{option} must be finite" in result.output
 
     @pytest.mark.parametrize(
         "config_text, message",

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from wxleak.assim import build_problem
 from wxleak.errors import ValidationError
 from wxleak.model import ModelParams, nature_run
 from wxleak.osse import (
@@ -14,7 +15,6 @@ from wxleak.osse import (
     ColumnMapping,
     RadianceOperator,
     bias_corrected_forward,
-    build_problem,
     default_obs_locations,
     state_vector_to_model,
     synthesize_observations,
@@ -332,8 +332,9 @@ class TestBuildProblem:
         obs = synthesize_observations(truth, ColumnMapping(), bias, 3, locations, STDDEV)
         operator = RadianceOperator(ColumnMapping(), bias, locations, truth.grid_size)
         problem = build_problem(truth, operator, obs, 1.0, 0.5, STDDEV)
-        assert problem.background_state.shape == (24,)
-        assert problem.background_bias.shape == (2,)
+        assert problem.n_state == 24
+        assert problem.background.shape == (26,)
+        assert np.array_equal(problem.background, [*truth.vector, 0.0, 0.0])
         assert problem.obs_variances.shape == (3,)
         assert np.array_equal(problem.obs_values, obs)
 
@@ -343,8 +344,7 @@ class TestBuildProblem:
         operator = RadianceOperator(ColumnMapping(), BiasModel(), (0, 2), truth.grid_size)
         problem = build_problem(truth, operator, obs, 2.0, 0.7, 0.5)
         assert np.array_equal(problem.obs_variances, [0.25, 0.25])
-        assert np.array_equal(problem.state_variances, np.full(24, 2.0))
-        assert np.array_equal(problem.bias_variances, [0.7])
+        assert np.array_equal(problem.prior_variances, [*np.full(24, 2.0), 0.7])
 
 
 class TestStateVectorRoundTrip:
