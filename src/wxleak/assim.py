@@ -327,32 +327,23 @@ def minimize(
             curv = curvature_along(jac_state, jac_bias, direction)
             alpha = -slope / curv if curv > 0 else 1.0
             noise_floor = _EPS * (32.0 * abs(j) + cancel_scale)
-
-            if abs(alpha * slope) <= noise_floor:
-                # Below cost resolution: take the model step as-is. Each
-                # trial is point + alpha * direction, added into the product.
+            # Below cost resolution the first trial, the model step, is taken as-is.
+            below_floor = abs(alpha * slope) <= noise_floor
+            for _ in range(_MAX_BACKTRACKS):
+                # Each trial is point + alpha * direction, added into the product.
                 trial = multiply(alpha, direction)
                 add(point, trial, trial)
                 j_trial, d_trial = cost_at(trial)
                 if not math.isfinite(j_trial):
                     raise MinimizationError("cost became non-finite during line search", point)
-            else:
-                accepted = False
-                for _ in range(_MAX_BACKTRACKS):
-                    trial = multiply(alpha, direction)
-                    add(point, trial, trial)
-                    j_trial, d_trial = cost_at(trial)
-                    if not math.isfinite(j_trial):
-                        raise MinimizationError("cost became non-finite during line search", point)
-                    if j_trial <= j + ARMIJO_C * alpha * slope + noise_floor:
-                        accepted = True
-                        break
-                    alpha *= ARMIJO_SHRINK
-                if not accepted:
-                    if np.array_equal(direction, -scaled_g):
-                        break  # no progress possible along the scaled descent
-                    direction = -scaled_g
-                    continue
+                if below_floor or j_trial <= j + ARMIJO_C * alpha * slope + noise_floor:
+                    break
+                alpha *= ARMIJO_SHRINK
+            else:  # every trial rejected
+                if np.array_equal(direction, -scaled_g):
+                    break  # no progress possible along the scaled descent
+                direction = -scaled_g
+                continue
 
             g_new, scaled_g_new, jac_state, jac_bias, cancel_scale = gradient_at(trial, d_trial)
             # Preconditioned Polak-Ribiere with the nonnegativity cap; a

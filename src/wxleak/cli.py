@@ -34,6 +34,9 @@ from . import selfcheck
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
+#: Most rows ``noise-table`` writes; the default table has 41.
+NOISE_TABLE_MAX_ROWS = 100_000
+
 
 @click.group()
 def main() -> None:
@@ -83,8 +86,8 @@ _scenario_command(
 
 @main.command("noise-table")
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write CSV here instead of stdout.")
-@click.option("--min", "min_dbw", type=float, default=-55.0, show_default=True, help="Lowest leakage level, dBW.")
-@click.option("--max", "max_dbw", type=float, default=-15.0, show_default=True, help="Highest leakage level, dBW.")
+@click.option("--min", "min_dbw", type=float, default=DEFAULT_LEAKAGE_SWEEP_DBW[0], show_default=True, help="Lowest leakage level, dBW.")
+@click.option("--max", "max_dbw", type=float, default=DEFAULT_LEAKAGE_SWEEP_DBW[-1], show_default=True, help="Highest leakage level, dBW.")
 @click.option("--step", type=float, default=1.0, show_default=True, help="Level spacing, dB.")
 @click.option("--pathloss", type=float, default=LinkBudget().total_pathloss_db, show_default=True, help="Total link pathloss, dB.")
 @click.option("--efficiency", type=float, default=AntennaModel().radiation_efficiency, show_default=True, help="Antenna radiation efficiency.")
@@ -109,13 +112,17 @@ def noise_table_command(
                 raise ValidationError(f"{option} must be finite, got {value}")
         if step <= 0 or max_dbw < min_dbw:
             raise ValidationError("need step > 0 and max >= min")
+        # Counted before any row is made: a span of steps that is not finite
+        # or too long for a table would otherwise never finish.
+        steps = (max_dbw + 1e-9 - min_dbw) / step
+        if not steps < NOISE_TABLE_MAX_ROWS:
+            raise ValidationError(
+                f"--step must give at most {NOISE_TABLE_MAX_ROWS} rows from --min to --max, "
+                f"got {steps:.3g} steps"
+            )
         link = LinkBudget(total_pathloss_db=pathloss)
         antenna = AntennaModel(radiation_efficiency=efficiency)
-        levels = []
-        level = min_dbw
-        while level <= max_dbw + 1e-9:
-            levels.append(level)
-            level += step
+        levels = [min_dbw + i * step for i in range(math.floor(steps) + 1)]
         rows = noise_table(levels, link, antenna)
     except ValidationError as exc:
         click.echo(f"validation error: {exc}", err=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import TextIO
 
 import numpy as np
@@ -53,6 +53,7 @@ CSV_HEADER = (
     "leakage_dBW,noise_K,delta_tb_K,precip_diff_max_mm,precip_diff_rms_mm,"
     "t2m_diff_max_C,t2m_diff_rms_C,analysis_cost,converged"
 )
+NOISE_TABLE_HEADER = "leakage_dBW,received_power_W,noise_K,delta_tb_K"
 
 DEFAULT_LEAKAGE_SWEEP_DBW = (-55.0, -45.0, -35.0, -30.0, -25.0, -20.0, -15.0)
 
@@ -98,9 +99,12 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class LevelMetrics:
-    """One report row: forecast divergence caused by one leakage level."""
+    """One report row, its fields in the CSV's column order: forecast
+    divergence caused by one leakage level (``None`` for the baseline).
 
-    label: str
+    Each field is a column; the CSV writes the first as the row's label,
+    the last as ``true``/``false`` and every other one as a number."""
+
     leakage_dbw: float | None
     noise_k: float
     delta_tb_k: float
@@ -111,19 +115,25 @@ class LevelMetrics:
     analysis_cost: float
     converged: bool
 
+    @property
+    def label(self) -> str:
+        return "baseline" if self.leakage_dbw is None else f"{self.leakage_dbw:g}"
+
 
 @dataclass(frozen=True, eq=False)
 class ScenarioReport:
-    baseline: LevelMetrics
-    levels: tuple[LevelMetrics, ...]
-    config_hash: str
-    defaulted_fields: tuple[str, ...]
-    ensemble_size: int
-    forecast_length: float
+    """A run's config and its report rows, the baseline first."""
+
+    config: ScenarioConfig
+    rows: tuple[LevelMetrics, ...]
 
     @property
-    def rows(self) -> tuple[LevelMetrics, ...]:
-        return (self.baseline, *self.levels)
+    def baseline(self) -> LevelMetrics:
+        return self.rows[0]
+
+    @property
+    def levels(self) -> tuple[LevelMetrics, ...]:
+        return self.rows[1:]
 
 
 # The link, field, forward, bias and model sections map field for field onto
@@ -402,7 +412,7 @@ def config_from_dict(
             field="forecast_length",
         )
     try:
-        nature_run(params, seeds.nature, _TIME_STEP_PROBE_STEPS, 0, grid_size)
+        probe = nature_run(params, seeds.nature, _TIME_STEP_PROBE_STEPS, 0, grid_size).final
     except ModelBlowUpError as exc:
         raise ConfigError(f"dt {params.dt:g} is unstable: {exc}", field="model.dt") from exc
     obs_block = resolved["observations"]
@@ -451,6 +461,19 @@ def config_from_dict(
         defaulted_fields=tuple(defaulted),
         config_hash=_canonical_hash(resolved),
     )
+    # Forecasts start from backgrounds perturbed from the truth, which the
+    # time-step probe never sees: perturb its final state as member 0's
+    # background is perturbed and step that as far again. A perturbation
+    # too large to hold is rejected here too.
+    try:
+        with np.errstate(over="ignore"):
+            background = _member_background(config, probe, 0)
+        integrate(background, params, _TIME_STEP_PROBE_STEPS)
+    except (ValidationError, ModelBlowUpError) as exc:
+        raise ConfigError(
+            f"member 0's background (sd {background_noise_std:g}) is unstable: {exc}",
+            field="background_noise_std",
+        ) from exc
     # Every level must give a finite noise temperature and a brightness
     # error whose observation cost n_obs (delta_tb / sigma_o)^2 is finite, or
     # the run would fail on its first observation or its first analysis.
@@ -602,10 +625,10 @@ def run_scenario(
     # brightness error; its differences from itself are exact zeros.
     for level in (None, *config.leakage_levels):
         if level is None:
-            label = where = trace_label = "baseline"
+            where = trace_label = "baseline"
             noise_k = delta_tb = 0.0
         else:
-            label, where, trace_label = f"{level:g}", f"level {level} dBW", f"level {level:g}"
+            where, trace_label = f"level {level} dBW", f"level {level:g}"
             noise_k, delta_tb = leakage_chain(config, level)
         observations = observed + delta_tb
         # One (2, members, grid) array per level holds each member's precipitation
@@ -627,27 +650,18 @@ def run_scenario(
         worst, rms = np.max(np.abs(diffs), axis=2), np.sqrt(np.mean(diffs**2, axis=2))
         rows.append(
             LevelMetrics(
-                label=label,
-                leakage_dbw=level,
-                noise_k=noise_k,
-                delta_tb_k=delta_tb,
-                precip_diff_max_mm=float(np.mean(worst[0])),
-                precip_diff_rms_mm=float(np.mean(rms[0])),
-                t2m_diff_max_c=float(np.mean(worst[1])),
-                t2m_diff_rms_c=float(np.mean(rms[1])),
-                analysis_cost=float(np.mean([r.final_cost for r in results])),
-                converged=all(r.converged for r in results),
+                level,
+                noise_k,
+                delta_tb,
+                float(np.mean(worst[0])),
+                float(np.mean(rms[0])),
+                float(np.mean(worst[1])),
+                float(np.mean(rms[1])),
+                float(np.mean([r.final_cost for r in results])),
+                all(r.converged for r in results),
             )
         )
-
-    return ScenarioReport(
-        baseline=rows[0],
-        levels=tuple(rows[1:]),
-        config_hash=config.config_hash,
-        defaulted_fields=config.defaulted_fields,
-        ensemble_size=config.ensemble_size,
-        forecast_length=config.forecast_length,
-    )
+    return ScenarioReport(config, tuple(rows))
 
 
 def _fmt(value: float) -> str:
@@ -655,17 +669,9 @@ def _fmt(value: float) -> str:
 
 
 def _row_cells(row: LevelMetrics) -> list[str]:
-    return [
-        row.label,
-        _fmt(row.noise_k),
-        _fmt(row.delta_tb_k),
-        _fmt(row.precip_diff_max_mm),
-        _fmt(row.precip_diff_rms_mm),
-        _fmt(row.t2m_diff_max_c),
-        _fmt(row.t2m_diff_rms_c),
-        _fmt(row.analysis_cost),
-        "true" if row.converged else "false",
-    ]
+    """A report row's CSV cells: its fields in declaration order."""
+    _, *numbers, converged = (getattr(row, f.name) for f in fields(row))
+    return [row.label, *map(_fmt, numbers), "true" if converged else "false"]
 
 
 def emit_csv(report: ScenarioReport, path: str) -> None:
@@ -673,7 +679,7 @@ def emit_csv(report: ScenarioReport, path: str) -> None:
     then one row per leakage level in config order. Numbers carry 9
     significant digits."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# config_hash={report.config_hash}\n")
+        fh.write(f"# config_hash={report.config.config_hash}\n")
         fh.write(CSV_HEADER + "\n")
         for row in report.rows:
             fh.write(",".join(_row_cells(row)) + "\n")
@@ -681,16 +687,17 @@ def emit_csv(report: ScenarioReport, path: str) -> None:
 
 def emit_summary(report: ScenarioReport, stream: TextIO) -> None:
     """Human-readable table of the same rows, plus provenance."""
+    config = report.config
     columns = CSV_HEADER.split(",")
     table = [columns] + [_row_cells(row) for row in report.rows]
     widths = [max(len(r[i]) for r in table) for i in range(len(columns))]
-    stream.write(f"config hash: {report.config_hash}\n")
+    stream.write(f"config hash: {config.config_hash}\n")
     stream.write(
-        f"ensemble size: {report.ensemble_size}, "
-        f"forecast length: {report.forecast_length:g} model time units\n"
+        f"ensemble size: {config.ensemble_size}, "
+        f"forecast length: {config.forecast_length:g} model time units\n"
     )
-    if report.defaulted_fields:
-        stream.write(f"defaults applied: {', '.join(report.defaulted_fields)}\n")
+    if config.defaulted_fields:
+        stream.write(f"defaults applied: {', '.join(config.defaulted_fields)}\n")
     stream.write("\n")
     for line in table:
         stream.write("  ".join(cell.rjust(w) for cell, w in zip(line, widths)) + "\n")
@@ -717,33 +724,13 @@ def parse_report_csv(path: str) -> list[dict]:
     return rows
 
 
-def noise_table(
-    levels_dbw,
-    link: LinkBudget,
-    antenna: AntennaModel,
-) -> list[dict]:
-    """Induced-noise curve: one row per leakage level (aggregate dBW)."""
-    rows = []
-    for level in levels_dbw:
-        p_rx, noise_k, delta_tb = _aggregate_chain(level, link, antenna)
-        rows.append(
-            {
-                "leakage_dBW": level,
-                "received_power_W": p_rx,
-                "noise_K": noise_k,
-                "delta_tb_K": delta_tb,
-            }
-        )
-    return rows
+def noise_table(levels_dbw, link: LinkBudget, antenna: AntennaModel) -> list[tuple[float, ...]]:
+    """Induced-noise curve: one row per leakage level (aggregate dBW), in
+    ``NOISE_TABLE_HEADER``'s column order."""
+    return [(level, *_aggregate_chain(level, link, antenna)) for level in levels_dbw]
 
 
-def emit_noise_table_csv(rows: list[dict], stream: TextIO) -> None:
-    stream.write("leakage_dBW,received_power_W,noise_K,delta_tb_K\n")
+def emit_noise_table_csv(rows: list[tuple[float, ...]], stream: TextIO) -> None:
+    stream.write(NOISE_TABLE_HEADER + "\n")
     for row in rows:
-        cells = [
-            _fmt(row["leakage_dBW"]),
-            _fmt(row["received_power_W"]),
-            _fmt(row["noise_K"]),
-            _fmt(row["delta_tb_K"]),
-        ]
-        stream.write(",".join(cells) + "\n")
+        stream.write(",".join(map(_fmt, row)) + "\n")

@@ -1,5 +1,6 @@
 """Tests for config loading, scenario execution, report emission and the CLI."""
 
+import dataclasses
 import json
 import math
 import os
@@ -240,6 +241,8 @@ class TestConfigLoading:
             ("seeds: {obs_noise: 18446744073709551616}", "seeds.obs_noise"),
             ("seeds: {init: -3}", "seeds.init"),
             ("background_noise_std: -1", "background_noise_std"),
+            ("background_noise_std: 1.0e100", "background_noise_std"),
+            ("background_noise_std: 1000", "background_noise_std"),
             ("observations: {locations: [40]}", "observations.locations"),
             ("model: {grid_size: 4}", "observations.count"),
             ("model: {dt: true}", "model.dt"),
@@ -481,9 +484,10 @@ class TestRunScenario:
                 raise RuntimeError("forced failure")
             return integrate(*args, **kwargs)
 
+        config = small_config(ensemble_size=2)  # loading takes RK4 steps too
         monkeypatch.setattr(experiment, "integrate", failing_integrate)
         with pytest.raises(experiment.ScenarioExecutionError) as excinfo:
-            run_scenario(small_config(ensemble_size=2))
+            run_scenario(config)
         assert str(excinfo.value) == message + "forced failure"
 
     def test_nonzero_leakage_produces_divergence(self):
@@ -520,7 +524,7 @@ class TestRunScenario:
 
         monkeypatch.setattr(experiment, "diagnostics", recorded)
         many = run_scenario(small_config(ensemble_size=3))
-        assert many.ensemble_size == 3
+        assert many.config.ensemble_size == 3
         assert many.levels[0].t2m_diff_rms_c > 0.0
         assert one.levels[0].t2m_diff_rms_c != many.levels[0].t2m_diff_rms_c
 
@@ -538,10 +542,9 @@ class TestRunScenario:
 
 
 def make_report(n_levels):
-    baseline = LevelMetrics("baseline", None, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 3.25, True)
+    baseline = LevelMetrics(None, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 3.25, True)
     levels = tuple(
         LevelMetrics(
-            f"{-30 + i}",
             float(-30 + i),
             0.1 * (i + 1),
             0.11 * (i + 1),
@@ -554,14 +557,12 @@ def make_report(n_levels):
         )
         for i in range(n_levels)
     )
-    return ScenarioReport(
-        baseline=baseline,
-        levels=levels,
+    config = dataclasses.replace(
+        small_config(ensemble_size=2, forecast_length=1.0),
         config_hash="ab" * 32,
         defaulted_fields=("seeds.nature",),
-        ensemble_size=2,
-        forecast_length=1.0,
     )
+    return ScenarioReport(config, (baseline, *levels))
 
 
 class TestEmission:
@@ -571,6 +572,23 @@ class TestEmission:
         lines = path.read_text().splitlines()
         data_lines = [l for l in lines if not l.startswith("#")]
         assert data_lines[0] == CSV_HEADER
+
+    def test_report_bytes_exact(self, tmp_path):
+        """The hash line, the header, then one row per ``LevelMetrics``: its
+        label, each number at nine significant digits, and ``true``."""
+        path = tmp_path / "r.csv"
+        emit_csv(make_report(2), str(path))
+        assert path.read_bytes() == (
+            b"# config_hash=" + b"ab" * 32 + b"\n"
+            b"leakage_dBW,noise_K,delta_tb_K,precip_diff_max_mm,precip_diff_rms_mm,"
+            b"t2m_diff_max_C,t2m_diff_rms_C,analysis_cost,converged\n"
+            b"baseline,0,0,0,0,0,0,3.25,true\n"
+            b"-30,0.1,0.11,0.001,0.0001,0.002,0.00025,3.25,true\n"
+            b"-29,0.2,0.22,0.002,0.0002,0.004,0.0005,3.26,true\n"
+        )
+
+    def test_one_row_field_per_column(self):
+        assert len(dataclasses.fields(LevelMetrics)) == len(CSV_HEADER.split(","))
 
     def test_baseline_only_report(self, tmp_path):
         """No sweep levels: header plus the single baseline row."""
@@ -610,20 +628,23 @@ class TestEmission:
         stream = io.StringIO()
         emit_summary(report, stream)
         text = stream.getvalue()
-        assert report.config_hash in text
+        assert report.config.config_hash in text
         assert "baseline" in text
         assert "seeds.nature" in text
 
 
 class TestNoiseTable:
     def test_reference_values(self):
-        rows = noise_table([-20.0, -15.0], LinkBudget(), AntennaModel())
-        assert abs(rows[0]["noise_K"] - 0.26826) / 0.26826 < 1e-5
-        assert abs(rows[1]["noise_K"] - 0.84831) / 0.84831 < 1e-5
+        (level, _, low, _), (_, _, high, _) = noise_table(
+            [-20.0, -15.0], LinkBudget(), AntennaModel()
+        )
+        assert level == -20.0
+        assert abs(low - 0.26826) / 0.26826 < 1e-5
+        assert abs(high - 0.84831) / 0.84831 < 1e-5
 
     def test_received_power_column(self):
-        rows = noise_table([-20.0], LinkBudget(), AntennaModel())
-        assert math.isclose(rows[0]["received_power_W"], 1e-15, rel_tol=1e-12)
+        [(_, received_power_w, _, _)] = noise_table([-20.0], LinkBudget(), AntennaModel())
+        assert math.isclose(received_power_w, 1e-15, rel_tol=1e-12)
 
 
 class TestCli:
@@ -774,20 +795,29 @@ class TestCli:
             (["--step", "nan"], "--step"),
             (["--pathloss", "nan"], "--pathloss"),
             (["--efficiency", "nan"], "--efficiency"),
+            (["--min", "-1e20", "--max", "0"], "--step"),
+            (["--min", "-1e308", "--max", "1e308"], "--step"),
         ],
     )
     def test_noise_table_bad_range_exit_1(self, args, option):
+        """Bad input exits 1 naming its option, with no traceback. The rows
+        of a finite range are counted before any is made: stepping from
+        -1e20 one dB at a time would never end."""
         result = CliRunner().invoke(main, ["noise-table", *args])
         assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
         if option is not None:
-            assert f"{option} must be finite" in result.output
+            non_finite = args[-1] in ("inf", "-inf", "nan")
+            reason = "must be finite" if non_finite else "must give at most"
+            assert f"{option} {reason}" in result.output
 
     @pytest.mark.parametrize(
         "config_text, message",
         [
             (
-                "{background_noise_std: 1.0e100, forecast_length: 0.05, spinup_steps: 50}",
-                "baseline, member 0: non-finite model state after step 0",
+                "{hold_bias_fixed: true, leakage_levels: [20], forecast_length: 0.05, "
+                "spinup_steps: 50}",
+                "level 20.0 dBW, member 0: non-finite model state after step 2",
             ),
             (
                 "{covariances: {observation_stddev_k: 1.5e-154}, background_noise_std: 3.0, "
@@ -795,15 +825,15 @@ class TestCli:
                 "baseline, member 0: cost is non-finite at the initial control",
             ),
         ],
-        ids=["model_time_step", "analysis_cost"],
+        ids=["leakage_forecast", "analysis_cost"],
     )
     def test_blow_up_exit_2_without_floating_point_warnings(self, tmp_path, config_text, message):
         """A forecast that blows the model up, or observations that overflow
         the analysis cost, report where it happened and exit 2, and the
-        overflow on the way there prints no RuntimeWarning. A background
-        perturbation of 1e100 passes the load-time time-step probe, which
-        starts from the nature run's state, and blows up the baseline
-        forecast from its analysis at the first step."""
+        overflow on the way there prints no RuntimeWarning. A 20 dBW level
+        (a brightness error near 89 K) with the bias held fixed moves the
+        analysis far enough from the truth that its forecast blows up at the
+        third step, which no load-time probe sees."""
         path = tmp_path / "blowup.yaml"
         path.write_text(config_text + "\n")
         src = Path(__file__).resolve().parents[1] / "src"
