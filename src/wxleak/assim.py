@@ -12,8 +12,9 @@ diagonal and enter through their inverses; pinning the state (near-zero B
 variances) recovers the bias-only problem. The problem holds the flat
 control v = [x, beta] alone: its background and its prior variances are one
 vector each in that layout. ``build_problem`` lays them out from a model
-state and the observation operator; ``cost``, ``gradient`` and the
-minimizer all work on v.
+state and the observation operator, whose bias background (the template
+the truth's observations were synthesized with) is beta_b; ``cost``,
+``gradient`` and the minimizer all work on v.
 
 The minimizer is a Polak-Ribiere nonlinear conjugate gradient with automatic
 restart and an Armijo backtracking line search (c = 1e-4, shrink 0.5),
@@ -116,17 +117,15 @@ def build_problem(
     diagonal covariances: ``state_variance`` per state value,
     ``bias_variance`` per coefficient and ``obs_stddev_k`` squared per
     observation. The background control is the model state's vector
-    followed by the operator's bias template.
+    followed by the operator's ``bias_background``, the bias template the
+    truth's observations were synthesized with.
 
     The operator holds everything that stays fixed across a scenario's
-    analyses, so ``run_scenario`` builds it once and passes it to every
-    call; a problem adds only the background, the observed values and the
-    covariances."""
-    template = operator.bias_template
+    analyses, so ``run_scenario`` builds it once, synthesizes with it and
+    passes it to every call; a problem adds only the background, the
+    observed values and the covariances."""
     return AssimilationProblem(
-        background=np.concatenate(
-            [background.vector, (template.constant_coefficient_k, *template.coefficients)]
-        ),
+        background=np.concatenate([background.vector, operator.bias_background]),
         prior_variances=np.repeat(
             [state_variance, bias_variance], [operator.n_state, operator.n_bias]
         ),

@@ -110,6 +110,11 @@ def noise_table_command(
         ):
             if not math.isfinite(value):
                 raise ValidationError(f"{option} must be finite, got {value}")
+        if pathloss <= 0:
+            raise ValidationError(f"--pathloss must be positive, got {pathloss}")
+        # The brightness error divides by the efficiency.
+        if not 0.0 < efficiency <= 1.0:
+            raise ValidationError(f"--efficiency must lie in (0, 1], got {efficiency}")
         if step <= 0 or max_dbw < min_dbw:
             raise ValidationError("need step > 0 and max >= min")
         # Counted before any row is made: a span of steps that is not finite

@@ -430,6 +430,15 @@ def config_from_dict(
             )
         if len(set(locations)) != len(locations):
             raise ConfigError("locations must be unique", field="observations.locations")
+        # The locations set the count; a count written beside them must agree.
+        if "observations.count" not in defaulted and (
+            _integer(obs_block["count"], "observations.count") != len(locations)
+        ):
+            raise ConfigError(
+                f"observations.locations gives {len(locations)} locations; "
+                f"omit count or set it to {len(locations)}",
+                field="observations.count",
+            )
     else:
         count = _integer(obs_block["count"], "observations.count")
         try:
@@ -595,29 +604,24 @@ def run_scenario(
     differ only through the injected error. Ensemble members differ only in
     their background perturbation; metrics are averaged over members. Levels
     and members are independent, but results are always assembled in config
-    order. Every case shares one observation operator and one RK4
-    workspace, built here once per scenario. When ``trace_stream`` is given
+    order. One observation operator, built here once per scenario,
+    synthesizes the observations and serves every case's analysis; every
+    case also shares one RK4 workspace. When ``trace_stream`` is given
     (the CLI's verbose mode), every analysis writes its iteration trace
     there.
     """
     truth = nature_run(
         config.model_params, config.seeds.nature, config.spinup_steps, 0, config.grid_size
     ).final
-
+    operator = RadianceOperator(
+        config.mapping, config.bias, config.obs_locations, config.grid_size
+    )
     observed = synthesize_observations(
-        truth,
-        config.mapping,
-        config.bias,
-        config.seeds.obs_noise,
-        config.obs_locations,
-        error_stddev_k=config.obs_error_stddev_k,
+        truth, operator, config.seeds.obs_noise, config.obs_error_stddev_k
     )
     backgrounds = [
         _member_background(config, truth, m) for m in range(config.ensemble_size)
     ]
-    operator = RadianceOperator(
-        config.mapping, config.bias, config.obs_locations, config.grid_size
-    )
     workspace = Workspace(config.grid_size, config.model_params)
     baseline = None
     rows = []
@@ -641,6 +645,14 @@ def run_scenario(
                     config, background, observations, operator, workspace,
                     trace_stream=trace_stream, trace_label=f"{trace_label} m{m}",
                 )
+            except ModelBlowUpError as exc:
+                # Only the forecast integrates here; it starts from an analysis
+                # of a background perturbed by background_noise_std.
+                raise ScenarioExecutionError(
+                    f"{where}, member {m}: {exc} (forecast suspects: model.dt "
+                    f"{config.model_params.dt:g}, background_noise_std "
+                    f"{config.background_noise_std:g})"
+                ) from exc
             except Exception as exc:
                 raise ScenarioExecutionError(f"{where}, member {m}: {exc}") from exc
             results.append(result)

@@ -12,26 +12,27 @@ opacity term:
 which is transparent at q = 0, saturates to the atmosphere temperature as
 the column moistens, and is monotone in q in between. The bias-corrected
 operator adds a constant coefficient plus a linear combination of named
-predictors evaluated per observation, at its scan position (the grid cell
-it looks at). On top of that:
+predictors (``PREDICTORS``) evaluated per observation, at its scan position
+(the grid cell it looks at). On top of that:
 
-* ``synthesize_observations`` builds observation values from a truth state,
-  with seeded Gaussian noise, one ``bias_corrected_forward`` call per
-  observation. An observation is its value and its location (the grid cell,
-  which is also its scan position); values are one array, locations one
-  tuple.
-* ``RadianceOperator`` evaluates the same operator, vectorized, for the
-  variational analysis over the flattened state vector
-  [temperature_field, moisture_field] and the bias coefficients. One is
-  built per scenario; ``assim.build_problem`` wraps it with each analysis's
+* ``RadianceOperator`` evaluates it, vectorized over observations, on the
+  flattened state vector [temperature_field, moisture_field] and the bias
+  coefficients. One is built per scenario and is the scenario's only
+  operator: ``synthesize_observations`` evaluates it at the truth and the
+  true bias, and ``assim.build_problem`` wraps it with each analysis's
   background, observed values and covariances.
+* ``synthesize_observations`` builds observation values from a truth state
+  with seeded Gaussian noise. An observation is its value and its location
+  (the grid cell, which is also its scan position); values are one array,
+  locations one tuple.
+* ``bias_corrected_forward`` is the same operator on one observation's
+  floats, the reference the vector form is tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -40,42 +41,19 @@ from .model import ModelState, TEMPERATURE_REPORT_OFFSET_K
 from .rng import SeededRng
 
 
-@dataclass(frozen=True)
-class PredictorDef:
-    """A named bias predictor with its surface-temperature slope.
-
-    ``value(t_surf, q, scan)`` evaluates the predictor from a column's
-    surface temperature, water vapor and scan position: on floats for one
-    observation, as synthesis does, or on arrays for a whole observation
-    set, as the analysis operator does. ``d_surface_temperature`` is its
-    derivative with respect to the column surface temperature, needed by
-    the analytic assimilation gradient; no predictor depends on the water
-    vapor. A predictor whose slope is zero therefore depends on the scan
-    position alone, and the analysis operator evaluates it once.
-    """
-
-    name: str
-    value: Callable
-    d_surface_temperature: float = 0.0
-
-
-PREDICTOR_REGISTRY: dict[str, PredictorDef] = {
-    p.name: p
-    for p in (
-        PredictorDef(
-            "surface_temperature", lambda t_surf, q, scan: t_surf, d_surface_temperature=1.0
-        ),
-        PredictorDef("scan_position", lambda t_surf, q, scan: scan),
-    )
-}
+#: Bias predictor names, evaluated per observation: the column's surface
+#: temperature, and the observation's scan position (its grid cell). The
+#: first has slope one in the surface temperature, the second slope zero;
+#: neither depends on the water vapor.
+PREDICTORS = ("surface_temperature", "scan_position")
 
 
 @dataclass(frozen=True)
 class BiasModel:
     """Constant plus per-predictor linear bias correction.
 
-    Predictor names are resolved against the registry at construction, so a
-    typo fails at load time rather than mid-assimilation.
+    Predictor names are checked against ``PREDICTORS`` at construction, so
+    a typo fails at load time rather than mid-assimilation.
     """
 
     constant_coefficient_k: float = 0.0
@@ -89,11 +67,10 @@ class BiasModel:
             raise ValidationError(
                 f"{len(self.coefficients)} coefficients for {len(self.predictors)} predictors"
             )
-        unknown = [n for n in self.predictors if n not in PREDICTOR_REGISTRY]
+        unknown = [n for n in self.predictors if n not in PREDICTORS]
         if unknown:
             raise ValidationError(
-                f"unknown predictor name(s) {unknown}; "
-                f"registered: {sorted(PREDICTOR_REGISTRY)}",
+                f"unknown predictor name(s) {unknown}; known: {sorted(PREDICTORS)}",
                 "predictors",
             )
         values = (self.constant_coefficient_k, *self.coefficients)
@@ -103,9 +80,6 @@ class BiasModel:
     @property
     def n_predictors(self) -> int:
         return len(self.predictors)
-
-    def resolved(self) -> tuple[PredictorDef, ...]:
-        return tuple(PREDICTOR_REGISTRY[n] for n in self.predictors)
 
 
 @dataclass(frozen=True)
@@ -126,7 +100,7 @@ class ColumnMapping:
         if self.opacity_coefficient <= 0:
             raise ValidationError("opacity coefficient must be positive", "opacity_coefficient")
         # A column's surface temperature is this offset plus its cell's state
-        # temperature; ``bias_corrected_forward`` checks that sum per column.
+        # temperature; synthesis checks that sum per column.
         if self.surface_offset_k <= 0:
             raise ValidationError("surface offset must be positive", "surface_offset_k")
         if self.atmosphere_temperature_k <= 0:
@@ -146,17 +120,19 @@ def bias_corrected_forward(
     the column of a cell holding these temperature and moisture values, plus
     the bias correction beta_0 + sum(beta_i p_i) at ``scan_position``.
 
+    The scalar reference form of ``RadianceOperator.values``, which the
+    tests check the vector form against; it agrees with it to rounding.
     Raises ``ValidationError`` when the column's surface temperature is not
-    positive: ``ColumnMapping`` rejects an offset <= 0, and this catches a
-    positive ``surface_offset_k`` that the cell's temperature undercuts.
+    positive.
     """
     q = max(0.0, moisture_value)
     t_surf = mapping.surface_offset_k + temperature_value
     if t_surf <= 0:
         raise ValidationError("column temperatures must be positive")
+    predictor = {"surface_temperature": t_surf, "scan_position": scan_position}
     correction = bias.constant_coefficient_k
-    for coeff, pdef in zip(bias.coefficients, bias.resolved()):
-        correction += coeff * pdef.value(t_surf, q, scan_position)
+    for coeff, name in zip(bias.coefficients, bias.predictors):
+        correction += coeff * predictor[name]
     w = math.exp(-mapping.opacity_coefficient * q)
     return t_surf * w + mapping.atmosphere_temperature_k * (1.0 - w) + correction
 
@@ -167,43 +143,6 @@ def default_obs_locations(grid_size: int, count: int) -> tuple[int, ...]:
         raise ValidationError("observation count must be in [1, grid size]")
     stride = grid_size // count
     return tuple(range(0, stride * count, stride))
-
-
-def synthesize_observations(
-    truth: ModelState,
-    mapping: ColumnMapping,
-    bias_truth: BiasModel,
-    obs_error_seed: int,
-    obs_locations: tuple[int, ...],
-    error_stddev_k: float,
-) -> np.ndarray:
-    """Brightness temperatures a radiometer would report over the truth state.
-
-    Per location: operator value at the truth column, plus the true bias,
-    plus seeded Gaussian noise of ``error_stddev_k``. Returns a read-only
-    array of values, one per location, all finite.
-    """
-    n = truth.grid_size
-    if any(not 0 <= loc < n for loc in obs_locations):
-        raise ValidationError("observation locations must index the model grid")
-    if not error_stddev_k > 0:
-        raise ValidationError("observation error stddev must be positive")
-    rng = SeededRng(obs_error_seed)
-    temperature, moisture = truth.temperature_field, truth.moisture_field
-    values = np.array(
-        [
-            bias_corrected_forward(
-                mapping, bias_truth, float(temperature[loc]), float(moisture[loc]), loc
-            )
-            + rng.normal(0.0, error_stddev_k)
-            for loc in obs_locations
-        ],
-        dtype=float,
-    )
-    if not np.all(np.isfinite(values)):
-        raise ValidationError("observation value must be finite")
-    values.setflags(write=False)
-    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,25 +157,24 @@ class RadianceOperator:
     vectorized over observations, predictors included.
 
     It depends on the mapping, the bias template, the locations and the
-    grid size alone, so ``run_scenario`` builds one per scenario and every
-    analysis of the scenario shares it. Everything that does not depend on
-    the control is fixed at construction: the predictors that vary with the
-    surface temperature (those with a nonzero slope), one gather index
-    ``[locs, grid_size + locs]`` that reads both fields in one call, the
-    Jacobian's nonzero positions, and the mapping's constants (surface
-    offset, atmosphere temperature, opacity and its negation) together with
-    zero and one, each as a vector of length n_obs. A predictor with a zero
-    slope depends on the scan position alone, so its column is filled once,
-    in a predictor matrix and in a bias Jacobian template whose first column
-    is ones; ``values`` and ``jacobians`` write only the surface-temperature
-    columns. A vector operand gives the same bits as the scalar it holds
-    and costs less per numpy call. ``jacobians`` skips the term c * 0.0 of
-    a zero predictor slope: for a finite coefficient c it changes no value
-    other than -0.0, and a derivative is -0.0 only where exp(-kappa q)
-    underflows to zero. It zeroes the moisture sensitivity where the raw
+    grid size alone, so ``run_scenario`` builds one per scenario; it
+    synthesizes the truth's observations and serves every analysis of the
+    scenario. The template is also held as ``bias_background``, the
+    read-only vector [beta_0, beta_1, ...]. Everything that does not depend
+    on the control is fixed at construction: which predictor columns hold
+    the surface temperature, one gather index ``[locs, grid_size + locs]`` that
+    reads both fields in one call, the Jacobian's nonzero positions, and
+    the mapping's constants (surface offset, atmosphere temperature,
+    opacity and its negation) together with zero and one, each as a vector
+    of length n_obs. A scan-position column is constant, so it is filled
+    once, in a predictor matrix and in a bias Jacobian template whose first
+    column is ones; ``values`` and ``jacobians`` write only the
+    surface-temperature columns, and ``jacobians`` adds each
+    surface-temperature coefficient to d/dT (its slope is one). A vector
+    operand gives the same bits as the scalar it holds and costs less per
+    numpy call. ``jacobians`` zeroes the moisture sensitivity where the raw
     moisture is <= 0, which equals keeping it where the moisture is > 0 for
-    every moisture but NaN. Within those limits every result is
-    bit-identical to the same arithmetic on scalar constants.
+    every moisture but NaN.
     """
 
     mapping: ColumnMapping
@@ -247,7 +185,7 @@ class RadianceOperator:
     def __post_init__(self):
         if any(not 0 <= loc < self.grid_size for loc in self.obs_locations):
             raise ValidationError("observation locations must index the model grid")
-        defs = self.bias_template.resolved()
+        template = self.bias_template
         locs = np.array(self.obs_locations, dtype=int)
         n_obs = len(locs)
         row_starts = np.arange(n_obs) * self.n_state
@@ -255,22 +193,22 @@ class RadianceOperator:
         def full(value: float) -> np.ndarray:
             return np.full(n_obs, value, dtype=float)
 
-        zeros, scan = full(0.0), locs.astype(float)
-        # Predictor values by column, with the constant ones filled in.
-        predictors = np.empty((n_obs, len(defs)))
-        for i, p in enumerate(defs):
-            if p.d_surface_temperature == 0.0:
-                predictors[:, i] = p.value(zeros, zeros, scan)
+        # Predictor values by column, with the scan positions filled in.
+        predictors = np.empty((n_obs, template.n_predictors))
+        for i, name in enumerate(template.predictors):
+            if name == "scan_position":
+                predictors[:, i] = locs
         jac_bias = np.empty((n_obs, self.n_bias))
         jac_bias[:, 0] = 1.0
         jac_bias[:, 1:] = predictors
         constants = {
-            # (column, predictor) for every predictor with a nonzero slope.
-            "_varying": tuple(
-                (i, p) for i, p in enumerate(defs) if p.d_surface_temperature != 0.0
+            "bias_background": np.array(
+                [template.constant_coefficient_k, *template.coefficients], dtype=float
+            ),
+            "_surface_columns": tuple(
+                i for i, name in enumerate(template.predictors) if name == "surface_temperature"
             ),
             "_gather": np.concatenate([locs, self.grid_size + locs]),
-            "_scan": scan,
             # Positions of d/dT and d/dq in the row-major (n_obs, n_state) Jacobian.
             "_flat_temp": row_starts + locs,
             "_flat_moist": row_starts + self.grid_size + locs,
@@ -280,7 +218,7 @@ class RadianceOperator:
             "_t_atm": full(self.mapping.atmosphere_temperature_k),
             "_kappa": full(self.mapping.opacity_coefficient),
             "_neg_kappa": full(-self.mapping.opacity_coefficient),
-            "_zeros": zeros,
+            "_zeros": full(0.0),
             "_ones": full(1.0),
         }
         for name, value in constants.items():
@@ -299,16 +237,16 @@ class RadianceOperator:
     def _columns(self, state: np.ndarray):
         """(surface temperature, floored moisture, raw moisture) at the observed cells."""
         cells = state[self._gather]
-        n_obs = len(self._scan)
+        n_obs = len(self.obs_locations)
         q_raw = cells[n_obs:]
         return self._surface_offset + cells[:n_obs], np.maximum(self._zeros, q_raw), q_raw
 
-    def _fill_varying(self, t_surf, q, template: np.ndarray, first: int) -> np.ndarray:
-        """A copy of ``template`` with the varying predictors written as its
-        columns from ``first`` on."""
+    def _fill_surface(self, t_surf, template: np.ndarray, first: int) -> np.ndarray:
+        """A copy of ``template`` with ``t_surf`` written as its
+        surface-temperature predictor columns from ``first`` on."""
         out = template.copy()
-        for i, pdef in self._varying:
-            out[:, first + i] = pdef.value(t_surf, q, self._scan)
+        for i in self._surface_columns:
+            out[:, first + i] = t_surf
         return out
 
     def values(self, state: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -320,7 +258,7 @@ class RadianceOperator:
         np.subtract(self._ones, w, w)
         np.multiply(self._t_atm, w, w)
         np.add(h, w, h)
-        pred = self._fill_varying(t_surf, q, self._predictors, 0)
+        pred = self._fill_surface(t_surf, self._predictors, 0)
         # ndarray.dot costs less per call than @. With one observation the two
         # can differ in the sign of a zero, which the add loses: h + beta_0 is
         # never -0.0, because h is not (t_atm > 0).
@@ -338,14 +276,50 @@ class RadianceOperator:
         np.multiply(d_dmoist, w, d_dmoist)
         np.putmask(d_dmoist, q_raw <= self._zeros, 0.0)
         d_dtemp = w
-        for i, pdef in self._varying:
-            d_dtemp = d_dtemp + bias[1 + i] * pdef.d_surface_temperature
+        for i in self._surface_columns:
+            d_dtemp = d_dtemp + bias[1 + i]
 
         jac_state = np.zeros((len(q), self.n_state))
         flat = jac_state.reshape(-1)
         flat[self._flat_temp] = d_dtemp
         flat[self._flat_moist] = d_dmoist
-        return jac_state, self._fill_varying(t_surf, q, self._jac_bias, 1)
+        return jac_state, self._fill_surface(t_surf, self._jac_bias, 1)
+
+
+def synthesize_observations(
+    truth: ModelState,
+    operator: RadianceOperator,
+    obs_error_seed: int,
+    error_stddev_k: float,
+) -> np.ndarray:
+    """Brightness temperatures a radiometer would report over the truth state.
+
+    The analysis operator's values at the truth and its bias template, plus
+    seeded Gaussian noise of ``error_stddev_k``, one draw per observation in
+    location order: the analysis sees the operator that made its
+    observations, bit for bit. Returns a read-only array of values, one per
+    location, all finite.
+
+    Raises ``ValidationError`` when a column's surface temperature is not
+    positive: ``ColumnMapping`` rejects an offset <= 0, and this catches a
+    positive ``surface_offset_k`` that a cell's temperature undercuts.
+    """
+    state = truth.vector
+    if state.shape != (operator.n_state,):
+        raise ValidationError("truth state does not match the operator's grid")
+    if not error_stddev_k > 0:
+        raise ValidationError("observation error stddev must be positive")
+    t_surf, _, _ = operator._columns(state)
+    if np.any(t_surf <= 0.0):
+        raise ValidationError("column temperatures must be positive")
+    noise = SeededRng(obs_error_seed).normals(len(t_surf), 0.0, error_stddev_k)
+    # A bias template whose correction overflows is rejected just below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = operator.values(state, operator.bias_background) + np.array(noise)
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("observation value must be finite")
+    values.setflags(write=False)
+    return values
 
 
 def state_vector_to_model(vector: np.ndarray, grid_size: int) -> ModelState:

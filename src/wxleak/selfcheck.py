@@ -95,10 +95,14 @@ def _check_aggregation_partition() -> CheckResult:
 
 def _check_forward_bounds() -> CheckResult:
     mapping = osse.ColumnMapping(surface_offset_k=288.0, atmosphere_temperature_k=248.0)
-    for q in np.linspace(0.0, 120.0, 61):
-        t_b = osse.bias_corrected_forward(mapping, osse.BiasModel(), 0.0, float(q), 0)
-        if not (248.0 - 1e-12 <= t_b <= 288.0 + 1e-12):
-            return CheckResult("forward operator bounds", False, f"t_b {t_b} at q {q}")
+    n = 61  # one observed cell per moisture q, each a 288 K surface
+    operator = osse.RadianceOperator(mapping, osse.BiasModel(), tuple(range(n)), n)
+    q = np.linspace(0.0, 120.0, n)
+    t_b = operator.values(np.concatenate([np.zeros(n), q]), operator.bias_background)
+    inside = (248.0 - 1e-12 <= t_b) & (t_b <= 288.0 + 1e-12)  # False for NaN too
+    if not inside.all():
+        i = int(np.argmin(inside))
+        return CheckResult("forward operator bounds", False, f"t_b {t_b[i]} at q {q[i]}")
     return CheckResult("forward operator bounds", True, "within [T_atm, T_surf] on grid")
 
 
@@ -109,13 +113,13 @@ def _check_gradient() -> CheckResult:
     locations = tuple(range(0, 12, 2))
     shipped = experiment.config_from_dict({})  # the shipped covariances
     stddev = shipped.obs_error_stddev_k
-    obs = osse.synthesize_observations(truth, mapping, bias, 9, locations, stddev) + 0.1
+    operator = osse.RadianceOperator(mapping, bias, locations, 12)
+    obs = osse.synthesize_observations(truth, operator, 9, stddev) + 0.1
     background = model.ModelState(
         truth.temperature_field + 0.3, np.maximum(0.0, truth.moisture_field - 0.2)
     )
     problem = assim.build_problem(
-        background, osse.RadianceOperator(mapping, bias, locations, 12), obs,
-        shipped.state_variance, shipped.bias_variance, stddev,
+        background, operator, obs, shipped.state_variance, shipped.bias_variance, stddev
     )
     flat = problem.background
     analytic = assim.gradient(flat, problem)

@@ -116,12 +116,12 @@ def radiance_problem(seed, grid_size=12, n_obs=6, predictors=("surface_temperatu
     )
     locations = tuple(sorted(rng.choice(grid_size, size=n_obs, replace=False).tolist()))
     delta_tb = float(rng.uniform(0, 0.5))
-    obs_values = synthesize_observations(truth, mapping, bias, seed + 1, locations, 0.3) + delta_tb
+    operator = RadianceOperator(mapping, bias, locations, grid_size)
+    obs_values = synthesize_observations(truth, operator, seed + 1, 0.3) + delta_tb
     background = ModelState(
         truth.temperature_field + rng.normal(0, 0.5, grid_size),
         np.maximum(0.0, truth.moisture_field + rng.normal(0, 0.5, grid_size)),
     )
-    operator = RadianceOperator(mapping, bias, locations, grid_size)
     return build_problem(background, operator, obs_values, 1.0, 0.5, 0.3)
 
 
@@ -462,9 +462,10 @@ def _permuted_operator(operator, perm):
 
 
 class ReferenceRadianceOperator:
-    """The radiance operator with no set-up at construction: predictors are
-    resolved, index arrays built and the predictor matrix stacked on every
-    call, in the same arithmetic order as ``RadianceOperator``."""
+    """The radiance operator with no set-up at construction: predictor
+    columns are chosen by name, index arrays built and the predictor matrix
+    stacked on every call, in the same arithmetic order as
+    ``RadianceOperator``."""
 
     def __init__(self, operator):
         self.op = operator
@@ -477,9 +478,12 @@ class ReferenceRadianceOperator:
         q_raw = state[self.op.grid_size + locs]
         return t_surf, np.maximum(0.0, q_raw), q_raw > 0.0
 
-    def _predictor_matrix(self, t_surf, q):
+    def _predictor_matrix(self, t_surf):
         scan = np.array(self.op.obs_locations, dtype=float)
-        columns = [p.value(t_surf, q, scan) for p in self.op.bias_template.resolved()]
+        columns = [
+            t_surf if name == "surface_temperature" else scan
+            for name in self.op.bias_template.predictors
+        ]
         if not columns:
             return np.zeros((len(t_surf), 0))
         return np.column_stack(columns)
@@ -489,7 +493,7 @@ class ReferenceRadianceOperator:
         mapping = self.op.mapping
         w = np.exp(-mapping.opacity_coefficient * q)
         h = t_surf * w + mapping.atmosphere_temperature_k * (1.0 - w)
-        return h + bias[0] + self._predictor_matrix(t_surf, q) @ bias[1:]
+        return h + bias[0] + self._predictor_matrix(t_surf) @ bias[1:]
 
     def jacobians(self, state, bias):
         t_surf, q, active = self._columns(state)
@@ -497,8 +501,8 @@ class ReferenceRadianceOperator:
         w = np.exp(-kappa * q)
         d_dtemp = w.copy()
         d_dmoist = kappa * (self.op.mapping.atmosphere_temperature_k - t_surf) * w
-        for coeff, pdef in zip(bias[1:], self.op.bias_template.resolved()):
-            d_dtemp += coeff * pdef.d_surface_temperature
+        for coeff, name in zip(bias[1:], self.op.bias_template.predictors):
+            d_dtemp += coeff * float(name == "surface_temperature")
         d_dmoist = np.where(active, d_dmoist, 0.0)
         n_obs = len(t_surf)
         rows = np.arange(n_obs)
@@ -508,7 +512,7 @@ class ReferenceRadianceOperator:
         jac_state[rows, self.op.grid_size + locs] = d_dmoist
         jac_bias = np.empty((n_obs, self.n_bias))
         jac_bias[:, 0] = 1.0
-        jac_bias[:, 1:] = self._predictor_matrix(t_surf, q)
+        jac_bias[:, 1:] = self._predictor_matrix(t_surf)
         return jac_state, jac_bias
 
 
@@ -538,8 +542,8 @@ class TestOperatorEvaluations:
         counted(RadianceOperator, "jacobians")
         counted(assim, "cost")
         for seed in range(3):
+            problem = radiance_problem(seed + 40)  # its synthesis evaluates the operator
             counts.clear()
-            problem = radiance_problem(seed + 40)
             assert problem.operator.n_bias == 3
             result = minimize(problem, hold_bias_fixed=hold_bias_fixed)
             assert result.iterations > 0

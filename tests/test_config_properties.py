@@ -25,13 +25,15 @@ PATHS = sorted(
 # efficiency divides it, and a finite observation cost, which the
 # observation error stddev divides. A few RK4 steps from the nature run's
 # initial state, which every model field shapes, must not blow up, or the
-# time step is named.
+# time step is named. Explicit locations set the observation count, so a
+# count written beside them that disagrees is named.
 RELATED = {
     "antenna.radiation_efficiency": {"leakage_levels"},
     "covariances.observation_stddev_k": {"leakage_levels"},
     "field.density_class": {"field.count"},
     "model.dt": {"forecast_length"},
     "model.grid_size": {"observations.count", "observations.locations", "model.dt"},
+    "observations.locations": {"observations.count"},
     "model.forcing": {"model.dt"},
     "model.moisture_coupling": {"model.dt"},
     "model.condensation_threshold": {"model.dt"},

@@ -116,10 +116,10 @@ class TestConfigLoading:
         assert shipped == json.loads(json.dumps(tables))
 
     def test_explicit_locations_override_count(self):
-        config = config_from_dict(
-            {"model": {"grid_size": 12}, "observations": {"locations": [0, 5, 9]}}
-        )
-        assert config.obs_locations == (0, 5, 9)
+        """The locations set the count; one written beside them must equal it."""
+        for observations in ({"locations": [0, 5, 9]}, {"count": 3, "locations": [0, 5, 9]}):
+            config = config_from_dict({"model": {"grid_size": 12}, "observations": observations})
+            assert config.obs_locations == (0, 5, 9)
 
     def test_duplicate_locations_rejected(self):
         with pytest.raises(ConfigError):
@@ -196,6 +196,9 @@ class TestConfigLoading:
             ("observations: {locations: [0, false]}", "observations.locations"),
             ("observations: {locations: 3}", "observations.locations"),
             ("observations: {locations: []}", "observations.locations"),
+            ("observations: {count: abc, locations: [0, 5]}", "observations.count"),
+            ("observations: {count: 3, locations: [0, 5]}", "observations.count"),
+            ("observations: {count: 20, locations: [0, 5]}", "observations.count"),
             ("mask: {breakpoints: 3}", "mask.breakpoints"),
             ("mask: {breakpoints: [[0.0, 0.0, 1.0]]}", "mask.breakpoints"),
             ("bias: {coefficients: 1.0}", "bias.coefficients"),
@@ -393,9 +396,9 @@ class TestRunScenario:
             assert built == {"operator": 1, "workspace": 2}
 
     def test_one_synthesis_per_scenario_one_chain_per_level(self, monkeypatch):
-        """The truth's observations are synthesized once per scenario, one
-        scalar operator call per observation, and only the levels run the
-        leakage chain."""
+        """The truth's observations are synthesized once per scenario, by the
+        scenario's analysis operator with no scalar operator call, and only
+        the levels run the leakage chain."""
         config = small_config(ensemble_size=2)  # loading runs the chain too
         calls = {"synthesize": 0, "chain": 0, "scalar": 0}
 
@@ -415,7 +418,7 @@ class TestRunScenario:
         assert calls == {
             "synthesize": 1,
             "chain": len(config.leakage_levels),
-            "scalar": len(config.obs_locations),
+            "scalar": 0,
         }
 
     def test_levels_shift_the_one_synthesis_by_their_delta_tb(self, monkeypatch):
@@ -448,8 +451,9 @@ class TestRunScenario:
         or renamed one loses its counts. Under ``Tracer().installed()`` a
         small scenario gives what the benchmark's trace self-tests assert:
         RK4 steps, forecasts and analyses from the config, and one Jacobian
-        per analysis plus one per iteration. Synthesis runs once, one scalar
-        operator call per observation."""
+        per analysis plus one per iteration. Synthesis runs once, as one
+        operator evaluation beside one per cost evaluation, and the scalar
+        operator is not called."""
         monkeypatch.syspath_prepend(str(BENCH_DIR))
         from tracing import Tracer
 
@@ -466,7 +470,8 @@ class TestRunScenario:
         assert iterations > 0
         assert calls["osse.operator_jacobians"] - calls["assim.minimize"] == iterations
         assert calls["osse.synthesize"] == 1
-        assert calls["forward.scalar"] == len(config.obs_locations)
+        assert calls["osse.operator_values"] == calls["assim.cost"] + 1
+        assert calls["forward.scalar"] == 0
 
     @pytest.mark.parametrize(
         "failing_call, message",
@@ -786,30 +791,31 @@ class TestCli:
         assert len(lines) == 1 + 41
 
     @pytest.mark.parametrize(
-        "args, option",
+        "args, message",
         [
             (["--min", "-10", "--max", "-20"], None),
-            (["--min", "-inf"], "--min"),
-            (["--min", "nan"], "--min"),
-            (["--max", "inf"], "--max"),
-            (["--step", "nan"], "--step"),
-            (["--pathloss", "nan"], "--pathloss"),
-            (["--efficiency", "nan"], "--efficiency"),
-            (["--min", "-1e20", "--max", "0"], "--step"),
-            (["--min", "-1e308", "--max", "1e308"], "--step"),
+            (["--min", "-inf"], "--min must be finite"),
+            (["--min", "nan"], "--min must be finite"),
+            (["--max", "inf"], "--max must be finite"),
+            (["--step", "nan"], "--step must be finite"),
+            (["--pathloss", "nan"], "--pathloss must be finite"),
+            (["--efficiency", "nan"], "--efficiency must be finite"),
+            (["--pathloss", "0"], "--pathloss must be positive"),
+            (["--efficiency", "0"], "--efficiency must lie in (0, 1]"),
+            (["--efficiency", "1.5"], "--efficiency must lie in (0, 1]"),
+            (["--min", "-1e20", "--max", "0"], "--step must give at most"),
+            (["--min", "-1e308", "--max", "1e308"], "--step must give at most"),
         ],
     )
-    def test_noise_table_bad_range_exit_1(self, args, option):
+    def test_noise_table_bad_range_exit_1(self, args, message):
         """Bad input exits 1 naming its option, with no traceback. The rows
         of a finite range are counted before any is made: stepping from
         -1e20 one dB at a time would never end."""
         result = CliRunner().invoke(main, ["noise-table", *args])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        if option is not None:
-            non_finite = args[-1] in ("inf", "-inf", "nan")
-            reason = "must be finite" if non_finite else "must give at most"
-            assert f"{option} {reason}" in result.output
+        if message is not None:
+            assert message in result.output
 
     @pytest.mark.parametrize(
         "config_text, message",
@@ -824,8 +830,14 @@ class TestCli:
                 "leakage_levels: [-300], forecast_length: 0.05, spinup_steps: 10}",
                 "baseline, member 0: cost is non-finite at the initial control",
             ),
+            (
+                "{background_noise_std: 100, forecast_length: 0.05, ensemble_size: 4, "
+                "leakage_levels: [-30]}",
+                "baseline, member 2: non-finite model state after step 3; reduce dt or check "
+                "parameters (forecast suspects: model.dt 0.01, background_noise_std 100)",
+            ),
         ],
-        ids=["leakage_forecast", "analysis_cost"],
+        ids=["leakage_forecast", "analysis_cost", "member_background"],
     )
     def test_blow_up_exit_2_without_floating_point_warnings(self, tmp_path, config_text, message):
         """A forecast that blows the model up, or observations that overflow
@@ -833,7 +845,10 @@ class TestCli:
         overflow on the way there prints no RuntimeWarning. A 20 dBW level
         (a brightness error near 89 K) with the bias held fixed moves the
         analysis far enough from the truth that its forecast blows up at the
-        third step, which no load-time probe sees."""
+        third step, which no load-time probe sees; so does member 2's
+        background at sd 100, which the probe of member 0's does not see. A
+        forecast's blow-up names its suspects, the time step and the
+        background perturbation."""
         path = tmp_path / "blowup.yaml"
         path.write_text(config_text + "\n")
         src = Path(__file__).resolve().parents[1] / "src"

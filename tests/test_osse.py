@@ -8,9 +8,9 @@ import pytest
 
 from wxleak.assim import build_problem
 from wxleak.errors import ValidationError
-from wxleak.model import ModelParams, nature_run
+from wxleak.model import ModelParams, ModelState, nature_run
 from wxleak.osse import (
-    PREDICTOR_REGISTRY,
+    PREDICTORS,
     BiasModel,
     ColumnMapping,
     RadianceOperator,
@@ -19,6 +19,7 @@ from wxleak.osse import (
     state_vector_to_model,
     synthesize_observations,
 )
+from wxleak.rng import SeededRng
 
 
 STDDEV = 0.3  # observation error stddev, K
@@ -33,6 +34,12 @@ def brightness(q, t_surf, t_atm, kappa=KAPPA, bias=BiasModel(), scan=0):
     """Bias-corrected brightness temperature of a column whose surface
     temperature is ``t_surf``: a cell holding 0 under an offset of ``t_surf``."""
     return bias_corrected_forward(ColumnMapping(kappa, t_surf, t_atm), bias, 0.0, q, scan)
+
+
+def synthesize(truth, bias, seed, locations, stddev, mapping=ColumnMapping()):
+    """Observations of ``truth`` synthesized with a fresh operator."""
+    operator = RadianceOperator(mapping, bias, locations, truth.grid_size)
+    return synthesize_observations(truth, operator, seed, stddev)
 
 
 def scalar_at(truth, loc, mapping, bias):
@@ -77,21 +84,24 @@ class TestForward:
 
 
 class TestPredictors:
-    def test_empty_list(self):
-        assert BiasModel().resolved() == ()
+    def test_names(self):
+        assert PREDICTORS == ("surface_temperature", "scan_position")
+        assert BiasModel().predictors == ()
 
-    def test_surface_temperature_pass_through(self):
-        """One ``value`` serves one observation's floats and a set's arrays."""
-        value = PREDICTOR_REGISTRY["surface_temperature"].value
-        assert value(290.0, 10.0, 0) == 290.0
-        t_surf = np.array([290.0, 281.5])
-        assert np.array_equal(value(t_surf, np.array([10.0, 0.0]), np.array([0.0, 3.0])), t_surf)
-
-    def test_scan_position_pass_through(self):
-        value = PREDICTOR_REGISTRY["scan_position"].value
-        assert value(290.0, 10.0, 7) == 7
-        scan = np.array([7.0, 2.0])
-        assert np.array_equal(value(np.array([290.0, 281.5]), np.array([10.0, 0.0]), scan), scan)
+    def test_columns_are_surface_temperature_and_scan_position(self):
+        """The bias Jacobian's predictor columns hold each column's surface
+        temperature and each observation's location, in the template's order."""
+        truth = truth_state()
+        locations = (3, 7)
+        t_surf = ColumnMapping().surface_offset_k + truth.temperature_field[list(locations)]
+        for predictors, columns in (
+            (PREDICTORS, [t_surf, locations]),
+            (PREDICTORS[::-1], [locations, t_surf]),
+        ):
+            bias = BiasModel(0.0, (0.5, -0.5), predictors)
+            operator = RadianceOperator(ColumnMapping(), bias, locations, truth.grid_size)
+            _, jac_bias = operator.jacobians(truth.vector, operator.bias_background)
+            assert np.array_equal(jac_bias, np.column_stack([np.ones(2), *columns]))
 
     def test_unknown_predictor_fails_at_construction(self):
         with pytest.raises(ValidationError) as excinfo:
@@ -162,27 +172,34 @@ class TestDefaultObsLocations:
 
 
 class TestSynthesizeObservations:
+    def test_identical_twin(self):
+        """Synthesis is the analysis operator at the truth and the true bias
+        plus the seeded noise, drawn in location order, bit for bit."""
+        truth = truth_state()
+        bias = BiasModel(0.1, (0.01, -0.02), PREDICTORS)
+        operator = RadianceOperator(ColumnMapping(), bias, tuple(range(12)), truth.grid_size)
+        obs = synthesize_observations(truth, operator, 9, STDDEV)
+        noise = np.array(SeededRng(9).normals(12, 0.0, STDDEV))
+        want = operator.values(truth.vector, operator.bias_background) + noise
+        assert np.array_equal(obs.view(np.uint64), want.view(np.uint64))
+
     def test_noiseless_identity(self):
-        """Vanishing noise and zero bias reproduce the operator values."""
+        """Vanishing noise reproduces the scalar reference operator's values."""
         truth = truth_state()
         mapping = ColumnMapping()
-        bias = BiasModel()
-        obs = synthesize_observations(truth, mapping, bias, 5, (0, 2, 4), error_stddev_k=1e-12)
+        bias = BiasModel(0.1, (0.01, -0.02), PREDICTORS)
+        obs = synthesize(truth, bias, 5, (0, 2, 4), 1e-12, mapping)
         for value, loc in zip(obs, (0, 2, 4)):
             assert abs(value - scalar_at(truth, loc, mapping, bias)) < 1e-9
 
     def test_same_seed_identical(self):
         truth = truth_state()
-        mapping = ColumnMapping()
-        bias = BiasModel()
-        a = synthesize_observations(truth, mapping, bias, 9, (0, 2, 4), STDDEV)
-        b = synthesize_observations(truth, mapping, bias, 9, (0, 2, 4), STDDEV)
+        a = synthesize(truth, BiasModel(), 9, (0, 2, 4), STDDEV)
+        b = synthesize(truth, BiasModel(), 9, (0, 2, 4), STDDEV)
         assert np.array_equal(a, b)
 
     def test_read_only_array_one_value_per_location(self):
-        obs = synthesize_observations(
-            truth_state(), ColumnMapping(), BiasModel(), 9, (0, 1, 5), STDDEV
-        )
+        obs = synthesize(truth_state(), BiasModel(), 9, (0, 1, 5), STDDEV)
         assert obs.shape == (3,) and obs.dtype == float
         with pytest.raises(ValueError):
             obs[0] = 1.0
@@ -190,35 +207,39 @@ class TestSynthesizeObservations:
     def test_scan_position_is_location(self):
         """A unit scan-position coefficient adds each observation's location."""
         truth = truth_state()
-        mapping = ColumnMapping()
         locations = (3, 7)
-        plain = synthesize_observations(truth, mapping, BiasModel(), 9, locations, 1e-12)
-        scanned = synthesize_observations(
-            truth, mapping, BiasModel(0.0, (1.0,), ("scan_position",)), 9, locations, 1e-12
-        )
+        plain = synthesize(truth, BiasModel(), 9, locations, 1e-12)
+        scanned = synthesize(truth, BiasModel(0.0, (1.0,), ("scan_position",)), 9, locations, 1e-12)
         assert np.allclose(scanned - plain, locations, rtol=0.0, atol=1e-9)
 
     def test_true_bias_enters_values(self):
         truth = truth_state()
-        mapping = ColumnMapping()
-        plain = synthesize_observations(truth, mapping, BiasModel(), 9, (0,),
-                                        error_stddev_k=1e-12)
-        biased = synthesize_observations(truth, mapping, BiasModel(1.5), 9, (0,),
-                                         error_stddev_k=1e-12)
+        plain = synthesize(truth, BiasModel(), 9, (0,), 1e-12)
+        biased = synthesize(truth, BiasModel(1.5), 9, (0,), 1e-12)
         assert math.isclose(biased[0] - plain[0], 1.5, rel_tol=1e-9)
 
-    def test_out_of_grid_location_rejected(self):
-        with pytest.raises(ValidationError):
-            synthesize_observations(
-                truth_state(), ColumnMapping(), BiasModel(), 9, (99,), STDDEV
-            )
+    def test_truth_off_the_operator_grid_rejected(self):
+        operator = RadianceOperator(ColumnMapping(), BiasModel(), (0, 1), grid_size=16)
+        with pytest.raises(ValidationError, match="grid"):
+            synthesize_observations(truth_state(grid_size=12), operator, 9, STDDEV)
 
     def test_nonpositive_stddev_rejected(self):
         for stddev in (0.0, -0.3):
             with pytest.raises(ValidationError):
-                synthesize_observations(
-                    truth_state(), ColumnMapping(), BiasModel(), 9, (0, 1), stddev
-                )
+                synthesize(truth_state(), BiasModel(), 9, (0, 1), stddev)
+
+    @pytest.mark.parametrize("temperature", [-1.0, -1.5, -300.0])
+    def test_surface_at_or_below_zero_kelvin_rejected(self, temperature):
+        """A positive offset that an observed cell's temperature undercuts,
+        which the config's load-time check cannot see, is rejected."""
+        temperatures = np.zeros(12)
+        temperatures[5] = temperature
+        truth = ModelState(temperatures, np.full(12, 20.0))
+        mapping = ColumnMapping(surface_offset_k=1.0)
+        with pytest.raises(ValidationError, match="column temperatures must be positive"):
+            synthesize(truth, BiasModel(), 9, (0, 5), STDDEV, mapping)
+        # An unobserved cell's temperature is not a column.
+        synthesize(truth, BiasModel(), 9, (0, 4), STDDEV, mapping)
 
     def test_non_finite_value_rejected(self):
         """Finite coefficients whose correction overflows to inf, or to
@@ -229,7 +250,7 @@ class TestSynthesizeObservations:
             BiasModel(0.0, (1e308, -1e308), surface),
         ):
             with pytest.raises(ValidationError, match="finite"):
-                synthesize_observations(truth_state(), ColumnMapping(), bias, 9, (0, 1), STDDEV)
+                synthesize(truth_state(), bias, 9, (0, 1), STDDEV)
 
 
 class TestRadianceOperator:
@@ -244,6 +265,12 @@ class TestRadianceOperator:
             grid_size=grid_size,
         )
         return operator, truth, bias, locations
+
+    def test_bias_background_is_the_template(self):
+        operator, _, bias, _ = self.make_operator()
+        assert np.array_equal(operator.bias_background, [0.1, 0.01, -0.02])
+        with pytest.raises(ValueError):
+            operator.bias_background[0] = 1.0
 
     def test_values_match_scalar_forward_path(self):
         """Vectorized evaluation equals the per-column scalar operator."""
@@ -329,8 +356,8 @@ class TestBuildProblem:
         truth = truth_state()
         bias = BiasModel(0.0, (0.0,), ("surface_temperature",))
         locations = (0, 4, 8)
-        obs = synthesize_observations(truth, ColumnMapping(), bias, 3, locations, STDDEV)
         operator = RadianceOperator(ColumnMapping(), bias, locations, truth.grid_size)
+        obs = synthesize_observations(truth, operator, 3, STDDEV)
         problem = build_problem(truth, operator, obs, 1.0, 0.5, STDDEV)
         assert problem.n_state == 24
         assert problem.background.shape == (26,)
@@ -340,8 +367,8 @@ class TestBuildProblem:
 
     def test_covariances_from_arguments(self):
         truth = truth_state()
-        obs = synthesize_observations(truth, ColumnMapping(), BiasModel(), 3, (0, 2), 0.5)
         operator = RadianceOperator(ColumnMapping(), BiasModel(), (0, 2), truth.grid_size)
+        obs = synthesize_observations(truth, operator, 3, 0.5)
         problem = build_problem(truth, operator, obs, 2.0, 0.7, 0.5)
         assert np.array_equal(problem.obs_variances, [0.25, 0.25])
         assert np.array_equal(problem.prior_variances, [*np.full(24, 2.0), 0.7])
