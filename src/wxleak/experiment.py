@@ -1,9 +1,11 @@
 """Scenario configuration, sweep execution and machine-readable reports.
 
-One YAML config file fully determines a run: every knob has a documented
-default, every default actually applied is recorded in the report, and the
-report carries a digest of the resolved config so identical runs are
-identifiable by hash alone.
+One YAML config file fully determines a run. One table, ``_DEFAULTS``,
+holds every knob's default; each value is read once, by its default's kind
+(a bool, an integer, a number or a list of items), every default actually
+applied is recorded in the report, and the report carries a digest of the
+values read, so identical runs are identifiable by hash alone, whether a
+number is written ``12`` or ``12.0``.
 
 A scenario is: one synthetic-truth state, one noisy observation set
 synthesized from it and shifted per leakage level by the level's induced
@@ -136,39 +138,34 @@ class ScenarioReport:
         return self.rows[1:]
 
 
-# The link, field, forward, bias and model sections map field for field onto
-# their dataclasses (beside field.density_class and model.grid_size), and the
-# antenna section is AntennaModel's radiation efficiency alone, so their
-# defaults are the dataclasses'. The other sections' are written here only.
-_SECTION_DEFAULTS = {
-    "link": asdict(LinkBudget()),
-    "antenna": {"radiation_efficiency": AntennaModel().radiation_efficiency},
-    "mask": {"breakpoints": None},
-    "field": {"density_class": "custom", **asdict(TransmitterField())},
-    "forward": asdict(ColumnMapping()),
-    "bias": asdict(BiasModel()),
-    "covariances": {
-        "state_variance": 1.0,
-        "bias_variance": 0.5,
-        "observation_stddev_k": 0.3,
-    },
-    "model": {"grid_size": 40, **asdict(ModelParams())},
-    "observations": {"count": 20, "locations": None},
-    "seeds": {"nature": 101, "obs_noise": 202, "init": 303},
-}
-
 #: Emitters per footprint for each ``field.density_class``: plumbing presets,
 #: not measured densities. ``custom`` (None here) takes ``field.count``.
 _DENSITY_COUNTS = {"custom": None, "metropolitan": 250, "rural": 10}
 
-_TOP_DEFAULTS = {
-    "leakage_levels": list(DEFAULT_LEAKAGE_SWEEP_DBW),
+# Every settable value's default: the top-level keys, then one mapping per
+# section, in the order a report lists the defaults it applied. The link,
+# field, forward, bias and model sections map field for field onto their
+# dataclasses (beside field.density_class and model.grid_size), and the
+# antenna section is AntennaModel's radiation efficiency alone, so their
+# defaults are the dataclasses'.
+_DEFAULTS = {
+    "leakage_levels": DEFAULT_LEAKAGE_SWEEP_DBW,
     "leakage_interpretation": "aggregate",
     "spinup_steps": 500,
     "forecast_length": 12.0,
     "ensemble_size": 1,
     "background_noise_std": 0.5,
     "hold_bias_fixed": False,
+    "link": asdict(LinkBudget()),
+    "antenna": {"radiation_efficiency": AntennaModel().radiation_efficiency},
+    "mask": {"breakpoints": None},
+    "field": {"density_class": "custom", **asdict(TransmitterField())},
+    "forward": asdict(ColumnMapping()),
+    "bias": asdict(BiasModel()),
+    "covariances": {"state_variance": 1.0, "bias_variance": 0.5, "observation_stddev_k": 0.3},
+    "model": {"grid_size": 40, **asdict(ModelParams())},
+    "observations": {"count": 20, "locations": None},
+    "seeds": {"nature": 101, "obs_noise": 202, "init": 303},
 }
 
 #: RK4 steps taken at load from the nature run's initial state. Over nature
@@ -176,49 +173,6 @@ _TOP_DEFAULTS = {
 #: spin-up that blew up did so within its first 23 steps (dt 0.122 from seed
 #: 46 was the latest), and no dt up to 0.100 blew up.
 _TIME_STEP_PROBE_STEPS = 23
-
-
-def _resolve(raw: dict, defaulted: list[str]) -> dict:
-    """Fill defaults into a parsed config dict, recording what was filled."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
-    raw = dict(raw)
-    resolved: dict = {}
-    for key, default in _TOP_DEFAULTS.items():
-        if key in raw:
-            resolved[key] = raw.pop(key)
-        else:
-            resolved[key] = default
-            defaulted.append(key)
-    for section, keys in _SECTION_DEFAULTS.items():
-        data = raw.pop(section, None)
-        if data is None:
-            data = {}
-        if not isinstance(data, dict):
-            raise ConfigError("section must be a mapping", field=section)
-        unknown = sorted(set(data) - set(keys))
-        if unknown:
-            raise ConfigError(f"unknown key(s) {unknown}", field=section)
-        block = {}
-        for key, default in keys.items():
-            if key in data:
-                block[key] = data[key]
-            else:
-                block[key] = default
-                defaulted.append(f"{section}.{key}")
-        resolved[section] = block
-    if raw:
-        raise ConfigError(f"unknown top-level key(s) {sorted(raw)}")
-    if resolved["mask"]["breakpoints"] is None:
-        resolved["mask"]["breakpoints"] = [
-            list(bp) for bp in default_emission_mask().breakpoints
-        ]
-    return resolved
-
-
-def _canonical_hash(resolved: dict) -> str:
-    text = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _number(value, field: str) -> float:
@@ -229,34 +183,110 @@ def _number(value, field: str) -> float:
         number = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"must be a number, got {value!r}", field=field) from None
+    except OverflowError:  # an integer beyond the largest float
+        number = math.inf
     if not math.isfinite(number):
         raise ConfigError("must be finite", field=field)
     return number
 
 
-def _integer(
-    value, field: str, minimum: int | None = None, maximum: int | None = None
-) -> int:
-    """An integer from the config (booleans rejected), within the given bounds."""
+def _integer(value, field: str) -> int:
+    """An integer from the config; booleans are not integers."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError("must be an integer", field=field)
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"must be an integer >= {minimum}", field=field)
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"must be an integer <= {maximum}", field=field)
     return value
 
 
-def _numbers(block: dict, section: str) -> dict:
-    """Every entry of a config section as a finite number, keyed as in the section."""
-    return {key: _number(value, f"{section}.{key}") for key, value in block.items()}
+def _pair(value, field: str) -> tuple[float, float]:
+    """One ``[offset_hz, db]`` breakpoint of the emission mask."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError("must be a list of [offset_hz, db] pairs", field=field)
+    return _number(value[0], field), _number(value[1], field)
 
 
-def _list(value, field: str) -> list | tuple:
-    """A sequence from the config; strings and mappings are not lists."""
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError("must be a list", field=field)
+def _predictor(value, field: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError("must be a list of predictor names", field=field)
     return value
+
+
+#: The item reader of each list key.
+_ITEMS = {
+    "leakage_levels": _number,
+    "mask.breakpoints": _pair,
+    "bias.coefficients": _number,
+    "bias.predictors": _predictor,
+    "observations.locations": _integer,
+}
+
+
+def _read(value, default, field: str):
+    """One config value, read by the kind of its default: a bool, an integer,
+    a number, or a list whose items the key's ``_ITEMS`` reader reads. A name
+    is returned as written, for ``config_from_dict`` to check."""
+    if field in _ITEMS:
+        if value is None and default is None:
+            return None
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError("must be a list", field=field)
+        return tuple(_ITEMS[field](item, field) for item in value)
+    if isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise ConfigError("must be true or false", field=field)
+        return value
+    if isinstance(default, int):
+        return _integer(value, field)
+    if isinstance(default, float):
+        return _number(value, field)
+    return value
+
+
+def _resolve(raw: dict, overrides: dict) -> tuple[dict, list[str]]:
+    """Read a parsed config into the values a run reads, defaults filled in.
+
+    ``overrides`` maps dotted names to values read as if written in the
+    file. Returns the values, nested as ``_DEFAULTS`` is, and the dotted
+    names of the defaults applied, in ``_DEFAULTS``'s order.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be a mapping")
+    unknown = sorted(set(raw) - set(_DEFAULTS), key=str)
+    if unknown:
+        raise ConfigError(f"unknown top-level key(s) {unknown}")
+    values: dict = {}
+    defaulted: list[str] = []
+
+    def read(block: dict, key: str, default, name: str):
+        if name not in overrides and key not in block:
+            defaulted.append(name)
+        return _read(overrides.get(name, block.get(key, default)), default, name)
+
+    for key, default in _DEFAULTS.items():
+        if not isinstance(default, dict):
+            values[key] = read(raw, key, default, key)
+            continue
+        section = {} if raw.get(key) is None else raw[key]
+        if not isinstance(section, dict):
+            raise ConfigError("section must be a mapping", field=key)
+        unknown = sorted(set(section) - set(default), key=str)
+        if unknown:
+            raise ConfigError(f"unknown key(s) {unknown}", field=key)
+        values[key] = {
+            sub: read(section, sub, sub_default, f"{key}.{sub}")
+            for sub, sub_default in default.items()
+        }
+    if values["mask"]["breakpoints"] is None:
+        values["mask"]["breakpoints"] = default_emission_mask().breakpoints
+    return values, defaulted
+
+
+def _build(section: str, cls, **values):
+    """A section's dataclass, its ValidationError named by the section's field."""
+    try:
+        return cls(**values)
+    except ValidationError as exc:
+        field = section if exc.field is None else f"{section}.{exc.field}"
+        raise ConfigError(str(exc), field=field) from exc
 
 
 def config_from_dict(
@@ -266,97 +296,81 @@ def config_from_dict(
 ) -> ScenarioConfig:
     """Validate a parsed config mapping and build the resolved ScenarioConfig.
 
-    ``leakage_levels``, when given, replace the mapping's levels as if they
-    were written in it: they are validated, hashed and not listed as
-    defaulted.
+    ``_resolve`` reads every value once, by the kind of its default; this
+    applies the range and cross-field rules and builds each section's
+    dataclass. The config hash is taken of the values read, so a number
+    field written ``12`` hashes as ``12.0`` does.
+
+    ``leakage_levels`` and ``seed_override`` (seeds N, N + 1, N + 2), when
+    given, replace the mapping's values as if they were written in it: they
+    are validated, hashed and not listed as defaulted.
     """
-    defaulted: list[str] = []
-    resolved = _resolve(raw, defaulted)
+    overrides: dict = {}
     if leakage_levels is not None:
-        resolved["leakage_levels"] = list(leakage_levels)
-        defaulted = [name for name in defaulted if name != "leakage_levels"]
+        overrides["leakage_levels"] = leakage_levels
     if seed_override is not None:
-        resolved["seeds"] = {
-            "nature": int(seed_override),
-            "obs_noise": int(seed_override) + 1,
-            "init": int(seed_override) + 2,
-        }
+        for offset, name in enumerate(("nature", "obs_noise", "init")):
+            overrides[f"seeds.{name}"] = int(seed_override) + offset
+    values, defaulted = _resolve(raw, overrides)
 
-    levels = resolved["leakage_levels"]
-    if not isinstance(levels, (list, tuple)) or len(levels) == 0:
+    levels = values["leakage_levels"]
+    if not levels:
         raise ConfigError("must be a non-empty list", field="leakage_levels")
-    levels = tuple(_number(v, "leakage_levels") for v in levels)
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ConfigError("must be sorted strictly ascending", field="leakage_levels")
+    for a, b in zip(levels, levels[1:]):
+        if b <= a:
+            raise ConfigError("must be sorted strictly ascending", field="leakage_levels")
+        if f"{a:g}" == f"{b:g}":  # each row is labelled with its level's %g form
+            raise ConfigError(
+                f"levels {a!r} and {b!r} share the row label {a:g}", field="leakage_levels"
+            )
 
-    interpretation = resolved["leakage_interpretation"]
+    interpretation = values["leakage_interpretation"]
     if interpretation not in ("aggregate", "per_device"):
-        raise ConfigError(
-            "must be 'aggregate' or 'per_device'", field="leakage_interpretation"
-        )
-
-    ensemble_size = _integer(resolved["ensemble_size"], "ensemble_size", minimum=1)
-    spinup_steps = _integer(resolved["spinup_steps"], "spinup_steps", minimum=0)
-    forecast_length = _number(resolved["forecast_length"], "forecast_length")
+        raise ConfigError("must be 'aggregate' or 'per_device'", field="leakage_interpretation")
+    grid_size = values["model"]["grid_size"]
+    for name, value, minimum in (
+        ("ensemble_size", values["ensemble_size"], 1),
+        ("spinup_steps", values["spinup_steps"], 0),
+        ("model.grid_size", grid_size, 4),
+    ):
+        if value < minimum:
+            raise ConfigError(f"must be an integer >= {minimum}", field=name)
+    forecast_length = values["forecast_length"]
     if forecast_length <= 0:
         raise ConfigError("must be positive", field="forecast_length")
-    background_noise_std = _number(resolved["background_noise_std"], "background_noise_std")
+    background_noise_std = values["background_noise_std"]
     if background_noise_std < 0:
         raise ConfigError("must be >= 0", field="background_noise_std")
-    hold_bias_fixed = resolved["hold_bias_fixed"]
-    if not isinstance(hold_bias_fixed, bool):
-        raise ConfigError("must be true or false", field="hold_bias_fixed")
 
     # The generators read a seed modulo 2**64, so one outside [0, 2**64)
     # would silently run as another.
-    seeds_block = resolved["seeds"]
-    seeds = Seeds(
-        *(
-            _integer(seeds_block[n], f"seeds.{n}", minimum=0, maximum=2**64 - 1)
-            for n in ("nature", "obs_noise", "init")
-        )
-    )
+    for name, seed in values["seeds"].items():
+        if not 0 <= seed < 2**64:
+            raise ConfigError("must be an integer in [0, 2**64)", field=f"seeds.{name}")
+    seeds = Seeds(**values["seeds"])
 
-    def build(section: str, builder, **kwargs):
-        try:
-            return builder(**kwargs)
-        except ValidationError as exc:
-            field = section if exc.field is None else f"{section}.{exc.field}"
-            raise ConfigError(str(exc), field=field) from exc
-
-    link = build("link", LinkBudget, **_numbers(resolved["link"], "link"))
-    antenna = build("antenna", AntennaModel, **_numbers(resolved["antenna"], "antenna"))
+    link = _build("link", LinkBudget, **values["link"])
+    antenna = _build("antenna", AntennaModel, **values["antenna"])
     if antenna.radiation_efficiency == 0.0:
         # AntennaModel allows it for the antenna relation; a scenario cannot run.
         raise ConfigError(
             "must be positive: the brightness error divides by it",
             field="antenna.radiation_efficiency",
         )
-    breakpoints = _list(resolved["mask"]["breakpoints"], "mask.breakpoints")
-    if any(not isinstance(bp, (list, tuple)) or len(bp) != 2 for bp in breakpoints):
-        raise ConfigError("must be a list of [offset_hz, db] pairs", field="mask.breakpoints")
-    mask = build(
-        "mask",
-        EmissionMask,
-        breakpoints=tuple(
-            (_number(o, "mask.breakpoints"), _number(p, "mask.breakpoints"))
-            for o, p in breakpoints
-        ),
-    )
+    mask = _build("mask", EmissionMask, **values["mask"])
     if interpretation == "per_device":
         # The leaked fraction depends on the mask alone, whatever the level.
         try:
             aci_leakage_fraction(mask, AGGRESSOR_CHANNEL, VICTIM_CHANNEL)
         except ValidationError as exc:
             raise ConfigError(str(exc), field="mask.breakpoints") from exc
-    field_block = dict(resolved["field"])
-    density_class = field_block.pop("density_class")
+    field_values = dict(values["field"])
+    density_class = field_values.pop("density_class")
     if not isinstance(density_class, str) or density_class not in _DENSITY_COUNTS:
         raise ConfigError(
             f"must be one of {sorted(_DENSITY_COUNTS)}, got {density_class!r}",
             field="field.density_class",
         )
-    device_count = _integer(field_block.pop("count"), "field.count")
     preset = _DENSITY_COUNTS[density_class]
     if preset is not None:
         if "field.count" not in defaulted:
@@ -365,28 +379,11 @@ def config_from_dict(
                 "omit count or use density_class custom",
                 field="field.count",
             )
-        device_count = preset
-    field = build(
-        "field", TransmitterField, count=device_count, **_numbers(field_block, "field")
-    )
-    mapping = build("forward", ColumnMapping, **_numbers(resolved["forward"], "forward"))
-    bias_block = resolved["bias"]
-    predictors = _list(bias_block["predictors"], "bias.predictors")
-    if any(not isinstance(name, str) for name in predictors):
-        raise ConfigError("must be a list of predictor names", field="bias.predictors")
-    bias = build(
-        "bias",
-        BiasModel,
-        constant_coefficient_k=_number(
-            bias_block["constant_coefficient_k"], "bias.constant_coefficient_k"
-        ),
-        coefficients=tuple(
-            _number(c, "bias.coefficients")
-            for c in _list(bias_block["coefficients"], "bias.coefficients")
-        ),
-        predictors=tuple(predictors),
-    )
-    cov = _numbers(resolved["covariances"], "covariances")
+        field_values["count"] = preset
+    field = _build("field", TransmitterField, **field_values)
+    mapping = _build("forward", ColumnMapping, **values["forward"])
+    bias = _build("bias", BiasModel, **values["bias"])
+    cov = values["covariances"]
     for key, value in cov.items():
         if value <= 0:
             raise ConfigError("must be positive", field=f"covariances.{key}")
@@ -400,9 +397,9 @@ def config_from_dict(
                 field=f"covariances.{key}",
             )
 
-    model_block = dict(resolved["model"])
-    grid_size = _integer(model_block.pop("grid_size"), "model.grid_size", minimum=4)
-    params = build("model", ModelParams, **_numbers(model_block, "model"))
+    model_values = dict(values["model"])
+    del model_values["grid_size"]
+    params = _build("model", ModelParams, **model_values)
     if _forecast_steps(forecast_length, params) < 1:
         raise ConfigError("must span at least one model time step", field="forecast_length")
     steps = forecast_length / params.dt
@@ -415,36 +412,26 @@ def config_from_dict(
         probe = nature_run(params, seeds.nature, _TIME_STEP_PROBE_STEPS, 0, grid_size).final
     except ModelBlowUpError as exc:
         raise ConfigError(f"dt {params.dt:g} is unstable: {exc}", field="model.dt") from exc
-    obs_block = resolved["observations"]
-    if obs_block["locations"] is not None:
-        if not isinstance(obs_block["locations"], (list, tuple)) or not obs_block["locations"]:
+    count, locations = values["observations"]["count"], values["observations"]["locations"]
+    if locations is None:
+        try:
+            locations = default_obs_locations(grid_size, count)
+        except ValidationError as exc:
+            raise ConfigError(str(exc), field="observations.count") from exc
+    else:
+        if not locations or any(not 0 <= loc < grid_size for loc in locations):
             raise ConfigError(
-                "must be a non-empty list of integers", field="observations.locations"
-            )
-        locations = tuple(
-            _integer(loc, "observations.locations") for loc in obs_block["locations"]
-        )
-        if any(not 0 <= loc < grid_size for loc in locations):
-            raise ConfigError(
-                "locations must index the model grid", field="observations.locations"
+                "must be a non-empty list of model grid indices", field="observations.locations"
             )
         if len(set(locations)) != len(locations):
             raise ConfigError("locations must be unique", field="observations.locations")
         # The locations set the count; a count written beside them must agree.
-        if "observations.count" not in defaulted and (
-            _integer(obs_block["count"], "observations.count") != len(locations)
-        ):
+        if "observations.count" not in defaulted and count != len(locations):
             raise ConfigError(
                 f"observations.locations gives {len(locations)} locations; "
                 f"omit count or set it to {len(locations)}",
                 field="observations.count",
             )
-    else:
-        count = _integer(obs_block["count"], "observations.count")
-        try:
-            locations = default_obs_locations(grid_size, count)
-        except ValidationError as exc:
-            raise ConfigError(str(exc), field="observations.count") from exc
 
     config = ScenarioConfig(
         leakage_levels=levels,
@@ -462,13 +449,15 @@ def config_from_dict(
         grid_size=grid_size,
         obs_locations=locations,
         seeds=seeds,
-        spinup_steps=spinup_steps,
+        spinup_steps=values["spinup_steps"],
         forecast_length=forecast_length,
-        ensemble_size=ensemble_size,
+        ensemble_size=values["ensemble_size"],
         background_noise_std=background_noise_std,
-        hold_bias_fixed=hold_bias_fixed,
+        hold_bias_fixed=values["hold_bias_fixed"],
         defaulted_fields=tuple(defaulted),
-        config_hash=_canonical_hash(resolved),
+        config_hash=hashlib.sha256(
+            json.dumps(values, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        ).hexdigest(),
     )
     # Forecasts start from backgrounds perturbed from the truth, which the
     # time-step probe never sees: perturb its final state as member 0's
@@ -520,15 +509,17 @@ def load_config(
             raw = yaml.safe_load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"could not read config {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
+        # PyYAML raises ValueError where a scalar it has matched cannot be
+        # built: an integer past Python's digit limit, or a date like 2020-13-01.
         line = None
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:
             line = mark.line + 1
         raise ConfigError(f"could not parse config: {exc}", line=line) from exc
-    if raw is None:
-        raw = {}
-    return config_from_dict(raw, seed_override=seed_override, leakage_levels=leakage_levels)
+    return config_from_dict(
+        {} if raw is None else raw, seed_override=seed_override, leakage_levels=leakage_levels
+    )
 
 
 def leakage_chain(config: ScenarioConfig, level_dbw: float) -> tuple[float, float]:
@@ -646,12 +637,19 @@ def run_scenario(
                     trace_stream=trace_stream, trace_label=f"{trace_label} m{m}",
                 )
             except ModelBlowUpError as exc:
-                # Only the forecast integrates here; it starts from an analysis
-                # of a background perturbed by background_noise_std.
+                # Only the forecast integrates here, from an analysis of a
+                # background perturbed by background_noise_std. A level's is
+                # suspect only through its brightness error: the member's
+                # baseline forecast, same background and dt, did not blow up.
+                if level is None:
+                    suspects = (
+                        f"model.dt {config.model_params.dt:g}, "
+                        f"background_noise_std {config.background_noise_std:g}"
+                    )
+                else:
+                    suspects = f"leakage_levels {level:g}, brightness error {delta_tb:.3g} K"
                 raise ScenarioExecutionError(
-                    f"{where}, member {m}: {exc} (forecast suspects: model.dt "
-                    f"{config.model_params.dt:g}, background_noise_std "
-                    f"{config.background_noise_std:g})"
+                    f"{where}, member {m}: {exc} (forecast suspects: {suspects})"
                 ) from exc
             except Exception as exc:
                 raise ScenarioExecutionError(f"{where}, member {m}: {exc}") from exc

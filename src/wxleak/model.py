@@ -340,7 +340,7 @@ def diagnostics(trajectory: Trajectory, params: ModelParams) -> tuple[np.ndarray
 
 
 def nature_run(
-    params: ModelParams, seed: int, spinup_steps: int, run_steps: int, grid_size: int = 40
+    params: ModelParams, seed: int, spinup_steps: int, run_steps: int, grid_size: int
 ) -> Trajectory:
     """Seeded synthetic-truth trajectory.
 

@@ -3,6 +3,7 @@
 import copy
 from pathlib import Path
 
+import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,7 @@ from wxleak.experiment import config_from_dict
 
 SHIPPED_PATH = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
 SHIPPED = yaml.safe_load(SHIPPED_PATH.read_text())
-SHIPPED_HASH = "6e66bad0bfec5d301f4baccf4a93d930c260e6638fd34e80e2800ddce27045e2"
+SHIPPED_HASH = "3f56851edb7137a29f3412ddda28e083fc7e9250d22e660f9b16cfee5d4493f3"
 
 # Every top-level key and every key of every section, as a path.
 PATHS = sorted(
@@ -23,13 +24,17 @@ PATHS = sorted(
 # Checks that span two fields name the one whose constraint failed. Every
 # level must give a finite brightness error through the antenna, whose
 # efficiency divides it, and a finite observation cost, which the
-# observation error stddev divides. A few RK4 steps from the nature run's
+# observation error stddev divides; under per_device, the field's count and
+# elevation gain and the mask's leaked fraction scale each level. A few RK4 steps from the nature run's
 # initial state, which every model field shapes, must not blow up, or the
 # time step is named. Explicit locations set the observation count, so a
 # count written beside them that disagrees is named.
 RELATED = {
     "antenna.radiation_efficiency": {"leakage_levels"},
     "covariances.observation_stddev_k": {"leakage_levels"},
+    "field.count": {"leakage_levels"},
+    "field.elevation_gain_db": {"leakage_levels"},
+    "mask.breakpoints": {"leakage_levels"},
     "field.density_class": {"field.count"},
     "model.dt": {"forecast_length"},
     "model.grid_size": {"observations.count", "observations.locations", "model.dt"},
@@ -56,8 +61,8 @@ VALUES = st.recursive(
 )
 
 
-def mutated(mutations):
-    raw = copy.deepcopy(SHIPPED)
+def mutated(interpretation, mutations):
+    raw = dict(copy.deepcopy(SHIPPED), leakage_interpretation=interpretation)
     for path, value in mutations:
         target = raw[path[0]] if len(path) == 2 else raw
         if isinstance(target, dict):  # an earlier mutation may have replaced the section
@@ -73,6 +78,9 @@ def allowed_fields(mutations):
     return fields
 
 
+# The mask and field checks run only under per_device, so both readings of a
+# level are mutated.
+@pytest.mark.parametrize("interpretation", ["aggregate", "per_device"])
 @settings(
     max_examples=300,
     deadline=None,
@@ -81,9 +89,9 @@ def allowed_fields(mutations):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(st.lists(st.tuples(st.sampled_from(PATHS), VALUES), min_size=1, max_size=2))
-def test_rejected_mutation_raises_config_error_naming_its_field(mutations):
+def test_rejected_mutation_raises_config_error_naming_its_field(interpretation, mutations):
     try:
-        config_from_dict(mutated(mutations))
+        config_from_dict(mutated(interpretation, mutations))
     except ConfigError as exc:
         assert exc.field in allowed_fields(mutations), str(exc)
     assert config_from_dict(copy.deepcopy(SHIPPED)).config_hash == SHIPPED_HASH

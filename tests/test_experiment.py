@@ -106,14 +106,12 @@ class TestConfigLoading:
         assert config.field.count == 7
 
     def test_shipped_yaml_is_the_defaults_table(self):
-        """configs/default.yaml sets every key of the defaults tables, at its
-        default value, and nothing else. The tables are compared in the JSON
-        form the config hash reads, where a dataclass's tuple default is the
-        YAML list."""
+        """configs/default.yaml sets every key of the defaults table, at its
+        default value, and nothing else. The table is compared in its JSON
+        form, where a tuple default is the YAML list."""
         path = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
         shipped = yaml.safe_load(path.read_text())
-        tables = {**experiment._TOP_DEFAULTS, **experiment._SECTION_DEFAULTS}
-        assert shipped == json.loads(json.dumps(tables))
+        assert shipped == json.loads(json.dumps(experiment._DEFAULTS))
 
     def test_explicit_locations_override_count(self):
         """The locations set the count; one written beside them must equal it."""
@@ -142,6 +140,9 @@ class TestConfigLoading:
         assert config.seeds.obs_noise == 901
         assert config.seeds.init == 902
         assert config.config_hash != config_from_dict(dict(SMALL_RUN)).config_hash
+        # Overridden seeds are read as if written in the file, so they are not
+        # listed as defaults applied.
+        assert not any(name.startswith("seeds.") for name in config.defaulted_fields)
 
     @pytest.mark.parametrize(
         "text, raw", [(yaml.safe_dump(SMALL_RUN), SMALL_RUN), ("", {})], ids=["small", "empty"]
@@ -166,6 +167,9 @@ class TestConfigLoading:
             ("covariances: {state_variance: .nan}", "covariances.state_variance"),
             ("background_noise_std: .inf", "background_noise_std"),
             ("leakage_levels: [.nan]", "leakage_levels"),
+            (f"forecast_length: {10**400}", "forecast_length"),
+            (f"leakage_levels: [-20, {10**400}]", "leakage_levels"),
+            ("leakage_levels: [-30.000001, -30]", "leakage_levels"),
             ("model: {forcing: .nan}", "model.forcing"),
             ('hold_bias_fixed: "no"', "hold_bias_fixed"),
             ("ensemble_size: true", "ensemble_size"),
@@ -252,6 +256,8 @@ class TestConfigLoading:
             ("model: {dt: 0}", "model.dt"),
             ("forward: {atmosphere_temperature_k: 0}", "forward.atmosphere_temperature_k"),
             ("[1, 2]", None),
+            ("{1: 2, a: 3}", None),
+            ("link: {1: 2, a: 3}", "link"),
         ],
     )
     def test_bad_value_rejected_at_load_naming_field(self, tmp_path, text, field):
@@ -277,8 +283,43 @@ class TestConfigLoading:
         """Validation never rewrites a valid config, so its hash stays put."""
         path = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
         assert load_config(str(path)).config_hash == (
-            "6e66bad0bfec5d301f4baccf4a93d930c260e6638fd34e80e2800ddce27045e2"
+            "3f56851edb7137a29f3412ddda28e083fc7e9250d22e660f9b16cfee5d4493f3"
         )
+
+    def test_hash_reads_values_not_spellings(self):
+        """The hash is taken of the values read: a number field written as an
+        integer hashes as the float it is read as, and an integer field
+        written as a float is rejected."""
+        written = {"forecast_length": 12, "leakage_levels": [-30, -20], "link": {"transmittance": 1}}
+        as_floats = {
+            "forecast_length": 12.0,
+            "leakage_levels": [-30.0, -20.0],
+            "link": {"transmittance": 1.0},
+        }
+        assert config_from_dict(written).config_hash == config_from_dict(as_floats).config_hash
+        with pytest.raises(ConfigError) as excinfo:
+            config_from_dict({"ensemble_size": 1.0})
+        assert excinfo.value.field == "ensemble_size"
+
+    def test_levels_with_distinct_row_labels_load(self):
+        """Only levels whose %g labels coincide are rejected: -30.0001 and
+        -30 label their rows apart."""
+        config = config_from_dict({"leakage_levels": [-30.0001, -30]})
+        labels = [f"{level:g}" for level in config.leakage_levels]
+        assert labels == ["-30.0001", "-30"]
+
+    @pytest.mark.parametrize(
+        "text", ["forecast_length: " + "9" * 5000, "leakage_levels: [-30]\nwhen: 2020-13-01"]
+    )
+    def test_unbuildable_scalar_is_config_error(self, tmp_path, text):
+        """A scalar PyYAML matches but cannot build (an integer past the
+        interpreter's digit limit, a date with month 13) is a config error,
+        exit 1, not a crash."""
+        path = tmp_path / "bad.yaml"
+        path.write_text(text + "\n")
+        with pytest.raises(ConfigError):
+            load_config(str(path))
+        assert CliRunner().invoke(main, ["run", str(path)]).exit_code == 1
 
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -781,6 +822,19 @@ class TestCli:
         assert len(csv_lines) == 2 + 1 + len(DEFAULT_LEAKAGE_SWEEP_DBW)
         assert "leakage_levels" not in reports[0][1][0]
 
+    def test_run_and_sweep_of_shipped_config_write_the_same_bytes(self, tmp_path):
+        """configs/default.yaml writes the default sweep's levels as integers
+        (-55); the sweep passes them as floats (-55.0). Both read as the same
+        numbers, so the two reports are byte-identical, hash line included."""
+        path = Path(__file__).resolve().parents[1] / "configs" / "default.yaml"
+        reports = []
+        for command in ("run", "sweep"):
+            out = tmp_path / f"{command}.csv"
+            result = CliRunner().invoke(main, [command, str(path), "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
     def test_noise_table_command(self, tmp_path):
         runner = CliRunner()
         out = tmp_path / "noise.csv"
@@ -823,7 +877,15 @@ class TestCli:
             (
                 "{hold_bias_fixed: true, leakage_levels: [20], forecast_length: 0.05, "
                 "spinup_steps: 50}",
-                "level 20.0 dBW, member 0: non-finite model state after step 2",
+                "level 20.0 dBW, member 0: non-finite model state after step 2; reduce dt or "
+                "check parameters (forecast suspects: leakage_levels 20, brightness error "
+                "2.82e+03 K)",
+            ),
+            (
+                "{leakage_levels: [400], forecast_length: 0.05, spinup_steps: 10}",
+                "level 400.0 dBW, member 0: non-finite model state after step 0; reduce dt or "
+                "check parameters (forecast suspects: leakage_levels 400, brightness error "
+                "2.82e+41 K)",
             ),
             (
                 "{covariances: {observation_stddev_k: 1.5e-154}, background_noise_std: 3.0, "
@@ -837,18 +899,20 @@ class TestCli:
                 "parameters (forecast suspects: model.dt 0.01, background_noise_std 100)",
             ),
         ],
-        ids=["leakage_forecast", "analysis_cost", "member_background"],
+        ids=["leakage_forecast", "leakage_forecast_400", "analysis_cost", "member_background"],
     )
     def test_blow_up_exit_2_without_floating_point_warnings(self, tmp_path, config_text, message):
         """A forecast that blows the model up, or observations that overflow
         the analysis cost, report where it happened and exit 2, and the
         overflow on the way there prints no RuntimeWarning. A 20 dBW level
-        (a brightness error near 89 K) with the bias held fixed moves the
+        (a brightness error near 2800 K) with the bias held fixed moves the
         analysis far enough from the truth that its forecast blows up at the
-        third step, which no load-time probe sees; so does member 2's
-        background at sd 100, which the probe of member 0's does not see. A
-        forecast's blow-up names its suspects, the time step and the
-        background perturbation."""
+        third step, which no load-time probe sees; so does a 400 dBW level
+        with the bias free, and member 2's background at sd 100, which the
+        probe of member 0's does not see. A forecast's blow-up names its
+        suspects: at a level, whose baseline forecast from the same
+        background did not blow up, the level and its brightness error; at
+        the baseline, the time step and the background perturbation."""
         path = tmp_path / "blowup.yaml"
         path.write_text(config_text + "\n")
         src = Path(__file__).resolve().parents[1] / "src"
