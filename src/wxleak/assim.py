@@ -13,8 +13,9 @@ variances) recovers the bias-only problem. The problem holds the flat
 control v = [x, beta] alone: its background and its prior variances are one
 vector each in that layout. ``build_problem`` lays them out from a model
 state and the observation operator, whose bias background (the template
-the truth's observations were synthesized with) is beta_b; ``cost``,
-``gradient`` and the minimizer all work on v.
+the truth's observations were synthesized with) is beta_b; ``cost`` and
+``gradient`` work on v, and the minimizer works out each point's cost and
+gradient from one operator evaluation.
 
 The minimizer is a Polak-Ribiere nonlinear conjugate gradient with automatic
 restart and an Armijo backtracking line search (c = 1e-4, shrink 0.5),
@@ -162,60 +163,30 @@ def _innovation(problem: AssimilationProblem, v: np.ndarray) -> np.ndarray:
     return problem.obs_values - problem.operator.values(v[:n_state], v[n_state:])
 
 
-def cost(v, problem: AssimilationProblem, residual: np.ndarray | None = None) -> float:
-    """The three-term quadratic cost at the flat control ``v``.
-
-    ``residual`` is the innovation at ``v`` when the caller already has it;
-    otherwise it is computed here.
-    """
+def cost(v, problem: AssimilationProblem) -> float:
+    """The three-term quadratic cost at the flat control ``v``: dx' B^-1 dx,
+    db' B_beta^-1 db and d' R^-1 d summed in that order and halved, for the
+    flat [dx, db] = v - x_b and the innovation d. One division by the flat
+    prior variances gives the same elements as one per block."""
     v = _check_control(v, problem)
-    d = _innovation(problem, v) if residual is None else residual
-    return float(0.5 * _weighted_squares(problem, v - problem.background, d))
-
-
-def _weighted_squares(problem: AssimilationProblem, p, d):
-    """dx' B^-1 dx + db' B_beta^-1 db + d' R^-1 d for the flat p = [dx, db],
-    summed in that order.
-
-    Twice the cost for prior and observation residuals; the Gauss-Newton
-    curvature for a direction p and its image J p. One division by the flat
-    prior variances gives the same elements as one per block.
-    """
     n_state = problem.n_state
-    weighted = p / problem.prior_variances
-    return (
-        p[:n_state].dot(weighted[:n_state])
-        + p[n_state:].dot(weighted[n_state:])
-        + d.dot(d / problem.obs_variances)
-    )
-
-
-def _gradient(
-    point, problem: AssimilationProblem, rinv_d, jac_state, jac_bias, obs_part: np.ndarray
-) -> np.ndarray:
-    """Flat gradient [state part, bias part] at ``point``, from R^-1 d and the Jacobians.
-
-    The flat prior term takes the same values, element by element, as the
-    state and bias blocks taken apart. Each block of J' R^-1 d is written
-    by ``np.matmul`` (which is ``@``) into its half of ``obs_part``, a
-    scratch vector of the control's length.
-    """
-    n_state = problem.n_state
-    np.matmul(rinv_d, jac_state, obs_part[:n_state])
-    np.matmul(rinv_d, jac_bias, obs_part[n_state:])
-    g = np.subtract(point, problem.background)
-    np.divide(g, problem.prior_variances, g)
-    np.subtract(g, obs_part, g)
-    return g
+    dx = v - problem.background
+    weighted = dx / problem.prior_variances
+    d = _innovation(problem, v)
+    prior = dx[:n_state].dot(weighted[:n_state]) + dx[n_state:].dot(weighted[n_state:])
+    return float(0.5 * (prior + d.dot(d / problem.obs_variances)))
 
 
 def gradient(v, problem: AssimilationProblem) -> np.ndarray:
-    """Analytic gradient of the cost at the flat control ``v``, as [state part, bias part]."""
+    """Analytic gradient of the cost at the flat control ``v``, as [state part,
+    bias part]: B^-1 (v - x_b) minus J' R^-1 d, each block of J' R^-1 d one
+    ``np.matmul`` (which is ``@``)."""
     v = _check_control(v, problem)
     n_state = problem.n_state
     jac_state, jac_bias = problem.operator.jacobians(v[:n_state], v[n_state:])
     rinv_d = _innovation(problem, v) / problem.obs_variances
-    return _gradient(v, problem, rinv_d, jac_state, jac_bias, np.empty(v.shape[0]))
+    obs_part = np.concatenate([np.matmul(rinv_d, jac_state), np.matmul(rinv_d, jac_bias)])
+    return (v - problem.background) / problem.prior_variances - obs_part
 
 
 def minimize(
@@ -243,98 +214,114 @@ def minimize(
     (iteration, cost, gradient norm) after every accepted step.
 
     Every iterate is one flat control [state, bias], the layout of the
-    problem's ``background`` and ``prior_variances``, so the prior part of
-    the gradient is one expression; ``MinimizationError.last_control`` is
-    such a vector too. Inner products are ``ndarray.dot``: the same BLAS
-    ddot as ``float(a @ b)`` at less cost per call. The curvature product
-    J p stays one dense BLAS matrix-vector product per block (a sparse
-    form, or one product over both blocks, rounds differently); it and the
-    Jacobi diagonal's R^-1 J^2 also use ``ndarray.dot``, which calls the
-    same gemv as ``@`` at less cost. Only with a single observation does
-    numpy's dot take another BLAS path, which can return -0.0 where ``@``
-    returns +0.0; a sum of squares and an add to the positive B^-1 lose
-    that sign. The gradient's J' R^-1 d keeps ``np.matmul``, which is
-    ``@``, where the sign could reach the result.
+    problem's ``background`` and ``prior_variances``;
+    ``MinimizationError.last_control`` is such a vector too. Each control
+    point is worked out once: one ``values`` call gives its innovation d,
+    its cost is ``cost``'s sum written out, and its (v - x_b) / B and
+    R^-1 d are what its gradient reads, so an accepted trial's
+    (v - x_b) / B becomes its gradient in place and only then is
+    ``jacobians`` called. Trials and both blocks of J' R^-1 d and of the
+    Jacobi diagonal are written into vectors allocated once per call, whose
+    block views are made once; each direction is formed in the last one.
 
-    The two blocks of J' R^-1 d, and the two of R^-1 J^2, are written into
-    the halves of one vector each, allocated once per call, in place of a
-    concatenation per iterate. The loop binds the operator's methods and
-    the numpy callables it uses once, passes outputs positionally, and
-    forms each trial point and direction in the buffer of its first
-    product. Each of these gives the same bits as the expression it
-    replaces.
+    Inner products are ``ndarray.dot``: the same BLAS ddot as
+    ``float(a @ b)`` at less cost per call; the state and bias parts of
+    each weighted sum stay two dots. The curvature product J p stays one
+    dense BLAS matrix-vector product per block (a sparse form, or one
+    product over both blocks, rounds differently); it and the Jacobi
+    diagonal's R^-1 J^2 also use ``ndarray.dot``, which calls the same gemv
+    as ``@`` at less cost. Only with a single observation does numpy's dot
+    take another BLAS path, which can return -0.0 where ``@`` returns
+    +0.0; a sum of squares and an add to the positive B^-1 lose that sign.
+    The gradient's J' R^-1 d keeps ``np.matmul``, which is ``@``, where the
+    sign could reach the result. Every value is reused only where the same
+    operations made it, so the result matches ``cost`` and ``gradient`` and
+    the first-written minimizer bit for bit.
     """
     n_state = problem.n_state
     obs_values, obs_variances = problem.obs_values, problem.obs_variances
     background, prior_variances = problem.background, problem.prior_variances
     values, jacobians = problem.operator.values, problem.operator.jacobians
     obs_scale = np.abs(obs_values)
-    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
-    # The observation part of the gradient and the Jacobi diagonal, each
-    # written block by block into one vector; both are read at once.
-    obs_part, jacobi = np.empty((2, background.shape[0]))
-    jacobi_state, jacobi_bias = jacobi[:n_state], jacobi[n_state:]
+    add, subtract, multiply, divide, matmul = np.add, np.subtract, np.multiply, np.divide, np.matmul
+    # Work vectors over the control, each held as (vector, state block, bias
+    # block) with its views made once. The accepted control point and the
+    # trial swap when a trial is accepted, and so do their (v - x_b) / B:
+    # the accepted point's is turned into its gradient in place.
+    work = [(v, v[:n_state], v[n_state:]) for v in np.empty((8, background.shape[0]))]
+    point, trial, g, weighted = work[:4]
+    (dx, dx_state, dx_bias), (p_weighted, pw_state, pw_bias) = work[4:6]
+    (obs_part, obs_part_state, obs_part_bias), (jacobi, jacobi_state, jacobi_bias) = work[6:]
+    point[0][:] = background
 
-    def cost_at(v: np.ndarray):
-        # The innovation at v is kept for the gradient there, so each
-        # control point evaluates the operator once; ``cost`` checks v once.
-        d = subtract(obs_values, values(v[:n_state], v[n_state:]))
-        return cost(v, problem, d), d
-
-    def gradient_at(v: np.ndarray, d: np.ndarray):
-        """Gradient, its Jacobi-scaled form, the Jacobians and the cancellation scale."""
-        jac_state, jac_bias = jacobians(v[:n_state], v[n_state:])
+    def cost_at(v, weighted):
+        """Cost and R^-1 d at the point v, with (v - x_b) / B written into ``weighted``."""
+        v, v_state, v_bias = v
+        weighted, weighted_state, weighted_bias = weighted
+        d = subtract(obs_values, values(v_state, v_bias))
+        subtract(v, background, dx)
+        divide(dx, prior_variances, weighted)
         rinv_d = divide(d, obs_variances)
-        g = _gradient(v, problem, rinv_d, jac_state, jac_bias, obs_part)
+        return float(
+            0.5 * (dx_state.dot(weighted_state) + dx_bias.dot(weighted_bias) + d.dot(rinv_d))
+        ), rinv_d
+
+    def gradient_at(v, g, rinv_d):
+        """Turn (v - x_b) / B in ``g`` into the gradient at the point v; return
+        its Jacobi-scaled form, the Jacobians and the cancellation scale."""
+        jac_state, jac_bias = jacobians(v[1], v[2])
+        g, _, g_bias = g
+        matmul(rinv_d, jac_state, obs_part_state)
+        matmul(rinv_d, jac_bias, obs_part_bias)
+        subtract(g, obs_part, g)
         if hold_bias_fixed:
-            g[n_state:] = 0.0
+            g_bias.fill(0.0)
         # Jacobi preconditioner: the Gauss-Newton Hessian's diagonal,
         # B^-1 plus R^-1 weighted squares of each Jacobian column.
         obs_inverse.dot(multiply(jac_state, jac_state), jacobi_state)
         obs_inverse.dot(multiply(jac_bias, jac_bias), jacobi_bias)
         add(prior_inverse, jacobi, jacobi)
         cancel_scale = 2.0 * np.abs(rinv_d).dot(obs_scale)
-        return g, divide(g, jacobi), jac_state, jac_bias, cancel_scale
-
-    def curvature_along(jac_state: np.ndarray, jac_bias: np.ndarray, p: np.ndarray) -> float:
-        # Gauss-Newton quadratic model along p; exact for linear operators.
-        image = add(jac_state.dot(p[:n_state]), jac_bias.dot(p[n_state:]))
-        return _weighted_squares(problem, p, image)
+        return divide(g, jacobi), jac_state, jac_bias, cancel_scale
 
     # A non-finite cost raises MinimizationError below; the overflow on the
     # way there would only add floating-point warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         prior_inverse = divide(1.0, prior_variances)
         obs_inverse = divide(1.0, obs_variances)
-        point = background
-        j, d = cost_at(point)
+        j, rinv_d = cost_at(point, g)
         if not math.isfinite(j):
-            raise MinimizationError("cost is non-finite at the initial control", point)
-        g, scaled_g, jac_state, jac_bias, cancel_scale = gradient_at(point, d)
+            raise MinimizationError("cost is non-finite at the initial control", point[0])
+        scaled_g, jac_state, jac_bias, cancel_scale = gradient_at(point, g, rinv_d)
         # For a 1-D float vector this is np.linalg.norm's own sqrt(g . g), bit
         # for bit, without its per-call set-up; it is computed once per point.
-        g_norm = math.sqrt(g.dot(g))
+        g_norm = math.sqrt(g[0].dot(g[0]))
         tol = GRADIENT_TOLERANCE * max(1.0, g_norm)
 
         iterations = 0
         direction = -scaled_g
         while g_norm > tol and iterations < MAX_ITERATIONS:
-            slope = g.dot(direction)
+            slope = g[0].dot(direction)
             if slope >= 0.0:
                 direction = -scaled_g  # restart: direction lost descent
-                slope = g.dot(direction)
-            curv = curvature_along(jac_state, jac_bias, direction)
+                slope = g[0].dot(direction)
+            # Gauss-Newton quadratic model along p; exact for linear operators.
+            p_state, p_bias = direction[:n_state], direction[n_state:]
+            image = add(jac_state.dot(p_state), jac_bias.dot(p_bias))
+            divide(direction, prior_variances, p_weighted)
+            curv = p_state.dot(pw_state) + p_bias.dot(pw_bias)
+            curv = curv + image.dot(divide(image, obs_variances))
             alpha = -slope / curv if curv > 0 else 1.0
             noise_floor = _EPS * (32.0 * abs(j) + cancel_scale)
             # Below cost resolution the first trial, the model step, is taken as-is.
             below_floor = abs(alpha * slope) <= noise_floor
             for _ in range(_MAX_BACKTRACKS):
                 # Each trial is point + alpha * direction, added into the product.
-                trial = multiply(alpha, direction)
-                add(point, trial, trial)
-                j_trial, d_trial = cost_at(trial)
+                multiply(alpha, direction, trial[0])
+                add(point[0], trial[0], trial[0])
+                j_trial, rinv_d = cost_at(trial, weighted)
                 if not math.isfinite(j_trial):
-                    raise MinimizationError("cost became non-finite during line search", point)
+                    raise MinimizationError("cost became non-finite during line search", point[0])
                 if below_floor or j_trial <= j + ARMIJO_C * alpha * slope + noise_floor:
                     break
                 alpha *= ARMIJO_SHRINK
@@ -344,21 +331,22 @@ def minimize(
                 direction = -scaled_g
                 continue
 
-            g_new, scaled_g_new, jac_state, jac_bias, cancel_scale = gradient_at(trial, d_trial)
+            scaled_g_new, jac_state, jac_bias, cancel_scale = gradient_at(trial, weighted, rinv_d)
             # Preconditioned Polak-Ribiere with the nonnegativity cap; a
             # negative beta resets to scaled steepest descent automatically.
-            beta_pr = g_new.dot(scaled_g_new - scaled_g) / g.dot(scaled_g)
-            direction = multiply(max(0.0, beta_pr), direction)
+            beta_pr = weighted[0].dot(scaled_g_new - scaled_g) / g[0].dot(scaled_g)
+            multiply(max(0.0, beta_pr), direction, direction)
             subtract(direction, scaled_g_new, direction)
-            point, j, g, scaled_g = trial, j_trial, g_new, scaled_g_new
-            g_norm = math.sqrt(g.dot(g))
+            point, trial, g, weighted = trial, point, weighted, g
+            j, scaled_g = j_trial, scaled_g_new
+            g_norm = math.sqrt(g[0].dot(g[0]))
             iterations += 1
             if on_iteration is not None:
                 on_iteration(iterations, j, g_norm)
 
     return AnalysisResult(
-        analysis_state=point[:n_state].copy(),
-        analysis_bias=point[n_state:].copy(),
+        analysis_state=point[1].copy(),
+        analysis_bias=point[2].copy(),
         final_cost=j,
         gradient_norm=g_norm,
         iterations=iterations,

@@ -43,14 +43,14 @@ class MaskCoverageError(ValidationError):
 
 
 class ModelBlowUpError(RuntimeError):
-    """Integration produced a non-finite state (time step too large)."""
+    """Integration produced a non-finite state. The message names the step
+    alone: a time step too large is one cause, a state driven out of range
+    (a forecast from a far-off analysis, say) another, so advice is left to
+    the caller that knows which to suspect."""
 
     def __init__(self, step_index: int):
         self.step_index = step_index
-        super().__init__(
-            f"non-finite model state after step {step_index}; "
-            "reduce dt or check parameters"
-        )
+        super().__init__(f"non-finite model state after step {step_index}")
 
 
 class MinimizationError(RuntimeError):

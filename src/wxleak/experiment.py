@@ -168,6 +168,14 @@ _DEFAULTS = {
     "seeds": {"nature": 101, "obs_noise": 202, "init": 303},
 }
 
+#: The advice a blow-up carries where the time step is a suspect.
+_REDUCE_DT = "reduce dt or check parameters"
+
+#: The longest spin-up a config may ask for: 30 to 60 s of RK4 steps at the
+#: default grid on a 2-vCPU Xeon VM. A longer one would hold a run for as
+#: long as it says.
+MAX_SPINUP_STEPS = 10**6
+
 #: RK4 steps taken at load from the nature run's initial state. Over nature
 #: seeds 0-199 and ``model.dt`` 0.080-0.150 in steps of 0.001, every 500-step
 #: spin-up that blew up did so within its first 23 steps (dt 0.122 from seed
@@ -176,13 +184,14 @@ _TIME_STEP_PROBE_STEPS = 23
 
 
 def _number(value, field: str) -> float:
-    """A finite real number from the config; booleans are not numbers."""
+    """A finite real number from the config; booleans and strings (a quoted
+    ``"12"``) are not numbers."""
     if isinstance(value, bool):
         raise ConfigError("must be a number, not a boolean", field=field)
+    if not isinstance(value, (int, float)):
+        raise ConfigError(f"must be a number, got {value!r}", field=field)
     try:
         number = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"must be a number, got {value!r}", field=field) from None
     except OverflowError:  # an integer beyond the largest float
         number = math.inf
     if not math.isfinite(number):
@@ -335,6 +344,8 @@ def config_from_dict(
     ):
         if value < minimum:
             raise ConfigError(f"must be an integer >= {minimum}", field=name)
+    if values["spinup_steps"] > MAX_SPINUP_STEPS:
+        raise ConfigError(f"must be an integer <= {MAX_SPINUP_STEPS}", field="spinup_steps")
     forecast_length = values["forecast_length"]
     if forecast_length <= 0:
         raise ConfigError("must be positive", field="forecast_length")
@@ -411,7 +422,9 @@ def config_from_dict(
     try:
         probe = nature_run(params, seeds.nature, _TIME_STEP_PROBE_STEPS, 0, grid_size).final
     except ModelBlowUpError as exc:
-        raise ConfigError(f"dt {params.dt:g} is unstable: {exc}", field="model.dt") from exc
+        raise ConfigError(
+            f"dt {params.dt:g} is unstable: {exc}; {_REDUCE_DT}", field="model.dt"
+        ) from exc
     count, locations = values["observations"]["count"], values["observations"]["locations"]
     if locations is None:
         try:
@@ -601,9 +614,12 @@ def run_scenario(
     (the CLI's verbose mode), every analysis writes its iteration trace
     there.
     """
-    truth = nature_run(
-        config.model_params, config.seeds.nature, config.spinup_steps, 0, config.grid_size
-    ).final
+    try:
+        truth = nature_run(
+            config.model_params, config.seeds.nature, config.spinup_steps, 0, config.grid_size
+        ).final
+    except ModelBlowUpError as exc:  # past the load-time probe's steps
+        raise ScenarioExecutionError(f"nature run spin-up: {exc}; {_REDUCE_DT}") from exc
     operator = RadianceOperator(
         config.mapping, config.bias, config.obs_locations, config.grid_size
     )
@@ -643,14 +659,15 @@ def run_scenario(
                 # baseline forecast, same background and dt, did not blow up.
                 if level is None:
                     suspects = (
-                        f"model.dt {config.model_params.dt:g}, "
-                        f"background_noise_std {config.background_noise_std:g}"
+                        f"; {_REDUCE_DT} (forecast suspects: model.dt {config.model_params.dt:g}, "
+                        f"background_noise_std {config.background_noise_std:g})"
                     )
                 else:
-                    suspects = f"leakage_levels {level:g}, brightness error {delta_tb:.3g} K"
-                raise ScenarioExecutionError(
-                    f"{where}, member {m}: {exc} (forecast suspects: {suspects})"
-                ) from exc
+                    suspects = (
+                        f" (forecast suspects: leakage_levels {level:g}, "
+                        f"brightness error {delta_tb:.3g} K)"
+                    )
+                raise ScenarioExecutionError(f"{where}, member {m}: {exc}{suspects}") from exc
             except Exception as exc:
                 raise ScenarioExecutionError(f"{where}, member {m}: {exc}") from exc
             results.append(result)

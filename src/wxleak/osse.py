@@ -168,9 +168,12 @@ class RadianceOperator:
     opacity and its negation) together with zero and one, each as a vector
     of length n_obs. A scan-position column is constant, so it is filled
     once, in a predictor matrix and in a bias Jacobian template whose first
-    column is ones; ``values`` and ``jacobians`` write only the
-    surface-temperature columns, and ``jacobians`` adds each
-    surface-temperature coefficient to d/dT (its slope is one). A vector
+    column is ones. ``values`` writes the surface-temperature columns into
+    that matrix, which every call reuses (so one operator serves one thread
+    at a time), and skips the product when there is no predictor;
+    ``jacobians`` writes them into a copy of the template, adds each
+    surface-temperature coefficient to d/dT (its slope is one), and sets
+    d/dT and d/dq, held in one vector, with one flat assignment. A vector
     operand gives the same bits as the scalar it holds and costs less per
     numpy call. ``jacobians`` zeroes the moisture sensitivity where the raw
     moisture is <= 0, which equals keeping it where the moisture is > 0 for
@@ -208,11 +211,12 @@ class RadianceOperator:
             "_surface_columns": tuple(
                 i for i, name in enumerate(template.predictors) if name == "surface_temperature"
             ),
+            "_n_obs": n_obs,
             "_gather": np.concatenate([locs, self.grid_size + locs]),
-            # Positions of d/dT and d/dq in the row-major (n_obs, n_state) Jacobian.
-            "_flat_temp": row_starts + locs,
-            "_flat_moist": row_starts + self.grid_size + locs,
-            "_predictors": predictors,
+            # Positions of d/dT, then d/dq, in the row-major (n_obs, n_state) Jacobian.
+            "_flat_sensitivities": np.concatenate(
+                [row_starts + locs, row_starts + self.grid_size + locs]
+            ),
             "_jac_bias": jac_bias,
             "_surface_offset": full(self.mapping.surface_offset_k),
             "_t_atm": full(self.mapping.atmosphere_temperature_k),
@@ -225,6 +229,8 @@ class RadianceOperator:
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
             object.__setattr__(self, name, value)
+        # Written by every ``values`` call, in its surface-temperature columns.
+        object.__setattr__(self, "_predictors", predictors)
 
     @property
     def n_state(self) -> int:
@@ -236,18 +242,9 @@ class RadianceOperator:
 
     def _columns(self, state: np.ndarray):
         """(surface temperature, floored moisture, raw moisture) at the observed cells."""
-        cells = state[self._gather]
-        n_obs = len(self.obs_locations)
-        q_raw = cells[n_obs:]
-        return self._surface_offset + cells[:n_obs], np.maximum(self._zeros, q_raw), q_raw
-
-    def _fill_surface(self, t_surf, template: np.ndarray, first: int) -> np.ndarray:
-        """A copy of ``template`` with ``t_surf`` written as its
-        surface-temperature predictor columns from ``first`` on."""
-        out = template.copy()
-        for i in self._surface_columns:
-            out[:, first + i] = t_surf
-        return out
+        cells = state.take(self._gather)
+        q_raw = cells[self._n_obs :]
+        return self._surface_offset + cells[: self._n_obs], np.maximum(self._zeros, q_raw), q_raw
 
     def values(self, state: np.ndarray, bias: np.ndarray) -> np.ndarray:
         t_surf, q, _ = self._columns(state)
@@ -258,32 +255,40 @@ class RadianceOperator:
         np.subtract(self._ones, w, w)
         np.multiply(self._t_atm, w, w)
         np.add(h, w, h)
-        pred = self._fill_surface(t_surf, self._predictors, 0)
         # ndarray.dot costs less per call than @. With one observation the two
         # can differ in the sign of a zero, which the add loses: h + beta_0 is
-        # never -0.0, because h is not (t_atm > 0).
+        # never -0.0, because h is not (t_atm > 0), so with no predictor the
+        # add of their zero product is left out.
         np.add(h, bias[0], h)
-        np.add(h, pred.dot(bias[1:]), h)
+        if self.bias_template.predictors:
+            pred = self._predictors
+            for i in self._surface_columns:
+                pred[:, i] = t_surf
+            np.add(h, pred.dot(bias[1:]), h)
         return h
 
     def jacobians(self, state: np.ndarray, bias: np.ndarray):
         t_surf, q, q_raw = self._columns(state)
-        w = np.multiply(self._neg_kappa, q)
-        np.exp(w, w)
-        # kappa (t_atm - t_surf) w, zero where the column is dry.
-        d_dmoist = np.subtract(self._t_atm, t_surf)
+        # [d/dT, d/dq] at the observed cells, set in the Jacobian at once.
+        sensitivities = np.empty(2 * self._n_obs)
+        d_dtemp, d_dmoist = sensitivities[: self._n_obs], sensitivities[self._n_obs :]
+        # d/dT starts as w = exp(-kappa q); d/dq is kappa (t_atm - t_surf) w,
+        # zero where the column is dry.
+        np.multiply(self._neg_kappa, q, d_dtemp)
+        np.exp(d_dtemp, d_dtemp)
+        np.subtract(self._t_atm, t_surf, d_dmoist)
         np.multiply(self._kappa, d_dmoist, d_dmoist)
-        np.multiply(d_dmoist, w, d_dmoist)
+        np.multiply(d_dmoist, d_dtemp, d_dmoist)
         np.putmask(d_dmoist, q_raw <= self._zeros, 0.0)
-        d_dtemp = w
         for i in self._surface_columns:
-            d_dtemp = d_dtemp + bias[1 + i]
+            np.add(d_dtemp, bias[1 + i], d_dtemp)
 
-        jac_state = np.zeros((len(q), self.n_state))
-        flat = jac_state.reshape(-1)
-        flat[self._flat_temp] = d_dtemp
-        flat[self._flat_moist] = d_dmoist
-        return jac_state, self._fill_surface(t_surf, self._jac_bias, 1)
+        jac_state = np.zeros((self._n_obs, self.n_state))
+        jac_state.put(self._flat_sensitivities, sensitivities)
+        jac_bias = self._jac_bias.copy()
+        for i in self._surface_columns:
+            jac_bias[:, 1 + i] = t_surf
+        return jac_state, jac_bias
 
 
 def synthesize_observations(

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ import wxleak.experiment as experiment
 import wxleak.model as model
 import wxleak.osse as osse
 from wxleak.cli import main
-from wxleak.errors import ConfigError
+from wxleak.errors import ConfigError, ModelBlowUpError
 from wxleak.experiment import (
     CSV_HEADER,
     DEFAULT_LEAKAGE_SWEEP_DBW,
@@ -258,6 +259,10 @@ class TestConfigLoading:
             ("[1, 2]", None),
             ("{1: 2, a: 3}", None),
             ("link: {1: 2, a: 3}", "link"),
+            ('forecast_length: "12"', "forecast_length"),
+            ('leakage_levels: ["-30"]', "leakage_levels"),
+            ('mask: {breakpoints: [["-2.0e9", 0.0], [2.0e9, 0.0]]}', "mask.breakpoints"),
+            ("spinup_steps: 1000001", "spinup_steps"),
         ],
     )
     def test_bad_value_rejected_at_load_naming_field(self, tmp_path, text, field):
@@ -268,6 +273,53 @@ class TestConfigLoading:
         assert excinfo.value.field == field
         result = CliRunner().invoke(main, ["run", str(path)])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("spinup_steps", [10**8, 10**400], ids=["1e8", "401_digits"])
+    def test_huge_spinup_rejected_before_any_step(self, monkeypatch, tmp_path, spinup_steps):
+        """A spin-up past ``MAX_SPINUP_STEPS`` is rejected at load, naming
+        ``spinup_steps``, before the model takes a step; the bound itself loads."""
+        steps = []
+        step = model.step
+        monkeypatch.setattr(model, "step", lambda *args: steps.append(None) or step(*args))
+        path = tmp_path / "spinup.yaml"
+        path.write_text(
+            f"{{spinup_steps: {spinup_steps}, leakage_levels: [-30], forecast_length: 0.05}}\n"
+        )
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(str(path))
+        assert excinfo.value.field == "spinup_steps"
+        result = CliRunner().invoke(main, ["run", str(path)])
+        assert result.exit_code == 1
+        assert "spinup_steps" in result.output
+        assert steps == []
+        limit = config_from_dict({"spinup_steps": experiment.MAX_SPINUP_STEPS})
+        assert limit.spinup_steps == experiment.MAX_SPINUP_STEPS
+
+    def test_unstable_dt_advises_reducing_it(self):
+        """The load-time probe suspects the time step, and says so."""
+        with pytest.raises(ConfigError) as excinfo:
+            config_from_dict({"model": {"dt": 0.5}})
+        assert excinfo.value.field == "model.dt"
+        assert str(excinfo.value) == (
+            "dt 0.5 is unstable: non-finite model state after step 2; "
+            "reduce dt or check parameters (field: model.dt)"
+        )
+
+    def test_spinup_blow_up_advises_reducing_dt(self, monkeypatch):
+        """A spin-up that blows up past the load-time probe's steps suspects
+        the time step too."""
+
+        def blowing_up(*args):
+            raise ModelBlowUpError(600)
+
+        config = small_config()
+        monkeypatch.setattr(experiment, "nature_run", blowing_up)
+        with pytest.raises(experiment.ScenarioExecutionError) as excinfo:
+            run_scenario(config)
+        assert str(excinfo.value) == (
+            "nature run spin-up: non-finite model state after step 600; "
+            "reduce dt or check parameters"
+        )
 
     @pytest.mark.parametrize(
         "length, steps",
@@ -493,8 +545,9 @@ class TestRunScenario:
         small scenario gives what the benchmark's trace self-tests assert:
         RK4 steps, forecasts and analyses from the config, and one Jacobian
         per analysis plus one per iteration. Synthesis runs once, as one
-        operator evaluation beside one per cost evaluation, and the scalar
-        operator is not called."""
+        operator evaluation; every other evaluation is one of the
+        minimizer's cost evaluations, which no longer go through
+        ``assim.cost``, and the scalar operator is not called."""
         monkeypatch.syspath_prepend(str(BENCH_DIR))
         from tracing import Tracer
 
@@ -511,7 +564,14 @@ class TestRunScenario:
         assert iterations > 0
         assert calls["osse.operator_jacobians"] - calls["assim.minimize"] == iterations
         assert calls["osse.synthesize"] == 1
-        assert calls["osse.operator_values"] == calls["assim.cost"] + 1
+        callers = Counter(
+            tracer.spans[parent][0]
+            for name, _, _, parent in tracer.spans
+            if name == "osse.operator_values"
+        )
+        assert callers == {"osse.synthesize": 1, "assim.minimize": calls["osse.operator_values"] - 1}
+        assert calls["osse.operator_values"] - 1 > iterations
+        assert calls["assim.cost"] == 0
         assert calls["forward.scalar"] == 0
 
     @pytest.mark.parametrize(
@@ -877,15 +937,13 @@ class TestCli:
             (
                 "{hold_bias_fixed: true, leakage_levels: [20], forecast_length: 0.05, "
                 "spinup_steps: 50}",
-                "level 20.0 dBW, member 0: non-finite model state after step 2; reduce dt or "
-                "check parameters (forecast suspects: leakage_levels 20, brightness error "
-                "2.82e+03 K)",
+                "level 20.0 dBW, member 0: non-finite model state after step 2 (forecast "
+                "suspects: leakage_levels 20, brightness error 2.82e+03 K)",
             ),
             (
                 "{leakage_levels: [400], forecast_length: 0.05, spinup_steps: 10}",
-                "level 400.0 dBW, member 0: non-finite model state after step 0; reduce dt or "
-                "check parameters (forecast suspects: leakage_levels 400, brightness error "
-                "2.82e+41 K)",
+                "level 400.0 dBW, member 0: non-finite model state after step 0 (forecast "
+                "suspects: leakage_levels 400, brightness error 2.82e+41 K)",
             ),
             (
                 "{covariances: {observation_stddev_k: 1.5e-154}, background_noise_std: 3.0, "
@@ -912,7 +970,8 @@ class TestCli:
         probe of member 0's does not see. A forecast's blow-up names its
         suspects: at a level, whose baseline forecast from the same
         background did not blow up, the level and its brightness error; at
-        the baseline, the time step and the background perturbation."""
+        the baseline, the time step and the background perturbation. Only
+        the baseline's, where the time step is a suspect, advises reducing it."""
         path = tmp_path / "blowup.yaml"
         path.write_text(config_text + "\n")
         src = Path(__file__).resolve().parents[1] / "src"
@@ -924,6 +983,7 @@ class TestCli:
         )
         assert result.returncode == 2
         assert f"runtime error: {message}" in result.stderr
+        assert result.stderr.count("reduce dt") == message.count("reduce dt")
         assert "RuntimeWarning" not in result.stderr
 
     def test_check_passes(self):
