@@ -2,10 +2,11 @@
 
 One YAML config file fully determines a run. One table, ``_DEFAULTS``,
 holds every knob's default; each value is read once, by its default's kind
-(a bool, an integer, a number or a list of items), every default actually
-applied is recorded in the report, and the report carries a digest of the
-values read, so identical runs are identifiable by hash alone, whether a
-number is written ``12`` or ``12.0``.
+(a bool, an integer, a number or a list of items), and checked as it is
+read against its range rule in ``_RULES``, if it has one. Every default
+actually applied is recorded in the report, and the report carries a
+digest of the values read, so identical runs are identifiable by hash
+alone, whether a number is written ``12`` or ``12.0``.
 
 A scenario is: one synthetic-truth state, one noisy observation set
 synthesized from it and shifted per leakage level by the level's induced
@@ -18,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from dataclasses import asdict, dataclass, fields
 from typing import TextIO
 
@@ -92,6 +94,7 @@ class ScenarioConfig:
     seeds: Seeds
     spinup_steps: int
     forecast_length: float
+    forecast_steps: int  # RK4 steps in one forecast: forecast_length / dt, rounded
     ensemble_size: int
     background_noise_std: float
     hold_bias_fixed: bool
@@ -142,6 +145,11 @@ class ScenarioReport:
 #: not measured densities. ``custom`` (None here) takes ``field.count``.
 _DENSITY_COUNTS = {"custom": None, "metropolitan": 250, "rural": 10}
 
+#: The longest spin-up, and the longest forecast, a config may ask for: 30 to
+#: 60 s of RK4 steps at the default grid on a 2-vCPU Xeon VM. A longer one
+#: would hold a run for as long as it says.
+MAX_SPINUP_STEPS = 10**6
+
 # Every settable value's default: the top-level keys, then one mapping per
 # section, in the order a report lists the defaults it applied. The link,
 # field, forward, bias and model sections map field for field onto their
@@ -168,13 +176,57 @@ _DEFAULTS = {
     "seeds": {"nature": 101, "obs_noise": 202, "init": 303},
 }
 
+
+def _invertible(variance: float) -> bool:
+    """Whether the analysis can weight by ``1 / variance``: both finite and nonzero."""
+    return 0.0 < variance < math.inf and math.isfinite(1.0 / variance)
+
+
+# Each single-field range rule, by dotted name: a test of the value read and
+# the message it fails with. ``_resolve`` applies it once the value's kind is
+# read, so a wrong kind is still the error named. A choice is a tuple's
+# ``__contains__``, which needs no hashable value (a YAML list can reach it).
+_RULES = {
+    "leakage_levels": (bool, "must be a non-empty list"),
+    "leakage_interpretation": (
+        ("aggregate", "per_device").__contains__, "must be 'aggregate' or 'per_device'"
+    ),
+    "spinup_steps": (
+        lambda n: 0 <= n <= MAX_SPINUP_STEPS, f"must be an integer in [0, {MAX_SPINUP_STEPS}]"
+    ),
+    "forecast_length": (lambda x: x > 0, "must be positive"),
+    "ensemble_size": (lambda n: n >= 1, "must be an integer >= 1"),
+    "background_noise_std": (lambda x: x >= 0, "must be >= 0"),
+    # AntennaModel allows 0 for the antenna relation; a scenario cannot run.
+    "antenna.radiation_efficiency": (
+        lambda x: x != 0, "must be positive: the brightness error divides by it"
+    ),
+    "field.density_class": (
+        tuple(_DENSITY_COUNTS).__contains__, f"must be one of {sorted(_DENSITY_COUNTS)}"
+    ),
+    # The analysis weights by the inverse of each variance (the square of the
+    # observation stddev); one that overflows or underflows would otherwise
+    # fail or stall mid-run.
+    "covariances.state_variance": (_invertible, "must be positive with a finite inverse"),
+    "covariances.bias_variance": (_invertible, "must be positive with a finite inverse"),
+    "covariances.observation_stddev_k": (
+        lambda s: s > 0 and _invertible(s * s),
+        "must be positive with a nonzero, finite square and inverse square",
+    ),
+    "model.grid_size": (lambda n: n >= 4, "must be an integer >= 4"),
+    "observations.locations": (
+        lambda locs: locs is None or len(set(locs)) == len(locs), "locations must be unique"
+    ),
+    # The generators read a seed modulo 2**64, so one outside [0, 2**64)
+    # would silently run as another.
+    **dict.fromkeys(
+        ("seeds.nature", "seeds.obs_noise", "seeds.init"),
+        (lambda n: 0 <= n < 2**64, "must be an integer in [0, 2**64)"),
+    ),
+}
+
 #: The advice a blow-up carries where the time step is a suspect.
 _REDUCE_DT = "reduce dt or check parameters"
-
-#: The longest spin-up a config may ask for: 30 to 60 s of RK4 steps at the
-#: default grid on a 2-vCPU Xeon VM. A longer one would hold a run for as
-#: long as it says.
-MAX_SPINUP_STEPS = 10**6
 
 #: RK4 steps taken at load from the nature run's initial state. Over nature
 #: seeds 0-199 and ``model.dt`` 0.080-0.150 in steps of 0.001, every 500-step
@@ -251,7 +303,8 @@ def _read(value, default, field: str):
 
 
 def _resolve(raw: dict, overrides: dict) -> tuple[dict, list[str]]:
-    """Read a parsed config into the values a run reads, defaults filled in.
+    """Read a parsed config into the values a run reads, defaults filled in
+    and each value checked against its ``_RULES`` entry.
 
     ``overrides`` maps dotted names to values read as if written in the
     file. Returns the values, nested as ``_DEFAULTS`` is, and the dotted
@@ -268,7 +321,10 @@ def _resolve(raw: dict, overrides: dict) -> tuple[dict, list[str]]:
     def read(block: dict, key: str, default, name: str):
         if name not in overrides and key not in block:
             defaulted.append(name)
-        return _read(overrides.get(name, block.get(key, default)), default, name)
+        value = _read(overrides.get(name, block.get(key, default)), default, name)
+        if name in _RULES and not _RULES[name][0](value):
+            raise ConfigError(_RULES[name][1], field=name)
+        return value
 
     for key, default in _DEFAULTS.items():
         if not isinstance(default, dict):
@@ -305,10 +361,11 @@ def config_from_dict(
 ) -> ScenarioConfig:
     """Validate a parsed config mapping and build the resolved ScenarioConfig.
 
-    ``_resolve`` reads every value once, by the kind of its default; this
-    applies the range and cross-field rules and builds each section's
-    dataclass. The config hash is taken of the values read, so a number
-    field written ``12`` hashes as ``12.0`` does.
+    ``_resolve`` reads every value once, by the kind of its default, and
+    applies the single-field range rules; this applies the cross-field rules
+    and the load-time probes and builds each section's dataclass. The config
+    hash is taken of the values read, so a number field written ``12``
+    hashes as ``12.0`` does.
 
     ``leakage_levels`` and ``seed_override`` (seeds N, N + 1, N + 2), when
     given, replace the mapping's values as if they were written in it: they
@@ -323,8 +380,6 @@ def config_from_dict(
     values, defaulted = _resolve(raw, overrides)
 
     levels = values["leakage_levels"]
-    if not levels:
-        raise ConfigError("must be a non-empty list", field="leakage_levels")
     for a, b in zip(levels, levels[1:]):
         if b <= a:
             raise ConfigError("must be sorted strictly ascending", field="leakage_levels")
@@ -332,44 +387,11 @@ def config_from_dict(
             raise ConfigError(
                 f"levels {a!r} and {b!r} share the row label {a:g}", field="leakage_levels"
             )
-
-    interpretation = values["leakage_interpretation"]
-    if interpretation not in ("aggregate", "per_device"):
-        raise ConfigError("must be 'aggregate' or 'per_device'", field="leakage_interpretation")
-    grid_size = values["model"]["grid_size"]
-    for name, value, minimum in (
-        ("ensemble_size", values["ensemble_size"], 1),
-        ("spinup_steps", values["spinup_steps"], 0),
-        ("model.grid_size", grid_size, 4),
-    ):
-        if value < minimum:
-            raise ConfigError(f"must be an integer >= {minimum}", field=name)
-    if values["spinup_steps"] > MAX_SPINUP_STEPS:
-        raise ConfigError(f"must be an integer <= {MAX_SPINUP_STEPS}", field="spinup_steps")
-    forecast_length = values["forecast_length"]
-    if forecast_length <= 0:
-        raise ConfigError("must be positive", field="forecast_length")
-    background_noise_std = values["background_noise_std"]
-    if background_noise_std < 0:
-        raise ConfigError("must be >= 0", field="background_noise_std")
-
-    # The generators read a seed modulo 2**64, so one outside [0, 2**64)
-    # would silently run as another.
-    for name, seed in values["seeds"].items():
-        if not 0 <= seed < 2**64:
-            raise ConfigError("must be an integer in [0, 2**64)", field=f"seeds.{name}")
     seeds = Seeds(**values["seeds"])
-
     link = _build("link", LinkBudget, **values["link"])
     antenna = _build("antenna", AntennaModel, **values["antenna"])
-    if antenna.radiation_efficiency == 0.0:
-        # AntennaModel allows it for the antenna relation; a scenario cannot run.
-        raise ConfigError(
-            "must be positive: the brightness error divides by it",
-            field="antenna.radiation_efficiency",
-        )
     mask = _build("mask", EmissionMask, **values["mask"])
-    if interpretation == "per_device":
+    if values["leakage_interpretation"] == "per_device":
         # The leaked fraction depends on the mask alone, whatever the level.
         try:
             aci_leakage_fraction(mask, AGGRESSOR_CHANNEL, VICTIM_CHANNEL)
@@ -377,11 +399,6 @@ def config_from_dict(
             raise ConfigError(str(exc), field="mask.breakpoints") from exc
     field_values = dict(values["field"])
     density_class = field_values.pop("density_class")
-    if not isinstance(density_class, str) or density_class not in _DENSITY_COUNTS:
-        raise ConfigError(
-            f"must be one of {sorted(_DENSITY_COUNTS)}, got {density_class!r}",
-            field="field.density_class",
-        )
     preset = _DENSITY_COUNTS[density_class]
     if preset is not None:
         if "field.count" not in defaulted:
@@ -394,27 +411,19 @@ def config_from_dict(
     field = _build("field", TransmitterField, **field_values)
     mapping = _build("forward", ColumnMapping, **values["forward"])
     bias = _build("bias", BiasModel, **values["bias"])
-    cov = values["covariances"]
-    for key, value in cov.items():
-        if value <= 0:
-            raise ConfigError("must be positive", field=f"covariances.{key}")
-        # The analysis weights by the inverse of each variance (the square of
-        # the observation stddev); a variance or inverse that overflows, or a
-        # square that underflows to zero, would otherwise fail or stall mid-run.
-        variance = value * value if key == "observation_stddev_k" else value
-        if not (0.0 < variance < math.inf and math.isfinite(1.0 / variance)):
-            raise ConfigError(
-                f"variance {variance:.3g}: it and its inverse must be finite and nonzero",
-                field=f"covariances.{key}",
-            )
 
     model_values = dict(values["model"])
-    del model_values["grid_size"]
+    grid_size = model_values.pop("grid_size")
     params = _build("model", ModelParams, **model_values)
-    if _forecast_steps(forecast_length, params) < 1:
-        raise ConfigError("must span at least one model time step", field="forecast_length")
+    forecast_length = values["forecast_length"]
     steps = forecast_length / params.dt
-    if abs(steps - round(steps)) > 1e-9 * steps:
+    if not 0.5 < steps <= MAX_SPINUP_STEPS:  # before rounding, which inf cannot take
+        raise ConfigError(
+            f"must span 1 to {MAX_SPINUP_STEPS} steps of dt {params.dt:g}, got {steps:.7g}",
+            field="forecast_length",
+        )
+    forecast_steps = round(steps)
+    if abs(steps - forecast_steps) > 1e-9 * steps:
         raise ConfigError(
             f"must be a whole number of model time steps (dt {params.dt:g}, got {steps:.6g})",
             field="forecast_length",
@@ -436,8 +445,6 @@ def config_from_dict(
             raise ConfigError(
                 "must be a non-empty list of model grid indices", field="observations.locations"
             )
-        if len(set(locations)) != len(locations):
-            raise ConfigError("locations must be unique", field="observations.locations")
         # The locations set the count; a count written beside them must agree.
         if "observations.count" not in defaulted and count != len(locations):
             raise ConfigError(
@@ -446,9 +453,10 @@ def config_from_dict(
                 field="observations.count",
             )
 
+    cov = values["covariances"]
     config = ScenarioConfig(
         leakage_levels=levels,
-        leakage_interpretation=interpretation,
+        leakage_interpretation=values["leakage_interpretation"],
         link=link,
         antenna=antenna,
         mask=mask,
@@ -464,8 +472,9 @@ def config_from_dict(
         seeds=seeds,
         spinup_steps=values["spinup_steps"],
         forecast_length=forecast_length,
+        forecast_steps=forecast_steps,
         ensemble_size=values["ensemble_size"],
-        background_noise_std=background_noise_std,
+        background_noise_std=values["background_noise_std"],
         hold_bias_fixed=values["hold_bias_fixed"],
         defaulted_fields=tuple(defaulted),
         config_hash=hashlib.sha256(
@@ -482,7 +491,7 @@ def config_from_dict(
         integrate(background, params, _TIME_STEP_PROBE_STEPS)
     except (ValidationError, ModelBlowUpError) as exc:
         raise ConfigError(
-            f"member 0's background (sd {background_noise_std:g}) is unstable: {exc}",
+            f"member 0's background (sd {config.background_noise_std:g}) is unstable: {exc}",
             field="background_noise_std",
         ) from exc
     # Every level must give a finite noise temperature and a brightness
@@ -505,9 +514,17 @@ def config_from_dict(
     return config
 
 
-def _forecast_steps(forecast_length: float, params: ModelParams) -> int:
-    """RK4 steps in one forecast: the length in units of ``dt``, rounded."""
-    return int(round(forecast_length / params.dt))
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader, also reading a YAML 1.2 float with an exponent
+    (``1e-3``, ``1E3``, ``1.0e9``), which YAML 1.1 reads as text, as a number.
+    A quoted one stays text."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
 
 
 def load_config(
@@ -519,7 +536,7 @@ def load_config(
     for the two overrides)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_Loader)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"could not read config {path}: {exc}") from exc
     except (yaml.YAMLError, ValueError) as exc:
@@ -593,8 +610,7 @@ def _analyze_and_forecast(config: ScenarioConfig, background: ModelState, observ
         problem, hold_bias_fixed=config.hold_bias_fixed, on_iteration=on_iteration
     )
     analysis = state_vector_to_model(result.analysis_state, config.grid_size)
-    n_steps = _forecast_steps(config.forecast_length, config.model_params)
-    forecast = integrate(analysis, config.model_params, n_steps, workspace)
+    forecast = integrate(analysis, config.model_params, config.forecast_steps, workspace)
     return result, diagnostics(forecast, config.model_params)
 
 

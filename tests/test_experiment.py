@@ -46,6 +46,76 @@ SMALL_RUN = {
 }
 
 
+#: For each ``_RULES`` key: configs whose value lies just past the rule's
+#: bound (rejected by the rule), and configs whose value lies at it (loaded).
+#: An open bound's nearest value that loads stands for the bound; a choice's
+#: values past it include a list, which a set could not look up.
+RULE_BOUNDS = {
+    "leakage_levels": (["leakage_levels: []"], ["leakage_levels: [-30]"]),
+    "leakage_interpretation": (
+        ["leakage_interpretation: per-device", "leakage_interpretation: [aggregate]"],
+        ["leakage_interpretation: per_device"],
+    ),
+    "spinup_steps": (
+        ["spinup_steps: -1", "spinup_steps: 1000001"],
+        ["spinup_steps: 0", "spinup_steps: 1000000"],
+    ),
+    "forecast_length": (["forecast_length: 0.0"], ["forecast_length: 0.01"]),
+    "ensemble_size": (["ensemble_size: 0"], ["ensemble_size: 1"]),
+    "background_noise_std": (["background_noise_std: -5.0e-324"], ["background_noise_std: 0.0"]),
+    "antenna.radiation_efficiency": (
+        ["antenna: {radiation_efficiency: 0.0}", "antenna: {radiation_efficiency: -0.0}"],
+        [
+            "{antenna: {radiation_efficiency: 5.0e-324}, leakage_levels: [-3000], "
+            "forecast_length: 0.05, spinup_steps: 10}"
+        ],
+    ),
+    "field.density_class": (
+        ["field: {density_class: urban}", "field: {density_class: [rural]}"],
+        ["field: {density_class: rural}"],
+    ),
+    "covariances.state_variance": (
+        ["covariances: {state_variance: 0.0}", "covariances: {state_variance: 5.0e-309}"],
+        ["covariances: {state_variance: 5.6e-309}"],
+    ),
+    "covariances.bias_variance": (
+        ["covariances: {bias_variance: -1.0}", "covariances: {bias_variance: 5.0e-309}"],
+        ["covariances: {bias_variance: 5.6e-309}"],
+    ),
+    "covariances.observation_stddev_k": (
+        [
+            "covariances: {observation_stddev_k: -0.3}",
+            "covariances: {observation_stddev_k: 7.0e-155}",
+            "covariances: {observation_stddev_k: 1.35e+154}",
+        ],
+        [
+            "{covariances: {observation_stddev_k: 7.5e-155}, leakage_levels: [-300], "
+            "forecast_length: 0.05, spinup_steps: 10}",
+            "covariances: {observation_stddev_k: 1.3e+154}",
+        ],
+    ),
+    "model.grid_size": (
+        ["model: {grid_size: 3}"], ["{model: {grid_size: 4}, observations: {count: 2}}"]
+    ),
+    "observations.locations": (
+        ["{model: {grid_size: 12}, observations: {locations: [0, 5, 5]}}"],
+        ["{model: {grid_size: 12}, observations: {locations: [0, 5, 6]}}"],
+    ),
+    "seeds.nature": (
+        ["seeds: {nature: -1}", "seeds: {nature: 18446744073709551616}"],
+        ["seeds: {nature: 0}", "seeds: {nature: 18446744073709551615}"],
+    ),
+    "seeds.obs_noise": (
+        ["seeds: {obs_noise: -1}", "seeds: {obs_noise: 18446744073709551616}"],
+        ["seeds: {obs_noise: 0}", "seeds: {obs_noise: 18446744073709551615}"],
+    ),
+    "seeds.init": (
+        ["seeds: {init: -1}", "seeds: {init: 18446744073709551616}"],
+        ["seeds: {init: 0}", "seeds: {init: 18446744073709551615}"],
+    ),
+}
+
+
 def small_config(**overrides):
     raw = dict(SMALL_RUN)
     raw.update(overrides)
@@ -263,6 +333,7 @@ class TestConfigLoading:
             ('leakage_levels: ["-30"]', "leakage_levels"),
             ('mask: {breakpoints: [["-2.0e9", 0.0], [2.0e9, 0.0]]}', "mask.breakpoints"),
             ("spinup_steps: 1000001", "spinup_steps"),
+            ('model: {dt: "1e-3"}', "model.dt"),
         ],
     )
     def test_bad_value_rejected_at_load_naming_field(self, tmp_path, text, field):
@@ -294,6 +365,82 @@ class TestConfigLoading:
         assert steps == []
         limit = config_from_dict({"spinup_steps": experiment.MAX_SPINUP_STEPS})
         assert limit.spinup_steps == experiment.MAX_SPINUP_STEPS
+
+    @pytest.mark.parametrize(
+        "text",
+        ["forecast_length: 1.0e+300", "{forecast_length: 1.0e+308, model: {dt: 0.001}}"],
+        ids=["1e300", "infinite_ratio"],
+    )
+    def test_huge_forecast_rejected_before_any_step(self, monkeypatch, tmp_path, text):
+        """A forecast of more than ``MAX_SPINUP_STEPS`` steps, an infinite
+        number of them included, is rejected at load, naming
+        ``forecast_length``, before the model takes a step; the bound itself
+        loads."""
+        steps = []
+        step = model.step
+        monkeypatch.setattr(model, "step", lambda *args: steps.append(None) or step(*args))
+        path = tmp_path / "forecast.yaml"
+        path.write_text(text + "\n")
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(str(path))
+        assert excinfo.value.field == "forecast_length"
+        result = CliRunner().invoke(main, ["run", str(path)])
+        assert result.exit_code == 1
+        assert "forecast_length" in result.output
+        assert steps == []
+        limit = config_from_dict({"forecast_length": 10000.0})
+        assert limit.forecast_steps == experiment.MAX_SPINUP_STEPS
+        with pytest.raises(ConfigError) as excinfo:
+            config_from_dict({"forecast_length": 10000.01})
+        assert excinfo.value.field == "forecast_length"
+
+    def test_rule_bounds_cover_every_rule(self):
+        assert set(RULE_BOUNDS) == set(experiment._RULES)
+        assert all(past and at for past, at in RULE_BOUNDS.values())
+
+    @pytest.mark.parametrize(
+        "field, text", [(field, text) for field, (past, _) in RULE_BOUNDS.items() for text in past]
+    )
+    def test_value_past_rule_bound_rejected_naming_field(self, tmp_path, field, text):
+        """The rule itself rejects the value, with its message, as it is read."""
+        path = tmp_path / "past.yaml"
+        path.write_text(text + "\n")
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(str(path))
+        assert excinfo.value.field == field
+        assert str(excinfo.value) == f"{experiment._RULES[field][1]} (field: {field})"
+        assert CliRunner().invoke(main, ["run", str(path)]).exit_code == 1
+
+    @pytest.mark.parametrize(
+        "field, text", [(field, text) for field, (_, at) in RULE_BOUNDS.items() for text in at]
+    )
+    def test_value_at_rule_bound_loads(self, tmp_path, field, text):
+        path = tmp_path / "at.yaml"
+        path.write_text(text + "\n")
+        load_config(str(path))
+
+    @pytest.mark.parametrize(
+        "written, plain",
+        [
+            ("model: {dt: 1e-3}", "model: {dt: 0.001}"),
+            ("model: {dt: 1E-3}", "model: {dt: 0.001}"),
+            ("forecast_length: 1.2e1", "forecast_length: 12.0"),
+            (
+                "mask: {breakpoints: [[-1e9, 0], [-.45E+9, -40], [3.0e9, -40]]}",
+                "mask: {breakpoints: [[-1.0e+9, 0], [-450000000.0, -40], [3000000000, -40]]}",
+            ),
+        ],
+    )
+    def test_exponent_spelling_reads_as_its_number(self, tmp_path, written, plain):
+        """A float written with an exponent (YAML 1.2's spelling, which YAML 1.1
+        reads as text) is read, and hashed, as the number it spells; a quoted
+        one is still text, rejected in a number field."""
+        configs = []
+        for name, text in (("written", written), ("plain", plain)):
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(text + "\n")
+            configs.append(load_config(str(path)))
+        assert configs[0].config_hash == configs[1].config_hash
 
     def test_unstable_dt_advises_reducing_it(self):
         """The load-time probe suspects the time step, and says so."""
@@ -329,7 +476,7 @@ class TestConfigLoading:
         """Lengths that are whole numbers of dt load, also where length / dt
         is not an integer in floating point (0.29 / 0.01 is 28.999999999999996)."""
         config = config_from_dict({"forecast_length": length})
-        assert experiment._forecast_steps(config.forecast_length, config.model_params) == steps
+        assert config.forecast_steps == steps
 
     def test_shipped_config_hash_unchanged(self):
         """Validation never rewrites a valid config, so its hash stays put."""
