@@ -13,9 +13,8 @@ variances) recovers the bias-only problem. The problem holds the flat
 control v = [x, beta] alone: its background and its prior variances are one
 vector each in that layout. ``build_problem`` lays them out from a model
 state and the observation operator, whose bias background (the template
-the truth's observations were synthesized with) is beta_b; ``cost`` and
-``gradient`` work on v, and the minimizer works out each point's cost and
-gradient from one operator evaluation.
+the truth's observations were synthesized with) is beta_b. ``cost``,
+``gradient`` and the minimizer all evaluate v through the same code.
 
 The minimizer is a Polak-Ribiere nonlinear conjugate gradient with automatic
 restart and an Armijo backtracking line search (c = 1e-4, shrink 0.5),
@@ -152,41 +151,70 @@ def _check_control(v, problem: AssimilationProblem) -> np.ndarray:
     """The flat control [state, bias] as a float vector of the problem's length."""
     v = np.asarray(v, dtype=float)
     if v.shape != problem.background.shape:
-        raise ValidationError(
-            f"control shape {v.shape} != background {problem.background.shape}"
-        )
+        raise ValidationError(f"control shape {v.shape} != background {problem.background.shape}")
     return v
 
 
-def _innovation(problem: AssimilationProblem, v: np.ndarray) -> np.ndarray:
+def _blocks(v: np.ndarray, n_state: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A flat control vector with its state and bias views, made once."""
+    return v, v[:n_state], v[n_state:]
+
+
+def _evaluation(problem: AssimilationProblem) -> tuple[Callable, Callable]:
+    """The evaluation of a control point: two closures over ``problem`` that
+    take (vector, state view, bias view) triples and own two work vectors.
+
+    ``cost_at(v, weighted)`` returns the cost and R^-1 d from one ``values``
+    call: dx' B^-1 dx, db' B_beta^-1 db and d' R^-1 d summed in that order and
+    halved, for [dx, db] = v - x_b and the innovation d, with (v - x_b) / B
+    written into ``weighted``. ``gradient_at(v, g, rinv_d)`` subtracts
+    J' R^-1 d, each block one ``np.matmul`` (which is ``@``), from that
+    (v - x_b) / B in ``g``, and returns the Jacobians of one ``jacobians`` call.
+    """
     n_state = problem.n_state
-    return problem.obs_values - problem.operator.values(v[:n_state], v[n_state:])
+    obs_values, obs_variances = problem.obs_values, problem.obs_variances
+    background, prior_variances = problem.background, problem.prior_variances
+    values, jacobians = problem.operator.values, problem.operator.jacobians
+    subtract, divide, matmul = np.subtract, np.divide, np.matmul
+    (dx, dx_state, dx_bias), (obs_part, obs_part_state, obs_part_bias) = (
+        _blocks(w, n_state) for w in np.empty((2, background.shape[0]))
+    )
+
+    def cost_at(v, weighted):
+        v, v_state, v_bias = v
+        weighted, weighted_state, weighted_bias = weighted
+        d = subtract(obs_values, values(v_state, v_bias))
+        subtract(v, background, dx)
+        divide(dx, prior_variances, weighted)
+        rinv_d = divide(d, obs_variances)
+        return float(
+            0.5 * (dx_state.dot(weighted_state) + dx_bias.dot(weighted_bias) + d.dot(rinv_d))
+        ), rinv_d
+
+    def gradient_at(v, g, rinv_d):
+        jac_state, jac_bias = jacobians(v[1], v[2])
+        matmul(rinv_d, jac_state, obs_part_state)
+        matmul(rinv_d, jac_bias, obs_part_bias)
+        subtract(g[0], obs_part, g[0])
+        return jac_state, jac_bias
+
+    return cost_at, gradient_at
 
 
 def cost(v, problem: AssimilationProblem) -> float:
-    """The three-term quadratic cost at the flat control ``v``: dx' B^-1 dx,
-    db' B_beta^-1 db and d' R^-1 d summed in that order and halved, for the
-    flat [dx, db] = v - x_b and the innovation d. One division by the flat
-    prior variances gives the same elements as one per block."""
+    """The three-term quadratic cost at the flat control ``v`` (see ``_evaluation``)."""
     v = _check_control(v, problem)
-    n_state = problem.n_state
-    dx = v - problem.background
-    weighted = dx / problem.prior_variances
-    d = _innovation(problem, v)
-    prior = dx[:n_state].dot(weighted[:n_state]) + dx[n_state:].dot(weighted[n_state:])
-    return float(0.5 * (prior + d.dot(d / problem.obs_variances)))
+    cost_at, _ = _evaluation(problem)
+    return cost_at(_blocks(v, problem.n_state), _blocks(np.empty_like(v), problem.n_state))[0]
 
 
 def gradient(v, problem: AssimilationProblem) -> np.ndarray:
-    """Analytic gradient of the cost at the flat control ``v``, as [state part,
-    bias part]: B^-1 (v - x_b) minus J' R^-1 d, each block of J' R^-1 d one
-    ``np.matmul`` (which is ``@``)."""
+    """The cost's gradient at the flat control ``v``, as [state, bias] (see ``_evaluation``)."""
     v = _check_control(v, problem)
-    n_state = problem.n_state
-    jac_state, jac_bias = problem.operator.jacobians(v[:n_state], v[n_state:])
-    rinv_d = _innovation(problem, v) / problem.obs_variances
-    obs_part = np.concatenate([np.matmul(rinv_d, jac_state), np.matmul(rinv_d, jac_bias)])
-    return (v - problem.background) / problem.prior_variances - obs_part
+    cost_at, gradient_at = _evaluation(problem)
+    point, g = _blocks(v, problem.n_state), _blocks(np.empty_like(v), problem.n_state)
+    gradient_at(point, g, cost_at(point, g)[1])
+    return g[0]
 
 
 def minimize(
@@ -213,76 +241,48 @@ def minimize(
     re-estimated less often than the state. ``on_iteration`` receives
     (iteration, cost, gradient norm) after every accepted step.
 
-    Every iterate is one flat control [state, bias], the layout of the
-    problem's ``background`` and ``prior_variances``;
-    ``MinimizationError.last_control`` is such a vector too. Each control
-    point is worked out once: one ``values`` call gives its innovation d,
-    its cost is ``cost``'s sum written out, and its (v - x_b) / B and
-    R^-1 d are what its gradient reads, so an accepted trial's
-    (v - x_b) / B becomes its gradient in place and only then is
-    ``jacobians`` called. Trials and both blocks of J' R^-1 d and of the
-    Jacobi diagonal are written into vectors allocated once per call, whose
-    block views are made once; each direction is formed in the last one.
+    Every iterate, and ``MinimizationError.last_control``, is one flat
+    control [state, bias]. Each point is worked out once by the closures of
+    ``_evaluation``, built once per call; an accepted trial's (v - x_b) / B
+    becomes its gradient in place, and only then is ``jacobians`` called.
 
-    Inner products are ``ndarray.dot``: the same BLAS ddot as
-    ``float(a @ b)`` at less cost per call; the state and bias parts of
-    each weighted sum stay two dots. The curvature product J p stays one
-    dense BLAS matrix-vector product per block (a sparse form, or one
-    product over both blocks, rounds differently); it and the Jacobi
-    diagonal's R^-1 J^2 also use ``ndarray.dot``, which calls the same gemv
-    as ``@`` at less cost. Only with a single observation does numpy's dot
-    take another BLAS path, which can return -0.0 where ``@`` returns
-    +0.0; a sum of squares and an add to the positive B^-1 lose that sign.
-    The gradient's J' R^-1 d keeps ``np.matmul``, which is ``@``, where the
-    sign could reach the result. Every value is reused only where the same
-    operations made it, so the result matches ``cost`` and ``gradient`` and
-    the first-written minimizer bit for bit.
+    Inner products are ``ndarray.dot``, the same BLAS ddot as ``float(a @ b)``
+    at less cost per call, with the state and bias parts of each weighted sum
+    kept two dots. The curvature product J p stays one dense gemv per block (a
+    sparse form, or one product over both blocks, rounds differently); it and
+    the Jacobi diagonal's R^-1 J^2 also use ``ndarray.dot``. Only with a single
+    observation does numpy's dot take another BLAS path, which can return -0.0
+    where ``@`` returns +0.0; a sum of squares and an add to the positive B^-1
+    lose that sign, and J' R^-1 d, where it could reach the result, keeps
+    ``np.matmul``. Every value is reused only where the same operations made
+    it, so the result matches the first-written minimizer bit for bit, and
+    ``cost`` and ``gradient`` by construction.
     """
     n_state = problem.n_state
-    obs_values, obs_variances = problem.obs_values, problem.obs_variances
-    background, prior_variances = problem.background, problem.prior_variances
-    values, jacobians = problem.operator.values, problem.operator.jacobians
-    obs_scale = np.abs(obs_values)
-    add, subtract, multiply, divide, matmul = np.add, np.subtract, np.multiply, np.divide, np.matmul
-    # Work vectors over the control, each held as (vector, state block, bias
-    # block) with its views made once. The accepted control point and the
-    # trial swap when a trial is accepted, and so do their (v - x_b) / B:
-    # the accepted point's is turned into its gradient in place.
-    work = [(v, v[:n_state], v[n_state:]) for v in np.empty((8, background.shape[0]))]
-    point, trial, g, weighted = work[:4]
-    (dx, dx_state, dx_bias), (p_weighted, pw_state, pw_bias) = work[4:6]
-    (obs_part, obs_part_state, obs_part_bias), (jacobi, jacobi_state, jacobi_bias) = work[6:]
-    point[0][:] = background
+    obs_variances, prior_variances = problem.obs_variances, problem.prior_variances
+    obs_scale = np.abs(problem.obs_values)
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    cost_at, gradient_at = _evaluation(problem)
+    # Work triples. The accepted point and the trial swap on acceptance, and so
+    # do their (v - x_b) / B; the accepted one's becomes its gradient in place.
+    point, trial, g, weighted, (p_weighted, pw_state, pw_bias), jacobi = (
+        _blocks(v, n_state) for v in np.empty((6, problem.background.shape[0]))
+    )
+    jacobi, jacobi_state, jacobi_bias = jacobi
+    point[0][:] = problem.background
 
-    def cost_at(v, weighted):
-        """Cost and R^-1 d at the point v, with (v - x_b) / B written into ``weighted``."""
-        v, v_state, v_bias = v
-        weighted, weighted_state, weighted_bias = weighted
-        d = subtract(obs_values, values(v_state, v_bias))
-        subtract(v, background, dx)
-        divide(dx, prior_variances, weighted)
-        rinv_d = divide(d, obs_variances)
-        return float(
-            0.5 * (dx_state.dot(weighted_state) + dx_bias.dot(weighted_bias) + d.dot(rinv_d))
-        ), rinv_d
-
-    def gradient_at(v, g, rinv_d):
-        """Turn (v - x_b) / B in ``g`` into the gradient at the point v; return
-        its Jacobi-scaled form, the Jacobians and the cancellation scale."""
-        jac_state, jac_bias = jacobians(v[1], v[2])
-        g, _, g_bias = g
-        matmul(rinv_d, jac_state, obs_part_state)
-        matmul(rinv_d, jac_bias, obs_part_bias)
-        subtract(g, obs_part, g)
+    def precondition(v, g, rinv_d):
+        """The gradient at v into ``g``; its Jacobi-scaled form, Jacobians and cancel scale."""
+        jac_state, jac_bias = gradient_at(v, g, rinv_d)
         if hold_bias_fixed:
-            g_bias.fill(0.0)
+            g[2].fill(0.0)
         # Jacobi preconditioner: the Gauss-Newton Hessian's diagonal,
         # B^-1 plus R^-1 weighted squares of each Jacobian column.
         obs_inverse.dot(multiply(jac_state, jac_state), jacobi_state)
         obs_inverse.dot(multiply(jac_bias, jac_bias), jacobi_bias)
         add(prior_inverse, jacobi, jacobi)
         cancel_scale = 2.0 * np.abs(rinv_d).dot(obs_scale)
-        return divide(g, jacobi), jac_state, jac_bias, cancel_scale
+        return divide(g[0], jacobi), jac_state, jac_bias, cancel_scale
 
     # A non-finite cost raises MinimizationError below; the overflow on the
     # way there would only add floating-point warnings.
@@ -292,7 +292,7 @@ def minimize(
         j, rinv_d = cost_at(point, g)
         if not math.isfinite(j):
             raise MinimizationError("cost is non-finite at the initial control", point[0])
-        scaled_g, jac_state, jac_bias, cancel_scale = gradient_at(point, g, rinv_d)
+        scaled_g, jac_state, jac_bias, cancel_scale = precondition(point, g, rinv_d)
         # For a 1-D float vector this is np.linalg.norm's own sqrt(g . g), bit
         # for bit, without its per-call set-up; it is computed once per point.
         g_norm = math.sqrt(g[0].dot(g[0]))
@@ -331,7 +331,7 @@ def minimize(
                 direction = -scaled_g
                 continue
 
-            scaled_g_new, jac_state, jac_bias, cancel_scale = gradient_at(trial, weighted, rinv_d)
+            scaled_g_new, jac_state, jac_bias, cancel_scale = precondition(trial, weighted, rinv_d)
             # Preconditioned Polak-Ribiere with the nonnegativity cap; a
             # negative beta resets to scaled steepest descent automatically.
             beta_pr = weighted[0].dot(scaled_g_new - scaled_g) / g[0].dot(scaled_g)

@@ -118,8 +118,10 @@ def noise_table_command(
         if step <= 0 or max_dbw < min_dbw:
             raise ValidationError("need step > 0 and max >= min")
         # Counted before any row is made: a span of steps that is not finite
-        # or too long for a table would otherwise never finish.
-        steps = (max_dbw + 1e-9 - min_dbw) / step
+        # or too long for a table would otherwise never finish. The slack, a
+        # billionth of a step, keeps a --max that rounding leaves just short of
+        # the last step, and adds no row to a span shorter than one step.
+        steps = (max_dbw - min_dbw) / step + 1e-9
         if not steps < NOISE_TABLE_MAX_ROWS:
             raise ValidationError(
                 f"--step must give at most {NOISE_TABLE_MAX_ROWS} rows from --min to --max, "
@@ -128,7 +130,17 @@ def noise_table_command(
         link = LinkBudget(total_pathloss_db=pathloss)
         antenna = AntennaModel(radiation_efficiency=efficiency)
         levels = [min_dbw + i * step for i in range(math.floor(steps) + 1)]
-        rows = noise_table(levels, link, antenna)
+        try:
+            rows = noise_table(levels, link, antenna)
+        except OverflowError:  # a received power in watts beyond the largest float
+            rows = [(max_dbw, math.inf, math.inf, math.inf)]
+        for level, _, noise_k, delta_tb in rows:
+            if not math.isfinite(noise_k):
+                raise ValidationError(f"--max {max_dbw:g} dBW gives a noise temperature of inf K")
+            if not math.isfinite(delta_tb):
+                raise ValidationError(
+                    f"--efficiency {efficiency:g} gives a brightness error of inf K at {level:g} dBW"
+                )
     except ValidationError as exc:
         click.echo(f"validation error: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)

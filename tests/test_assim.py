@@ -268,17 +268,21 @@ class TestGradient:
 
 
 class TestInnovation:
-    """The residual y - H_hat(x, beta) that the cost and the gradient read."""
+    """The residual y - H_hat(x, beta), as the cost and the gradient read it."""
 
     def test_perfect_fit_is_zero(self):
+        """At the background, observations the operator fits exactly leave no
+        cost and no gradient."""
         problem = radiance_problem(3)
         control = problem.background
         perfect_y = problem.operator.values(*blocks(problem, problem.background))
         perfect = dataclasses.replace(problem, obs_values=perfect_y)
-        assert np.all(assim._innovation(perfect, control) == 0.0)
+        assert cost(control, perfect) == 0.0
+        assert np.all(gradient(control, perfect) == 0.0)
 
     def test_single_observation_hand_value(self):
-        operator = LinearOperator(np.zeros((1, 1)), np.zeros((1, 1)), np.array([264.715]))
+        """Innovation 260 - 264.715 = -4.715: cost d^2 / 2, bias gradient -d."""
+        operator = LinearOperator(np.zeros((1, 1)), np.ones((1, 1)), np.array([264.715]))
         problem = AssimilationProblem(
             background=np.zeros(2),
             prior_variances=[1.0, 1.0],
@@ -286,17 +290,22 @@ class TestInnovation:
             obs_values=np.array([260.0]),
             operator=operator,
         )
-        d = assim._innovation(problem, problem.background)
-        assert math.isclose(d[0], -4.715, rel_tol=1e-12)
+        assert math.isclose(cost(problem.background, problem), 0.5 * 4.715**2, rel_tol=1e-12)
+        g = gradient(problem.background, problem)
+        assert g[0] == 0.0 and math.isclose(g[1], 4.715, rel_tol=1e-12)
 
     def test_uniform_shift_appears_per_observation(self):
-        """A constant brightness increase shows up one-for-one in the residual."""
+        """A constant brightness increase shows up one-for-one in the residual:
+        the gradient moves by -J' R^-1 times the shift in every observation."""
         problem = radiance_problem(4)
         control = problem.background
-        base = assim._innovation(problem, control)
+        base = gradient(control, problem)
         shifted = dataclasses.replace(problem, obs_values=problem.obs_values + 0.268)
-        diff = assim._innovation(shifted, control) - base
-        assert np.all(np.abs(diff - 0.268) < 1e-12)
+        jac_state, jac_bias = problem.operator.jacobians(*blocks(problem, control))
+        shift = np.full(len(problem.obs_values), 0.268) / problem.obs_variances
+        expected = -np.concatenate([shift @ jac_state, shift @ jac_bias])
+        diff = gradient(control, shifted) - base
+        assert np.all(np.abs(diff - expected) <= 1e-12 * np.abs(base).max())
 
 
 class TestMinimize:
@@ -358,8 +367,8 @@ class TestMinimize:
     def test_obs_variance_to_zero_drives_innovation_to_zero(self):
         problem = scalar_bias_problem(obs_variance=1e-12)
         result = minimize(problem)
-        d = assim._innovation(
-            problem, np.concatenate([result.analysis_state, result.analysis_bias])
+        d = problem.obs_values - problem.operator.values(
+            result.analysis_state, result.analysis_bias
         )
         assert abs(d[0]) <= 1e-6
 
@@ -580,6 +589,17 @@ class TestOperatorEvaluations:
             result = minimize(problem, hold_bias_fixed=hold_bias_fixed)
             control = np.concatenate([result.analysis_state, result.analysis_bias])
             assert _same_bits(result.final_cost, cost(control, problem))
+
+    def test_gradient_norm_is_gradient_at_the_analysis(self):
+        """The gradient norm the minimizer reports is that of ``gradient`` at
+        the control it returns, bit for bit: the run's gradient is the one
+        ``wxleak check`` compares with finite differences."""
+        problems = [radiance_problem(seed) for seed in (3, 12, 40)]
+        problems += [random_linear_problem(seed) for seed in range(5)]
+        for problem in problems:
+            result = minimize(problem)
+            g = gradient(np.concatenate([result.analysis_state, result.analysis_bias]), problem)
+            assert _same_bits(result.gradient_norm, math.sqrt(g.dot(g)))
 
     @pytest.mark.parametrize(
         "predictors", [(), ("scan_position",), ("surface_temperature", "scan_position")]

@@ -61,7 +61,9 @@ RULE_BOUNDS = {
         ["spinup_steps: 0", "spinup_steps: 1000000"],
     ),
     "forecast_length": (["forecast_length: 0.0"], ["forecast_length: 0.01"]),
-    "ensemble_size": (["ensemble_size: 0"], ["ensemble_size: 1"]),
+    "ensemble_size": (
+        ["ensemble_size: 0", "ensemble_size: 10001"], ["ensemble_size: 1", "ensemble_size: 10000"]
+    ),
     "background_noise_std": (["background_noise_std: -5.0e-324"], ["background_noise_std: 0.0"]),
     "antenna.radiation_efficiency": (
         ["antenna: {radiation_efficiency: 0.0}", "antenna: {radiation_efficiency: -0.0}"],
@@ -95,7 +97,8 @@ RULE_BOUNDS = {
         ],
     ),
     "model.grid_size": (
-        ["model: {grid_size: 3}"], ["{model: {grid_size: 4}, observations: {count: 2}}"]
+        ["model: {grid_size: 3}", "model: {grid_size: 10001}"],
+        ["{model: {grid_size: 4}, observations: {count: 2}}", "model: {grid_size: 10000}"],
     ),
     "observations.locations": (
         ["{model: {grid_size: 12}, observations: {locations: [0, 5, 5]}}"],
@@ -1052,6 +1055,22 @@ class TestCli:
         assert len(lines) == 1 + 41
 
     @pytest.mark.parametrize(
+        "args, levels",
+        [
+            (["--min", "-15", "--max", "-15", "--step", "1e-12"], ["-15"]),
+            (["--min", "0", "--max", "0.3", "--step", "0.1"], ["0", "0.1", "0.2", "0.3"]),
+            (["--min", "0", "--max", "0.35", "--step", "0.1"], ["0", "0.1", "0.2", "0.3"]),
+        ],
+    )
+    def test_noise_table_rows_stop_at_max(self, args, levels):
+        """The rows run from --min in --step increments up to --max: a span
+        shorter than a step is one row, and a --max that rounding leaves just
+        short of a step (0.3 / 0.1 is 2.9999999999999996) keeps its row."""
+        result = CliRunner().invoke(main, ["noise-table", *args])
+        assert result.exit_code == 0, result.output
+        assert [line.split(",")[0] for line in result.output.splitlines()[1:]] == levels
+
+    @pytest.mark.parametrize(
         "args, message",
         [
             (["--min", "-10", "--max", "-20"], None),
@@ -1066,12 +1085,16 @@ class TestCli:
             (["--efficiency", "1.5"], "--efficiency must lie in (0, 1]"),
             (["--min", "-1e20", "--max", "0"], "--step must give at most"),
             (["--min", "-1e308", "--max", "1e308"], "--step must give at most"),
+            (["--min", "3500", "--max", "3500"], "--max 3500 dBW gives a noise temperature of inf K"),
+            (["--efficiency", "1e-320"], "gives a brightness error of inf K at -55 dBW"),
         ],
     )
     def test_noise_table_bad_range_exit_1(self, args, message):
         """Bad input exits 1 naming its option, with no traceback. The rows
         of a finite range are counted before any is made: stepping from
-        -1e20 one dB at a time would never end."""
+        -1e20 one dB at a time would never end. A level whose received power
+        overflows, or an efficiency too small to divide by, would otherwise
+        end in a traceback or write inf."""
         result = CliRunner().invoke(main, ["noise-table", *args])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
