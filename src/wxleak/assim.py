@@ -70,7 +70,10 @@ class AssimilationProblem:
     written in; their length is the operator's ``n_state + n_bias``. The
     covariances are held as their variances, one per control value and one
     per observation, positive and finite. Every vector is held as a
-    read-only 1-d copy.
+    read-only 1-d copy. ``operator`` has ``n_state`` and ``n_bias``,
+    ``work()``, which makes the object an analysis passes to all its
+    operator calls (it may be None), and ``values(state, bias, work)`` and
+    ``jacobians(state, bias, work)``, as ``osse.RadianceOperator`` has.
     """
 
     background: np.ndarray
@@ -162,19 +165,25 @@ def _blocks(v: np.ndarray, n_state: int) -> tuple[np.ndarray, np.ndarray, np.nda
 
 def _evaluation(problem: AssimilationProblem) -> tuple[Callable, Callable]:
     """The evaluation of a control point: two closures over ``problem`` that
-    take (vector, state view, bias view) triples and own two work vectors.
+    take (vector, state view, bias view) triples and own two work vectors and
+    one operator work object (``operator.work()``), passed to every
+    ``values`` and ``jacobians`` call.
 
     ``cost_at(v, weighted)`` returns the cost and R^-1 d from one ``values``
     call: dx' B^-1 dx, db' B_beta^-1 db and d' R^-1 d summed in that order and
     halved, for [dx, db] = v - x_b and the innovation d, with (v - x_b) / B
     written into ``weighted``. ``gradient_at(v, g, rinv_d)`` subtracts
     J' R^-1 d, each block one ``np.matmul`` (which is ``@``), from that
-    (v - x_b) / B in ``g``, and returns the Jacobians of one ``jacobians`` call.
+    (v - x_b) / B in ``g``, and returns the Jacobians of one ``jacobians``
+    call. Called right after ``cost_at`` at the same point, that call reuses
+    the columns ``values`` left in the work. The Jacobians may be the work's
+    buffers, which the next ``gradient_at`` overwrites.
     """
     n_state = problem.n_state
     obs_values, obs_variances = problem.obs_values, problem.obs_variances
     background, prior_variances = problem.background, problem.prior_variances
-    values, jacobians = problem.operator.values, problem.operator.jacobians
+    operator = problem.operator
+    values, jacobians, work = operator.values, operator.jacobians, operator.work()
     subtract, divide, matmul = np.subtract, np.divide, np.matmul
     (dx, dx_state, dx_bias), (obs_part, obs_part_state, obs_part_bias) = (
         _blocks(w, n_state) for w in np.empty((2, background.shape[0]))
@@ -183,7 +192,7 @@ def _evaluation(problem: AssimilationProblem) -> tuple[Callable, Callable]:
     def cost_at(v, weighted):
         v, v_state, v_bias = v
         weighted, weighted_state, weighted_bias = weighted
-        d = subtract(obs_values, values(v_state, v_bias))
+        d = subtract(obs_values, values(v_state, v_bias, work))
         subtract(v, background, dx)
         divide(dx, prior_variances, weighted)
         rinv_d = divide(d, obs_variances)
@@ -192,7 +201,7 @@ def _evaluation(problem: AssimilationProblem) -> tuple[Callable, Callable]:
         ), rinv_d
 
     def gradient_at(v, g, rinv_d):
-        jac_state, jac_bias = jacobians(v[1], v[2])
+        jac_state, jac_bias = jacobians(v[1], v[2], work)
         matmul(rinv_d, jac_state, obs_part_state)
         matmul(rinv_d, jac_bias, obs_part_bias)
         subtract(g[0], obs_part, g[0])
@@ -244,7 +253,11 @@ def minimize(
     Every iterate, and ``MinimizationError.last_control``, is one flat
     control [state, bias]. Each point is worked out once by the closures of
     ``_evaluation``, built once per call; an accepted trial's (v - x_b) / B
-    becomes its gradient in place, and only then is ``jacobians`` called.
+    becomes its gradient in place, and only then is ``jacobians`` called,
+    reusing the columns its ``values`` call left in the operator's work. The
+    Jacobians it returns may be that work's buffers: J p is formed before
+    the line search, and only an accepted trial calls ``jacobians`` again.
+    The search direction lives in a vector allocated once per call.
 
     Inner products are ``ndarray.dot``, the same BLAS ddot as ``float(a @ b)``
     at less cost per call, with the state and bias parts of each weighted sum
@@ -262,13 +275,15 @@ def minimize(
     obs_variances, prior_variances = problem.obs_variances, problem.prior_variances
     obs_scale = np.abs(problem.obs_values)
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    negative = np.negative
     cost_at, gradient_at = _evaluation(problem)
     # Work triples. The accepted point and the trial swap on acceptance, and so
     # do their (v - x_b) / B; the accepted one's becomes its gradient in place.
-    point, trial, g, weighted, (p_weighted, pw_state, pw_bias), jacobi = (
-        _blocks(v, n_state) for v in np.empty((6, problem.background.shape[0]))
+    point, trial, g, weighted, (p_weighted, pw_state, pw_bias), jacobi, p = (
+        _blocks(v, n_state) for v in np.empty((7, problem.background.shape[0]))
     )
     jacobi, jacobi_state, jacobi_bias = jacobi
+    direction, p_state, p_bias = p
     point[0][:] = problem.background
 
     def precondition(v, g, rinv_d):
@@ -299,14 +314,13 @@ def minimize(
         tol = GRADIENT_TOLERANCE * max(1.0, g_norm)
 
         iterations = 0
-        direction = -scaled_g
+        negative(scaled_g, direction)
         while g_norm > tol and iterations < MAX_ITERATIONS:
             slope = g[0].dot(direction)
             if slope >= 0.0:
-                direction = -scaled_g  # restart: direction lost descent
+                negative(scaled_g, direction)  # restart: direction lost descent
                 slope = g[0].dot(direction)
             # Gauss-Newton quadratic model along p; exact for linear operators.
-            p_state, p_bias = direction[:n_state], direction[n_state:]
             image = add(jac_state.dot(p_state), jac_bias.dot(p_bias))
             divide(direction, prior_variances, p_weighted)
             curv = p_state.dot(pw_state) + p_bias.dot(pw_bias)
@@ -328,7 +342,7 @@ def minimize(
             else:  # every trial rejected
                 if np.array_equal(direction, -scaled_g):
                     break  # no progress possible along the scaled descent
-                direction = -scaled_g
+                negative(scaled_g, direction)
                 continue
 
             scaled_g_new, jac_state, jac_bias, cancel_scale = precondition(trial, weighted, rinv_d)

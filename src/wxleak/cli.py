@@ -21,6 +21,7 @@ import click
 from .errors import ValidationError
 from .experiment import (
     DEFAULT_LEAKAGE_SWEEP_DBW,
+    _fmt,
     emit_csv,
     emit_noise_table_csv,
     emit_summary,
@@ -130,6 +131,12 @@ def noise_table_command(
         link = LinkBudget(total_pathloss_db=pathloss)
         antenna = AntennaModel(radiation_efficiency=efficiency)
         levels = [min_dbw + i * step for i in range(math.floor(steps) + 1)]
+        # Each row is labelled with its level's CSV cell, as a config's
+        # leakage_levels are with theirs, and no two rows may share one.
+        labels = [_fmt(level) for level in levels]
+        for a, b in zip(labels, labels[1:]):
+            if a == b:
+                raise ValidationError(f"--step {step:g} gives levels that share the row label {a}")
         try:
             rows = noise_table(levels, link, antenna)
         except OverflowError:  # a received power in watts beyond the largest float

@@ -20,7 +20,12 @@ predictors (``PREDICTORS``) evaluated per observation, at its scan position
   coefficients. One is built per scenario and is the scenario's only
   operator: ``synthesize_observations`` evaluates it at the truth and the
   true bias, and ``assim.build_problem`` wraps it with each analysis's
-  background, observed values and covariances.
+  background, observed values and covariances. The operator is read-only.
+* ``OperatorWork`` is one caller's buffers for its calls: the columns at
+  the last state evaluated, so that ``jacobians`` at the point ``values``
+  just evaluated reuses them, and the Jacobian buffers ``jacobians`` fills.
+  Each analysis makes one and passes it to every call; a call without one
+  makes its own. A work serves one thread at a time.
 * ``synthesize_observations`` builds observation values from a truth state
   with seeded Gaussian noise. An observation is its value and its location
   (the grid cell, which is also its scan position); values are one array,
@@ -145,6 +150,39 @@ def default_obs_locations(grid_size: int, count: int) -> tuple[int, ...]:
     return tuple(range(0, stride * count, stride))
 
 
+class OperatorWork:
+    """One caller's buffers for one ``RadianceOperator``'s evaluations.
+
+    ``RadianceOperator.work()`` makes one. It holds the columns at the last
+    state evaluated through it: the bytes of that state (``key``, by which
+    it is recognised), the raw moisture q_raw at the observed cells,
+    the surface temperature t_surf and w = exp(-kappa q) of the floored
+    moisture q. It also holds the predictor matrix ``values`` multiplies, a
+    scratch vector, and the Jacobian buffers ``jacobians`` returns: the
+    (n_obs, n_state) state Jacobian, zero but at the sensitivities each
+    call writes, and the bias Jacobian, whose constant and scan-position
+    columns are filled here once. A later ``jacobians`` call through the
+    same work overwrites the arrays an earlier one returned. A work serves
+    one thread at a time; threads may share the operator, each with its own
+    work.
+    """
+
+    __slots__ = (
+        "operator", "key", "q_raw", "t_surf", "w", "scratch", "predictors",
+        "sensitivities", "d_dtemp", "d_dmoist", "jac_state", "jac_bias",
+    )
+
+    def __init__(self, operator: "RadianceOperator"):
+        n_obs = operator._n_obs
+        self.operator, self.key, self.q_raw = operator, None, None
+        self.t_surf, self.w, self.scratch = np.empty((3, n_obs))
+        self.predictors = operator._jac_bias[:, 1:].copy()
+        self.sensitivities = np.empty(2 * n_obs)
+        self.d_dtemp, self.d_dmoist = self.sensitivities[:n_obs], self.sensitivities[n_obs:]
+        self.jac_state = np.zeros((n_obs, operator.n_state))
+        self.jac_bias = operator._jac_bias.copy()
+
+
 @dataclass(frozen=True, eq=False)
 class RadianceOperator:
     """Observation operator over the flattened control [T-field, q-field].
@@ -167,17 +205,29 @@ class RadianceOperator:
     the mapping's constants (surface offset, atmosphere temperature,
     opacity and its negation) together with zero and one, each as a vector
     of length n_obs. A scan-position column is constant, so it is filled
-    once, in a predictor matrix and in a bias Jacobian template whose first
-    column is ones. ``values`` writes the surface-temperature columns into
-    that matrix, which every call reuses (so one operator serves one thread
-    at a time), and skips the product when there is no predictor;
-    ``jacobians`` writes them into a copy of the template, adds each
-    surface-temperature coefficient to d/dT (its slope is one), and sets
-    d/dT and d/dq, held in one vector, with one flat assignment. A vector
+    once, in a bias Jacobian template whose first column is ones. A vector
     operand gives the same bits as the scalar it holds and costs less per
-    numpy call. ``jacobians`` zeroes the moisture sensitivity where the raw
-    moisture is <= 0, which equals keeping it where the moisture is > 0 for
-    every moisture but NaN.
+    numpy call.
+
+    The operator itself is read-only; what a call writes lives in an
+    ``OperatorWork`` that the caller owns (``work()`` makes one), passed as
+    ``values(state, bias, work)`` and ``jacobians(state, bias, work)``.
+    Without one a call makes its own, so it returns fresh arrays. Both
+    methods first make sure the work holds the columns at ``state``: they
+    gather the observed cells and work the columns out again only when the
+    state's bytes differ from the ones the work last saw. So
+    ``jacobians`` right after ``values`` at the same point reuses that
+    point's columns, and a work that holds another state's columns, or
+    whose state was written into since, is brought up to date. A work made
+    by another operator is rejected. ``values`` writes the
+    surface-temperature columns into the work's predictor matrix and skips
+    the product when there is no predictor. ``jacobians`` writes them into
+    the work's bias Jacobian, adds each surface-temperature coefficient to
+    d/dT (its slope is one), and sets d/dT and d/dq, held in one vector,
+    with one flat assignment into the work's state Jacobian; no other entry
+    of either Jacobian changes. It zeroes the moisture sensitivity where the
+    raw moisture is <= 0, which equals keeping it where the moisture is > 0
+    for every moisture but NaN.
     """
 
     mapping: ColumnMapping
@@ -196,14 +246,12 @@ class RadianceOperator:
         def full(value: float) -> np.ndarray:
             return np.full(n_obs, value, dtype=float)
 
-        # Predictor values by column, with the scan positions filled in.
-        predictors = np.empty((n_obs, template.n_predictors))
-        for i, name in enumerate(template.predictors):
-            if name == "scan_position":
-                predictors[:, i] = locs
+        # The bias Jacobian with its constant and scan-position columns filled in.
         jac_bias = np.empty((n_obs, self.n_bias))
         jac_bias[:, 0] = 1.0
-        jac_bias[:, 1:] = predictors
+        for i, name in enumerate(template.predictors):
+            if name == "scan_position":
+                jac_bias[:, 1 + i] = locs
         constants = {
             "bias_background": np.array(
                 [template.constant_coefficient_k, *template.coefficients], dtype=float
@@ -229,8 +277,6 @@ class RadianceOperator:
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
             object.__setattr__(self, name, value)
-        # Written by every ``values`` call, in its surface-temperature columns.
-        object.__setattr__(self, "_predictors", predictors)
 
     @property
     def n_state(self) -> int:
@@ -240,55 +286,72 @@ class RadianceOperator:
     def n_bias(self) -> int:
         return 1 + self.bias_template.n_predictors
 
-    def _columns(self, state: np.ndarray):
-        """(surface temperature, floored moisture, raw moisture) at the observed cells."""
-        cells = state.take(self._gather)
-        q_raw = cells[self._n_obs :]
-        return self._surface_offset + cells[: self._n_obs], np.maximum(self._zeros, q_raw), q_raw
+    def work(self) -> OperatorWork:
+        """A new work object for this operator's calls (see the class docstring)."""
+        return OperatorWork(self)
 
-    def values(self, state: np.ndarray, bias: np.ndarray) -> np.ndarray:
-        t_surf, q, _ = self._columns(state)
-        w = np.multiply(self._neg_kappa, q)
-        np.exp(w, w)
-        # t_surf w + t_atm (1 - w), the second term formed in w's buffer.
+    def _at(self, state: np.ndarray, work: OperatorWork | None) -> OperatorWork:
+        """``work``, or a new one, holding the columns at ``state``."""
+        if work is None:
+            work = OperatorWork(self)
+        elif work.operator is not self:
+            raise ValidationError("work object was made by another operator")
+        key = state.tobytes()
+        if key != work.key:
+            cells, n_obs, w = state.take(self._gather), self._n_obs, work.w
+            np.add(self._surface_offset, cells[:n_obs], work.t_surf)
+            q_raw = cells[n_obs:]
+            np.maximum(self._zeros, q_raw, out=w)
+            np.multiply(self._neg_kappa, w, w)
+            np.exp(w, w)
+            work.key, work.q_raw = key, q_raw
+        return work
+
+    def values(
+        self, state: np.ndarray, bias: np.ndarray, work: OperatorWork | None = None
+    ) -> np.ndarray:
+        work = self._at(state, work)
+        t_surf, w, rest = work.t_surf, work.w, work.scratch
+        # t_surf w + t_atm (1 - w), the second term formed in the scratch vector.
         h = np.multiply(t_surf, w)
-        np.subtract(self._ones, w, w)
-        np.multiply(self._t_atm, w, w)
-        np.add(h, w, h)
+        np.subtract(self._ones, w, rest)
+        np.multiply(self._t_atm, rest, rest)
+        np.add(h, rest, h)
         # ndarray.dot costs less per call than @. With one observation the two
         # can differ in the sign of a zero, which the add loses: h + beta_0 is
         # never -0.0, because h is not (t_atm > 0), so with no predictor the
         # add of their zero product is left out.
         np.add(h, bias[0], h)
         if self.bias_template.predictors:
-            pred = self._predictors
+            pred = work.predictors
             for i in self._surface_columns:
                 pred[:, i] = t_surf
             np.add(h, pred.dot(bias[1:]), h)
         return h
 
-    def jacobians(self, state: np.ndarray, bias: np.ndarray):
-        t_surf, q, q_raw = self._columns(state)
-        # [d/dT, d/dq] at the observed cells, set in the Jacobian at once.
-        sensitivities = np.empty(2 * self._n_obs)
-        d_dtemp, d_dmoist = sensitivities[: self._n_obs], sensitivities[self._n_obs :]
-        # d/dT starts as w = exp(-kappa q); d/dq is kappa (t_atm - t_surf) w,
-        # zero where the column is dry.
-        np.multiply(self._neg_kappa, q, d_dtemp)
-        np.exp(d_dtemp, d_dtemp)
+    def jacobians(self, state: np.ndarray, bias: np.ndarray, work: OperatorWork | None = None):
+        work = self._at(state, work)
+        t_surf, d_dtemp, d_dmoist = work.t_surf, work.d_dtemp, work.d_dmoist
+        # d/dq is kappa (t_atm - t_surf) w, zero where the column is dry.
+        w = work.w
         np.subtract(self._t_atm, t_surf, d_dmoist)
         np.multiply(self._kappa, d_dmoist, d_dmoist)
-        np.multiply(d_dmoist, d_dtemp, d_dmoist)
-        np.putmask(d_dmoist, q_raw <= self._zeros, 0.0)
+        np.multiply(d_dmoist, w, d_dmoist)
+        np.putmask(d_dmoist, work.q_raw <= self._zeros, 0.0)
+        # d/dT is w plus each surface-temperature coefficient, added in turn
+        # (the first add reads w, so w itself is copied only when there is none).
+        addend = w
         for i in self._surface_columns:
-            np.add(d_dtemp, bias[1 + i], d_dtemp)
+            addend = np.add(addend, bias[1 + i], d_dtemp)
+        if addend is w:
+            np.copyto(d_dtemp, w)
 
-        jac_state = np.zeros((self._n_obs, self.n_state))
-        jac_state.put(self._flat_sensitivities, sensitivities)
-        jac_bias = self._jac_bias.copy()
+        # [d/dT, d/dq] at the observed cells, set in the Jacobian at once.
+        work.jac_state.put(self._flat_sensitivities, work.sensitivities)
+        jac_bias = work.jac_bias
         for i in self._surface_columns:
             jac_bias[:, 1 + i] = t_surf
-        return jac_state, jac_bias
+        return work.jac_state, jac_bias
 
 
 def synthesize_observations(
@@ -314,13 +377,13 @@ def synthesize_observations(
         raise ValidationError("truth state does not match the operator's grid")
     if not error_stddev_k > 0:
         raise ValidationError("observation error stddev must be positive")
-    t_surf, _, _ = operator._columns(state)
-    if np.any(t_surf <= 0.0):
+    work = operator._at(state, None)
+    if np.any(work.t_surf <= 0.0):
         raise ValidationError("column temperatures must be positive")
-    noise = SeededRng(obs_error_seed).normals(len(t_surf), 0.0, error_stddev_k)
+    noise = SeededRng(obs_error_seed).normals(len(work.t_surf), 0.0, error_stddev_k)
     # A bias template whose correction overflows is rejected just below.
     with np.errstate(over="ignore", invalid="ignore"):
-        values = operator.values(state, operator.bias_background) + np.array(noise)
+        values = operator.values(state, operator.bias_background, work) + np.array(noise)
     if not np.all(np.isfinite(values)):
         raise ValidationError("observation value must be finite")
     values.setflags(write=False)

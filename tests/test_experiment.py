@@ -1087,6 +1087,10 @@ class TestCli:
             (["--min", "-1e308", "--max", "1e308"], "--step must give at most"),
             (["--min", "3500", "--max", "3500"], "--max 3500 dBW gives a noise temperature of inf K"),
             (["--efficiency", "1e-320"], "gives a brightness error of inf K at -55 dBW"),
+            (
+                ["--min", "-15", "--max", "-14.9999999999", "--step", "1e-12"],
+                "--step 1e-12 gives levels that share the row label -15",
+            ),
         ],
     )
     def test_noise_table_bad_range_exit_1(self, args, message):
