@@ -41,9 +41,9 @@ from .leakage import (
     received_power,
 )
 from .model import (
+    Forecast,
     ModelParams,
     ModelState,
-    Trajectory,
     diagnostics,
     integrate,
     nature_run,

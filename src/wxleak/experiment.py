@@ -161,6 +161,12 @@ MAX_GRID_SIZE = 10**4
 #: linearly.
 MAX_ENSEMBLE_SIZE = 10**4
 
+#: The most background values per state variable, members times cells: the
+#: budget ``MAX_ENSEMBLE_SIZE`` was sized at, on the default 40-cell grid.
+#: Each bound alone would let 10^4 members on a 10^4-cell grid load, whose
+#: backgrounds (2 x 10^8 values, 1.6 GB) are drawn before the first analysis.
+MAX_ENSEMBLE_CELLS = MAX_ENSEMBLE_SIZE * 40
+
 # Every settable value's default: the top-level keys, then one mapping per
 # section, in the order a report lists the defaults it applied. The link,
 # field, forward, bias and model sections map field for field onto their
@@ -429,6 +435,12 @@ def config_from_dict(
 
     model_values = dict(values["model"])
     grid_size = model_values.pop("grid_size")
+    if values["ensemble_size"] * grid_size > MAX_ENSEMBLE_CELLS:
+        raise ConfigError(
+            f"{values['ensemble_size']} members on {grid_size} cells exceed "
+            f"{MAX_ENSEMBLE_CELLS} member-cells; use fewer members or a smaller grid",
+            field="ensemble_size",
+        )
     params = _build("model", ModelParams, **model_values)
     forecast_length = values["forecast_length"]
     steps = forecast_length / params.dt
@@ -626,7 +638,7 @@ def _analyze_and_forecast(config: ScenarioConfig, background: ModelState, observ
     )
     analysis = state_vector_to_model(result.analysis_state, config.grid_size)
     forecast = integrate(analysis, config.model_params, config.forecast_steps, workspace)
-    return result, diagnostics(forecast, config.model_params)
+    return result, diagnostics(forecast)
 
 
 def run_scenario(
@@ -643,7 +655,8 @@ def run_scenario(
     synthesizes the observations and serves every case's analysis; every
     case also shares one RK4 workspace. When ``trace_stream`` is given
     (the CLI's verbose mode), every analysis writes its iteration trace
-    there.
+    there. A truth whose observations cannot be synthesized raises a
+    ``ConfigError`` naming the field at fault.
     """
     try:
         truth = nature_run(
@@ -654,9 +667,17 @@ def run_scenario(
     operator = RadianceOperator(
         config.mapping, config.bias, config.obs_locations, config.grid_size
     )
-    observed = synthesize_observations(
-        truth, operator, config.seeds.obs_noise, config.obs_error_stddev_k
-    )
+    try:
+        observed = synthesize_observations(
+            truth, operator, config.seeds.obs_noise, config.obs_error_stddev_k
+        )
+    except ValidationError as exc:
+        # Load cannot see the spun-up truth's columns: a surface offset that
+        # a cell's temperature undercuts, or a bias correction that overflows.
+        section = {"surface_offset_k": "forward", "coefficients": "bias"}.get(exc.field)
+        raise ConfigError(
+            f"the truth's observations: {exc}", field=section and f"{section}.{exc.field}"
+        ) from exc
     backgrounds = [
         _member_background(config, truth, m) for m in range(config.ensemble_size)
     ]

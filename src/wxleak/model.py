@@ -14,19 +14,23 @@ because the advecting field is rough. Moisture is clipped at zero after
 every step. The condensation sink doubles as the precipitation diagnostic:
 whatever it removes is counted as rain.
 
-A step runs on a ``Workspace``, which ``nature_run`` makes once per call,
-``integrate`` takes from its caller or makes, and each passes to every
-step: buffers for the stage inputs, the stage matrix k1..k4 and the final
-combination, the gather index and zero vector it builds for its grid
+A step runs on a ``Workspace``, which ``integrate`` takes from its caller
+or makes, and passes to every step: buffers for the stage inputs, the
+stage matrix k1..k4, the final combination and the accumulated
+precipitation, the gather index and zero vector it builds for its grid
 size, and the step itself, bound once as a closure over them. One gather
 from a source buffer ``[T, q, q_c, 0, 1, r, c_q]`` yields every operand of
 a tendency, so a tendency is nine numpy calls; the stage combination is
-one doubling and one row reduce, and a step is 49 calls, each on a whole
+one doubling and one row reduce, and a step is 51 calls, each on a whole
 vector. On the 40-cell grid a step's cost is per-call overhead, not
 arithmetic, so the closure passes every output positionally and reads its
 buffers from closure cells, not attributes. A tendency evaluates the
 formulas above left to right, so a step gives the same bits on a shared
 workspace or its own.
+
+A forecast keeps only what the report reads: ``integrate`` holds one
+state at a time and returns the final state and the precipitation, which
+each step accumulates from the condensation sink of its first stage.
 
 Reporting conventions (never used inside the dynamics): one state unit of
 accumulated condensate is one millimetre of precipitation, and temperature
@@ -113,19 +117,19 @@ class ModelState:
 
 
 @dataclass(frozen=True, eq=False)
-class Trajectory:
-    """States one model time step ``dt`` apart, starting with the initial one."""
+class Forecast:
+    """A forecast's final state and its accumulated precipitation (mm per cell).
 
-    states: tuple[ModelState, ...]
+    ``states`` is ``(final,)``, the one state a forecast retains, for tools
+    that count the states held at once (it takes weak references too).
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-        if len(self.states) == 0:
-            raise ValidationError("trajectory needs at least one state")
+    final: ModelState
+    precipitation: np.ndarray
 
     @property
-    def final(self) -> ModelState:
-        return self.states[-1]
+    def states(self) -> tuple[ModelState]:
+        return (self.final,)
 
 
 class Workspace:
@@ -133,16 +137,23 @@ class Workspace:
 
     ``nature_run`` makes one per call and ``run_scenario`` one per scenario
     for all its forecasts; each passes it to every ``step``, so a run
-    allocates its stage inputs, ``k1..k4`` and the final combination once.
-    The constructor builds ``step(x0) -> x1`` as a closure over those
-    buffers, the step's constant vectors and the numpy callables it uses. Outputs are passed positionally, except to
+    allocates its stage inputs, ``k1..k4``, the final combination and the
+    precipitation once. The constructor builds ``step(x0) -> x1`` as a
+    closure over those buffers, the step's constant vectors and the numpy
+    callables it uses. Outputs are passed positionally, except to
     ``np.maximum``, which deprecates that. A constant vector costs numpy
     less per call than a scalar and gives the same bits. ``buffers`` holds
     every array the step writes, and ``sixth_h`` is the vector h / 6 that
     scales the stage combination.
+
+    Each step adds dt times the condensation sink at x0, which its first
+    stage works out, into ``precipitation``: the left-point rule, added in
+    step order. ``integrate`` zeroes it before a forecast's first step and
+    copies it after the last, so a workspace carries nothing from one
+    forecast to the next; ``step`` called on its own adds into it too.
     """
 
-    __slots__ = ("params", "size", "buffers", "sixth_h", "step")
+    __slots__ = ("params", "size", "buffers", "precipitation", "sixth_h", "step")
 
     def __init__(self, grid_size: int, params: ModelParams):
         if grid_size < 4:
@@ -190,7 +201,8 @@ class Workspace:
         wind = np.empty(n, dtype=bool)
         products = np.empty(5 * n)
         leading, sinks = products[: 2 * n], products[2 * n : 4 * n]
-        moisture_term = products[4 * n :]
+        condensation, moisture_term = products[3 * n : 4 * n], products[4 * n :]
+        precipitation = np.zeros(n)
         increment = np.empty(2 * n)
         stages = np.empty((4, 2 * n))
         k1, k2, k3, k4, doubled = stages[0], stages[1], stages[2], stages[3], stages[1:3]
@@ -200,6 +212,7 @@ class Workspace:
         scales = np.empty((3, 2 * n))
         scales[0], scales[1], scales[2] = 0.5 * h, h, h / 6.0
         half_h, full_h, sixth_h = scales[0], scales[1], scales[2]
+        full_h_n = full_h[:n]
         take, putmask, greater, maximum = source.take, np.putmask, np.greater, np.maximum
         add, subtract, multiply, add_rows = np.add, np.subtract, np.multiply, np.add.reduce
 
@@ -222,6 +235,10 @@ class Workspace:
             # Stage inputs x0 + (h / 2) k1, x0 + (h / 2) k2 and x0 + h k3.
             point[...] = x0
             rhs(k1, k1_t)
+            # r max(0, q - q_c) at x0 is still in the products; h times it
+            # is this step's precipitation.
+            multiply(condensation, full_h_n, condensation)
+            add(precipitation, condensation, precipitation)
             multiply(k1, half_h, increment)
             add(x0, increment, point)
             rhs(k2, k2_t)
@@ -246,7 +263,10 @@ class Workspace:
             return x1
 
         self.params, self.size, self.sixth_h = params, 2 * n, sixth_h
-        self.buffers = (source, gathered, differences, wind, products, increment, stages)
+        self.buffers = (
+            source, gathered, differences, wind, products, increment, stages, precipitation
+        )
+        self.precipitation = precipitation
         self.step = step
 
 
@@ -268,94 +288,66 @@ def step(
     return ModelState._trusted(workspace.step(x0))
 
 
-def _advance(
+def integrate(
     state: ModelState,
     params: ModelParams,
     n_steps: int,
-    workspace: Workspace,
-    states: list[ModelState] | None = None,
-) -> ModelState:
-    """Take ``n_steps`` steps from ``state`` and return the last state,
-    appending each new state to ``states`` if given.
+    workspace: Workspace | None = None,
+) -> Forecast:
+    """Take ``n_steps`` steps from ``state``; returns the final state and the
+    precipitation accumulated over those steps.
 
-    A blow-up is re-raised with the index of the failing step within this
-    call. It is reported by step's finiteness check; the overflow on the way
-    there would only add floating-point warnings.
+    ``workspace`` is as for ``step``; without one, the forecast makes its
+    own. A workspace carries nothing from one forecast to the next, so
+    ``run_scenario`` makes one per scenario and passes it to every forecast.
+    Forecasts of a + b steps and of a then b steps end in the same state,
+    bit for bit. A blow-up is re-raised with the index of the failing step
+    within this call. It is reported by step's finiteness check; the
+    overflow on the way there would only add floating-point warnings.
     """
+    if n_steps < 0:
+        raise ValidationError("step count must be >= 0")
+    if workspace is None:
+        workspace = Workspace(state.grid_size, params)
+    elif workspace.size != state.vector.shape[0]:  # each step checks the rest
+        raise ValidationError("workspace was made for another grid size or other parameters")
+    workspace.precipitation.fill(0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
             try:
                 state = step(state, params, workspace)
             except ModelBlowUpError as exc:
                 raise ModelBlowUpError(i) from exc
-            if states is not None:
-                states.append(state)
-    return state
+    precipitation = workspace.precipitation.copy()
+    precipitation.setflags(write=False)
+    return Forecast(state, precipitation)
 
 
-def integrate(
-    state: ModelState,
-    params: ModelParams,
-    n_steps: int,
-    workspace: Workspace | None = None,
-) -> Trajectory:
-    """Repeated stepping on one workspace; returns n_steps + 1 states starting at ``state``.
-
-    ``workspace`` is as for ``step``; without one, the forecast makes its
-    own. A workspace holds no state between steps, so ``run_scenario``
-    makes one per scenario and passes it to every forecast.
-    """
-    if n_steps < 0:
-        raise ValidationError("step count must be >= 0")
-    if workspace is None:
-        workspace = Workspace(state.grid_size, params)
-    states = [state]
-    _advance(state, params, n_steps, workspace, states)
-    return Trajectory(tuple(states))
-
-
-def diagnostics(trajectory: Trajectory, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+def diagnostics(forecast: Forecast) -> tuple[np.ndarray, np.ndarray]:
     """Accumulated precipitation (mm) and final near-surface temperature (K), per cell.
 
-    Precipitation integrates the condensation sink with the left-point rule
-    over the trajectory's steps, so concatenated trajectories add exactly.
-    It is never negative, as ``ModelParams`` keeps the rate >= 0 and ``dt`` > 0.
+    Precipitation is never negative, as ``ModelParams`` keeps the rate >= 0
+    and ``dt`` > 0.
     """
-    n = trajectory.states[0].grid_size
-    # condensation(q, params) * dt at every left point, computed in place on
-    # one (steps, n) matrix so that no second matrix is allocated; its rows
-    # are copied straight from the state vectors, with no view per state. A
-    # sum over axis 0 adds the rows one after another, as a step-by-step
-    # loop would.
-    left_points = trajectory.states[:-1]
-    sink = np.empty((len(left_points), n))
-    for row, state in zip(sink, left_points):
-        row[...] = state.vector[n:]
-    sink -= params.condensation_threshold
-    np.maximum(0.0, sink, out=sink)
-    sink *= params.condensation_rate
-    sink *= params.dt
-    t2m = trajectory.final.temperature_field + TEMPERATURE_REPORT_OFFSET_K
-    return sink.sum(axis=0), t2m
+    return forecast.precipitation, forecast.final.temperature_field + TEMPERATURE_REPORT_OFFSET_K
 
 
 def nature_run(
     params: ModelParams, seed: int, spinup_steps: int, run_steps: int, grid_size: int
-) -> Trajectory:
-    """Seeded synthetic-truth trajectory.
+) -> Forecast:
+    """Seeded synthetic truth: the forecast of ``run_steps`` steps that follows
+    a spin-up of ``spinup_steps`` steps.
 
     The initial temperature field is the forcing value plus a 0.5-stddev
     seeded Gaussian perturbation per cell; moisture starts 5 above the
     condensation threshold plus a 2.0-stddev perturbation, floored at zero,
-    so forecasts keep precipitating after spin-up. The state is spun up for
-    ``spinup_steps`` (discarded), then ``run_steps`` further steps are
-    recorded. Identical seeds give identical trajectories.
+    so forecasts keep precipitating after spin-up. Identical seeds give
+    identical truths.
     """
     rng = SeededRng(seed)
     temperature = params.forcing + 0.5 * np.array(rng.normals(grid_size))
     moisture_base = params.condensation_threshold + 5.0
     moisture = np.maximum(0.0, moisture_base + 2.0 * np.array(rng.normals(grid_size)))
-    state = ModelState(temperature, moisture)
     workspace = Workspace(grid_size, params)
-    state = _advance(state, params, spinup_steps, workspace)
-    return integrate(state, params, run_steps, workspace)
+    spun_up = integrate(ModelState(temperature, moisture), params, spinup_steps, workspace)
+    return integrate(spun_up.final, params, run_steps, workspace)

@@ -368,9 +368,10 @@ def synthesize_observations(
     observations, bit for bit. Returns a read-only array of values, one per
     location, all finite.
 
-    Raises ``ValidationError`` when a column's surface temperature is not
-    positive: ``ColumnMapping`` rejects an offset <= 0, and this catches a
-    positive ``surface_offset_k`` that a cell's temperature undercuts.
+    Raises ``ValidationError`` naming ``surface_offset_k`` when a column's
+    surface temperature is not positive: ``ColumnMapping`` rejects an
+    offset <= 0, and this catches a positive one that a cell's temperature
+    undercuts. One naming ``coefficients`` says a bias correction overflows.
     """
     state = truth.vector
     if state.shape != (operator.n_state,):
@@ -379,13 +380,13 @@ def synthesize_observations(
         raise ValidationError("observation error stddev must be positive")
     work = operator._at(state, None)
     if np.any(work.t_surf <= 0.0):
-        raise ValidationError("column temperatures must be positive")
+        raise ValidationError("column temperatures must be positive", "surface_offset_k")
     noise = SeededRng(obs_error_seed).normals(len(work.t_surf), 0.0, error_stddev_k)
     # A bias template whose correction overflows is rejected just below.
     with np.errstate(over="ignore", invalid="ignore"):
         values = operator.values(state, operator.bias_background, work) + np.array(noise)
     if not np.all(np.isfinite(values)):
-        raise ValidationError("observation value must be finite")
+        raise ValidationError("observation value must be finite", "coefficients")
     values.setflags(write=False)
     return values
 

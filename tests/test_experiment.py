@@ -397,6 +397,28 @@ class TestConfigLoading:
             config_from_dict({"forecast_length": 10000.01})
         assert excinfo.value.field == "forecast_length"
 
+    def test_members_times_cells_past_bound_rejected_before_any_step(
+        self, monkeypatch, tmp_path
+    ):
+        """``ensemble_size`` times ``model.grid_size`` is bounded at
+        ``MAX_ENSEMBLE_CELLS``, though each is within its own bound; the
+        product at the bound loads."""
+        assert experiment.MAX_ENSEMBLE_CELLS == 1000 * 400
+        steps = []
+        step = model.step
+        monkeypatch.setattr(model, "step", lambda *args: steps.append(None) or step(*args))
+        path = tmp_path / "members.yaml"
+        path.write_text("{ensemble_size: 1000, model: {grid_size: 401}}\n")
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(str(path))
+        assert excinfo.value.field == "ensemble_size"
+        result = CliRunner().invoke(main, ["run", str(path)])
+        assert result.exit_code == 1
+        assert "(field: ensemble_size)" in result.output
+        assert steps == []
+        at_bound = config_from_dict({"ensemble_size": 1000, "model": {"grid_size": 400}})
+        assert at_bound.ensemble_size * at_bound.grid_size == experiment.MAX_ENSEMBLE_CELLS
+
     def test_rule_bounds_cover_every_rule(self):
         assert set(RULE_BOUNDS) == set(experiment._RULES)
         assert all(past and at for past, at in RULE_BOUNDS.values())
@@ -1182,4 +1204,34 @@ class TestCli:
         path.write_text("{forward: {surface_offset_k: 1.0}, forecast_length: 0.05}\n")
         result = CliRunner().invoke(main, ["run", str(path)])
         assert result.exit_code == 1
-        assert "column temperatures must be positive" in result.output
+        assert "column temperatures must be positive (field: forward.surface_offset_k)" in (
+            result.output
+        )
+
+    @pytest.mark.parametrize(
+        "config_text, message",
+        [
+            (
+                "{forward: {surface_offset_k: 0.001}, leakage_levels: [-30], "
+                "forecast_length: 0.05}",
+                "column temperatures must be positive (field: forward.surface_offset_k)",
+            ),
+            (
+                "{bias: {coefficients: [1.0e308], predictors: [surface_temperature]}, "
+                "leakage_levels: [-30], forecast_length: 0.05}",
+                "observation value must be finite (field: bias.coefficients)",
+            ),
+        ],
+        ids=["surface_offset", "bias_overflow"],
+    )
+    def test_truth_synthesis_failure_exit_1_naming_field(self, tmp_path, config_text, message):
+        """What load cannot see of the spun-up truth, a column colder than
+        the surface offset or a bias correction that overflows there, fails
+        the truth's synthesis as a config error naming its field."""
+        path = tmp_path / "synthesis.yaml"
+        path.write_text(config_text + "\n")
+        with pytest.raises(ConfigError):
+            run_scenario(load_config(str(path)))
+        result = CliRunner().invoke(main, ["run", str(path)])
+        assert result.exit_code == 1
+        assert f"validation error: the truth's observations: {message}" in result.output

@@ -1,7 +1,9 @@
-"""Tests for the toy forecast model and its trajectory machinery."""
+"""Tests for the toy forecast model and its forecast loop."""
 
 import inspect
+import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from wxleak.errors import ModelBlowUpError, ValidationError
 from wxleak.model import (
     ModelParams,
     ModelState,
-    Trajectory,
     Workspace,
     diagnostics,
     integrate,
@@ -72,6 +73,27 @@ def roll_step(t0, q0, p):
     t1 = t0 + (h / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
     q1 = q0 + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
     return t1, np.maximum(q1, 0.0)
+
+
+def walk(state, params, n_steps):
+    """The ``n_steps`` states after ``state``, one ``step`` apart."""
+    states = []
+    for _ in range(n_steps):
+        state = step(state, params)
+        states.append(state)
+    return states
+
+
+def loop_precipitation(state, params, n_steps):
+    """The condensation sink r max(0, q - q_c), times dt, added at each left
+    point of a step-by-step walk."""
+    expected = np.zeros(state.grid_size)
+    for left in [state] + walk(state, params, n_steps)[:-1]:
+        sink = params.condensation_rate * np.maximum(
+            0.0, left.moisture_field - params.condensation_threshold
+        )
+        expected += sink * params.dt
+    return expected
 
 
 def closure_arrays(function):
@@ -227,11 +249,13 @@ class TestStep:
         stepped = step(state, params)
         assert_bitwise(stepped.temperature_field, t_ref)
         assert_bitwise(stepped.moisture_field, q_ref)
-        traj = integrate(state, params, 300)
-        for expected in traj.states[1:]:
+        for expected in walk(state, params, 300):
             t, q = roll_step(t, q, params)
             assert_bitwise(expected.temperature_field, t)
             assert_bitwise(expected.moisture_field, q)
+        final = integrate(state, params, 300).final
+        assert_bitwise(final.temperature_field, t)
+        assert_bitwise(final.moisture_field, q)
 
     def test_blow_up_reports_step(self):
         """Oversized time step blows up and the error names the step index:
@@ -333,6 +357,8 @@ class TestWorkspace:
             step(smooth_initial_state(41), params, Workspace(40, params))
         with pytest.raises(ValidationError):
             step(smooth_initial_state(), params, Workspace(40, ModelParams(dt=0.02)))
+        with pytest.raises(ValidationError):  # before a precipitation of the wrong size
+            integrate(smooth_initial_state(41), params, 0, Workspace(40, params))
         stepped = step(smooth_initial_state(), params, Workspace(40, ModelParams()))
         assert np.array_equal(stepped.vector, step(smooth_initial_state(), params).vector)
 
@@ -352,9 +378,33 @@ class TestIntegrate:
 
     def test_zero_steps(self):
         state = smooth_initial_state()
-        traj = integrate(state, ModelParams(), 0)
-        assert len(traj.states) == 1
-        assert traj.states[0] is state
+        forecast = integrate(state, ModelParams(), 0)
+        assert forecast.final is state
+        assert forecast.states == (state,)
+
+    def test_retains_one_state_and_takes_weak_references(self):
+        forecast = integrate(smooth_initial_state(), ModelParams(), 10)
+        assert forecast.states == (forecast.final,)
+        released = []
+        weakref.finalize(forecast, released.append, True)
+        del forecast
+        assert released == [True]
+
+    def test_memory_does_not_grow_with_the_step_count(self):
+        """A 1200-step forecast on a warm workspace, its diagnostics included,
+        peaks at a few states' worth of memory, not a state per step (about
+        1.3 MB when every state and a (steps, n) sink matrix were held)."""
+        params = ModelParams()
+        workspace = Workspace(40, params)
+        state = mixed_state()
+        integrate(state, params, 1200, workspace)
+        tracemalloc.start()
+        try:
+            diagnostics(integrate(state, params, 1200, workspace))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32_000
 
     def test_flow_composition_bitwise(self):
         """Integrating a+b steps equals integrating a then b, bitwise."""
@@ -369,12 +419,14 @@ class TestIntegrate:
     def test_long_run_bitwise_equal_roll_oracle(self):
         params = ModelParams()
         state = smooth_initial_state()
-        traj = integrate(state, params, 1200)
         t, q = state.temperature_field, state.moisture_field
-        for expected in traj.states[1:]:
+        for expected in walk(state, params, 1200):
             t, q = roll_step(t, q, params)
             assert_bitwise(expected.temperature_field, t)
             assert_bitwise(expected.moisture_field, q)
+        final = integrate(state, params, 1200).final
+        assert_bitwise(final.temperature_field, t)
+        assert_bitwise(final.moisture_field, q)
 
     def test_rk4_self_convergence(self):
         """Halving dt shrinks the fixed-time error by roughly 2^4."""
@@ -400,23 +452,21 @@ class TestDiagnostics:
     def test_dry_trajectory_has_zero_precipitation(self):
         params = ModelParams()
         state = ModelState(np.full(8, 8.0), np.full(8, 10.0))
-        traj = integrate(state, params, 20)
-        precip, _ = diagnostics(traj, params)
+        precip, _ = diagnostics(integrate(state, params, 20))
         assert np.all(precip == 0.0)
 
     def test_single_step_hand_value(self):
         """One step, 5 units above threshold, rate 0.2, dt 0.01: 0.01 mm."""
         params = ModelParams(moisture_coupling=0.0)
         state = ModelState(np.zeros(8), np.full(8, params.condensation_threshold + 5.0))
-        traj = integrate(state, params, 1)
-        precip, _ = diagnostics(traj, params)
+        precip, _ = diagnostics(integrate(state, params, 1))
         assert np.allclose(precip, 0.01, rtol=1e-12)
 
     def test_identical_trajectories_identical_diagnostics(self):
         params = ModelParams()
-        traj = integrate(smooth_initial_state(), params, 25)
-        for a, b in zip(diagnostics(traj, params), diagnostics(traj, params)):
-            assert np.array_equal(a, b)
+        forecasts = [integrate(smooth_initial_state(), params, 25) for _ in range(2)]
+        for a, b in zip(diagnostics(forecasts[0]), diagnostics(forecasts[1])):
+            assert_bitwise(a, b)
 
     def test_additive_over_concatenation(self):
         params = ModelParams()
@@ -424,51 +474,66 @@ class TestDiagnostics:
         first = integrate(state, params, 15)
         second = integrate(first.final, params, 10)
         whole = integrate(state, params, 25)
-        split_sum = diagnostics(first, params)[0] + diagnostics(second, params)[0]
-        total = diagnostics(whole, params)[0]
+        split_sum = diagnostics(first)[0] + diagnostics(second)[0]
+        total = diagnostics(whole)[0]
         assert np.allclose(split_sum, total, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("grid_size, n_steps", [(40, 1200), (4, 7), (5, 30), (41, 200)])
     def test_precipitation_bitwise_equal_loop_oracle(self, grid_size, n_steps):
-        """The vectorised sum adds the steps in the order of a step-by-step loop."""
+        """The in-step accumulation adds the left points in the order of a
+        step-by-step loop."""
         params = ModelParams()
-        traj = integrate(smooth_initial_state(grid_size), params, n_steps)
-        expected = np.zeros(grid_size)
-        for state in traj.states[:-1]:
-            # The condensation sink r max(0, q - q_c), times dt.
-            sink = params.condensation_rate * np.maximum(
-                0.0, state.moisture_field - params.condensation_threshold
-            )
-            expected += sink * params.dt
+        state = smooth_initial_state(grid_size)
+        expected = loop_precipitation(state, params, n_steps)
         assert np.any(expected > 0.0)
-        assert np.array_equal(diagnostics(traj, params)[0], expected)
+        assert_bitwise(diagnostics(integrate(state, params, n_steps))[0], expected)
+
+    def test_interleaved_forecasts_on_one_workspace_equal_fresh_ones(self):
+        """Forecasts that take turns on one workspace, with lone steps on it
+        in between, accumulate the bits of forecasts on their own."""
+        params = ModelParams()
+        workspace = Workspace(40, params)
+        starts = [mixed_state(seed=seed) for seed in range(3)]
+        for n_steps in (30, 1, 0, 200, 7):
+            for start in starts:
+                shared = integrate(start, params, n_steps, workspace)
+                step(start, params, workspace)
+                fresh = integrate(start, params, n_steps)
+                assert_bitwise(shared.precipitation, fresh.precipitation)
+                assert_bitwise(shared.final.vector, fresh.final.vector)
+        assert np.any(shared.precipitation > 0.0)
 
     def test_zero_step_trajectory_has_zero_precipitation(self):
-        params = ModelParams()
-        traj = integrate(smooth_initial_state(6), params, 0)
-        precip, _ = diagnostics(traj, params)
+        precip, _ = diagnostics(integrate(smooth_initial_state(6), ModelParams(), 0))
         assert precip.shape == (6,)
         assert np.all(precip == 0.0)
 
     def test_temperature_report_offset(self):
-        params = ModelParams()
-        traj = integrate(smooth_initial_state(), params, 5)
-        _, t2m = diagnostics(traj, params)
-        assert np.allclose(t2m, traj.final.temperature_field + 273.0)
+        forecast = integrate(smooth_initial_state(), ModelParams(), 5)
+        _, t2m = diagnostics(forecast)
+        assert np.allclose(t2m, forecast.final.temperature_field + 273.0)
 
 
 class TestNatureRun:
     def test_same_seed_bitwise_identical(self):
         a = nature_run(ModelParams(), 42, 100, 20, grid_size=12)
         b = nature_run(ModelParams(), 42, 100, 20, grid_size=12)
-        for sa, sb in zip(a.states, b.states):
-            assert np.array_equal(sa.temperature_field, sb.temperature_field)
-            assert np.array_equal(sa.moisture_field, sb.moisture_field)
+        assert_bitwise(a.final.vector, b.final.vector)
+        assert_bitwise(a.precipitation, b.precipitation)
+
+    def test_run_follows_the_spin_up(self):
+        """The run's steps continue the spin-up: its final state is the
+        spin-up's stepped on, and its precipitation is its own steps' alone."""
+        params = ModelParams()
+        spun_up = nature_run(params, 42, 100, 0, grid_size=12).final
+        run = nature_run(params, 42, 100, 20, grid_size=12)
+        assert_bitwise(run.final.vector, walk(spun_up, params, 20)[-1].vector)
+        assert_bitwise(run.precipitation, loop_precipitation(spun_up, params, 20))
 
     def test_different_seeds_differ_at_start(self):
         a = nature_run(ModelParams(), 1, 0, 0, grid_size=12)
         b = nature_run(ModelParams(), 2, 0, 0, grid_size=12)
-        assert not np.array_equal(a.states[0].temperature_field, b.states[0].temperature_field)
+        assert not np.array_equal(a.final.temperature_field, b.final.temperature_field)
 
     def test_initial_moisture_follows_the_condensation_threshold(self):
         """Moisture starts 5 above the threshold: raising the threshold by 15
@@ -480,17 +545,13 @@ class TestNatureRun:
 
     def test_post_spinup_variance_in_chaotic_band(self):
         """Temperature variance sits in the [2, 30] band measured for F = 8."""
-        traj = nature_run(ModelParams(), 7, 1000, 1000, grid_size=40)
-        temps = np.array([s.temperature_field for s in traj.states])
+        params = ModelParams()
+        spun_up = nature_run(params, 7, 1000, 0, grid_size=40).final
+        temps = np.array([s.temperature_field for s in [spun_up] + walk(spun_up, params, 1000)])
         assert 2.0 <= temps.var() <= 30.0
 
     def test_moisture_nonnegative_throughout(self):
-        traj = nature_run(ModelParams(), 3, 200, 200, grid_size=20)
-        for state in traj.states:
+        params = ModelParams()
+        spun_up = nature_run(params, 3, 200, 0, grid_size=20).final
+        for state in [spun_up] + walk(spun_up, params, 200):
             assert np.all(state.moisture_field >= 0.0)
-
-
-class TestTrajectoryValidation:
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            Trajectory(())
