@@ -8,10 +8,12 @@ actually applied is recorded in the report, and the report carries a
 digest of the values read, so identical runs are identifiable by hash
 alone, whether a number is written ``12`` or ``12.0``.
 
-A scenario is: one synthetic-truth state, one noisy observation set
-synthesized from it and shifted per leakage level by the level's induced
-brightness-temperature error, one variational analysis and forecast per
-ensemble member, and difference metrics against the unperturbed baseline.
+A scenario runs the paper's chain over one list of (row, member) cases, the
+unperturbed baseline row first, in four stages: set-up (one synthetic
+truth, its noisy observations, shifted per row by the level's induced
+brightness-temperature error, and every member's background), one
+variational analysis per case, one forecast per analysis, and one
+reduction of all forecasts to difference metrics against the baseline.
 """
 
 from __future__ import annotations
@@ -616,57 +618,37 @@ def _member_background(config: ScenarioConfig, truth: ModelState, member: int) -
     )
 
 
-def _analyze_and_forecast(config: ScenarioConfig, background: ModelState, observations,
-                          operator: RadianceOperator, workspace: Workspace,
-                          trace_stream: TextIO | None = None, trace_label: str = ""):
-    problem = build_problem(
-        background,
-        operator,
-        observations,
-        state_variance=config.state_variance,
-        bias_variance=config.bias_variance,
-        obs_stddev_k=config.obs_error_stddev_k,
-    )
-    on_iteration = None
-    if trace_stream is not None:
-        def on_iteration(iteration, cost_value, gradient_norm):
-            trace_stream.write(
-                f"{trace_label} iter {iteration:3d}: J={cost_value:.9g} |grad|={gradient_norm:.3e}\n"
-            )
-    result = minimize(
-        problem, hold_bias_fixed=config.hold_bias_fixed, on_iteration=on_iteration
-    )
-    analysis = state_vector_to_model(result.analysis_state, config.grid_size)
-    forecast = integrate(analysis, config.model_params, config.forecast_steps, workspace)
-    return result, diagnostics(forecast)
-
-
 def run_scenario(
     config: ScenarioConfig, trace_stream: TextIO | None = None
 ) -> ScenarioReport:
     """Execute baseline plus every leakage level; difference the forecasts.
 
-    The truth's noisy observations are synthesized once; the baseline and
-    every level add their brightness error to that one array, so levels
-    differ only through the injected error. Ensemble members differ only in
-    their background perturbation; metrics are averaged over members. Levels
-    and members are independent, but results are always assembled in config
-    order. One observation operator, built here once per scenario,
-    synthesizes the observations and serves every case's analysis; every
-    case also shares one RK4 workspace. When ``trace_stream`` is given
-    (the CLI's verbose mode), every analysis writes its iteration trace
-    there. A truth whose observations cannot be synthesized raises a
-    ``ConfigError`` naming the field at fault.
+    The cases, (row, member) in config order with the baseline row first,
+    go through four stages. 1. Set-up: the truth, one observation operator,
+    the truth's noisy observations synthesized once, one observations array
+    per row shifted by its brightness error (the baseline's is 0), and each
+    member's background. 2. Analyses: one pass analyses every case; with
+    ``trace_stream`` (the CLI's verbose mode), each writes its iterations
+    there. 3. Forecasts: one pass forecasts every analysis on one RK4
+    workspace into one (rows, 2, members, cells) array of precipitation and
+    near-surface temperature; a forecast is dropped once that is read.
+    4. Reduction: one reduction over that array's contiguous axes averages
+    each member's max and RMS difference from the baseline over members,
+    bit for bit as if each member's vector were reduced alone.
+
+    A failing case raises a ``ScenarioExecutionError`` naming its row and
+    member, and a forecast's blow-up its suspects. Truth observations that
+    cannot be synthesized, or a bias constant that rounds a level's
+    brightness error away, raise a ``ConfigError`` naming the field.
     """
+    # Stage 1: set-up.
     try:
         truth = nature_run(
             config.model_params, config.seeds.nature, config.spinup_steps, 0, config.grid_size
         ).final
     except ModelBlowUpError as exc:  # past the load-time probe's steps
         raise ScenarioExecutionError(f"nature run spin-up: {exc}; {_REDUCE_DT}") from exc
-    operator = RadianceOperator(
-        config.mapping, config.bias, config.obs_locations, config.grid_size
-    )
+    operator = RadianceOperator(config.mapping, config.bias, config.obs_locations, config.grid_size)
     try:
         observed = synthesize_observations(
             truth, operator, config.seeds.obs_noise, config.obs_error_stddev_k
@@ -678,68 +660,85 @@ def run_scenario(
         raise ConfigError(
             f"the truth's observations: {exc}", field=section and f"{section}.{exc.field}"
         ) from exc
-    backgrounds = [
-        _member_background(config, truth, m) for m in range(config.ensemble_size)
-    ]
-    workspace = Workspace(config.grid_size, config.model_params)
-    baseline = None
-    rows = []
-    # The baseline goes first, through the same path as a level with zero
-    # brightness error; its differences from itself are exact zeros.
-    for level in (None, *config.leakage_levels):
-        if level is None:
-            where = trace_label = "baseline"
-            noise_k = delta_tb = 0.0
-        else:
-            where, trace_label = f"level {level} dBW", f"level {level:g}"
-            noise_k, delta_tb = leakage_chain(config, level)
-        observations = observed + delta_tb
-        # One (2, members, grid) array per level holds each member's precipitation
-        # and near-surface temperature; reducing along its contiguous axes gives
-        # the bits of a reduction over each member's vectors alone.
-        results, fields = [], np.empty((2, len(backgrounds), config.grid_size))
-        for m, background in enumerate(backgrounds):
-            try:
-                result, fields[:, m] = _analyze_and_forecast(
-                    config, background, observations, operator, workspace,
-                    trace_stream=trace_stream, trace_label=f"{trace_label} m{m}",
-                )
-            except ModelBlowUpError as exc:
-                # Only the forecast integrates here, from an analysis of a
-                # background perturbed by background_noise_std. A level's is
-                # suspect only through its brightness error: the member's
-                # baseline forecast, same background and dt, did not blow up.
-                if level is None:
-                    suspects = (
-                        f"; {_REDUCE_DT} (forecast suspects: model.dt {config.model_params.dt:g}, "
-                        f"background_noise_std {config.background_noise_std:g})"
-                    )
-                else:
-                    suspects = (
-                        f" (forecast suspects: leakage_levels {level:g}, "
-                        f"brightness error {delta_tb:.3g} K)"
-                    )
-                raise ScenarioExecutionError(f"{where}, member {m}: {exc}{suspects}") from exc
-            except Exception as exc:
-                raise ScenarioExecutionError(f"{where}, member {m}: {exc}") from exc
-            results.append(result)
-        if baseline is None:
-            baseline = fields
-        diffs = fields - baseline
-        worst, rms = np.max(np.abs(diffs), axis=2), np.sqrt(np.mean(diffs**2, axis=2))
-        rows.append(
-            LevelMetrics(
-                level,
-                noise_k,
-                delta_tb,
-                float(np.mean(worst[0])),
-                float(np.mean(rms[0])),
-                float(np.mean(worst[1])),
-                float(np.mean(rms[1])),
-                float(np.mean([r.final_cost for r in results])),
-                all(r.converged for r in results),
+    levels = (None, *config.leakage_levels)
+    chains = [(0.0, 0.0), *(leakage_chain(config, level) for level in levels[1:])]
+    # The observations may lose a brightness error below their resolution,
+    # as the null experiment's (-300 dBW, about 3e-29 K) is lost, but only
+    # if the truth's values without the bias constant lose it too.
+    top = np.max(np.abs(observed))
+    lost = [(t, lv) for lv, (_, t) in zip(levels, chains) if 0 < t < 1e3 * np.spacing(top)]
+    if lost:
+        delta_tb, level = max(lost)
+        unbiased = operator.values(truth.vector, np.array([0.0, *config.bias.coefficients]))
+        if delta_tb >= 1e3 * np.spacing(np.max(np.abs(unbiased))):
+            raise ConfigError(
+                f"a bias constant of {config.bias.constant_coefficient_k:g} K moves the "
+                f"observations to {top:.3g} K, where level {level:g} dBW's brightness error "
+                f"of {delta_tb:.3g} K rounds away",
+                field="bias.constant_coefficient_k",
             )
+    observations = [observed + delta_tb for _, delta_tb in chains]
+    members = config.ensemble_size
+    backgrounds = [_member_background(config, truth, m) for m in range(members)]
+    cases = [(r, m) for r in range(len(levels)) for m in range(members)]
+    row_names = ["baseline", *(f"level {level} dBW" for level in levels[1:])]
+
+    # Stage 2: analyses.
+    results = []
+    for r, m in cases:
+        try:
+            problem = build_problem(
+                backgrounds[m], operator, observations[r], state_variance=config.state_variance,
+                bias_variance=config.bias_variance, obs_stddev_k=config.obs_error_stddev_k,
+            )
+            on_iteration = None
+            if trace_stream is not None:
+                label = f"{'baseline' if r == 0 else f'level {levels[r]:g}'} m{m}"
+
+                def on_iteration(i, cost, norm):
+                    trace_stream.write(f"{label} iter {i:3d}: J={cost:.9g} |grad|={norm:.3e}\n")
+            results.append(
+                minimize(problem, hold_bias_fixed=config.hold_bias_fixed, on_iteration=on_iteration)
+            )
+        except Exception as exc:
+            raise ScenarioExecutionError(f"{row_names[r]}, member {m}: {exc}") from exc
+
+    # Stage 3: forecasts.
+    workspace = Workspace(config.grid_size, config.model_params)
+    fields = np.empty((len(levels), 2, members, config.grid_size))
+    for (r, m), result in zip(cases, results):
+        try:
+            analysis = state_vector_to_model(result.analysis_state, config.grid_size)
+            fields[r, :, m] = diagnostics(
+                integrate(analysis, config.model_params, config.forecast_steps, workspace)
+            )
+        except ModelBlowUpError as exc:
+            # A level is suspect only through its brightness error: the member's
+            # baseline forecast, from the same background and dt, did not blow up.
+            suspects = (
+                f"; {_REDUCE_DT} (forecast suspects: model.dt {config.model_params.dt:g}, "
+                f"background_noise_std {config.background_noise_std:g})"
+                if r == 0
+                else f" (forecast suspects: leakage_levels {levels[r]:g}, "
+                f"brightness error {chains[r][1]:.3g} K)"
+            )
+            raise ScenarioExecutionError(f"{row_names[r]}, member {m}: {exc}{suspects}") from exc
+        except Exception as exc:
+            raise ScenarioExecutionError(f"{row_names[r]}, member {m}: {exc}") from exc
+
+    # Stage 4: reduction. Each member's max and RMS over the grid, stacked as
+    # (rows, fields, [max, rms], members), then averaged over the members.
+    diffs = fields - fields[0]
+    spread = np.stack((np.max(np.abs(diffs), axis=3), np.sqrt(np.mean(diffs**2, axis=3))), axis=2)
+    divergence = spread.mean(axis=3).reshape(len(levels), 4)
+    costs = np.reshape([result.final_cost for result in results], (len(levels), members))
+    rows = (
+        LevelMetrics(
+            level, noise_k, delta_tb, *map(float, divergence[r]), float(costs[r].mean()),
+            all(result.converged for result in results[r * members : (r + 1) * members]),
         )
+        for r, (level, (noise_k, delta_tb)) in enumerate(zip(levels, chains))
+    )
     return ScenarioReport(config, tuple(rows))
 
 

@@ -745,6 +745,29 @@ class TestRunScenario:
         assert calls["osse.operator_values"] - 1 > iterations
         assert calls["assim.cost"] == 0
         assert calls["forward.scalar"] == 0
+        assert tracer.peak_live_states == 1  # one forecast at a time, dropped once read
+
+    def test_every_analysis_before_the_first_forecast(self, monkeypatch):
+        """The analysis stage analyses every case before the forecast stage
+        starts any forecast, and each forecast's diagnostics are read before
+        the next forecast starts, all in the same case order."""
+        config = small_config(ensemble_size=2)  # loading takes RK4 steps too
+        calls = []
+
+        def recorded(name):
+            original = getattr(experiment, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(experiment, name, wrapper)
+
+        for name in ("build_problem", "minimize", "integrate", "diagnostics"):
+            recorded(name)
+        run_scenario(config)
+        cases = (len(config.leakage_levels) + 1) * config.ensemble_size
+        assert calls == ["build_problem", "minimize"] * cases + ["integrate", "diagnostics"] * cases
 
     @pytest.mark.parametrize(
         "failing_call, message",
@@ -817,6 +840,49 @@ class TestRunScenario:
             level = diags[3 * i : 3 * i + 3]
             assert (row.precip_diff_max_mm, row.precip_diff_rms_mm) == member_means(level, 0)
             assert (row.t2m_diff_max_c, row.t2m_diff_rms_c) == member_means(level, 1)
+
+    @pytest.mark.parametrize("members", [1, 9, 17])
+    def test_reduction_bits_match_the_per_level_oracle(self, monkeypatch, members):
+        """One reduction over every row's (2, members, cells) fields gives, bit
+        for bit, what reducing each level's members on their own gives: the
+        per-level code it replaced is the oracle. numpy's pairwise sum unrolls
+        by 8, so 9 and 17 members take its remainder paths, which the stored
+        1-, 20- and 40-member reports do not."""
+        diags, results = [], []
+        diagnostics, minimize = experiment.diagnostics, experiment.minimize
+
+        def recorded_diagnostics(*args):
+            diags.append(diagnostics(*args))
+            return diags[-1]
+
+        def recorded_minimize(*args, **kwargs):
+            results.append(minimize(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(experiment, "diagnostics", recorded_diagnostics)
+        monkeypatch.setattr(experiment, "minimize", recorded_minimize)
+        config = small_config(ensemble_size=members)
+        report = run_scenario(config)
+        assert len(diags) == len(results) == len(report.rows) * members
+        baseline = None
+        for r, row in enumerate(report.rows):
+            cases = slice(r * members, (r + 1) * members)
+            fields = np.empty((2, members, config.grid_size))
+            for m, diag in enumerate(diags[cases]):
+                fields[:, m] = diag
+            if baseline is None:
+                baseline = fields
+                chain = (0.0, 0.0)
+            else:
+                chain = leakage_chain(config, row.leakage_dbw)
+                assert row.t2m_diff_rms_c > 0.0
+            diffs = fields - baseline
+            worst, rms = np.max(np.abs(diffs), axis=2), np.sqrt(np.mean(diffs**2, axis=2))
+            costs = [result.final_cost for result in results[cases]]
+            want = (*chain, *(np.mean(a) for a in (worst[0], rms[0], worst[1], rms[1], costs)))
+            got = dataclasses.astuple(row)[1:-1]
+            assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+            assert row.converged is all(result.converged for result in results[cases])
 
 
 def make_report(n_levels):
@@ -1207,6 +1273,26 @@ class TestCli:
         assert "column temperatures must be positive (field: forward.surface_offset_k)" in (
             result.output
         )
+
+    def test_bias_constant_that_rounds_leakage_away_exit_1(self, tmp_path):
+        """A 1.7e308 K bias constant moves the truth's observations to where
+        a -30 dBW brightness error (0.028 K) is below their resolution, while
+        the truth's values without the constant resolve it: the run is
+        rejected naming the constant, where it would report exact zeros for
+        leakage that is there. A -300 dBW error (about 3e-29 K) is lost
+        either way, so that null experiment still runs and reads exact zeros."""
+        path = tmp_path / "constant.yaml"
+        text = (
+            "{bias: {constant_coefficient_k: 1.7e308}, leakage_levels: [%s], forecast_length: 0.05}"
+        )
+        path.write_text(text % "-30" + "\n")
+        result = CliRunner().invoke(main, ["run", str(path)])
+        assert result.exit_code == 1
+        assert "0.0282 K rounds away (field: bias.constant_coefficient_k)" in result.output
+        path.write_text(text % "-300" + "\n")
+        (row,) = run_scenario(load_config(str(path))).levels
+        assert 0.0 < row.delta_tb_k < 1e-28
+        assert dataclasses.astuple(row)[3:7] == (0.0, 0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize(
         "config_text, message",
