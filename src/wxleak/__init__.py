@@ -55,7 +55,6 @@ from .osse import (
     RadianceOperator,
     bias_corrected_forward,
     default_obs_locations,
-    state_vector_to_model,
     synthesize_observations,
 )
 from .experiment import (

@@ -299,8 +299,8 @@ def minimize(
         cancel_scale = 2.0 * np.abs(rinv_d).dot(obs_scale)
         return divide(g[0], jacobi), jac_state, jac_bias, cancel_scale
 
-    # A non-finite cost raises MinimizationError below; the overflow on the
-    # way there would only add floating-point warnings.
+    # A non-finite cost, or gradient norm at the background, raises
+    # MinimizationError below; the overflow on the way would only add warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         prior_inverse = divide(1.0, prior_variances)
         obs_inverse = divide(1.0, obs_variances)
@@ -311,6 +311,8 @@ def minimize(
         # For a 1-D float vector this is np.linalg.norm's own sqrt(g . g), bit
         # for bit, without its per-call set-up; it is computed once per point.
         g_norm = math.sqrt(g[0].dot(g[0]))
+        if not math.isfinite(g_norm):  # so would its tolerance be, and nothing would move
+            raise MinimizationError("gradient norm is non-finite at the initial control", point[0])
         tol = GRADIENT_TOLERANCE * max(1.0, g_norm)
 
         iterations = 0

@@ -54,10 +54,10 @@ class ModelBlowUpError(RuntimeError):
 
 
 class MinimizationError(RuntimeError):
-    """The cost function became non-finite during minimization.
+    """The cost, or the gradient norm at the background, became non-finite.
 
     ``last_control`` holds the flat control [state, bias] of the last
-    iterate with a finite cost, or the background when the cost is already
+    iterate with a finite cost, or the background when either is already
     non-finite there.
     """
 

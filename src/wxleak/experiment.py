@@ -50,7 +50,6 @@ from .osse import (
     ColumnMapping,
     RadianceOperator,
     default_obs_locations,
-    state_vector_to_model,
     synthesize_observations,
 )
 from .rng import SeededRng, derive_seed
@@ -458,7 +457,7 @@ def config_from_dict(
             field="forecast_length",
         )
     try:
-        probe = nature_run(params, seeds.nature, _TIME_STEP_PROBE_STEPS, 0, grid_size).final
+        probe = nature_run(params, seeds.nature, _TIME_STEP_PROBE_STEPS, grid_size).final
     except ModelBlowUpError as exc:
         raise ConfigError(
             f"dt {params.dt:g} is unstable: {exc}; {_REDUCE_DT}", field="model.dt"
@@ -609,13 +608,8 @@ def _aggregate_chain(
 
 def _member_background(config: ScenarioConfig, truth: ModelState, member: int) -> ModelState:
     rng = SeededRng(derive_seed(config.seeds.init, member))
-    n = config.grid_size
-    noise_t = config.background_noise_std * np.array(rng.normals(n))
-    noise_q = config.background_noise_std * np.array(rng.normals(n))
-    return ModelState(
-        truth.temperature_field + noise_t,
-        np.maximum(0.0, truth.moisture_field + noise_q),
-    )
+    noise = config.background_noise_std * np.array(rng.normals(truth.vector.shape[0]))
+    return ModelState.from_vector(truth.vector + noise)
 
 
 def run_scenario(
@@ -638,13 +632,13 @@ def run_scenario(
 
     A failing case raises a ``ScenarioExecutionError`` naming its row and
     member, and a forecast's blow-up its suspects. Truth observations that
-    cannot be synthesized, or a bias constant that rounds a level's
-    brightness error away, raise a ``ConfigError`` naming the field.
+    cannot be synthesized, or a setting that rounds a level's brightness
+    error away, raise a ``ConfigError`` naming the field.
     """
     # Stage 1: set-up.
     try:
         truth = nature_run(
-            config.model_params, config.seeds.nature, config.spinup_steps, 0, config.grid_size
+            config.model_params, config.seeds.nature, config.spinup_steps, config.grid_size
         ).final
     except ModelBlowUpError as exc:  # past the load-time probe's steps
         raise ScenarioExecutionError(f"nature run spin-up: {exc}; {_REDUCE_DT}") from exc
@@ -663,19 +657,33 @@ def run_scenario(
     levels = (None, *config.leakage_levels)
     chains = [(0.0, 0.0), *(leakage_chain(config, level) for level in levels[1:])]
     # The observations may lose a brightness error below their resolution,
-    # as the null experiment's (-300 dBW, about 3e-29 K) is lost, but only
-    # if the truth's values without the bias constant lose it too.
+    # as the null experiment's (-300 dBW, about 3e-29 K) is lost, but only if
+    # the truth's values under the shipped forward settings and no bias lose
+    # it too. Else the config's settings are applied to those in turn; the
+    # first under which they lose it is named, or if none, the noise's stddev.
     top = np.max(np.abs(observed))
     lost = [(t, lv) for lv, (_, t) in zip(levels, chains) if 0 < t < 1e3 * np.spacing(top)]
     if lost:
         delta_tb, level = max(lost)
-        unbiased = operator.values(truth.vector, np.array([0.0, *config.bias.coefficients]))
-        if delta_tb >= 1e3 * np.spacing(np.max(np.abs(unbiased))):
+        mapping, bias = config.mapping, operator.bias_background
+        none, offset = np.zeros_like(bias), ColumnMapping(surface_offset_k=mapping.surface_offset_k)
+        for field, forward, beta in (
+            (None, ColumnMapping(), none),
+            ("forward.surface_offset_k", offset, none),
+            ("forward.atmosphere_temperature_k", mapping, none),
+            ("bias.constant_coefficient_k", mapping, np.concatenate([bias[:1], none[1:]])),
+            ("bias.coefficients", mapping, bias),
+        ):
+            setting = RadianceOperator(forward, config.bias, config.obs_locations, config.grid_size)
+            if delta_tb < 1e3 * np.spacing(np.max(np.abs(setting.values(truth.vector, beta)))):
+                break
+        else:
+            field = "covariances.observation_stddev_k"
+        if field is not None:
             raise ConfigError(
-                f"a bias constant of {config.bias.constant_coefficient_k:g} K moves the "
-                f"observations to {top:.3g} K, where level {level:g} dBW's brightness error "
-                f"of {delta_tb:.3g} K rounds away",
-                field="bias.constant_coefficient_k",
+                f"the observations reach {top:.3g} K, where level {level:g} dBW's brightness "
+                f"error of {delta_tb:.3g} K rounds away",
+                field=field,
             )
     observations = [observed + delta_tb for _, delta_tb in chains]
     members = config.ensemble_size
@@ -708,7 +716,7 @@ def run_scenario(
     fields = np.empty((len(levels), 2, members, config.grid_size))
     for (r, m), result in zip(cases, results):
         try:
-            analysis = state_vector_to_model(result.analysis_state, config.grid_size)
+            analysis = ModelState.from_vector(result.analysis_state)
             fields[r, :, m] = diagnostics(
                 integrate(analysis, config.model_params, config.forecast_steps, workspace)
             )

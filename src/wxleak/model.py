@@ -91,6 +91,15 @@ class ModelState:
         object.__setattr__(self, "vector", vector)
 
     @classmethod
+    def from_vector(cls, vector) -> ModelState:
+        """The state ``[T, q]`` of a flat vector, its moisture floored at zero."""
+        vector = np.asarray(vector, dtype=float)
+        if vector.ndim != 1 or vector.shape[0] % 2 or not np.isfinite(vector).all():
+            raise ValidationError(f"state vector must be a finite [T, q], got shape {vector.shape}")
+        n = vector.shape[0] // 2
+        return cls(vector[:n], np.maximum(0.0, vector[n:]))
+
+    @classmethod
     def _trusted(cls, vector: np.ndarray) -> ModelState:
         """Wrap a ``[T, q]`` vector the caller has already validated, without copying it.
 
@@ -135,16 +144,16 @@ class Forecast:
 class Workspace:
     """The RK4 step on a grid of ``grid_size`` cells under ``params``, bound once.
 
-    ``nature_run`` makes one per call and ``run_scenario`` one per scenario
-    for all its forecasts; each passes it to every ``step``, so a run
-    allocates its stage inputs, ``k1..k4``, the final combination and the
-    precipitation once. The constructor builds ``step(x0) -> x1`` as a
-    closure over those buffers, the step's constant vectors and the numpy
-    callables it uses. Outputs are passed positionally, except to
-    ``np.maximum``, which deprecates that. A constant vector costs numpy
-    less per call than a scalar and gives the same bits. ``buffers`` holds
-    every array the step writes, and ``sixth_h`` is the vector h / 6 that
-    scales the stage combination.
+    ``integrate`` makes one per call unless given one, and ``run_scenario``
+    one per scenario for all its forecasts; each is passed to every
+    ``step``, so a run allocates its stage inputs, ``k1..k4``, the final
+    combination and the precipitation once. The constructor builds
+    ``step(x0) -> x1`` as a closure over those buffers, the step's constant
+    vectors and the numpy callables it uses. Outputs are passed
+    positionally, except to ``np.maximum``, which deprecates that. A
+    constant vector costs numpy less per call than a scalar and gives the
+    same bits. ``buffers`` holds every array the step writes, and
+    ``sixth_h`` is the vector h / 6 that scales the stage combination.
 
     Each step adds dt times the condensation sink at x0, which its first
     stage works out, into ``precipitation``: the left-point rule, added in
@@ -332,11 +341,9 @@ def diagnostics(forecast: Forecast) -> tuple[np.ndarray, np.ndarray]:
     return forecast.precipitation, forecast.final.temperature_field + TEMPERATURE_REPORT_OFFSET_K
 
 
-def nature_run(
-    params: ModelParams, seed: int, spinup_steps: int, run_steps: int, grid_size: int
-) -> Forecast:
-    """Seeded synthetic truth: the forecast of ``run_steps`` steps that follows
-    a spin-up of ``spinup_steps`` steps.
+def nature_run(params: ModelParams, seed: int, spinup_steps: int, grid_size: int) -> Forecast:
+    """Seeded synthetic truth: the forecast of ``spinup_steps`` steps from a
+    seeded initial state, whose ``final`` is the truth.
 
     The initial temperature field is the forcing value plus a 0.5-stddev
     seeded Gaussian perturbation per cell; moisture starts 5 above the
@@ -344,10 +351,6 @@ def nature_run(
     so forecasts keep precipitating after spin-up. Identical seeds give
     identical truths.
     """
-    rng = SeededRng(seed)
-    temperature = params.forcing + 0.5 * np.array(rng.normals(grid_size))
-    moisture_base = params.condensation_threshold + 5.0
-    moisture = np.maximum(0.0, moisture_base + 2.0 * np.array(rng.normals(grid_size)))
-    workspace = Workspace(grid_size, params)
-    spun_up = integrate(ModelState(temperature, moisture), params, spinup_steps, workspace)
-    return integrate(spun_up.final, params, run_steps, workspace)
+    centre = np.repeat([params.forcing, params.condensation_threshold + 5.0], grid_size)
+    noise = np.repeat([0.5, 2.0], grid_size) * np.array(SeededRng(seed).normals(2 * grid_size))
+    return integrate(ModelState.from_vector(centre + noise), params, spinup_steps)

@@ -390,14 +390,3 @@ def synthesize_observations(
     values.setflags(write=False)
     return values
 
-
-def state_vector_to_model(vector: np.ndarray, grid_size: int) -> ModelState:
-    """Flattened analysis state back to a model state; moisture floored at zero."""
-    vector = np.asarray(vector, dtype=float)
-    if vector.shape != (2 * grid_size,):
-        raise ValidationError(
-            f"state vector length {vector.shape} does not match grid size {grid_size}"
-        )
-    temperature = vector[:grid_size]
-    moisture = np.maximum(0.0, vector[grid_size:])
-    return ModelState(temperature, moisture)

@@ -107,7 +107,7 @@ def _check_forward_bounds() -> CheckResult:
 
 
 def _check_gradient() -> CheckResult:
-    truth = model.nature_run(model.ModelParams(), 5, 200, 0, grid_size=12).final
+    truth = model.nature_run(model.ModelParams(), 5, 200, grid_size=12).final
     mapping = osse.ColumnMapping()
     bias = osse.BiasModel(0.0, (0.0,), ("surface_temperature",))
     locations = tuple(range(0, 12, 2))
@@ -115,9 +115,7 @@ def _check_gradient() -> CheckResult:
     stddev = shipped.obs_error_stddev_k
     operator = osse.RadianceOperator(mapping, bias, locations, 12)
     obs = osse.synthesize_observations(truth, operator, 9, stddev) + 0.1
-    background = model.ModelState(
-        truth.temperature_field + 0.3, np.maximum(0.0, truth.moisture_field - 0.2)
-    )
+    background = model.ModelState.from_vector(truth.vector + np.repeat([0.3, -0.2], 12))
     problem = assim.build_problem(
         background, operator, obs, shipped.state_variance, shipped.bias_variance, stddev
     )

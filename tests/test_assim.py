@@ -111,7 +111,7 @@ def direct_solve(problem):
 def radiance_problem(seed, grid_size=12, n_obs=6, predictors=("surface_temperature", "scan_position")):
     """Random nonlinear problem on the real observation operator."""
     rng = np.random.default_rng(seed)
-    truth = nature_run(ModelParams(), seed, 150, 0, grid_size=grid_size).final
+    truth = nature_run(ModelParams(), seed, 150, grid_size=grid_size).final
     mapping = ColumnMapping()
     bias = BiasModel(
         float(rng.normal(0, 0.3)),
@@ -421,6 +421,25 @@ class TestMinimize:
         assert np.allclose(r_a.analysis_state, r_b.analysis_state, atol=1e-10)
         assert np.allclose(r_a.analysis_bias, r_b.analysis_bias, atol=1e-10)
 
+    @pytest.mark.parametrize("obs_variance", [1e-200, 1e-154])
+    def test_gradient_norm_that_overflows_at_the_background_raises(self, obs_variance):
+        """An innovation of 1 over a variance of 1e-200 gives a finite cost
+        (5e199) and gradient (-1e200) whose norm overflows; its tolerance
+        would be infinite too, and the background would come back converged
+        after no iteration. At 1e-154 the norm, 1e154, is finite and the
+        analysis converges."""
+        problem = scalar_bias_problem(obs_variance)
+        assert math.isfinite(cost(problem.background, problem))
+        assert np.all(np.isfinite(gradient(problem.background, problem)))
+        if obs_variance > 1e-200:
+            result = minimize(problem)
+            assert result.converged and result.iterations > 0
+            return
+        with pytest.raises(MinimizationError) as excinfo:
+            minimize(problem)
+        assert str(excinfo.value) == "gradient norm is non-finite at the initial control"
+        assert _same_bits(excinfo.value.last_control, problem.background)
+
     def test_non_finite_cost_raises_with_last_iterate(self):
         """An operator that overflows along the search path reports the last finite point."""
         with np.errstate(over="ignore", invalid="ignore"):
@@ -452,7 +471,8 @@ def exploding_problem(state):
     """A problem on ``ExplodingOperator`` whose tight observation pulls the
     state up from its background ``state`` until the cost overflows (from 0.0
     the line search reaches it; from 1000.0 the background cost is already
-    non-finite)."""
+    non-finite; from 200.0 the background cost, about 2.6e181, is finite and
+    its gradient norm overflows)."""
     return AssimilationProblem(
         background=np.array([state, 0.0]),
         prior_variances=[1.0, 1.0],
@@ -798,6 +818,8 @@ def reference_minimize(
             raise MinimizationError("cost is non-finite at the initial control", point)
         g, jac_state, jac_bias, cancel_scale = grad_and_jac(point, d)
         g_norm = math.sqrt(float(g @ g))
+        if not math.isfinite(g_norm):
+            raise MinimizationError("gradient norm is non-finite at the initial control", point)
         tol = assim.GRADIENT_TOLERANCE * max(1.0, g_norm)
         scaled_g = g / jacobi_diagonal(jac_state, jac_bias)
 
@@ -1033,6 +1055,7 @@ class TestMinimizeMatchesReference:
         [
             (1000.0, "cost is non-finite at the initial control"),
             (0.0, "cost became non-finite during line search"),
+            (200.0, "gradient norm is non-finite at the initial control"),
         ],
     )
     def test_minimization_errors(self, state, message):

@@ -34,6 +34,7 @@ from wxleak.experiment import (
     run_scenario,
 )
 from wxleak.leakage import AntennaModel, LinkBudget
+from wxleak.rng import SeededRng, derive_seed
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
@@ -580,6 +581,22 @@ class TestLeakageChain:
 
 
 class TestRunScenario:
+    def test_member_background_has_the_bits_of_two_field_draws(self):
+        """A member's background adds one draw of 2N normals to the truth's
+        [T, q] and floors the moisture: the bits of a draw of N normals for
+        the temperature, then one of N for the moisture. A wide spread
+        floors some cells."""
+        config = dataclasses.replace(small_config(), background_noise_std=40.0)
+        truth = model.nature_run(config.model_params, 5, 50, config.grid_size).final
+        for member in range(3):
+            rng = SeededRng(derive_seed(config.seeds.init, member))
+            temperature = truth.temperature_field + 40.0 * np.array(rng.normals(12))
+            moisture = np.maximum(0.0, truth.moisture_field + 40.0 * np.array(rng.normals(12)))
+            got = experiment._member_background(config, truth, member).vector
+            want = np.concatenate([temperature, moisture])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert np.any(moisture == 0.0)
+
     def test_baseline_row_is_exactly_zero(self):
         report = run_scenario(small_config())
         b = report.baseline
@@ -1213,18 +1230,30 @@ class TestCli:
                 "baseline, member 0: cost is non-finite at the initial control",
             ),
             (
+                "{covariances: {observation_stddev_k: 1.0e-100}, leakage_levels: [-30], "
+                "forecast_length: 0.05}",
+                "baseline, member 0: gradient norm is non-finite at the initial control",
+            ),
+            (
                 "{background_noise_std: 100, forecast_length: 0.05, ensemble_size: 4, "
                 "leakage_levels: [-30]}",
                 "baseline, member 2: non-finite model state after step 3; reduce dt or check "
                 "parameters (forecast suspects: model.dt 0.01, background_noise_std 100)",
             ),
         ],
-        ids=["leakage_forecast", "leakage_forecast_400", "analysis_cost", "member_background"],
+        ids=[
+            "leakage_forecast", "leakage_forecast_400", "analysis_cost", "analysis_gradient_norm",
+            "member_background",
+        ],
     )
     def test_blow_up_exit_2_without_floating_point_warnings(self, tmp_path, config_text, message):
         """A forecast that blows the model up, or observations that overflow
-        the analysis cost, report where it happened and exit 2, and the
-        overflow on the way there prints no RuntimeWarning. A 20 dBW level
+        the analysis cost or its gradient norm at the background, report
+        where it happened and exit 2, and the overflow on the way there
+        prints no RuntimeWarning. An observation stddev of 1e-100 K weights
+        the background's innovations by 1e200, a finite cost whose gradient
+        norm overflows; the analysis would otherwise come back converged
+        after no iteration, its row all zeros. A 20 dBW level
         (a brightness error near 2800 K) with the bias held fixed moves the
         analysis far enough from the truth that its forecast blows up at the
         third step, which no load-time probe sees; so does a 400 dBW level
@@ -1293,6 +1322,67 @@ class TestCli:
         (row,) = run_scenario(load_config(str(path))).levels
         assert 0.0 < row.delta_tb_k < 1e-28
         assert dataclasses.astuple(row)[3:7] == (0.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "config_text, field",
+        [
+            (
+                "bias: {coefficients: [1.0e10], predictors: [surface_temperature]}, "
+                "leakage_levels: [-55, -30]",
+                "bias.coefficients",
+            ),
+            (
+                "bias: {coefficients: [1.0e14], predictors: [surface_temperature]}, "
+                "leakage_levels: [-55, -30]",
+                "bias.coefficients",
+            ),
+            (
+                "forward: {atmosphere_temperature_k: 1.0e100}, leakage_levels: [-30]",
+                "forward.atmosphere_temperature_k",
+            ),
+            (
+                "forward: {atmosphere_temperature_k: 1.0e200}, leakage_levels: [-30]",
+                "forward.atmosphere_temperature_k",
+            ),
+            (
+                "forward: {surface_offset_k: 1.0e100}, leakage_levels: [-30]",
+                "forward.surface_offset_k",
+            ),
+            (
+                "forward: {surface_offset_k: 1.0e100, atmosphere_temperature_k: 1.0e100}, "
+                "bias: {constant_coefficient_k: 1.0e100}, leakage_levels: [-30]",
+                "forward.surface_offset_k",
+            ),
+            (
+                "covariances: {observation_stddev_k: 1.0e13}, leakage_levels: [-30]",
+                "covariances.observation_stddev_k",
+            ),
+        ],
+        ids=[
+            "coefficient_1e10", "coefficient_1e14", "atmosphere_1e100", "atmosphere_1e200",
+            "surface_offset", "first_setting_named", "observation_noise",
+        ],
+    )
+    def test_setting_that_rounds_leakage_away_exit_1_before_any_analysis(
+        self, tmp_path, monkeypatch, config_text, field
+    ):
+        """A bias coefficient or a forward temperature that moves the truth's
+        observations to where a level's brightness error is below their
+        resolution is named before any analysis, where the run would report
+        exact zeros for leakage that is there (coefficient 1e10, or a forward
+        temperature of 1e100 K) or fail in an analysis or forecast that
+        blames another field (coefficient 1e14, atmosphere 1e200 K). Applied
+        in turn to the shipped forward settings with no bias, the first
+        setting that loses the error is named, and the observation noise if
+        none does."""
+        path = tmp_path / "rounded.yaml"
+        path.write_text("{%s, forecast_length: 0.05}\n" % config_text)
+        problems = []
+        monkeypatch.setattr(experiment, "build_problem", lambda *args, **kw: problems.append(args))
+        result = CliRunner().invoke(main, ["run", str(path)])
+        assert result.exit_code == 1, result.output
+        assert f"K rounds away (field: {field})" in result.output
+        assert problems == []
 
     @pytest.mark.parametrize(
         "config_text, message",

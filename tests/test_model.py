@@ -18,6 +18,7 @@ from wxleak.model import (
     nature_run,
     step,
 )
+from wxleak.rng import SeededRng
 
 
 def loop_tendencies(t, q, p):
@@ -180,6 +181,50 @@ class TestModelState:
         with pytest.raises(ValidationError) as excinfo:
             ModelState(t, q)
         assert str(excinfo.value) == message
+
+
+class TestFromVector:
+    def test_moisture_floored(self):
+        vector = np.concatenate([np.zeros(4), np.array([1.0, -0.5, 2.0, 0.0])])
+        state = ModelState.from_vector(vector)
+        assert np.all(state.moisture_field >= 0.0)
+        assert state.moisture_field[1] == 0.0
+        assert_bitwise(state.temperature_field, np.zeros(4))
+
+    @pytest.mark.parametrize(
+        "vector", [np.zeros(7), np.zeros((2, 8)), np.array(1.0)], ids=["odd", "2d", "scalar"]
+    )
+    def test_odd_or_not_flat_rejected(self, vector):
+        with pytest.raises(ValidationError) as excinfo:
+            ModelState.from_vector(vector)
+        assert str(excinfo.value).startswith("state vector must be a finite [T, q]")
+
+    @pytest.mark.parametrize("index", [1, 5])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad, index):
+        """In either half; a -inf moisture is not floored into a zero."""
+        vector = np.ones(8)
+        vector[index] = bad
+        with pytest.raises(ValidationError):
+            ModelState.from_vector(vector)
+
+    def test_too_small_grid_rejected(self):
+        with pytest.raises(ValidationError, match="grid needs at least 4 cells"):
+            ModelState.from_vector(np.zeros(6))
+
+    @pytest.mark.parametrize("n", [4, 5, 40])
+    def test_bits_of_the_field_by_field_conversion(self, n):
+        """The state of ``[T, q]`` is ``ModelState(T, max(0, q))`` bit for bit,
+        signed zeros and negative moisture included."""
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            vector = rng.normal(0.0, 5.0, 2 * n)
+            vector[rng.integers(0, 2 * n, 3)] = -0.0
+            vector[n + rng.integers(0, n)] = -1e-300
+            want = ModelState(vector[:n], np.maximum(0.0, vector[n:]))
+            got = ModelState.from_vector(vector)
+            assert_bitwise(got.vector, want.vector)
+            assert np.any(vector[n:] < 0.0)
 
 
 class TestStep:
@@ -516,42 +561,49 @@ class TestDiagnostics:
 
 class TestNatureRun:
     def test_same_seed_bitwise_identical(self):
-        a = nature_run(ModelParams(), 42, 100, 20, grid_size=12)
-        b = nature_run(ModelParams(), 42, 100, 20, grid_size=12)
+        a = nature_run(ModelParams(), 42, 120, grid_size=12)
+        b = nature_run(ModelParams(), 42, 120, grid_size=12)
         assert_bitwise(a.final.vector, b.final.vector)
         assert_bitwise(a.precipitation, b.precipitation)
 
-    def test_run_follows_the_spin_up(self):
-        """The run's steps continue the spin-up: its final state is the
-        spin-up's stepped on, and its precipitation is its own steps' alone."""
-        params = ModelParams()
-        spun_up = nature_run(params, 42, 100, 0, grid_size=12).final
-        run = nature_run(params, 42, 100, 20, grid_size=12)
-        assert_bitwise(run.final.vector, walk(spun_up, params, 20)[-1].vector)
-        assert_bitwise(run.precipitation, loop_precipitation(spun_up, params, 20))
+    @pytest.mark.parametrize("grid_size, spinup_steps", [(12, 100), (4, 1), (40, 7)])
+    def test_is_the_forecast_of_the_seeded_initial_state(self, grid_size, spinup_steps):
+        """The truth is the spin-up's forecast from the documented initial
+        state: temperature from one draw of ``grid_size`` normals, then
+        moisture from the next, floored at zero (a threshold of -4 floors
+        some cells)."""
+        params = ModelParams(condensation_threshold=-4.0)
+        rng = SeededRng(42)
+        temperature = params.forcing + 0.5 * np.array(rng.normals(grid_size))
+        moisture = np.maximum(0.0, 1.0 + 2.0 * np.array(rng.normals(grid_size)))
+        assert np.any(moisture == 0.0)
+        initial = ModelState(temperature, moisture)
+        truth = nature_run(params, 42, spinup_steps, grid_size)
+        assert_bitwise(truth.final.vector, integrate(initial, params, spinup_steps).final.vector)
+        assert_bitwise(truth.precipitation, loop_precipitation(initial, params, spinup_steps))
 
     def test_different_seeds_differ_at_start(self):
-        a = nature_run(ModelParams(), 1, 0, 0, grid_size=12)
-        b = nature_run(ModelParams(), 2, 0, 0, grid_size=12)
+        a = nature_run(ModelParams(), 1, 0, grid_size=12)
+        b = nature_run(ModelParams(), 2, 0, grid_size=12)
         assert not np.array_equal(a.final.temperature_field, b.final.temperature_field)
 
     def test_initial_moisture_follows_the_condensation_threshold(self):
         """Moisture starts 5 above the threshold: raising the threshold by 15
         raises every cell's initial moisture by 15 (none is floored at 0)."""
-        base = nature_run(ModelParams(), 4, 0, 0, grid_size=12).final
-        wetter = nature_run(ModelParams(condensation_threshold=40.0), 4, 0, 0, grid_size=12).final
+        base = nature_run(ModelParams(), 4, 0, grid_size=12).final
+        wetter = nature_run(ModelParams(condensation_threshold=40.0), 4, 0, grid_size=12).final
         assert base.moisture_field.min() > 20.0
         np.testing.assert_allclose(wetter.moisture_field - base.moisture_field, 15.0)
 
     def test_post_spinup_variance_in_chaotic_band(self):
         """Temperature variance sits in the [2, 30] band measured for F = 8."""
         params = ModelParams()
-        spun_up = nature_run(params, 7, 1000, 0, grid_size=40).final
+        spun_up = nature_run(params, 7, 1000, grid_size=40).final
         temps = np.array([s.temperature_field for s in [spun_up] + walk(spun_up, params, 1000)])
         assert 2.0 <= temps.var() <= 30.0
 
     def test_moisture_nonnegative_throughout(self):
         params = ModelParams()
-        spun_up = nature_run(params, 3, 200, 0, grid_size=20).final
+        spun_up = nature_run(params, 3, 200, grid_size=20).final
         for state in [spun_up] + walk(spun_up, params, 200):
             assert np.all(state.moisture_field >= 0.0)

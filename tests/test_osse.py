@@ -16,7 +16,6 @@ from wxleak.osse import (
     RadianceOperator,
     bias_corrected_forward,
     default_obs_locations,
-    state_vector_to_model,
     synthesize_observations,
 )
 from wxleak.rng import SeededRng
@@ -27,7 +26,7 @@ KAPPA = ColumnMapping().opacity_coefficient
 
 
 def truth_state(seed=1, grid_size=12):
-    return nature_run(ModelParams(), seed, 150, 0, grid_size=grid_size).final
+    return nature_run(ModelParams(), seed, 150, grid_size=grid_size).final
 
 
 def brightness(q, t_surf, t_atm, kappa=KAPPA, bias=BiasModel(), scan=0):
@@ -373,14 +372,3 @@ class TestBuildProblem:
         assert np.array_equal(problem.obs_variances, [0.25, 0.25])
         assert np.array_equal(problem.prior_variances, [*np.full(24, 2.0), 0.7])
 
-
-class TestStateVectorRoundTrip:
-    def test_moisture_floored(self):
-        vector = np.concatenate([np.zeros(4), np.array([1.0, -0.5, 2.0, 0.0])])
-        state = state_vector_to_model(vector, 4)
-        assert np.all(state.moisture_field >= 0.0)
-        assert state.moisture_field[1] == 0.0
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValidationError):
-            state_vector_to_model(np.zeros(7), 4)
