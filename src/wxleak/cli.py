@@ -137,10 +137,7 @@ def noise_table_command(
         for a, b in zip(labels, labels[1:]):
             if a == b:
                 raise ValidationError(f"--step {step:g} gives levels that share the row label {a}")
-        try:
-            rows = noise_table(levels, link, antenna)
-        except OverflowError:  # a received power in watts beyond the largest float
-            rows = [(max_dbw, math.inf, math.inf, math.inf)]
+        rows = noise_table(levels, link, antenna)
         for level, _, noise_k, delta_tb in rows:
             if not math.isfinite(noise_k):
                 raise ValidationError(f"--max {max_dbw:g} dBW gives a noise temperature of inf K")

@@ -414,11 +414,14 @@ def config_from_dict(
     antenna = _build("antenna", AntennaModel, **values["antenna"])
     mask = _build("mask", EmissionMask, **values["mask"])
     if values["leakage_interpretation"] == "per_device":
-        # The leaked fraction depends on the mask alone, whatever the level.
+        # The leaked fraction depends on the mask alone, whatever the level, and
+        # a segment's integral past the largest float raises OverflowError.
         try:
-            aci_leakage_fraction(mask, AGGRESSOR_CHANNEL, VICTIM_CHANNEL)
-        except ValidationError as exc:
-            raise ConfigError(str(exc), field="mask.breakpoints") from exc
+            fraction = aci_leakage_fraction(mask, AGGRESSOR_CHANNEL, VICTIM_CHANNEL)
+        except (OverflowError, ValidationError) as exc:
+            raise ConfigError(f"no leaked fraction: {exc}", field="mask.breakpoints") from exc
+        if not 0.0 <= fraction <= 1.0:  # NaN included
+            raise ConfigError(f"leaks {fraction:.3g} times its in-band power", field="mask.breakpoints")
     field_values = dict(values["field"])
     density_class = field_values.pop("density_class")
     preset = _DENSITY_COUNTS[density_class]
@@ -526,12 +529,7 @@ def config_from_dict(
     # error whose observation cost n_obs (delta_tb / sigma_o)^2 is finite, or
     # the run would fail on its first observation or its first analysis.
     for level in levels:
-        try:
-            noise_k, delta_tb = leakage_chain(config, level)
-        except OverflowError:
-            noise_k = delta_tb = math.inf
-        except ValidationError as exc:
-            raise ConfigError(f"level {level:g} dBW: {exc}", field="leakage_levels") from exc
+        noise_k, delta_tb = leakage_chain(config, level)
         scaled = delta_tb / config.obs_error_stddev_k
         if not (math.isfinite(noise_k) and math.isfinite(len(locations) * (scaled * scaled))):
             raise ConfigError(
@@ -545,7 +543,24 @@ def config_from_dict(
 class _Loader(yaml.SafeLoader):
     """PyYAML's safe loader, also reading a YAML 1.2 float with an exponent
     (``1e-3``, ``1E3``, ``1.0e9``), which YAML 1.1 reads as text, as a number.
-    A quoted one stays text."""
+    A quoted one stays text. A key written twice in one mapping is an error
+    at its second mark, not a silent override; a merge key (``<<``) still
+    yields to the keys written beside it."""
+
+    def compose_mapping_node(self, anchor):
+        # Checked as composed, before any merge key is flattened into a mapping.
+        node = super().compose_mapping_node(anchor)
+        seen = set()
+        for key, _ in node.value:
+            if not isinstance(key, yaml.ScalarNode) or key.tag == "tag:yaml.org,2002:merge":
+                continue
+            if (key.tag, key.value) in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found duplicate key {key.value!r}", key.start_mark,
+                )
+            seen.add((key.tag, key.value))
+        return node
 
 
 _Loader.add_implicit_resolver(
@@ -689,7 +704,7 @@ def run_scenario(
     members = config.ensemble_size
     backgrounds = [_member_background(config, truth, m) for m in range(members)]
     cases = [(r, m) for r in range(len(levels)) for m in range(members)]
-    row_names = ["baseline", *(f"level {level} dBW" for level in levels[1:])]
+    row_names = ["baseline", *(f"level {level:g} dBW" for level in levels[1:])]
 
     # Stage 2: analyses.
     results = []

@@ -14,12 +14,14 @@ Models how emissions from transmitters in a band adjacent to a passive
                                   retrieval attributes to the atmosphere
 
 Conventions: public parameters are in dB/dBW, internal arithmetic is in
-linear units (watts), conversions happen only at function boundaries.
+linear units (watts), conversions happen only at function boundaries, and
+overflow is inf, -inf dBW is 0 W: values, not errors.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import MaskCoverageError, ValidationError
@@ -27,16 +29,18 @@ from .errors import MaskCoverageError, ValidationError
 BOLTZMANN_J_PER_K = 1.380649e-23
 
 #: Sentinel for "no power at all" (zero transmitters or zero leakage
-#: fraction). It is a value, not an error: downstream conversions map it to
-#: exactly zero watts.
+#: fraction), which ``received_power`` maps to exactly zero watts.
 NO_LEAKAGE_DBW = float("-inf")
 
 #: Natural-log growth per dB of a power ratio: 10^(p/10) = exp(p * _NEPER_PER_DB).
 _NEPER_PER_DB = math.log(10.0) / 10.0
 
+#: The least x whose 10.0 ** x overflows a float; below it the power is finite.
+_OVERFLOW_EXPONENT = math.log10(sys.float_info.max)
+
 
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    return math.inf if db / 10.0 >= _OVERFLOW_EXPONENT else 10.0 ** (db / 10.0)
 
 
 def linear_to_db(value: float) -> float:
@@ -172,8 +176,8 @@ class TransmitterField:
     elevation_gain_db: float = 0.0
 
     def __post_init__(self):
-        if self.count < 0:
-            raise ValidationError("transmitter count must be >= 0", "count")
+        if not 0 <= self.count <= sys.float_info.max:  # the field's power is a float
+            raise ValidationError("transmitter count must lie in [0, 1.8e308]", "count")
 
 
 @dataclass(frozen=True)
@@ -223,8 +227,8 @@ def aci_leakage_fraction(
     center = aggressor.center_frequency_hz
     leaked = mask.integrate_linear(victim.f_low_hz, victim.f_high_hz, center)
     in_band = mask.integrate_linear(aggressor.f_low_hz, aggressor.f_high_hz, center)
-    if in_band <= 0.0:
-        raise ValidationError("aggressor in-band power integrates to zero")
+    if not 0.0 < in_band < math.inf:
+        raise ValidationError("aggressor in-band power integrates to zero or overflows")
     return leaked / in_band
 
 
@@ -252,8 +256,6 @@ def received_power(leakage_dbw: float, link: LinkBudget) -> float:
     ``P_rx = 10^((leakage - pathloss) / 10) * transmittance``; the idealized
     default has transmittance one (no blockage or scattering).
     """
-    if leakage_dbw == NO_LEAKAGE_DBW:
-        return 0.0
     return db_to_linear(leakage_dbw - link.total_pathloss_db) * link.transmittance
 
 

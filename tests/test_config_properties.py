@@ -25,16 +25,17 @@ PATHS = sorted(
 # level must give a finite brightness error through the antenna, whose
 # efficiency divides it, and a finite observation cost, which the
 # observation error stddev divides; under per_device, the field's count and
-# elevation gain and the mask's leaked fraction scale each level. A few RK4 steps from the nature run's
-# initial state, which every model field shapes, must not blow up, or the
-# time step is named. Explicit locations set the observation count, so a
-# count written beside them that disagrees is named.
+# elevation gain scale each level. The mask's leaked fraction scales it too,
+# but a mask that fails, or leaks more than it emits, is named itself. A few
+# RK4 steps from the nature run's initial state, which every model field
+# shapes, must not blow up, or the time step is named. Explicit locations set
+# the observation count, so a count written beside them that disagrees is
+# named.
 RELATED = {
     "antenna.radiation_efficiency": {"leakage_levels"},
     "covariances.observation_stddev_k": {"leakage_levels"},
     "field.count": {"leakage_levels"},
     "field.elevation_gain_db": {"leakage_levels"},
-    "mask.breakpoints": {"leakage_levels"},
     "field.density_class": {"field.count"},
     "model.dt": {"forecast_length"},
     "model.grid_size": {"observations.count", "observations.locations", "model.dt"},

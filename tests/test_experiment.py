@@ -286,6 +286,7 @@ class TestConfigLoading:
             ("link: {transmittance: 2.0}", "link.transmittance"),
             ("model: {condensation_rate: -1.0}", "model.condensation_rate"),
             ("field: {count: -3}", "field.count"),
+            (f"{{leakage_interpretation: per_device, field: {{count: {10**309}}}}}", "field.count"),
             ("mask: {breakpoints: [[0.0, 0.0], [0.0, -10.0]]}", "mask.breakpoints"),
             (
                 "{leakage_interpretation: per_device, "
@@ -297,6 +298,29 @@ class TestConfigLoading:
                 "mask: {breakpoints: [[-1.0e12, -4000.0], [1.0e12, -4000.0]]}}",
                 "mask.breakpoints",
             ),
+            # A mask whose integral overflows, or that leaks more than it
+            # emits in band, is named as the mask, whatever the levels.
+            (
+                "{leakage_interpretation: per_device, leakage_levels: [-30], mask: {breakpoints: "
+                "[[-3.0e9, -40], [-2.0e9, 4000], [-1.625e9, 0], [1.625e9, 0], [3.0e9, -40]]}}",
+                "mask.breakpoints",
+            ),
+            (
+                "{leakage_interpretation: per_device, leakage_levels: [-30], mask: {breakpoints: "
+                "[[-2.3e9, -4000], [-1.9e9, 4000], [-1.625e9, 0], [1.625e9, 0], [3.0e9, 0]]}}",
+                "mask.breakpoints",
+            ),
+            (
+                "{leakage_interpretation: per_device, leakage_levels: [-30], mask: {breakpoints: "
+                "[[-3.0e9, 0], [-1.625e9, 4000], [1.625e9, 4000], [3.0e9, 0]]}}",
+                "mask.breakpoints",
+            ),
+            (
+                "{leakage_interpretation: per_device, leakage_levels: [-30], mask: {breakpoints: "
+                "[[-3.0e9, 60], [-1.625e9, 0], [1.625e9, 0], [3.0e9, 60]]}}",
+                "mask.breakpoints",
+            ),
+            ("{leakage_levels: [4000], link: {transmittance: 0}}", "leakage_levels"),
             ("antenna: {physical_temperature_k: 290.0}", "antenna"),
             ("model: {dt: 0.5}", "model.dt"),
             ("model: {dt: 0.15}", "model.dt"),
@@ -553,6 +577,41 @@ class TestConfigLoading:
             load_config(str(path))
         assert excinfo.value.line is not None
 
+    @pytest.mark.parametrize(
+        "text, key, line",
+        [
+            ("forecast_length: 0.05\nleakage_levels: [-30]\nforecast_length: 1.0", "forecast_length", 3),
+            ("leakage_levels: [-30]\nmodel: {dt: 0.01, dt: 0.02}", "dt", 2),
+            ("model:\n  dt: 0.01\n  forcing: 8.0\n  dt: 0.02", "dt", 4),
+        ],
+        ids=["top_level", "flow_section", "block_section"],
+    )
+    def test_duplicate_key_rejected_with_its_line(self, tmp_path, text, key, line):
+        """A key written twice in one mapping is a parse error at its second
+        line, exit 1, where the last value used to win silently."""
+        path = tmp_path / "duplicate.yaml"
+        path.write_text(text + "\n")
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(str(path))
+        assert excinfo.value.line == line
+        assert f"found duplicate key '{key}'" in str(excinfo.value)
+        result = CliRunner().invoke(main, ["run", str(path)])
+        assert result.exit_code == 1
+        assert f"(line: {line})" in result.output
+
+    def test_merge_key_still_yields_to_written_keys(self, tmp_path):
+        """A merge key (``<<``) is not a duplicate: the keys written beside it
+        override the ones it merges."""
+        path = tmp_path / "merge.yaml"
+        path.write_text(
+            "leakage_levels: [-30]\n"
+            "model:\n  <<: {dt: 0.02, forcing: 7.0}\n  dt: 0.01\n"
+            "forward: {<<: {surface_offset_k: 2.0}, surface_offset_k: 3.0}\n"
+        )
+        config = load_config(str(path))
+        assert (config.model_params.dt, config.model_params.forcing) == (0.01, 7.0)
+        assert config.mapping.surface_offset_k == 3.0
+
 
 class TestLeakageChain:
     def test_aggregate_interpretation_reproduces_reference(self):
@@ -788,7 +847,7 @@ class TestRunScenario:
 
     @pytest.mark.parametrize(
         "failing_call, message",
-        [(1, "baseline, member 1: "), (2, "level -30.0 dBW, member 0: ")],
+        [(1, "baseline, member 1: "), (2, "level -30 dBW, member 0: ")],
     )
     def test_member_failure_names_row_and_member(self, monkeypatch, failing_call, message):
         """Forecasts run baseline members first, then each level's members;
@@ -1216,12 +1275,12 @@ class TestCli:
             (
                 "{hold_bias_fixed: true, leakage_levels: [20], forecast_length: 0.05, "
                 "spinup_steps: 50}",
-                "level 20.0 dBW, member 0: non-finite model state after step 2 (forecast "
+                "level 20 dBW, member 0: non-finite model state after step 2 (forecast "
                 "suspects: leakage_levels 20, brightness error 2.82e+03 K)",
             ),
             (
                 "{leakage_levels: [400], forecast_length: 0.05, spinup_steps: 10}",
-                "level 400.0 dBW, member 0: non-finite model state after step 0 (forecast "
+                "level 400 dBW, member 0: non-finite model state after step 0 (forecast "
                 "suspects: leakage_levels 400, brightness error 2.82e+41 K)",
             ),
             (

@@ -1,6 +1,7 @@
 """Tests for the leakage chain: mask integration through brightness error."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from wxleak.leakage import (
     aggregate_leakage_power,
     antenna_temperature,
     brightness_perturbation,
+    db_to_linear,
     default_emission_mask,
     induced_noise_temperature,
     received_power,
@@ -176,6 +178,21 @@ class TestLeakageFraction:
         )
         assert abs((low + high) - whole) < 1e-6
 
+    def test_in_band_power_must_be_positive_and_finite(self):
+        """An in-band level past the largest float integrates to inf, which
+        would leave any finite leak a fraction of 0."""
+        half = AGGRESSOR_CHANNEL.bandwidth_hz / 2.0
+        mask = EmissionMask(((-3e9, 0.0), (-half, 4000.0), (half, 4000.0), (3e9, 0.0)))
+        with pytest.raises(ValidationError, match="integrates to zero or overflows"):
+            aci_leakage_fraction(mask, AGGRESSOR_CHANNEL, VICTIM_CHANNEL)
+
+    def test_out_of_band_overflow_is_a_value(self):
+        """A leaked PSD past the largest float is an infinite fraction, for
+        the caller to reject, not an exception."""
+        half = AGGRESSOR_CHANNEL.bandwidth_hz / 2.0
+        mask = EmissionMask(((-3e9, -40.0), (-2e9, 4000.0), (-half, 0.0), (half, 0.0), (3e9, -40.0)))
+        assert aci_leakage_fraction(mask, AGGRESSOR_CHANNEL, VICTIM_CHANNEL) == math.inf
+
 
 def random_emission_mask(rng):
     """Random physically shaped mask: flat in band, monotone roll-off outside.
@@ -200,6 +217,25 @@ def random_emission_mask(rng):
         (half + 3e9, floor_high),
     )
     return EmissionMask(points)
+
+
+class TestDbToLinear:
+    def test_overflow_is_inf_and_underflow_zero(self):
+        assert db_to_linear(4000.0) == math.inf
+        assert db_to_linear(-4000.0) == 0.0
+        assert db_to_linear(math.inf) == math.inf
+        assert db_to_linear(NO_LEAKAGE_DBW) == 0.0
+        assert math.isnan(db_to_linear(math.nan))
+
+    def test_finite_powers_keep_their_bits(self):
+        """Below the overflow, the value is the power of ten it always was,
+        up to the largest float itself."""
+        largest = 10.0 * math.log10(sys.float_info.max)
+        below = math.nextafter(largest, 0.0)
+        for db in (-300.0, -43.0, 0.0, 0.1, 130.0, 3000.0, below):
+            assert db_to_linear(db) == 10.0 ** (db / 10.0)
+        assert db_to_linear(below) > 0.99999 * sys.float_info.max
+        assert db_to_linear(largest) == math.inf
 
 
 class TestAggregateLeakagePower:
@@ -229,7 +265,12 @@ class TestAggregateLeakagePower:
         assert aggregate_leakage_power(field, -43.0, 0.0) == NO_LEAKAGE_DBW
 
     def test_no_leakage_flows_to_zero_watts(self):
-        assert received_power(NO_LEAKAGE_DBW, LinkBudget()) == 0.0
+        """``NO_LEAKAGE_DBW`` is 0.0 W by the arithmetic alone, a positive zero."""
+        p_rx = received_power(NO_LEAKAGE_DBW, LinkBudget())
+        assert p_rx == 0.0 and math.copysign(1.0, p_rx) == 1.0
+
+    def test_overflowing_level_flows_to_infinite_watts(self):
+        assert received_power(4000.0, LinkBudget()) == math.inf
 
     def test_partition_invariance(self):
         """Disjoint sub-fields summed in linear units equal the union."""
@@ -256,6 +297,14 @@ class TestAggregateLeakagePower:
     def test_negative_count_rejected(self):
         with pytest.raises(ValidationError):
             TransmitterField(count=-1)
+
+    def test_count_past_the_largest_float_rejected(self):
+        """One device's power is multiplied by the count as a float, which a
+        larger integer cannot become; the largest float's own integer can."""
+        with pytest.raises(ValidationError):
+            TransmitterField(count=int(sys.float_info.max) + 1)
+        field = TransmitterField(count=int(sys.float_info.max))
+        assert aggregate_leakage_power(field, 0.0, 1.0) == 10.0 * math.log10(sys.float_info.max)
 
 
 class TestReceivedPower:
