@@ -70,9 +70,10 @@ class AssimilationProblem:
     written in; their length is the operator's ``n_state + n_bias``. The
     covariances are held as their variances, one per control value and one
     per observation, positive and finite. Every vector is held as a
-    read-only 1-d copy. ``operator`` has ``n_state`` and ``n_bias``,
-    ``work()``, which makes the object an analysis passes to all its
-    operator calls (it may be None), and ``values(state, bias, work)`` and
+    read-only 1-d copy; there is one observed value per observation.
+    ``operator`` has ``n_state``, ``n_bias`` and ``n_obs``, ``work()``,
+    which makes the object an analysis passes to all its operator calls (it
+    may be None), and ``values(state, bias, work)`` and
     ``jacobians(state, bias, work)``, as ``osse.RadianceOperator`` has.
     """
 
@@ -90,15 +91,19 @@ class AssimilationProblem:
             raise ValidationError(
                 f"background must be a 1-d vector of the operator's {n_control} control values"
             )
-        if obs_values.ndim != 1:
-            raise ValidationError("observed values must be a 1-d vector")
+        n_obs = self.operator.n_obs
+        if obs_values.shape != (n_obs,):
+            raise ValidationError(
+                f"observed values must be a 1-d vector of the operator's {n_obs} "
+                f"observations, got shape {obs_values.shape}"
+            )
         background.setflags(write=False)
         obs_values.setflags(write=False)
         fields = {
             "background": background,
             "prior_variances": _variances(self.prior_variances, n_control, "prior"),
             "obs_values": obs_values,
-            "obs_variances": _variances(self.obs_variances, len(obs_values), "observation"),
+            "obs_variances": _variances(self.obs_variances, n_obs, "observation"),
         }
         for name, value in fields.items():
             object.__setattr__(self, name, value)

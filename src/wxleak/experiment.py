@@ -459,8 +459,9 @@ def config_from_dict(
             f"must be a whole number of model time steps (dt {params.dt:g}, got {steps:.6g})",
             field="forecast_length",
         )
+    workspace = Workspace(grid_size, params)  # both probes step on it
     try:
-        probe = nature_run(params, seeds.nature, _TIME_STEP_PROBE_STEPS, grid_size).final
+        probe = nature_run(workspace, seeds.nature, _TIME_STEP_PROBE_STEPS).final
     except ModelBlowUpError as exc:
         raise ConfigError(
             f"dt {params.dt:g} is unstable: {exc}; {_REDUCE_DT}", field="model.dt"
@@ -519,7 +520,7 @@ def config_from_dict(
     try:
         with np.errstate(over="ignore"):
             background = _member_background(config, probe, 0)
-        integrate(background, params, _TIME_STEP_PROBE_STEPS)
+        integrate(background, _TIME_STEP_PROBE_STEPS, workspace)
     except (ValidationError, ModelBlowUpError) as exc:
         raise ConfigError(
             f"member 0's background (sd {config.background_noise_std:g}) is unstable: {exc}",
@@ -633,14 +634,15 @@ def run_scenario(
     """Execute baseline plus every leakage level; difference the forecasts.
 
     The cases, (row, member) in config order with the baseline row first,
-    go through four stages. 1. Set-up: the truth, one observation operator,
-    the truth's noisy observations synthesized once, one observations array
-    per row shifted by its brightness error (the baseline's is 0), and each
-    member's background. 2. Analyses: one pass analyses every case; with
-    ``trace_stream`` (the CLI's verbose mode), each writes its iterations
-    there. 3. Forecasts: one pass forecasts every analysis on one RK4
-    workspace into one (rows, 2, members, cells) array of precipitation and
-    near-surface temperature; a forecast is dropped once that is read.
+    go through four stages. 1. Set-up: one RK4 workspace, the truth spun
+    up on it, one observation operator, the truth's noisy observations
+    synthesized once, one observations array per row shifted by its
+    brightness error (the baseline's is 0), and each member's background.
+    2. Analyses: one pass analyses every case; with ``trace_stream`` (the
+    CLI's verbose mode), each writes its iterations there. 3. Forecasts:
+    one pass forecasts every analysis on that workspace into one (rows, 2,
+    members, cells) array of precipitation and near-surface temperature; a
+    forecast is dropped once that is read.
     4. Reduction: one reduction over that array's contiguous axes averages
     each member's max and RMS difference from the baseline over members,
     bit for bit as if each member's vector were reduced alone.
@@ -651,10 +653,9 @@ def run_scenario(
     error away, raise a ``ConfigError`` naming the field.
     """
     # Stage 1: set-up.
+    workspace = Workspace(config.grid_size, config.model_params)
     try:
-        truth = nature_run(
-            config.model_params, config.seeds.nature, config.spinup_steps, config.grid_size
-        ).final
+        truth = nature_run(workspace, config.seeds.nature, config.spinup_steps).final
     except ModelBlowUpError as exc:  # past the load-time probe's steps
         raise ScenarioExecutionError(f"nature run spin-up: {exc}; {_REDUCE_DT}") from exc
     operator = RadianceOperator(config.mapping, config.bias, config.obs_locations, config.grid_size)
@@ -727,14 +728,11 @@ def run_scenario(
             raise ScenarioExecutionError(f"{row_names[r]}, member {m}: {exc}") from exc
 
     # Stage 3: forecasts.
-    workspace = Workspace(config.grid_size, config.model_params)
     fields = np.empty((len(levels), 2, members, config.grid_size))
     for (r, m), result in zip(cases, results):
         try:
             analysis = ModelState.from_vector(result.analysis_state)
-            fields[r, :, m] = diagnostics(
-                integrate(analysis, config.model_params, config.forecast_steps, workspace)
-            )
+            fields[r, :, m] = diagnostics(integrate(analysis, config.forecast_steps, workspace))
         except ModelBlowUpError as exc:
             # A level is suspect only through its brightness error: the member's
             # baseline forecast, from the same background and dt, did not blow up.

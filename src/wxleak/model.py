@@ -14,9 +14,10 @@ because the advecting field is rough. Moisture is clipped at zero after
 every step. The condensation sink doubles as the precipitation diagnostic:
 whatever it removes is counted as rain.
 
-A step runs on a ``Workspace``, which ``integrate`` takes from its caller
-or makes, and passes to every step: buffers for the stage inputs, the
-stage matrix k1..k4, the final combination and the accumulated
+A ``Workspace`` is the step bound to its grid size and parameters, the
+model's one handle on them; the caller makes it and passes it to
+``step``, ``integrate`` and ``nature_run``. It holds buffers for the stage
+inputs, the stage matrix k1..k4, the final combination and the accumulated
 precipitation, the gather index and zero vector it builds for its grid
 size, and the step itself, bound once as a closure over them. One gather
 from a source buffer ``[T, q, q_c, 0, 1, r, c_q]`` yields every operand of
@@ -28,9 +29,10 @@ buffers from closure cells, not attributes. A tendency evaluates the
 formulas above left to right, so a step gives the same bits on a shared
 workspace or its own.
 
-A forecast keeps only what the report reads: ``integrate`` holds one
-state at a time and returns the final state and the precipitation, which
-each step accumulates from the condensation sink of its first stage.
+``step`` maps a ``[T, q]`` vector to the next one. A forecast keeps only
+what the report reads: ``integrate`` steps one vector at a time, wraps
+only the last in a ``ModelState``, and returns it with the precipitation,
+which each step accumulates from the condensation sink of its first stage.
 
 Reporting conventions (never used inside the dynamics): one state unit of
 accumulated condensate is one millimetre of precipitation, and temperature
@@ -99,19 +101,6 @@ class ModelState:
         n = vector.shape[0] // 2
         return cls(vector[:n], np.maximum(0.0, vector[n:]))
 
-    @classmethod
-    def _trusted(cls, vector: np.ndarray) -> ModelState:
-        """Wrap a ``[T, q]`` vector the caller has already validated, without copying it.
-
-        The caller guarantees a 1-D float vector of even length of at least 8,
-        all finite, with its moisture half >= 0; ``step`` establishes each of
-        these for its output. The vector is made read-only here.
-        """
-        vector.setflags(write=False)
-        state = object.__new__(cls)
-        object.__setattr__(state, "vector", vector)
-        return state
-
     @property
     def grid_size(self) -> int:
         return self.vector.shape[0] // 2
@@ -144,15 +133,15 @@ class Forecast:
 class Workspace:
     """The RK4 step on a grid of ``grid_size`` cells under ``params``, bound once.
 
-    ``integrate`` makes one per call unless given one, and ``run_scenario``
-    one per scenario for all its forecasts; each is passed to every
-    ``step``, so a run allocates its stage inputs, ``k1..k4``, the final
-    combination and the precipitation once. The constructor builds
-    ``step(x0) -> x1`` as a closure over those buffers, the step's constant
-    vectors and the numpy callables it uses. Outputs are passed
-    positionally, except to ``np.maximum``, which deprecates that. A
-    constant vector costs numpy less per call than a scalar and gives the
-    same bits. ``buffers`` holds every array the step writes, and
+    The caller makes it: ``config_from_dict`` one for its two probes, and
+    ``run_scenario`` one for its spin-up and all its forecasts. It is
+    passed to every ``step``, so a run allocates its stage inputs,
+    ``k1..k4``, the final combination and the precipitation once. The
+    constructor builds ``step(x0) -> x1`` as a closure over those buffers,
+    the step's constant vectors and the numpy callables it uses. Outputs
+    are passed positionally, except to ``np.maximum``, which deprecates
+    that. A constant vector costs numpy less per call than a scalar and
+    gives the same bits. ``buffers`` holds every array the step writes, and
     ``sixth_h`` is the vector h / 6 that scales the stage combination.
 
     Each step adds dt times the condensation sink at x0, which its first
@@ -279,36 +268,22 @@ class Workspace:
         self.step = step
 
 
-def step(
-    state: ModelState, params: ModelParams, workspace: Workspace | None = None
-) -> ModelState:
-    """Advance one RK4 step of length ``params.dt``; moisture clipped at 0.
-
-    ``workspace`` must have been made for the state's grid size and for
-    ``params``; without one, the step makes its own.
-    """
-    x0 = state.vector
-    if workspace is None:
-        workspace = Workspace(x0.shape[0] // 2, params)
-    elif workspace.size != x0.shape[0] or (
-        workspace.params is not params and workspace.params != params
-    ):
-        raise ValidationError("workspace was made for another grid size or other parameters")
-    return ModelState._trusted(workspace.step(x0))
+def step(x0: np.ndarray, workspace: Workspace) -> np.ndarray:
+    """The ``[T, q]`` vector one RK4 step of ``workspace.params.dt`` after
+    ``x0``, its moisture clipped at 0; ``x0`` must be of the workspace's grid size."""
+    if workspace.size != x0.shape[0]:
+        raise ValidationError("workspace was made for another grid size")
+    return workspace.step(x0)
 
 
-def integrate(
-    state: ModelState,
-    params: ModelParams,
-    n_steps: int,
-    workspace: Workspace | None = None,
-) -> Forecast:
-    """Take ``n_steps`` steps from ``state``; returns the final state and the
-    precipitation accumulated over those steps.
+def integrate(state: ModelState, n_steps: int, workspace: Workspace) -> Forecast:
+    """Take ``n_steps`` steps from ``state`` on ``workspace``; returns the
+    final state and the precipitation accumulated over those steps.
 
-    ``workspace`` is as for ``step``; without one, the forecast makes its
-    own. A workspace carries nothing from one forecast to the next, so
-    ``run_scenario`` makes one per scenario and passes it to every forecast.
+    The state's vector goes through ``step`` once per step, and only the
+    last vector becomes a ``ModelState``; with no step, the final state is
+    ``state`` itself. A workspace carries nothing from one forecast to the
+    next, so ``run_scenario`` makes one and passes it to every forecast.
     Forecasts of a + b steps and of a then b steps end in the same state,
     bit for bit. A blow-up is re-raised with the index of the failing step
     within this call. It is reported by step's finiteness check; the
@@ -316,19 +291,21 @@ def integrate(
     """
     if n_steps < 0:
         raise ValidationError("step count must be >= 0")
-    if workspace is None:
-        workspace = Workspace(state.grid_size, params)
-    elif workspace.size != state.vector.shape[0]:  # each step checks the rest
-        raise ValidationError("workspace was made for another grid size or other parameters")
+    if workspace.size != state.vector.shape[0]:  # before the precipitation is read
+        raise ValidationError("workspace was made for another grid size")
     workspace.precipitation.fill(0.0)
+    x = state.vector
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
             try:
-                state = step(state, params, workspace)
+                x = step(x, workspace)
             except ModelBlowUpError as exc:
                 raise ModelBlowUpError(i) from exc
     precipitation = workspace.precipitation.copy()
     precipitation.setflags(write=False)
+    if n_steps:
+        # Not from_vector: its floor would turn a step's -0.0 moisture into +0.0.
+        state = ModelState(x[: state.grid_size], x[state.grid_size :])
     return Forecast(state, precipitation)
 
 
@@ -341,9 +318,10 @@ def diagnostics(forecast: Forecast) -> tuple[np.ndarray, np.ndarray]:
     return forecast.precipitation, forecast.final.temperature_field + TEMPERATURE_REPORT_OFFSET_K
 
 
-def nature_run(params: ModelParams, seed: int, spinup_steps: int, grid_size: int) -> Forecast:
-    """Seeded synthetic truth: the forecast of ``spinup_steps`` steps from a
-    seeded initial state, whose ``final`` is the truth.
+def nature_run(workspace: Workspace, seed: int, spinup_steps: int) -> Forecast:
+    """Seeded synthetic truth on ``workspace``'s grid under its parameters:
+    the forecast of ``spinup_steps`` steps from a seeded initial state, whose
+    ``final`` is the truth.
 
     The initial temperature field is the forcing value plus a 0.5-stddev
     seeded Gaussian perturbation per cell; moisture starts 5 above the
@@ -351,6 +329,7 @@ def nature_run(params: ModelParams, seed: int, spinup_steps: int, grid_size: int
     so forecasts keep precipitating after spin-up. Identical seeds give
     identical truths.
     """
+    params, grid_size = workspace.params, workspace.size // 2
     centre = np.repeat([params.forcing, params.condensation_threshold + 5.0], grid_size)
     noise = np.repeat([0.5, 2.0], grid_size) * np.array(SeededRng(seed).normals(2 * grid_size))
-    return integrate(ModelState.from_vector(centre + noise), params, spinup_steps)
+    return integrate(ModelState.from_vector(centre + noise), spinup_steps, workspace)

@@ -58,7 +58,8 @@ class BiasModel:
     """Constant plus per-predictor linear bias correction.
 
     Predictor names are checked against ``PREDICTORS`` at construction, so
-    a typo fails at load time rather than mid-assimilation.
+    a typo fails at load time rather than mid-assimilation. A name listed
+    twice is rejected too: its two Jacobian columns would be identical.
     """
 
     constant_coefficient_k: float = 0.0
@@ -78,6 +79,9 @@ class BiasModel:
                 f"unknown predictor name(s) {unknown}; known: {sorted(PREDICTORS)}",
                 "predictors",
             )
+        twice = sorted({n for n in self.predictors if self.predictors.count(n) > 1})
+        if twice:
+            raise ValidationError(f"predictor name(s) {twice} listed twice", "predictors")
         values = (self.constant_coefficient_k, *self.coefficients)
         if not all(math.isfinite(v) for v in values):
             raise ValidationError("bias coefficients must be finite")
@@ -173,7 +177,7 @@ class OperatorWork:
     )
 
     def __init__(self, operator: "RadianceOperator"):
-        n_obs = operator._n_obs
+        n_obs = operator.n_obs
         self.operator, self.key, self.q_raw = operator, None, None
         self.t_surf, self.w, self.scratch = np.empty((3, n_obs))
         self.predictors = operator._jac_bias[:, 1:].copy()
@@ -198,10 +202,11 @@ class RadianceOperator:
     grid size alone, so ``run_scenario`` builds one per scenario; it
     synthesizes the truth's observations and serves every analysis of the
     scenario. The template is also held as ``bias_background``, the
-    read-only vector [beta_0, beta_1, ...]. Everything that does not depend
-    on the control is fixed at construction: which predictor columns hold
-    the surface temperature, one gather index ``[locs, grid_size + locs]`` that
-    reads both fields in one call, the Jacobian's nonzero positions, and
+    read-only vector [beta_0, beta_1, ...], and the number of observations
+    as ``n_obs``. Everything that does not depend on the control is fixed
+    at construction: which predictor columns hold the surface temperature,
+    one gather index ``[locs, grid_size + locs]`` that reads both fields in
+    one call, the Jacobian's nonzero positions, and
     the mapping's constants (surface offset, atmosphere temperature,
     opacity and its negation) together with zero and one, each as a vector
     of length n_obs. A scan-position column is constant, so it is filled
@@ -259,7 +264,7 @@ class RadianceOperator:
             "_surface_columns": tuple(
                 i for i, name in enumerate(template.predictors) if name == "surface_temperature"
             ),
-            "_n_obs": n_obs,
+            "n_obs": n_obs,
             "_gather": np.concatenate([locs, self.grid_size + locs]),
             # Positions of d/dT, then d/dq, in the row-major (n_obs, n_state) Jacobian.
             "_flat_sensitivities": np.concatenate(
@@ -298,7 +303,7 @@ class RadianceOperator:
             raise ValidationError("work object was made by another operator")
         key = state.tobytes()
         if key != work.key:
-            cells, n_obs, w = state.take(self._gather), self._n_obs, work.w
+            cells, n_obs, w = state.take(self._gather), self.n_obs, work.w
             np.add(self._surface_offset, cells[:n_obs], work.t_surf)
             q_raw = cells[n_obs:]
             np.maximum(self._zeros, q_raw, out=w)

@@ -107,7 +107,7 @@ def _check_forward_bounds() -> CheckResult:
 
 
 def _check_gradient() -> CheckResult:
-    truth = model.nature_run(model.ModelParams(), 5, 200, grid_size=12).final
+    truth = model.nature_run(model.Workspace(12, model.ModelParams()), 5, 200).final
     mapping = osse.ColumnMapping()
     bias = osse.BiasModel(0.0, (0.0,), ("surface_temperature",))
     locations = tuple(range(0, 12, 2))
@@ -136,14 +136,8 @@ def _check_gradient() -> CheckResult:
 def _check_model_fixed_point() -> CheckResult:
     params = model.ModelParams(moisture_coupling=0.0)
     n = 12
-    state = model.ModelState(np.full(n, params.forcing), np.zeros(n))
-    stepped = model.step(state, params)
-    err = float(
-        max(
-            np.max(np.abs(stepped.temperature_field - state.temperature_field)),
-            np.max(np.abs(stepped.moisture_field - state.moisture_field)),
-        )
-    )
+    x0 = np.concatenate([np.full(n, params.forcing), np.zeros(n)])
+    err = float(np.max(np.abs(model.step(x0, model.Workspace(n, params)) - x0)))
     return CheckResult("uniform-forcing fixed point", err < 1e-12, f"max drift {err:.3e}")
 
 

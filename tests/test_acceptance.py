@@ -22,7 +22,7 @@ from wxleak.leakage import (
     brightness_perturbation,
     induced_noise_temperature,
 )
-from wxleak.model import ModelParams, ModelState, integrate
+from wxleak.model import ModelParams, ModelState, Workspace, integrate
 from wxleak.rng import SeededRng
 
 from test_assim import (
@@ -223,7 +223,7 @@ def test_criterion_6_rk4_self_convergence():
     )
 
     def state_at_t1(dt):
-        traj = integrate(init, ModelParams(dt=dt), round(1.0 / dt))
+        traj = integrate(init, round(1.0 / dt), Workspace(n, ModelParams(dt=dt)))
         return np.concatenate([traj.final.temperature_field, traj.final.moisture_field])
 
     reference = state_at_t1(0.00125)

@@ -20,7 +20,7 @@ from wxleak.assim import (
     minimize,
 )
 from wxleak.errors import MinimizationError, ValidationError
-from wxleak.model import ModelParams, ModelState, nature_run
+from wxleak.model import ModelParams, ModelState, Workspace, nature_run
 from wxleak.osse import (
     BiasModel,
     ColumnMapping,
@@ -45,6 +45,10 @@ class LinearOperator:
     @property
     def n_bias(self) -> int:
         return self.bias_matrix.shape[1]
+
+    @property
+    def n_obs(self) -> int:
+        return self.state_matrix.shape[0]
 
     def work(self):
         return None
@@ -111,7 +115,7 @@ def direct_solve(problem):
 def radiance_problem(seed, grid_size=12, n_obs=6, predictors=("surface_temperature", "scan_position")):
     """Random nonlinear problem on the real observation operator."""
     rng = np.random.default_rng(seed)
-    truth = nature_run(ModelParams(), seed, 150, grid_size=grid_size).final
+    truth = nature_run(Workspace(grid_size, ModelParams()), seed, 150).final
     mapping = ColumnMapping()
     bias = BiasModel(
         float(rng.normal(0, 0.3)),
@@ -237,6 +241,25 @@ class TestCost:
                 obs_values=np.array([260.0]),
                 operator=LinearOperator(np.zeros((1, 2)), np.ones((1, 1)), np.zeros(1)),
             )
+
+    @pytest.mark.parametrize("count", [5, 3])
+    def test_observation_count_mismatch_rejected(self, count):
+        """One observed value per operator observation: ``count`` values and
+        variances for a four-location radiance operator fail at
+        construction, naming both counts, not in the first cost as a
+        broadcast error."""
+        operator = RadianceOperator(ColumnMapping(), BiasModel(), (0, 3, 6, 9), 12)
+        n_control = operator.n_state + operator.n_bias
+        with pytest.raises(ValidationError) as excinfo:
+            AssimilationProblem(
+                background=np.zeros(n_control),
+                prior_variances=np.ones(n_control),
+                obs_variances=np.ones(count),
+                obs_values=np.full(count, 260.0),
+                operator=operator,
+            )
+        assert "operator's 4 observations" in str(excinfo.value)
+        assert f"got shape ({count},)" in str(excinfo.value)
 
 
 class TestGradient:
@@ -454,6 +477,7 @@ class ExplodingOperator:
 
     n_state = 1
     n_bias = 1
+    n_obs = 1
 
     def work(self):
         return None
@@ -486,6 +510,7 @@ def _permuted_operator(operator, perm):
     class Permuted:
         n_state = operator.n_state
         n_bias = operator.n_bias
+        n_obs = operator.n_obs
 
         def work(self):
             return operator.work()
@@ -511,6 +536,7 @@ class ReferenceRadianceOperator:
         self.op = operator
         self.n_state = operator.n_state
         self.n_bias = operator.n_bias
+        self.n_obs = operator.n_obs
 
     def _columns(self, state):
         locs = np.array(self.op.obs_locations, dtype=int)

@@ -282,6 +282,16 @@ class TestConfigLoading:
             ("mask: {breakpoints: [[0.0, 0.0, 1.0]]}", "mask.breakpoints"),
             ("bias: {coefficients: 1.0}", "bias.coefficients"),
             ("bias: {coefficients: [1.0], predictors: [[1]]}", "bias.predictors"),
+            (
+                "{bias: {predictors: [scan_position, scan_position], coefficients: [0.0, 0.0]}, "
+                "leakage_levels: [-30], forecast_length: 0.05}",
+                "bias.predictors",
+            ),
+            (
+                "{bias: {predictors: [surface_temperature, surface_temperature], "
+                "coefficients: [0.0, 0.0]}, leakage_levels: [-30], forecast_length: 0.05}",
+                "bias.predictors",
+            ),
             ("forward: {opacity_coefficient: -1.0}", "forward.opacity_coefficient"),
             ("link: {transmittance: 2.0}", "link.transmittance"),
             ("model: {condensation_rate: -1.0}", "model.condensation_rate"),
@@ -646,7 +656,8 @@ class TestRunScenario:
         the temperature, then one of N for the moisture. A wide spread
         floors some cells."""
         config = dataclasses.replace(small_config(), background_noise_std=40.0)
-        truth = model.nature_run(config.model_params, 5, 50, config.grid_size).final
+        workspace = model.Workspace(config.grid_size, config.model_params)
+        truth = model.nature_run(workspace, 5, 50).final
         for member in range(3):
             rng = SeededRng(derive_seed(config.seeds.init, member))
             temperature = truth.temperature_field + 40.0 * np.array(rng.normals(12))
@@ -712,10 +723,10 @@ class TestRunScenario:
         assert calls["step"] == config.spinup_steps + cases * n_steps
 
     def test_one_operator_and_one_workspace_per_scenario(self, monkeypatch):
-        """``run_scenario`` builds the observation operator and the forecasts'
-        RK4 workspace once and shares them across every level and member, so
-        neither count grows with levels x members (the nature run makes the
-        only other workspace)."""
+        """``run_scenario`` builds the observation operator and the RK4
+        workspace once and shares them across every level and member, so
+        neither count grows with levels x members; the spin-up steps on that
+        workspace too."""
         built = {"operator": 0, "workspace": 0}
         operator_init = osse.RadianceOperator.__post_init__
         workspace_init = model.Workspace.__init__
@@ -734,7 +745,28 @@ class TestRunScenario:
             config = small_config(leakage_levels=levels, ensemble_size=members)
             built.update(operator=0, workspace=0)
             run_scenario(config)
-            assert built == {"operator": 1, "workspace": 2}
+            assert built == {"operator": 1, "workspace": 1}
+
+    def test_one_workspace_per_config_load(self, monkeypatch):
+        """``config_from_dict``'s two probes, the truth's spin-up and member
+        0's background forecast, step on one RK4 workspace."""
+        built, steps = [], []
+        workspace_init, step = model.Workspace.__init__, model.step
+
+        def counted_workspace(self, *args, **kwargs):
+            built.append(None)
+            workspace_init(self, *args, **kwargs)
+
+        def counted_step(x0, workspace):
+            steps.append(workspace)
+            return step(x0, workspace)
+
+        monkeypatch.setattr(model.Workspace, "__init__", counted_workspace)
+        monkeypatch.setattr(model, "step", counted_step)
+        small_config()
+        assert len(built) == 1
+        assert len(steps) == 2 * experiment._TIME_STEP_PROBE_STEPS
+        assert all(workspace is steps[0] for workspace in steps)
 
     def test_one_synthesis_per_scenario_one_chain_per_level(self, monkeypatch):
         """The truth's observations are synthesized once per scenario, by the

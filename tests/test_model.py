@@ -78,11 +78,17 @@ def roll_step(t0, q0, p):
 
 def walk(state, params, n_steps):
     """The ``n_steps`` states after ``state``, one ``step`` apart."""
-    states = []
+    workspace, n = Workspace(state.grid_size, params), state.grid_size
+    x, states = state.vector, []
     for _ in range(n_steps):
-        state = step(state, params)
-        states.append(state)
+        x = step(x, workspace)
+        states.append(ModelState(x[:n], x[n:]))
     return states
+
+
+def integrate_fresh(state, params, n_steps):
+    """``integrate`` on a workspace of its own."""
+    return integrate(state, n_steps, Workspace(state.grid_size, params))
 
 
 def loop_precipitation(state, params, n_steps):
@@ -232,17 +238,12 @@ class TestStep:
         """Dry, uncoupled, uniform-at-forcing state has zero tendency."""
         params = ModelParams(moisture_coupling=0.0)
         state = ModelState(np.full(12, params.forcing), np.zeros(12))
-        stepped = step(state, params)
-        assert np.array_equal(stepped.temperature_field, state.temperature_field)
-        assert np.array_equal(stepped.moisture_field, state.moisture_field)
+        assert np.array_equal(step(state.vector, Workspace(12, params)), state.vector)
 
     def test_deterministic(self):
         params = ModelParams()
-        state = smooth_initial_state()
-        a = step(state, params)
-        b = step(state, params)
-        assert np.array_equal(a.temperature_field, b.temperature_field)
-        assert np.array_equal(a.moisture_field, b.moisture_field)
+        state, workspace = smooth_initial_state(), Workspace(40, params)
+        assert np.array_equal(step(state.vector, workspace), step(state.vector, workspace))
 
     def test_tendencies_match_loop_oracle(self):
         """The vectorized right-hand side of the step oracles against an
@@ -259,7 +260,7 @@ class TestStep:
             assert np.max(np.abs(dq_vec - dq_ref)) < 1e-12
 
     def test_fields_read_only(self):
-        stepped = step(smooth_initial_state(), ModelParams())
+        stepped = integrate_fresh(smooth_initial_state(), ModelParams(), 1).final
         for field in (stepped.temperature_field, stepped.moisture_field):
             assert not field.flags.writeable
             with pytest.raises(ValueError):
@@ -269,9 +270,7 @@ class TestStep:
         params = ModelParams()
         state = ModelState(8.0 + np.random.default_rng(1).normal(0, 2, 20),
                            np.full(20, 0.01))
-        current = state
-        for _ in range(200):
-            current = step(current, params)
+        for current in walk(state, params, 200):
             assert np.all(current.moisture_field >= 0.0)
 
     @pytest.mark.parametrize("n", [4, 5, 40, 41])
@@ -291,14 +290,12 @@ class TestStep:
         assert np.any(q > params.condensation_threshold)
         assert np.any((q > 0.0) & (q < params.condensation_threshold))
         t_ref, q_ref = roll_step(t, q, params)
-        stepped = step(state, params)
-        assert_bitwise(stepped.temperature_field, t_ref)
-        assert_bitwise(stepped.moisture_field, q_ref)
+        assert_bitwise(step(state.vector, Workspace(n, params)), np.concatenate([t_ref, q_ref]))
         for expected in walk(state, params, 300):
             t, q = roll_step(t, q, params)
             assert_bitwise(expected.temperature_field, t)
             assert_bitwise(expected.moisture_field, q)
-        final = integrate(state, params, 300).final
+        final = integrate_fresh(state, params, 300).final
         assert_bitwise(final.temperature_field, t)
         assert_bitwise(final.moisture_field, q)
 
@@ -317,7 +314,7 @@ class TestStep:
                     break
         assert expected is not None
         with pytest.raises(ModelBlowUpError) as excinfo:
-            integrate(state, params, 50)
+            integrate_fresh(state, params, 50)
         assert excinfo.value.step_index == expected
 
 
@@ -332,7 +329,7 @@ class TestWorkspace:
                 bad = vector.copy()
                 bad[i] = value
                 with pytest.raises(ModelBlowUpError):
-                    step(ModelState._trusted(bad), params, workspace)
+                    step(bad, workspace)
 
     def test_finiteness_check_sees_every_element(self):
         """A NaN in the last multiplier reaches exactly one element of the
@@ -344,29 +341,30 @@ class TestWorkspace:
         for i in range(80):
             workspace.sixth_h[i] = np.nan
             with np.errstate(invalid="ignore"), pytest.raises(ModelBlowUpError):
-                step(state, params, workspace)
+                step(state.vector, workspace)
             workspace.sixth_h[i] = params.dt / 6.0
-        assert np.array_equal(step(state, params, workspace).vector, step(state, params).vector)
+        fresh = Workspace(40, params)
+        assert np.array_equal(step(state.vector, workspace), step(state.vector, fresh))
 
     def test_interleaved_forecasts_bitwise_equal_roll_oracle(self):
         params = ModelParams()
         states = [smooth_initial_state(40), smooth_initial_state(41)]
         workspaces = [Workspace(40, params), Workspace(41, params)]
+        vectors = [s.vector for s in states]
         fields = [(s.temperature_field, s.moisture_field) for s in states]
         for _ in range(200):
             for i in range(2):
-                states[i] = step(states[i], params, workspaces[i])
+                vectors[i] = step(vectors[i], workspaces[i])
                 fields[i] = roll_step(*fields[i], params)
-                assert_bitwise(states[i].temperature_field, fields[i][0])
-                assert_bitwise(states[i].moisture_field, fields[i][1])
+                assert_bitwise(vectors[i], np.concatenate(fields[i]))
 
     def test_buffers_hold_every_array_a_step_writes(self):
         params = ModelParams()
         workspace = Workspace(40, params)
         held = closure_arrays(workspace.step)
-        step(mixed_state(seed=1), params, workspace)
+        step(mixed_state(seed=1).vector, workspace)
         before = [array.copy() for array in held]
-        step(mixed_state(seed=2), params, workspace)
+        step(mixed_state(seed=2).vector, workspace)
         written = [a for a, b in zip(held, before) if not np.array_equal(a, b, equal_nan=True)]
         for array in written:
             assert any(np.shares_memory(array, buffer) for buffer in workspace.buffers)
@@ -378,34 +376,30 @@ class TestWorkspace:
         workspace = Workspace(40, params)
         held = closure_arrays(workspace.step)
         held += workspace.buffers
-        previous = mixed_state()
+        previous = mixed_state().vector
         for _ in range(5):
-            current = step(previous, params, workspace)
-            assert not np.shares_memory(current.vector, previous.vector)
+            current = step(previous, workspace)
+            assert not np.shares_memory(current, previous)
             for array in held:
-                assert not np.shares_memory(current.vector, array)
+                assert not np.shares_memory(current, array)
             previous = current
 
     @pytest.mark.parametrize("n", [4, 5, 40, 41])
-    def test_step_without_workspace_equals_step_with_one(self, n):
+    def test_step_on_a_shared_workspace_equals_step_on_a_fresh_one(self, n):
         params = ModelParams(dt=0.02)
         workspace = Workspace(n, params)
-        state = smooth_initial_state(n)
+        x = smooth_initial_state(n).vector
         for _ in range(50):
-            stepped = step(state, params, workspace)
-            assert np.array_equal(stepped.vector, step(state, params).vector)
-            state = stepped
+            stepped = step(x, workspace)
+            assert np.array_equal(stepped, step(x, Workspace(n, params)))
+            x = stepped
 
     def test_mismatched_workspace_rejected(self):
         params = ModelParams()
         with pytest.raises(ValidationError):
-            step(smooth_initial_state(41), params, Workspace(40, params))
-        with pytest.raises(ValidationError):
-            step(smooth_initial_state(), params, Workspace(40, ModelParams(dt=0.02)))
+            step(smooth_initial_state(41).vector, Workspace(40, params))
         with pytest.raises(ValidationError):  # before a precipitation of the wrong size
-            integrate(smooth_initial_state(41), params, 0, Workspace(40, params))
-        stepped = step(smooth_initial_state(), params, Workspace(40, ModelParams()))
-        assert np.array_equal(stepped.vector, step(smooth_initial_state(), params).vector)
+            integrate(smooth_initial_state(41), 0, Workspace(40, params))
 
     def test_minimum_grid_size(self):
         with pytest.raises(ValidationError):
@@ -418,17 +412,41 @@ class TestIntegrate:
         floating-point fault and no deprecated numpy call."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            final = integrate(mixed_state(), ModelParams(), 1200).final
+            final = integrate_fresh(mixed_state(), ModelParams(), 1200).final
         assert np.isfinite(final.vector).all()
 
     def test_zero_steps(self):
         state = smooth_initial_state()
-        forecast = integrate(state, ModelParams(), 0)
+        forecast = integrate_fresh(state, ModelParams(), 0)
         assert forecast.final is state
         assert forecast.states == (state,)
 
+    def test_steps_vectors_and_builds_only_the_final_state(self, monkeypatch):
+        """``step`` maps a ``[T, q]`` vector to a new one, and a forecast of
+        any length wraps only its final vector in a ``ModelState``."""
+        workspace = Workspace(40, ModelParams())
+        state = mixed_state()
+        x1 = step(state.vector, workspace)
+        assert type(x1) is np.ndarray and x1.shape == state.vector.shape
+        assert_bitwise(x1, integrate(state, 1, workspace).final.vector)
+        built = []
+        init = ModelState.__init__
+
+        def counted_init(self, *args):
+            built.append(None)
+            init(self, *args)
+
+        monkeypatch.setattr(ModelState, "__init__", counted_init)
+        for n_steps in (1, 2, 30, 1200):
+            built.clear()
+            integrate(state, n_steps, workspace)
+            assert len(built) == 1
+        built.clear()
+        assert integrate(state, 0, workspace).final is state
+        assert built == []
+
     def test_retains_one_state_and_takes_weak_references(self):
-        forecast = integrate(smooth_initial_state(), ModelParams(), 10)
+        forecast = integrate_fresh(smooth_initial_state(), ModelParams(), 10)
         assert forecast.states == (forecast.final,)
         released = []
         weakref.finalize(forecast, released.append, True)
@@ -442,10 +460,10 @@ class TestIntegrate:
         params = ModelParams()
         workspace = Workspace(40, params)
         state = mixed_state()
-        integrate(state, params, 1200, workspace)
+        integrate(state, 1200, workspace)
         tracemalloc.start()
         try:
-            diagnostics(integrate(state, params, 1200, workspace))
+            diagnostics(integrate(state, 1200, workspace))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -455,9 +473,9 @@ class TestIntegrate:
         """Integrating a+b steps equals integrating a then b, bitwise."""
         params = ModelParams()
         state = smooth_initial_state()
-        whole = integrate(state, params, 30)
-        first = integrate(state, params, 18)
-        second = integrate(first.final, params, 12)
+        whole = integrate_fresh(state, params, 30)
+        first = integrate_fresh(state, params, 18)
+        second = integrate_fresh(first.final, params, 12)
         assert np.array_equal(whole.final.temperature_field, second.final.temperature_field)
         assert np.array_equal(whole.final.moisture_field, second.final.moisture_field)
 
@@ -469,7 +487,7 @@ class TestIntegrate:
             t, q = roll_step(t, q, params)
             assert_bitwise(expected.temperature_field, t)
             assert_bitwise(expected.moisture_field, q)
-        final = integrate(state, params, 1200).final
+        final = integrate_fresh(state, params, 1200).final
         assert_bitwise(final.temperature_field, t)
         assert_bitwise(final.moisture_field, q)
 
@@ -478,7 +496,7 @@ class TestIntegrate:
         state = smooth_initial_state()
 
         def state_at_t1(dt):
-            traj = integrate(state, ModelParams(dt=dt), round(1.0 / dt))
+            traj = integrate_fresh(state, ModelParams(dt=dt), round(1.0 / dt))
             return np.concatenate([traj.final.temperature_field, traj.final.moisture_field])
 
         reference = state_at_t1(0.00125)
@@ -490,35 +508,35 @@ class TestIntegrate:
 
     def test_negative_steps_rejected(self):
         with pytest.raises(ValidationError):
-            integrate(smooth_initial_state(), ModelParams(), -1)
+            integrate_fresh(smooth_initial_state(), ModelParams(), -1)
 
 
 class TestDiagnostics:
     def test_dry_trajectory_has_zero_precipitation(self):
         params = ModelParams()
         state = ModelState(np.full(8, 8.0), np.full(8, 10.0))
-        precip, _ = diagnostics(integrate(state, params, 20))
+        precip, _ = diagnostics(integrate_fresh(state, params, 20))
         assert np.all(precip == 0.0)
 
     def test_single_step_hand_value(self):
         """One step, 5 units above threshold, rate 0.2, dt 0.01: 0.01 mm."""
         params = ModelParams(moisture_coupling=0.0)
         state = ModelState(np.zeros(8), np.full(8, params.condensation_threshold + 5.0))
-        precip, _ = diagnostics(integrate(state, params, 1))
+        precip, _ = diagnostics(integrate_fresh(state, params, 1))
         assert np.allclose(precip, 0.01, rtol=1e-12)
 
     def test_identical_trajectories_identical_diagnostics(self):
         params = ModelParams()
-        forecasts = [integrate(smooth_initial_state(), params, 25) for _ in range(2)]
+        forecasts = [integrate_fresh(smooth_initial_state(), params, 25) for _ in range(2)]
         for a, b in zip(diagnostics(forecasts[0]), diagnostics(forecasts[1])):
             assert_bitwise(a, b)
 
     def test_additive_over_concatenation(self):
         params = ModelParams()
         state = smooth_initial_state()
-        first = integrate(state, params, 15)
-        second = integrate(first.final, params, 10)
-        whole = integrate(state, params, 25)
+        first = integrate_fresh(state, params, 15)
+        second = integrate_fresh(first.final, params, 10)
+        whole = integrate_fresh(state, params, 25)
         split_sum = diagnostics(first)[0] + diagnostics(second)[0]
         total = diagnostics(whole)[0]
         assert np.allclose(split_sum, total, rtol=1e-12, atol=1e-15)
@@ -531,7 +549,7 @@ class TestDiagnostics:
         state = smooth_initial_state(grid_size)
         expected = loop_precipitation(state, params, n_steps)
         assert np.any(expected > 0.0)
-        assert_bitwise(diagnostics(integrate(state, params, n_steps))[0], expected)
+        assert_bitwise(diagnostics(integrate_fresh(state, params, n_steps))[0], expected)
 
     def test_interleaved_forecasts_on_one_workspace_equal_fresh_ones(self):
         """Forecasts that take turns on one workspace, with lone steps on it
@@ -541,28 +559,28 @@ class TestDiagnostics:
         starts = [mixed_state(seed=seed) for seed in range(3)]
         for n_steps in (30, 1, 0, 200, 7):
             for start in starts:
-                shared = integrate(start, params, n_steps, workspace)
-                step(start, params, workspace)
-                fresh = integrate(start, params, n_steps)
+                shared = integrate(start, n_steps, workspace)
+                step(start.vector, workspace)
+                fresh = integrate_fresh(start, params, n_steps)
                 assert_bitwise(shared.precipitation, fresh.precipitation)
                 assert_bitwise(shared.final.vector, fresh.final.vector)
         assert np.any(shared.precipitation > 0.0)
 
     def test_zero_step_trajectory_has_zero_precipitation(self):
-        precip, _ = diagnostics(integrate(smooth_initial_state(6), ModelParams(), 0))
+        precip, _ = diagnostics(integrate_fresh(smooth_initial_state(6), ModelParams(), 0))
         assert precip.shape == (6,)
         assert np.all(precip == 0.0)
 
     def test_temperature_report_offset(self):
-        forecast = integrate(smooth_initial_state(), ModelParams(), 5)
+        forecast = integrate_fresh(smooth_initial_state(), ModelParams(), 5)
         _, t2m = diagnostics(forecast)
         assert np.allclose(t2m, forecast.final.temperature_field + 273.0)
 
 
 class TestNatureRun:
     def test_same_seed_bitwise_identical(self):
-        a = nature_run(ModelParams(), 42, 120, grid_size=12)
-        b = nature_run(ModelParams(), 42, 120, grid_size=12)
+        a = nature_run(Workspace(12, ModelParams()), 42, 120)
+        b = nature_run(Workspace(12, ModelParams()), 42, 120)
         assert_bitwise(a.final.vector, b.final.vector)
         assert_bitwise(a.precipitation, b.precipitation)
 
@@ -578,32 +596,33 @@ class TestNatureRun:
         moisture = np.maximum(0.0, 1.0 + 2.0 * np.array(rng.normals(grid_size)))
         assert np.any(moisture == 0.0)
         initial = ModelState(temperature, moisture)
-        truth = nature_run(params, 42, spinup_steps, grid_size)
-        assert_bitwise(truth.final.vector, integrate(initial, params, spinup_steps).final.vector)
+        truth = nature_run(Workspace(grid_size, params), 42, spinup_steps)
+        final = integrate_fresh(initial, params, spinup_steps).final
+        assert_bitwise(truth.final.vector, final.vector)
         assert_bitwise(truth.precipitation, loop_precipitation(initial, params, spinup_steps))
 
     def test_different_seeds_differ_at_start(self):
-        a = nature_run(ModelParams(), 1, 0, grid_size=12)
-        b = nature_run(ModelParams(), 2, 0, grid_size=12)
+        a = nature_run(Workspace(12, ModelParams()), 1, 0)
+        b = nature_run(Workspace(12, ModelParams()), 2, 0)
         assert not np.array_equal(a.final.temperature_field, b.final.temperature_field)
 
     def test_initial_moisture_follows_the_condensation_threshold(self):
         """Moisture starts 5 above the threshold: raising the threshold by 15
         raises every cell's initial moisture by 15 (none is floored at 0)."""
-        base = nature_run(ModelParams(), 4, 0, grid_size=12).final
-        wetter = nature_run(ModelParams(condensation_threshold=40.0), 4, 0, grid_size=12).final
+        base = nature_run(Workspace(12, ModelParams()), 4, 0).final
+        wetter = nature_run(Workspace(12, ModelParams(condensation_threshold=40.0)), 4, 0).final
         assert base.moisture_field.min() > 20.0
         np.testing.assert_allclose(wetter.moisture_field - base.moisture_field, 15.0)
 
     def test_post_spinup_variance_in_chaotic_band(self):
         """Temperature variance sits in the [2, 30] band measured for F = 8."""
         params = ModelParams()
-        spun_up = nature_run(params, 7, 1000, grid_size=40).final
+        spun_up = nature_run(Workspace(40, params), 7, 1000).final
         temps = np.array([s.temperature_field for s in [spun_up] + walk(spun_up, params, 1000)])
         assert 2.0 <= temps.var() <= 30.0
 
     def test_moisture_nonnegative_throughout(self):
         params = ModelParams()
-        spun_up = nature_run(params, 3, 200, grid_size=20).final
+        spun_up = nature_run(Workspace(20, params), 3, 200).final
         for state in [spun_up] + walk(spun_up, params, 200):
             assert np.all(state.moisture_field >= 0.0)

@@ -8,7 +8,7 @@ import pytest
 
 from wxleak.assim import build_problem
 from wxleak.errors import ValidationError
-from wxleak.model import ModelParams, ModelState, nature_run
+from wxleak.model import ModelParams, ModelState, Workspace, nature_run
 from wxleak.osse import (
     PREDICTORS,
     BiasModel,
@@ -26,7 +26,7 @@ KAPPA = ColumnMapping().opacity_coefficient
 
 
 def truth_state(seed=1, grid_size=12):
-    return nature_run(ModelParams(), seed, 150, grid_size=grid_size).final
+    return nature_run(Workspace(grid_size, ModelParams()), seed, 150).final
 
 
 def brightness(q, t_surf, t_atm, kappa=KAPPA, bias=BiasModel(), scan=0):
@@ -106,6 +106,13 @@ class TestPredictors:
         with pytest.raises(ValidationError) as excinfo:
             BiasModel(0.0, (1.0,), ("latitude",))
         assert "latitude" in str(excinfo.value)
+
+    @pytest.mark.parametrize("name", PREDICTORS)
+    def test_predictor_listed_twice_fails_at_construction(self, name):
+        """Two identical bias-Jacobian columns, told apart by the prior alone."""
+        with pytest.raises(ValidationError, match="twice") as excinfo:
+            BiasModel(0.0, (0.0, 0.0), (name, name))
+        assert excinfo.value.field == "predictors"
 
     def test_coefficient_length_mismatch(self):
         with pytest.raises(ValidationError):
@@ -242,14 +249,13 @@ class TestSynthesizeObservations:
 
     def test_non_finite_value_rejected(self):
         """Finite coefficients whose correction overflows to inf, or to
-        inf - inf = nan, are caught."""
-        surface = ("surface_temperature", "surface_temperature")
+        inf - inf = nan (the scan position 5 term), are caught."""
         for bias in (
-            BiasModel(0.0, (1e308,), surface[:1]),
-            BiasModel(0.0, (1e308, -1e308), surface),
+            BiasModel(0.0, (1e308,), PREDICTORS[:1]),
+            BiasModel(0.0, (1e308, -1e308), PREDICTORS),
         ):
             with pytest.raises(ValidationError, match="finite"):
-                synthesize(truth_state(), bias, 9, (0, 1), STDDEV)
+                synthesize(truth_state(), bias, 9, (0, 5), STDDEV)
 
 
 class TestRadianceOperator:
