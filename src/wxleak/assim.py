@@ -71,10 +71,10 @@ class AssimilationProblem:
     covariances are held as their variances, one per control value and one
     per observation, positive and finite. Every vector is held as a
     read-only 1-d copy; there is one observed value per observation.
-    ``operator`` has ``n_state``, ``n_bias`` and ``n_obs``, ``work()``,
-    which makes the object an analysis passes to all its operator calls (it
-    may be None), and ``values(state, bias, work)`` and
-    ``jacobians(state, bias, work)``, as ``osse.RadianceOperator`` has.
+    ``operator`` has ``n_state``, ``n_bias`` and ``n_obs``,
+    ``values(state, bias)`` and ``jacobians(state, bias)``, as
+    ``osse.RadianceOperator`` has; the Jacobians it returns may be its own
+    buffers, which its next ``jacobians`` call overwrites.
     """
 
     background: np.ndarray
@@ -170,9 +170,7 @@ def _blocks(v: np.ndarray, n_state: int) -> tuple[np.ndarray, np.ndarray, np.nda
 
 def _evaluation(problem: AssimilationProblem) -> tuple[Callable, Callable]:
     """The evaluation of a control point: two closures over ``problem`` that
-    take (vector, state view, bias view) triples and own two work vectors and
-    one operator work object (``operator.work()``), passed to every
-    ``values`` and ``jacobians`` call.
+    take (vector, state view, bias view) triples and own two work vectors.
 
     ``cost_at(v, weighted)`` returns the cost and R^-1 d from one ``values``
     call: dx' B^-1 dx, db' B_beta^-1 db and d' R^-1 d summed in that order and
@@ -181,14 +179,13 @@ def _evaluation(problem: AssimilationProblem) -> tuple[Callable, Callable]:
     J' R^-1 d, each block one ``np.matmul`` (which is ``@``), from that
     (v - x_b) / B in ``g``, and returns the Jacobians of one ``jacobians``
     call. Called right after ``cost_at`` at the same point, that call reuses
-    the columns ``values`` left in the work. The Jacobians may be the work's
-    buffers, which the next ``gradient_at`` overwrites.
+    the columns ``values`` left in the operator. The Jacobians may be the
+    operator's buffers, which the next ``gradient_at`` overwrites.
     """
     n_state = problem.n_state
     obs_values, obs_variances = problem.obs_values, problem.obs_variances
     background, prior_variances = problem.background, problem.prior_variances
-    operator = problem.operator
-    values, jacobians, work = operator.values, operator.jacobians, operator.work()
+    values, jacobians = problem.operator.values, problem.operator.jacobians
     subtract, divide, matmul = np.subtract, np.divide, np.matmul
     (dx, dx_state, dx_bias), (obs_part, obs_part_state, obs_part_bias) = (
         _blocks(w, n_state) for w in np.empty((2, background.shape[0]))
@@ -197,7 +194,7 @@ def _evaluation(problem: AssimilationProblem) -> tuple[Callable, Callable]:
     def cost_at(v, weighted):
         v, v_state, v_bias = v
         weighted, weighted_state, weighted_bias = weighted
-        d = subtract(obs_values, values(v_state, v_bias, work))
+        d = subtract(obs_values, values(v_state, v_bias))
         subtract(v, background, dx)
         divide(dx, prior_variances, weighted)
         rinv_d = divide(d, obs_variances)
@@ -206,7 +203,7 @@ def _evaluation(problem: AssimilationProblem) -> tuple[Callable, Callable]:
         ), rinv_d
 
     def gradient_at(v, g, rinv_d):
-        jac_state, jac_bias = jacobians(v[1], v[2], work)
+        jac_state, jac_bias = jacobians(v[1], v[2])
         matmul(rinv_d, jac_state, obs_part_state)
         matmul(rinv_d, jac_bias, obs_part_bias)
         subtract(g[0], obs_part, g[0])
@@ -259,8 +256,8 @@ def minimize(
     control [state, bias]. Each point is worked out once by the closures of
     ``_evaluation``, built once per call; an accepted trial's (v - x_b) / B
     becomes its gradient in place, and only then is ``jacobians`` called,
-    reusing the columns its ``values`` call left in the operator's work. The
-    Jacobians it returns may be that work's buffers: J p is formed before
+    reusing the columns its ``values`` call left in the operator. The
+    Jacobians it returns may be the operator's buffers: J p is formed before
     the line search, and only an accepted trial calls ``jacobians`` again.
     The search direction lives in a vector allocated once per call.
 

@@ -193,7 +193,7 @@ class LinkBudget:
     transmittance: float = 1.0
 
     def __post_init__(self):
-        if self.total_pathloss_db <= 0:
+        if not self.total_pathloss_db > 0:
             raise ValidationError("total pathloss must be positive", "total_pathloss_db")
         if not 0.0 <= self.transmittance <= 1.0:
             raise ValidationError("transmittance must lie in [0, 1]", "transmittance")
@@ -209,7 +209,7 @@ class AntennaModel:
     def __post_init__(self):
         if not 0.0 <= self.radiation_efficiency <= 1.0:
             raise ValidationError("radiation efficiency must lie in [0, 1]", "radiation_efficiency")
-        if self.physical_temperature_k <= 0:
+        if not self.physical_temperature_k > 0:
             raise ValidationError("physical temperature must be positive", "physical_temperature_k")
 
 

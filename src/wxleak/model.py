@@ -60,9 +60,9 @@ class ModelParams:
     dt: float = 0.01
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValidationError("time step must be positive", "dt")
-        if self.condensation_rate < 0:
+        if not self.condensation_rate >= 0:
             raise ValidationError("condensation rate must be >= 0", "condensation_rate")
 
 

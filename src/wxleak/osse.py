@@ -20,12 +20,11 @@ predictors (``PREDICTORS``) evaluated per observation, at its scan position
   coefficients. One is built per scenario and is the scenario's only
   operator: ``synthesize_observations`` evaluates it at the truth and the
   true bias, and ``assim.build_problem`` wraps it with each analysis's
-  background, observed values and covariances. The operator is read-only.
-* ``OperatorWork`` is one caller's buffers for its calls: the columns at
-  the last state evaluated, so that ``jacobians`` at the point ``values``
-  just evaluated reuses them, and the Jacobian buffers ``jacobians`` fills.
-  Each analysis makes one and passes it to every call; a call without one
-  makes its own. A work serves one thread at a time.
+  background, observed values and covariances. Like an RK4 ``Workspace``,
+  it holds what its calls write and serves one caller at a time: the
+  columns at the last state evaluated, so that ``jacobians`` at the point
+  ``values`` just evaluated reuses them, and the Jacobian buffers
+  ``jacobians`` fills and returns.
 * ``synthesize_observations`` builds observation values from a truth state
   with seeded Gaussian noise. An observation is its value and its location
   (the grid cell, which is also its scan position); values are one array,
@@ -106,13 +105,13 @@ class ColumnMapping:
     atmosphere_temperature_k: float = 250.0
 
     def __post_init__(self):
-        if self.opacity_coefficient <= 0:
+        if not self.opacity_coefficient > 0:
             raise ValidationError("opacity coefficient must be positive", "opacity_coefficient")
         # A column's surface temperature is this offset plus its cell's state
         # temperature; synthesis checks that sum per column.
-        if self.surface_offset_k <= 0:
+        if not self.surface_offset_k > 0:
             raise ValidationError("surface offset must be positive", "surface_offset_k")
-        if self.atmosphere_temperature_k <= 0:
+        if not self.atmosphere_temperature_k > 0:
             raise ValidationError(
                 "atmosphere temperature must be positive", "atmosphere_temperature_k"
             )
@@ -154,40 +153,7 @@ def default_obs_locations(grid_size: int, count: int) -> tuple[int, ...]:
     return tuple(range(0, stride * count, stride))
 
 
-class OperatorWork:
-    """One caller's buffers for one ``RadianceOperator``'s evaluations.
-
-    ``RadianceOperator.work()`` makes one. It holds the columns at the last
-    state evaluated through it: the bytes of that state (``key``, by which
-    it is recognised), the raw moisture q_raw at the observed cells,
-    the surface temperature t_surf and w = exp(-kappa q) of the floored
-    moisture q. It also holds the predictor matrix ``values`` multiplies, a
-    scratch vector, and the Jacobian buffers ``jacobians`` returns: the
-    (n_obs, n_state) state Jacobian, zero but at the sensitivities each
-    call writes, and the bias Jacobian, whose constant and scan-position
-    columns are filled here once. A later ``jacobians`` call through the
-    same work overwrites the arrays an earlier one returned. A work serves
-    one thread at a time; threads may share the operator, each with its own
-    work.
-    """
-
-    __slots__ = (
-        "operator", "key", "q_raw", "t_surf", "w", "scratch", "predictors",
-        "sensitivities", "d_dtemp", "d_dmoist", "jac_state", "jac_bias",
-    )
-
-    def __init__(self, operator: "RadianceOperator"):
-        n_obs = operator.n_obs
-        self.operator, self.key, self.q_raw = operator, None, None
-        self.t_surf, self.w, self.scratch = np.empty((3, n_obs))
-        self.predictors = operator._jac_bias[:, 1:].copy()
-        self.sensitivities = np.empty(2 * n_obs)
-        self.d_dtemp, self.d_dmoist = self.sensitivities[:n_obs], self.sensitivities[n_obs:]
-        self.jac_state = np.zeros((n_obs, operator.n_state))
-        self.jac_bias = operator._jac_bias.copy()
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class RadianceOperator:
     """Observation operator over the flattened control [T-field, q-field].
 
@@ -195,8 +161,8 @@ class RadianceOperator:
     column for beta_0 is one and the others are the predictor values.
     Moisture below zero is floored before evaluating the column (matching
     the model's own clipping), with zero sensitivity there. Each
-    observation's location is also its scan position. Evaluation is
-    vectorized over observations, predictors included.
+    observation's location is also its scan position, an integer grid cell.
+    Evaluation is vectorized over observations, predictors included.
 
     It depends on the mapping, the bias template, the locations and the
     grid size alone, so ``run_scenario`` builds one per scenario; it
@@ -209,30 +175,33 @@ class RadianceOperator:
     one call, the Jacobian's nonzero positions, and
     the mapping's constants (surface offset, atmosphere temperature,
     opacity and its negation) together with zero and one, each as a vector
-    of length n_obs. A scan-position column is constant, so it is filled
-    once, in a bias Jacobian template whose first column is ones. A vector
-    operand gives the same bits as the scalar it holds and costs less per
-    numpy call.
+    of length n_obs. A vector operand gives the same bits as the scalar it
+    holds and costs less per numpy call.
 
-    The operator itself is read-only; what a call writes lives in an
-    ``OperatorWork`` that the caller owns (``work()`` makes one), passed as
-    ``values(state, bias, work)`` and ``jacobians(state, bias, work)``.
-    Without one a call makes its own, so it returns fresh arrays. Both
-    methods first make sure the work holds the columns at ``state``: they
-    gather the observed cells and work the columns out again only when the
-    state's bytes differ from the ones the work last saw. So
-    ``jacobians`` right after ``values`` at the same point reuses that
-    point's columns, and a work that holds another state's columns, or
-    whose state was written into since, is brought up to date. A work made
-    by another operator is rejected. ``values`` writes the
-    surface-temperature columns into the work's predictor matrix and skips
-    the product when there is no predictor. ``jacobians`` writes them into
-    the work's bias Jacobian, adds each surface-temperature coefficient to
-    d/dT (its slope is one), and sets d/dT and d/dq, held in one vector,
-    with one flat assignment into the work's state Jacobian; no other entry
-    of either Jacobian changes. It zeroes the moisture sensitivity where the
-    raw moisture is <= 0, which equals keeping it where the moisture is > 0
-    for every moisture but NaN.
+    Like an RK4 ``Workspace``, the operator also holds what its calls
+    write, and serves one caller at a time: the columns at the last state
+    it evaluated, known by that state's bytes (the raw moisture q_raw at the
+    observed cells, the surface temperature t_surf and w = exp(-kappa q) of
+    the floored moisture q), a scratch vector, the predictor matrix
+    ``values`` multiplies, and the two Jacobian buffers ``jacobians``
+    returns. Both methods first bring the columns up to date (``_at``):
+    they gather the observed cells and work the columns out again only when
+    the state's bytes differ from the ones last seen. So ``jacobians`` right
+    after ``values`` at the same point reuses that point's columns, and a
+    call at another state, or at a state written into since, recomputes
+    them. ``values(state, bias)`` returns a fresh vector; it writes the
+    surface-temperature columns into the predictor matrix and skips the
+    product when there is no predictor. ``jacobians(state, bias)`` returns
+    the operator's buffers, which its next call overwrites: the (n_obs,
+    n_state) state Jacobian, zero but at the sensitivities each call
+    writes, and the bias Jacobian, whose constant and scan-position columns
+    are filled once at construction. It writes the surface-temperature
+    columns into the bias Jacobian, adds each surface-temperature
+    coefficient to d/dT (its slope is one), and sets d/dT and d/dq, held in
+    one vector, with one flat assignment into the state Jacobian; no other
+    entry of either Jacobian changes. It zeroes the moisture sensitivity
+    where the raw moisture is <= 0, which equals keeping it where the
+    moisture is > 0 for every moisture but NaN.
     """
 
     mapping: ColumnMapping
@@ -241,6 +210,11 @@ class RadianceOperator:
     grid_size: int
 
     def __post_init__(self):
+        if any(
+            isinstance(loc, bool) or not isinstance(loc, (int, np.integer))
+            for loc in self.obs_locations
+        ):
+            raise ValidationError("observation locations must be integers", "obs_locations")
         if any(not 0 <= loc < self.grid_size for loc in self.obs_locations):
             raise ValidationError("observation locations must index the model grid")
         template = self.bias_template
@@ -251,12 +225,6 @@ class RadianceOperator:
         def full(value: float) -> np.ndarray:
             return np.full(n_obs, value, dtype=float)
 
-        # The bias Jacobian with its constant and scan-position columns filled in.
-        jac_bias = np.empty((n_obs, self.n_bias))
-        jac_bias[:, 0] = 1.0
-        for i, name in enumerate(template.predictors):
-            if name == "scan_position":
-                jac_bias[:, 1 + i] = locs
         constants = {
             "bias_background": np.array(
                 [template.constant_coefficient_k, *template.coefficients], dtype=float
@@ -270,7 +238,6 @@ class RadianceOperator:
             "_flat_sensitivities": np.concatenate(
                 [row_starts + locs, row_starts + self.grid_size + locs]
             ),
-            "_jac_bias": jac_bias,
             "_surface_offset": full(self.mapping.surface_offset_k),
             "_t_atm": full(self.mapping.atmosphere_temperature_k),
             "_kappa": full(self.mapping.opacity_coefficient),
@@ -281,7 +248,20 @@ class RadianceOperator:
         for name, value in constants.items():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
-            object.__setattr__(self, name, value)
+            setattr(self, name, value)
+        # What the calls write. The bias Jacobian's constant and
+        # scan-position columns are filled here, once.
+        self._jac_bias = np.empty((n_obs, self.n_bias))
+        self._jac_bias[:, 0] = 1.0
+        for i, name in enumerate(template.predictors):
+            if name == "scan_position":
+                self._jac_bias[:, 1 + i] = locs
+        self._predictors = self._jac_bias[:, 1:].copy()
+        self._jac_state = np.zeros((n_obs, self.n_state))
+        self._sensitivities = np.empty(2 * n_obs)
+        self._d_dtemp, self._d_dmoist = self._sensitivities[:n_obs], self._sensitivities[n_obs:]
+        self._t_surf, self._w, self._scratch = np.empty((3, n_obs))
+        self._key = self._q_raw = None
 
     @property
     def n_state(self) -> int:
@@ -291,32 +271,21 @@ class RadianceOperator:
     def n_bias(self) -> int:
         return 1 + self.bias_template.n_predictors
 
-    def work(self) -> OperatorWork:
-        """A new work object for this operator's calls (see the class docstring)."""
-        return OperatorWork(self)
-
-    def _at(self, state: np.ndarray, work: OperatorWork | None) -> OperatorWork:
-        """``work``, or a new one, holding the columns at ``state``."""
-        if work is None:
-            work = OperatorWork(self)
-        elif work.operator is not self:
-            raise ValidationError("work object was made by another operator")
+    def _at(self, state: np.ndarray) -> None:
+        """Bring the columns up to date with ``state``."""
         key = state.tobytes()
-        if key != work.key:
-            cells, n_obs, w = state.take(self._gather), self.n_obs, work.w
-            np.add(self._surface_offset, cells[:n_obs], work.t_surf)
+        if key != self._key:
+            cells, n_obs, w = state.take(self._gather), self.n_obs, self._w
+            np.add(self._surface_offset, cells[:n_obs], self._t_surf)
             q_raw = cells[n_obs:]
             np.maximum(self._zeros, q_raw, out=w)
             np.multiply(self._neg_kappa, w, w)
             np.exp(w, w)
-            work.key, work.q_raw = key, q_raw
-        return work
+            self._key, self._q_raw = key, q_raw
 
-    def values(
-        self, state: np.ndarray, bias: np.ndarray, work: OperatorWork | None = None
-    ) -> np.ndarray:
-        work = self._at(state, work)
-        t_surf, w, rest = work.t_surf, work.w, work.scratch
+    def values(self, state: np.ndarray, bias: np.ndarray) -> np.ndarray:
+        self._at(state)
+        t_surf, w, rest = self._t_surf, self._w, self._scratch
         # t_surf w + t_atm (1 - w), the second term formed in the scratch vector.
         h = np.multiply(t_surf, w)
         np.subtract(self._ones, w, rest)
@@ -328,21 +297,21 @@ class RadianceOperator:
         # add of their zero product is left out.
         np.add(h, bias[0], h)
         if self.bias_template.predictors:
-            pred = work.predictors
+            pred = self._predictors
             for i in self._surface_columns:
                 pred[:, i] = t_surf
             np.add(h, pred.dot(bias[1:]), h)
         return h
 
-    def jacobians(self, state: np.ndarray, bias: np.ndarray, work: OperatorWork | None = None):
-        work = self._at(state, work)
-        t_surf, d_dtemp, d_dmoist = work.t_surf, work.d_dtemp, work.d_dmoist
+    def jacobians(self, state: np.ndarray, bias: np.ndarray):
+        self._at(state)
+        t_surf, d_dtemp, d_dmoist = self._t_surf, self._d_dtemp, self._d_dmoist
         # d/dq is kappa (t_atm - t_surf) w, zero where the column is dry.
-        w = work.w
+        w = self._w
         np.subtract(self._t_atm, t_surf, d_dmoist)
         np.multiply(self._kappa, d_dmoist, d_dmoist)
         np.multiply(d_dmoist, w, d_dmoist)
-        np.putmask(d_dmoist, work.q_raw <= self._zeros, 0.0)
+        np.putmask(d_dmoist, self._q_raw <= self._zeros, 0.0)
         # d/dT is w plus each surface-temperature coefficient, added in turn
         # (the first add reads w, so w itself is copied only when there is none).
         addend = w
@@ -352,11 +321,11 @@ class RadianceOperator:
             np.copyto(d_dtemp, w)
 
         # [d/dT, d/dq] at the observed cells, set in the Jacobian at once.
-        work.jac_state.put(self._flat_sensitivities, work.sensitivities)
-        jac_bias = work.jac_bias
+        self._jac_state.put(self._flat_sensitivities, self._sensitivities)
+        jac_bias = self._jac_bias
         for i in self._surface_columns:
             jac_bias[:, 1 + i] = t_surf
-        return work.jac_state, jac_bias
+        return self._jac_state, jac_bias
 
 
 def synthesize_observations(
@@ -383,13 +352,13 @@ def synthesize_observations(
         raise ValidationError("truth state does not match the operator's grid")
     if not error_stddev_k > 0:
         raise ValidationError("observation error stddev must be positive")
-    work = operator._at(state, None)
-    if np.any(work.t_surf <= 0.0):
+    operator._at(state)
+    if np.any(operator._t_surf <= 0.0):
         raise ValidationError("column temperatures must be positive", "surface_offset_k")
-    noise = SeededRng(obs_error_seed).normals(len(work.t_surf), 0.0, error_stddev_k)
+    noise = SeededRng(obs_error_seed).normals(operator.n_obs, 0.0, error_stddev_k)
     # A bias template whose correction overflows is rejected just below.
     with np.errstate(over="ignore", invalid="ignore"):
-        values = operator.values(state, operator.bias_background, work) + np.array(noise)
+        values = operator.values(state, operator.bias_background) + np.array(noise)
     if not np.all(np.isfinite(values)):
         raise ValidationError("observation value must be finite", "coefficients")
     values.setflags(write=False)

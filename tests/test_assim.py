@@ -24,7 +24,6 @@ from wxleak.model import ModelParams, ModelState, Workspace, nature_run
 from wxleak.osse import (
     BiasModel,
     ColumnMapping,
-    OperatorWork,
     RadianceOperator,
     synthesize_observations,
 )
@@ -50,13 +49,10 @@ class LinearOperator:
     def n_obs(self) -> int:
         return self.state_matrix.shape[0]
 
-    def work(self):
-        return None
-
-    def values(self, state, bias, work=None):
+    def values(self, state, bias):
         return self.state_matrix @ state + self.bias_matrix @ bias + self.offset
 
-    def jacobians(self, state, bias, work=None):
+    def jacobians(self, state, bias):
         return self.state_matrix, self.bias_matrix
 
 
@@ -479,14 +475,11 @@ class ExplodingOperator:
     n_bias = 1
     n_obs = 1
 
-    def work(self):
-        return None
-
-    def values(self, state, bias, work=None):
+    def values(self, state, bias):
         with np.errstate(over="ignore"):
             return np.array([float(np.exp(state[0])) + bias[0]])
 
-    def jacobians(self, state, bias, work=None):
+    def jacobians(self, state, bias):
         with np.errstate(over="ignore"):
             return np.array([[float(np.exp(state[0]))]]), np.array([[1.0]])
 
@@ -512,14 +505,11 @@ def _permuted_operator(operator, perm):
         n_bias = operator.n_bias
         n_obs = operator.n_obs
 
-        def work(self):
-            return operator.work()
+        def values(self, state, bias):
+            return operator.values(state, bias)[perm]
 
-        def values(self, state, bias, work=None):
-            return operator.values(state, bias, work)[perm]
-
-        def jacobians(self, state, bias, work=None):
-            jac_state, jac_bias = operator.jacobians(state, bias, work)
+        def jacobians(self, state, bias):
+            jac_state, jac_bias = operator.jacobians(state, bias)
             return jac_state[perm], jac_bias[perm]
 
     return Permuted()
@@ -529,8 +519,8 @@ class ReferenceRadianceOperator:
     """The radiance operator with no set-up at construction: predictor
     columns are chosen by name, index arrays built and the predictor matrix
     stacked on every call, in the same arithmetic order as
-    ``RadianceOperator``. It takes a work object and ignores it, so every
-    call recomputes everything and returns fresh arrays."""
+    ``RadianceOperator``. Every call recomputes everything and returns
+    fresh arrays."""
 
     def __init__(self, operator):
         self.op = operator
@@ -554,17 +544,14 @@ class ReferenceRadianceOperator:
             return np.zeros((len(t_surf), 0))
         return np.column_stack(columns)
 
-    def work(self):
-        return None
-
-    def values(self, state, bias, work=None):
+    def values(self, state, bias):
         t_surf, q, _ = self._columns(state)
         mapping = self.op.mapping
         w = np.exp(-mapping.opacity_coefficient * q)
         h = t_surf * w + mapping.atmosphere_temperature_k * (1.0 - w)
         return h + bias[0] + self._predictor_matrix(t_surf) @ bias[1:]
 
-    def jacobians(self, state, bias, work=None):
+    def jacobians(self, state, bias):
         t_surf, q, active = self._columns(state)
         kappa = self.op.mapping.opacity_coefficient
         w = np.exp(-kappa * q)
@@ -592,8 +579,8 @@ class TestOperatorEvaluations:
     def test_call_counts(self, monkeypatch, hold_bias_fixed):
         """One ``values`` call per distinct control point, and one ``jacobians``
         call per accepted point plus one at the background, each at the point
-        of the ``values`` call just before it and through the same work
-        object. The wrappers forward every argument, as the benchmark's
+        of the ``values`` call just before it, all on the problem's one
+        operator. The wrappers forward every argument, as the benchmark's
         tracer does."""
         calls = []
 
@@ -601,8 +588,7 @@ class TestOperatorEvaluations:
             original = getattr(RadianceOperator, name)
 
             def wrapper(self, state, bias, *args, **kwargs):
-                point = np.concatenate([state, bias]).tobytes()
-                calls.append((name, point, *args, *kwargs.values()))
+                calls.append((name, np.concatenate([state, bias]).tobytes(), self))
                 return original(self, state, bias, *args, **kwargs)
 
             monkeypatch.setattr(RadianceOperator, name, wrapper)
@@ -621,8 +607,7 @@ class TestOperatorEvaluations:
             assert len(jacobians) == result.iterations + 1
             for i in jacobians:
                 assert calls[i - 1][:2] == ("values", calls[i][1])
-            assert len({id(work) for _, _, work in calls}) == 1
-            assert isinstance(calls[0][2], OperatorWork)
+            assert all(operator is problem.operator for _, _, operator in calls)
 
     @pytest.mark.parametrize("hold_bias_fixed", [False, True])
     def test_one_control_check_per_cost_evaluation(self, monkeypatch, hold_bias_fixed):
@@ -679,10 +664,9 @@ class TestOperatorEvaluations:
         ],
     )
     def test_operator_bitwise_equal_reference(self, predictors):
-        """``values`` and ``jacobians`` give the reference's bytes, called
-        without a work object and through one work shared by both calls, also
-        at a state whose first three observed columns are dry (moisture 0.0,
-        -0.0 and -1.5), where d/dq is an exact +0.0."""
+        """``values`` and ``jacobians`` give the reference's bytes, also at a
+        state whose first three observed columns are dry (moisture 0.0, -0.0
+        and -1.5), where d/dq is an exact +0.0."""
         problem = radiance_problem(11, predictors=predictors)
         operator = problem.operator
         reference = ReferenceRadianceOperator(operator)
@@ -693,58 +677,46 @@ class TestOperatorEvaluations:
         dry_cells = operator.grid_size + np.array(operator.obs_locations[:3])
         dry[dry_cells] = (0.0, -0.0, -1.5)
         states.append(dry)
-        work = operator.work()
         for state in states:
             bias = background_bias + rng.normal(0.0, 0.1, operator.n_bias)
             expected = (reference.values(state, bias), *reference.jacobians(state, bias))
-            for got in (
-                (operator.values(state, bias), *operator.jacobians(state, bias)),
-                (operator.values(state, bias, work), *operator.jacobians(state, bias, work)),
-            ):
-                assert all(_same_bits(a, b) for a, b in zip(got, expected))
-        jac_state = operator.jacobians(dry, bias, work)[0]
+            got = (operator.values(state, bias), *operator.jacobians(state, bias))
+            assert all(_same_bits(a, b) for a, b in zip(got, expected))
+        jac_state = operator.jacobians(dry, bias)[0]
         assert _same_bits(jac_state[np.arange(3), dry_cells], np.zeros(3))
 
-    def test_work_holding_another_state_is_brought_up_to_date(self):
-        """``jacobians`` through a work whose columns are another state's, or
-        whose state the caller wrote into after ``values``, gives the bytes of
-        a call without a work object; a work made by another operator is
-        rejected. Calls without a work return fresh arrays, calls through one
-        its own buffers."""
+    def test_operator_holding_another_state_is_brought_up_to_date(self):
+        """``jacobians`` on an operator whose columns are another state's, or
+        whose state the caller wrote into after ``values``, gives the bytes
+        of a fresh operator; repeated calls return the operator's own
+        buffers."""
         problem = radiance_problem(11)
         operator = problem.operator
         rng = np.random.default_rng(8)
         state_a, bias = (v.copy() for v in blocks(problem, problem.background))
         state_b = state_a + rng.normal(0.0, 3.0, operator.n_state)
-        fresh_b = operator.jacobians(state_b, bias)
-        work = operator.work()
+        fresh_b = dataclasses.replace(operator).jacobians(state_b, bias)
 
-        operator.values(state_a, bias, work)
-        assert all(map(_same_bits, operator.jacobians(state_b, bias, work), fresh_b))
-        operator.jacobians(state_a, bias, work)
-        operator.values(state_b, bias, work)
-        assert all(map(_same_bits, operator.jacobians(state_b, bias, work), fresh_b))
+        operator.values(state_a, bias)
+        assert all(map(_same_bits, operator.jacobians(state_b, bias), fresh_b))
+        operator.jacobians(state_a, bias)
+        operator.values(state_b, bias)
+        assert all(map(_same_bits, operator.jacobians(state_b, bias), fresh_b))
 
         written = state_a.copy()
-        operator.values(written, bias, work)
+        operator.values(written, bias)
         written[:] = state_b
-        got = operator.jacobians(written, bias, work)
+        got = operator.jacobians(written, bias)
         assert all(map(_same_bits, got, fresh_b))
 
-        assert all(a is b for a, b in zip(got, operator.jacobians(state_a, bias, work)))
-        assert not any(a is b for a, b in zip(fresh_b, operator.jacobians(state_b, bias)))
-        other = radiance_problem(11).operator
-        with pytest.raises(ValidationError, match="another operator"):
-            operator.values(state_a, bias, other.work())
-        with pytest.raises(ValidationError, match="another operator"):
-            operator.jacobians(state_a, bias, other.work())
+        assert all(a is b for a, b in zip(got, operator.jacobians(state_a, bias)))
 
     @pytest.mark.parametrize("hold_bias_fixed", [False, True])
     def test_analysis_bitwise_equal_recomputing_oracle(self, hold_bias_fixed):
         """Reusing the innovation, the cost's terms, the operator's fixed
-        set-up and the columns and Jacobian buffers of its work object changes
-        no bit: the oracle recomputes the innovation for the gradient and
-        rebuilds the operator's constants and columns on every call."""
+        set-up and the columns and Jacobian buffers it holds changes no bit:
+        the oracle recomputes the innovation for the gradient and rebuilds
+        the operator's constants and columns on every call."""
         problem = radiance_problem(12)
         steps, expected_steps = [], []
         result = minimize(

@@ -18,7 +18,7 @@ import wxleak.experiment as experiment
 import wxleak.model as model
 import wxleak.osse as osse
 from wxleak.cli import main
-from wxleak.errors import ConfigError, ModelBlowUpError
+from wxleak.errors import ConfigError, ModelBlowUpError, ValidationError
 from wxleak.experiment import (
     CSV_HEADER,
     DEFAULT_LEAKAGE_SWEEP_DBW,
@@ -622,6 +622,27 @@ class TestConfigLoading:
         assert (config.model_params.dt, config.model_params.forcing) == (0.01, 7.0)
         assert config.mapping.surface_offset_k == 3.0
 
+    @pytest.mark.parametrize(
+        "section, field",
+        [
+            (model.ModelParams, "dt"),
+            (model.ModelParams, "condensation_rate"),
+            (osse.ColumnMapping, "opacity_coefficient"),
+            (osse.ColumnMapping, "surface_offset_k"),
+            (osse.ColumnMapping, "atmosphere_temperature_k"),
+            (LinkBudget, "total_pathloss_db"),
+            (AntennaModel, "physical_temperature_k"),
+        ],
+    )
+    def test_section_sign_checks_reject_nan(self, section, field):
+        """A section's sign check rejects NaN with the message and field it
+        gives a value of the wrong sign."""
+        with pytest.raises(ValidationError) as wrong_sign:
+            section(**{field: -1.0})
+        with pytest.raises(ValidationError) as nan:
+            section(**{field: float("nan")})
+        assert (str(nan.value), nan.value.field) == (str(wrong_sign.value), field)
+
 
 class TestLeakageChain:
     def test_aggregate_interpretation_reproduces_reference(self):
@@ -746,6 +767,24 @@ class TestRunScenario:
             built.update(operator=0, workspace=0)
             run_scenario(config)
             assert built == {"operator": 1, "workspace": 1}
+
+    def test_one_set_of_jacobian_buffers_per_scenario(self, monkeypatch):
+        """Every ``jacobians`` call of one ``run_scenario`` returns the same
+        two arrays, the buffers of the scenario's one operator, across every
+        level and member."""
+        returned = []
+        jacobians = osse.RadianceOperator.jacobians
+
+        def recorded(self, *args, **kwargs):
+            returned.append(jacobians(self, *args, **kwargs))
+            return returned[-1]
+
+        config = small_config(leakage_levels=[-30.0, -20.0], ensemble_size=2)
+        monkeypatch.setattr(osse.RadianceOperator, "jacobians", recorded)
+        run_scenario(config)
+        assert len(returned) >= 6  # at least one call per analysis, one per level and member
+        first_state, first_bias = returned[0]
+        assert all(state is first_state and bias is first_bias for state, bias in returned)
 
     def test_one_workspace_per_config_load(self, monkeypatch):
         """``config_from_dict``'s two probes, the truth's spin-up and member

@@ -355,6 +355,19 @@ class TestRadianceOperator:
             with pytest.raises(ValidationError):
                 RadianceOperator(ColumnMapping(), BiasModel(), locations, grid_size=12)
 
+    def test_non_integer_location_rejected(self):
+        """A location is an integer grid cell: a float or a bool is rejected
+        naming ``obs_locations``, not read as the cell it truncates to; a
+        numpy integer is accepted."""
+        bias = BiasModel(0.0, (0.0,), ("scan_position",))
+        for locations in ((1.5, True), (0, 2.0), (0, True), (np.float64(3.0),), (np.bool_(True),)):
+            with pytest.raises(ValidationError) as excinfo:
+                RadianceOperator(ColumnMapping(), bias, locations, grid_size=8)
+            assert excinfo.value.field == "obs_locations"
+        operator = RadianceOperator(ColumnMapping(), bias, (np.int64(1), 3), grid_size=8)
+        _, jac_bias = operator.jacobians(np.zeros(operator.n_state), operator.bias_background)
+        assert np.array_equal(jac_bias[:, 1], [1, 3])
+
 
 class TestBuildProblem:
     def test_dimensions(self):
