@@ -17,7 +17,6 @@ from .assim import (
 )
 from .errors import (
     ConfigError,
-    MaskCoverageError,
     MinimizationError,
     ModelBlowUpError,
     ValidationError,

@@ -32,16 +32,6 @@ class ConfigError(ValidationError):
         super().__init__(" ".join(parts), field)
 
 
-class MaskCoverageError(ValidationError):
-    """An emission mask does not cover a frequency span it is asked about."""
-
-    def __init__(self, f_low_hz: float, f_high_hz: float):
-        self.uncovered_span_hz = (f_low_hz, f_high_hz)
-        super().__init__(
-            f"emission mask undefined over {f_low_hz:.6g} Hz to {f_high_hz:.6g} Hz"
-        )
-
-
 class ModelBlowUpError(RuntimeError):
     """Integration produced a non-finite state. The message names the step
     alone: a time step too large is one cause, a state driven out of range

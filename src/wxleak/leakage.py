@@ -24,7 +24,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import MaskCoverageError, ValidationError
+from .errors import ValidationError
 
 BOLTZMANN_J_PER_K = 1.380649e-23
 
@@ -96,9 +96,9 @@ class EmissionMask:
     ``breakpoints`` are (offset from the aggressor channel center in Hz,
     PSD in dB relative to the in-band PSD), sorted strictly by offset.
     Between breakpoints the PSD interpolates linearly in dB; outside the
-    covered span the mask is undefined and integration raises
-    ``MaskCoverageError``. Only ratios of mask integrals are used, so the
-    in-band level the PSD is relative to never enters a result.
+    covered span the mask is undefined and integration raises a
+    ``ValidationError`` naming the span. Only ratios of mask integrals are
+    used, so the in-band level the PSD is relative to never enters a result.
     """
 
     breakpoints: tuple[tuple[float, float], ...]
@@ -130,7 +130,9 @@ class EmissionMask:
         if lo < pts[0][0] or hi > pts[-1][0]:
             span_lo = f_low_hz if lo < pts[0][0] else center_hz + pts[-1][0]
             span_hi = center_hz + pts[0][0] if lo < pts[0][0] else f_high_hz
-            raise MaskCoverageError(span_lo, span_hi)
+            raise ValidationError(
+                f"emission mask undefined over {span_lo:.6g} Hz to {span_hi:.6g} Hz", "breakpoints"
+            )
         if hi <= lo:
             raise ValidationError("integration span is empty or inverted")
 

@@ -85,10 +85,6 @@ class BiasModel:
         if not all(math.isfinite(v) for v in values):
             raise ValidationError("bias coefficients must be finite")
 
-    @property
-    def n_predictors(self) -> int:
-        return len(self.predictors)
-
 
 @dataclass(frozen=True)
 class ColumnMapping:
@@ -170,10 +166,10 @@ class RadianceOperator:
     scenario. The template is also held as ``bias_background``, the
     read-only vector [beta_0, beta_1, ...], and the number of observations
     as ``n_obs``. Everything that does not depend on the control is fixed
-    at construction: which predictor columns hold the surface temperature,
-    one gather index ``[locs, grid_size + locs]`` that reads both fields in
-    one call, the Jacobian's nonzero positions, and
-    the mapping's constants (surface offset, atmosphere temperature,
+    at construction: which predictor column holds the surface temperature,
+    if one does, one gather index ``[locs, grid_size + locs]`` that reads
+    both fields in one call, the Jacobian's nonzero positions, and the
+    mapping's constants (surface offset, atmosphere temperature,
     opacity and its negation) together with zero and one, each as a vector
     of length n_obs. A vector operand gives the same bits as the scalar it
     holds and costs less per numpy call.
@@ -190,15 +186,15 @@ class RadianceOperator:
     after ``values`` at the same point reuses that point's columns, and a
     call at another state, or at a state written into since, recomputes
     them. ``values(state, bias)`` returns a fresh vector; it writes the
-    surface-temperature columns into the predictor matrix and skips the
+    surface-temperature column into the predictor matrix and skips the
     product when there is no predictor. ``jacobians(state, bias)`` returns
     the operator's buffers, which its next call overwrites: the (n_obs,
     n_state) state Jacobian, zero but at the sensitivities each call
     writes, and the bias Jacobian, whose constant and scan-position columns
-    are filled once at construction. It writes the surface-temperature
-    columns into the bias Jacobian, adds each surface-temperature
-    coefficient to d/dT (its slope is one), and sets d/dT and d/dq, held in
-    one vector, with one flat assignment into the state Jacobian; no other
+    are filled once at construction. It adds the surface-temperature
+    coefficient, if there is one, to d/dT (its slope is one) and writes its
+    column into the bias Jacobian, and sets d/dT and d/dq, held in one
+    vector, with one flat assignment into the state Jacobian; no other
     entry of either Jacobian changes. It zeroes the moisture sensitivity
     where the raw moisture is <= 0, which equals keeping it where the
     moisture is > 0 for every moisture but NaN.
@@ -229,8 +225,9 @@ class RadianceOperator:
             "bias_background": np.array(
                 [template.constant_coefficient_k, *template.coefficients], dtype=float
             ),
-            "_surface_columns": tuple(
-                i for i, name in enumerate(template.predictors) if name == "surface_temperature"
+            "_surface_column": next(
+                (i for i, name in enumerate(template.predictors) if name == "surface_temperature"),
+                None,
             ),
             "n_obs": n_obs,
             "_gather": np.concatenate([locs, self.grid_size + locs]),
@@ -269,7 +266,7 @@ class RadianceOperator:
 
     @property
     def n_bias(self) -> int:
-        return 1 + self.bias_template.n_predictors
+        return 1 + len(self.bias_template.predictors)
 
     def _at(self, state: np.ndarray) -> None:
         """Bring the columns up to date with ``state``."""
@@ -298,8 +295,8 @@ class RadianceOperator:
         np.add(h, bias[0], h)
         if self.bias_template.predictors:
             pred = self._predictors
-            for i in self._surface_columns:
-                pred[:, i] = t_surf
+            if self._surface_column is not None:
+                pred[:, self._surface_column] = t_surf
             np.add(h, pred.dot(bias[1:]), h)
         return h
 
@@ -312,20 +309,17 @@ class RadianceOperator:
         np.multiply(self._kappa, d_dmoist, d_dmoist)
         np.multiply(d_dmoist, w, d_dmoist)
         np.putmask(d_dmoist, self._q_raw <= self._zeros, 0.0)
-        # d/dT is w plus each surface-temperature coefficient, added in turn
-        # (the first add reads w, so w itself is copied only when there is none).
-        addend = w
-        for i in self._surface_columns:
-            addend = np.add(addend, bias[1 + i], d_dtemp)
-        if addend is w:
+        # d/dT is w plus the surface-temperature coefficient, if there is one,
+        # whose bias Jacobian column is the surface temperature.
+        col = self._surface_column
+        if col is None:
             np.copyto(d_dtemp, w)
-
+        else:
+            np.add(w, bias[1 + col], d_dtemp)
+            self._jac_bias[:, 1 + col] = t_surf
         # [d/dT, d/dq] at the observed cells, set in the Jacobian at once.
         self._jac_state.put(self._flat_sensitivities, self._sensitivities)
-        jac_bias = self._jac_bias
-        for i in self._surface_columns:
-            jac_bias[:, 1 + i] = t_surf
-        return self._jac_state, jac_bias
+        return self._jac_state, self._jac_bias
 
 
 def synthesize_observations(

@@ -156,8 +156,8 @@ def _check_null_experiment() -> CheckResult:
     zero = (
         row.precip_diff_max_mm == 0.0
         and row.precip_diff_rms_mm == 0.0
-        and row.t2m_diff_max_c == 0.0
-        and row.t2m_diff_rms_c == 0.0
+        and row.t2m_diff_max_C == 0.0
+        and row.t2m_diff_rms_C == 0.0
     )
     identical = report_a.rows == report_b.rows
     return CheckResult(

@@ -168,8 +168,8 @@ def test_criterion_4_null_experiment(tmp_path):
     zeros_ok = (
         row.precip_diff_max_mm == 0.0
         and row.precip_diff_rms_mm == 0.0
-        and row.t2m_diff_max_c == 0.0
-        and row.t2m_diff_rms_c == 0.0
+        and row.t2m_diff_max_C == 0.0
+        and row.t2m_diff_rms_C == 0.0
         and report_a.baseline.precip_diff_max_mm == 0.0
     )
     bytes_ok = a_path.read_bytes() == b_path.read_bytes()
@@ -189,8 +189,8 @@ def test_criterion_5_directional_sensitivity():
     start = time.perf_counter()
     config = config_from_dict({"ensemble_size": 20, "forecast_length": 1.0})
     result = run_scenario(config)
-    divergence = [row.t2m_diff_rms_c for row in result.levels]
-    levels = [row.leakage_dbw for row in result.levels]
+    divergence = [row.t2m_diff_rms_C for row in result.levels]
+    levels = [row.leakage_dBW for row in result.levels]
 
     def spearman(x, y):
         rx = np.argsort(np.argsort(x)).astype(float)

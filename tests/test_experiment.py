@@ -432,27 +432,48 @@ class TestConfigLoading:
             config_from_dict({"forecast_length": 10000.01})
         assert excinfo.value.field == "forecast_length"
 
+    @pytest.mark.parametrize(
+        "past, field, at",
+        [
+            (
+                "{ensemble_size: 1000, model: {grid_size: 401}}",
+                "ensemble_size",
+                {"ensemble_size": 1000, "model": {"grid_size": 400}},
+            ),
+            # The default sweep's 7 levels at 10^4 members on 40 cells, and one level more.
+            (
+                "{leakage_levels: [-55, -45, -35, -30, -25, -20, -15, -10], ensemble_size: 10000}",
+                "leakage_levels",
+                {"ensemble_size": 10000},
+            ),
+        ],
+        ids=["member_cells", "case_cells"],
+    )
     def test_members_times_cells_past_bound_rejected_before_any_step(
-        self, monkeypatch, tmp_path
+        self, monkeypatch, tmp_path, past, field, at
     ):
         """``ensemble_size`` times ``model.grid_size`` is bounded at
-        ``MAX_ENSEMBLE_CELLS``, though each is within its own bound; the
-        product at the bound loads."""
+        ``MAX_ENSEMBLE_CELLS``, and the rows (baseline and levels) times that
+        at ``MAX_CASE_CELLS``, though each value is within its own bound; the
+        product at each bound loads."""
         assert experiment.MAX_ENSEMBLE_CELLS == 1000 * 400
+        assert experiment.MAX_CASE_CELLS == 8 * 10**4 * 40
         steps = []
         step = model.step
         monkeypatch.setattr(model, "step", lambda *args: steps.append(None) or step(*args))
         path = tmp_path / "members.yaml"
-        path.write_text("{ensemble_size: 1000, model: {grid_size: 401}}\n")
+        path.write_text(past + "\n")
         with pytest.raises(ConfigError) as excinfo:
             load_config(str(path))
-        assert excinfo.value.field == "ensemble_size"
+        assert excinfo.value.field == field
         result = CliRunner().invoke(main, ["run", str(path)])
         assert result.exit_code == 1
-        assert "(field: ensemble_size)" in result.output
+        assert f"(field: {field})" in result.output
         assert steps == []
-        at_bound = config_from_dict({"ensemble_size": 1000, "model": {"grid_size": 400}})
-        assert at_bound.ensemble_size * at_bound.grid_size == experiment.MAX_ENSEMBLE_CELLS
+        at_bound = config_from_dict(at)
+        cells = at_bound.ensemble_size * at_bound.grid_size
+        assert cells == experiment.MAX_ENSEMBLE_CELLS
+        assert (len(at_bound.leakage_levels) + 1) * cells == experiment.MAX_CASE_CELLS
 
     def test_rule_bounds_cover_every_rule(self):
         assert set(RULE_BOUNDS) == set(experiment._RULES)
@@ -694,10 +715,10 @@ class TestRunScenario:
         assert (
             b.precip_diff_max_mm == 0.0
             and b.precip_diff_rms_mm == 0.0
-            and b.t2m_diff_max_c == 0.0
-            and b.t2m_diff_rms_c == 0.0
+            and b.t2m_diff_max_C == 0.0
+            and b.t2m_diff_rms_C == 0.0
         )
-        assert b.delta_tb_k == 0.0 and b.noise_k == 0.0
+        assert b.delta_tb_K == 0.0 and b.noise_K == 0.0
 
     def test_negligible_leakage_diffs_exactly_zero(self):
         """-300 dBW shifts observations below float resolution: no impact at all."""
@@ -705,18 +726,18 @@ class TestRunScenario:
         row = report.levels[0]
         assert row.precip_diff_max_mm == 0.0
         assert row.precip_diff_rms_mm == 0.0
-        assert row.t2m_diff_max_c == 0.0
-        assert row.t2m_diff_rms_c == 0.0
+        assert row.t2m_diff_max_C == 0.0
+        assert row.t2m_diff_rms_C == 0.0
 
     def test_default_chain_delta_tb(self):
         report = run_scenario(small_config(leakage_levels=[-20.0]))
         expected = 0.26826 / 0.95
-        assert abs(report.levels[0].delta_tb_k - expected) / expected < 1e-5
+        assert abs(report.levels[0].delta_tb_K - expected) / expected < 1e-5
 
     def test_rows_in_config_order_and_delta_increasing(self):
         report = run_scenario(small_config())
-        assert [row.leakage_dbw for row in report.levels] == [-30.0, -20.0]
-        deltas = [row.delta_tb_k for row in report.levels]
+        assert [row.leakage_dBW for row in report.levels] == [-30.0, -20.0]
+        deltas = [row.delta_tb_K for row in report.levels]
         assert deltas[0] < deltas[1]
 
     def test_one_integrate_per_forecast_and_one_step_per_rk4_step(self, monkeypatch):
@@ -853,7 +874,7 @@ class TestRunScenario:
         config = small_config(ensemble_size=2)
         report = run_scenario(config)
         (observed,) = synthesized
-        expected = [observed + row.delta_tb_k for row in report.rows for _ in range(2)]
+        expected = [observed + row.delta_tb_K for row in report.rows for _ in range(2)]
         assert len(analysed) == len(expected)
         for got, want in zip(analysed, expected):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -940,7 +961,7 @@ class TestRunScenario:
 
     def test_nonzero_leakage_produces_divergence(self):
         report = run_scenario(small_config(leakage_levels=[-15.0]))
-        assert report.levels[0].t2m_diff_rms_c > 0.0
+        assert report.levels[0].t2m_diff_rms_C > 0.0
 
     def test_rerun_byte_identical_csv(self, tmp_path):
         config = small_config()
@@ -973,8 +994,8 @@ class TestRunScenario:
         monkeypatch.setattr(experiment, "diagnostics", recorded)
         many = run_scenario(small_config(ensemble_size=3))
         assert many.config.ensemble_size == 3
-        assert many.levels[0].t2m_diff_rms_c > 0.0
-        assert one.levels[0].t2m_diff_rms_c != many.levels[0].t2m_diff_rms_c
+        assert many.levels[0].t2m_diff_rms_C > 0.0
+        assert one.levels[0].t2m_diff_rms_C != many.levels[0].t2m_diff_rms_C
 
         def member_means(level, field):
             diffs = [d[field] - b[field] for d, b in zip(level, diags[:3])]
@@ -986,7 +1007,7 @@ class TestRunScenario:
         for i, row in enumerate(many.rows):
             level = diags[3 * i : 3 * i + 3]
             assert (row.precip_diff_max_mm, row.precip_diff_rms_mm) == member_means(level, 0)
-            assert (row.t2m_diff_max_c, row.t2m_diff_rms_c) == member_means(level, 1)
+            assert (row.t2m_diff_max_C, row.t2m_diff_rms_C) == member_means(level, 1)
 
     @pytest.mark.parametrize("members", [1, 9, 17])
     def test_reduction_bits_match_the_per_level_oracle(self, monkeypatch, members):
@@ -1021,8 +1042,8 @@ class TestRunScenario:
                 baseline = fields
                 chain = (0.0, 0.0)
             else:
-                chain = leakage_chain(config, row.leakage_dbw)
-                assert row.t2m_diff_rms_c > 0.0
+                chain = leakage_chain(config, row.leakage_dBW)
+                assert row.t2m_diff_rms_C > 0.0
             diffs = fields - baseline
             worst, rms = np.max(np.abs(diffs), axis=2), np.sqrt(np.mean(diffs**2, axis=2))
             costs = [result.final_cost for result in results[cases]]
@@ -1079,7 +1100,7 @@ class TestEmission:
         )
 
     def test_one_row_field_per_column(self):
-        assert len(dataclasses.fields(LevelMetrics)) == len(CSV_HEADER.split(","))
+        assert [f.name for f in dataclasses.fields(LevelMetrics)] == CSV_HEADER.split(",")
 
     def test_baseline_only_report(self, tmp_path):
         """No sweep levels: header plus the single baseline row."""
@@ -1104,10 +1125,10 @@ class TestEmission:
         assert len(rows) == 3
         for row, source in zip(rows[1:], report.levels):
             for key, value in (
-                ("noise_K", source.noise_k),
-                ("delta_tb_K", source.delta_tb_k),
+                ("noise_K", source.noise_K),
+                ("delta_tb_K", source.delta_tb_K),
                 ("precip_diff_rms_mm", source.precip_diff_rms_mm),
-                ("t2m_diff_rms_C", source.t2m_diff_rms_c),
+                ("t2m_diff_rms_C", source.t2m_diff_rms_C),
                 ("analysis_cost", source.analysis_cost),
             ):
                 assert abs(row[key] - value) <= 1e-8 * max(1.0, abs(value))
@@ -1450,7 +1471,7 @@ class TestCli:
         assert "0.0282 K rounds away (field: bias.constant_coefficient_k)" in result.output
         path.write_text(text % "-300" + "\n")
         (row,) = run_scenario(load_config(str(path))).levels
-        assert 0.0 < row.delta_tb_k < 1e-28
+        assert 0.0 < row.delta_tb_K < 1e-28
         assert dataclasses.astuple(row)[3:7] == (0.0, 0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize(

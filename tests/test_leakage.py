@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from wxleak.errors import MaskCoverageError, ValidationError
+from wxleak.errors import ValidationError
 from wxleak.leakage import (
     AGGRESSOR_CHANNEL,
     AntennaModel,
@@ -109,9 +109,10 @@ class TestEmissionMask:
     def test_uncovered_region_names_span(self):
         mask = default_emission_mask()
         far = ChannelSpec.from_center(10e9, 270e6)
-        with pytest.raises(MaskCoverageError) as excinfo:
+        with pytest.raises(ValidationError) as excinfo:
             aci_leakage_fraction(mask, AGGRESSOR_CHANNEL, far)
-        assert "Hz" in str(excinfo.value)
+        assert str(excinfo.value) == "emission mask undefined over 9.865e+09 Hz to 2.275e+10 Hz"
+        assert excinfo.value.field == "breakpoints"
 
 
 class TestLeakageFraction:
