@@ -50,17 +50,6 @@ _MAX_BACKTRACKS = 60
 _EPS = float(np.finfo(float).eps)
 
 
-def _variances(values, count: int, what: str) -> np.ndarray:
-    """A read-only copy of one diagonal covariance: ``count`` positive, finite variances."""
-    variances = np.array(values, dtype=float)
-    if variances.ndim != 1 or variances.shape[0] != count:
-        raise ValidationError(f"{what} variances must be a 1-d vector of {count} values")
-    if np.any(variances <= 0) or not np.all(np.isfinite(variances)):
-        raise ValidationError(f"{what} variances must be positive and finite")
-    variances.setflags(write=False)
-    return variances
-
-
 @dataclass(frozen=True)
 class AssimilationProblem:
     """Background, diagonal covariances, observed values and the operator binding them.
@@ -69,8 +58,9 @@ class AssimilationProblem:
     [state, bias], the vector every cost, gradient and minimizer iterate is
     written in; their length is the operator's ``n_state + n_bias``. The
     covariances are held as their variances, one per control value and one
-    per observation, positive and finite. Every vector is held as a
-    read-only 1-d copy; there is one observed value per observation.
+    per observation, positive and finite; there is one observed value per
+    observation. One loop reads all four vectors, each into a read-only 1-d
+    float copy checked against the operator's count.
     ``operator`` has ``n_state``, ``n_bias`` and ``n_obs``,
     ``values(state, bias)`` and ``jacobians(state, bias)``, as
     ``osse.RadianceOperator`` has; the Jacobians it returns may be its own
@@ -85,28 +75,25 @@ class AssimilationProblem:
 
     def __post_init__(self):
         n_control = self.operator.n_state + self.operator.n_bias
-        background = np.array(self.background, dtype=float)
-        obs_values = np.array(self.obs_values, dtype=float)
-        if background.shape != (n_control,):
-            raise ValidationError(
-                f"background must be a 1-d vector of the operator's {n_control} control values"
-            )
         n_obs = self.operator.n_obs
-        if obs_values.shape != (n_obs,):
-            raise ValidationError(
-                f"observed values must be a 1-d vector of the operator's {n_obs} "
-                f"observations, got shape {obs_values.shape}"
-            )
-        background.setflags(write=False)
-        obs_values.setflags(write=False)
-        fields = {
-            "background": background,
-            "prior_variances": _variances(self.prior_variances, n_control, "prior"),
-            "obs_values": obs_values,
-            "obs_variances": _variances(self.obs_variances, n_obs, "observation"),
-        }
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+        for name, count, what in (
+            ("background", n_control, "control values"),
+            ("prior_variances", n_control, "control values"),
+            ("obs_values", n_obs, "observations"),
+            ("obs_variances", n_obs, "observations"),
+        ):
+            vector = np.array(getattr(self, name), dtype=float)
+            if vector.shape != (count,):
+                raise ValidationError(
+                    f"{name} must be a 1-d vector of the operator's {count} {what}, "
+                    f"got shape {vector.shape}"
+                )
+            vector.setflags(write=False)
+            object.__setattr__(self, name, vector)
+        for name in ("prior_variances", "obs_variances"):
+            variances = getattr(self, name)
+            if np.any(variances <= 0) or not np.all(np.isfinite(variances)):
+                raise ValidationError(f"{name} must be positive and finite")
 
     @property
     def n_state(self) -> int:

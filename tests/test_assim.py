@@ -499,6 +499,26 @@ def exploding_problem(state):
     )
 
 
+class MisreportingOperator:
+    """values = bias + state * (bias + seen - factor), with the Jacobian
+    ``(bias + seen, 1 + state)``: the values fall by ``factor`` per unit of
+    state more than the Jacobian reports, so the cost rises along every
+    direction that moves the state the way the gradient asks."""
+
+    n_state = 1
+    n_bias = 1
+    n_obs = 1
+
+    def __init__(self, factor, seen):
+        self.factor, self.seen = factor, seen
+
+    def values(self, state, bias):
+        return np.array([bias[0] + state[0] * (bias[0] + self.seen - self.factor)])
+
+    def jacobians(self, state, bias):
+        return np.array([[bias[0] + self.seen]]), np.array([[1.0 + state[0]]])
+
+
 def _permuted_operator(operator, perm):
     class Permuted:
         n_state = operator.n_state
@@ -1047,6 +1067,29 @@ class TestMinimizeMatchesReference:
                 result = self.assert_same_analysis(problem, True, reference)
             assert (hits[restart], hits[shrink]) == (3, 4)
             assert result.converged
+
+    @pytest.mark.parametrize("factor", [1e6, 1e15])
+    @pytest.mark.parametrize("seen, iterations, restarts", [(1.0, 0, 0), (0.0, 1, 1)])
+    def test_every_trial_rejected(self, factor, seen, iterations, restarts):
+        """When the line search rejects all its trials it restarts a conjugate
+        direction along the scaled steepest descent, and stops, unconverged,
+        once that is rejected too. With ``seen`` 1.0 the Jacobian misreports
+        the state at the background and the first direction fails; with 0.0
+        it reports no state slope there, so a bias-only step is accepted and
+        the conjugate direction that follows fails."""
+        problem = AssimilationProblem(
+            background=[0.0, 0.0],
+            prior_variances=[1.0, 1.0],
+            obs_values=[1.0],
+            obs_variances=[1.0],
+            operator=MisreportingOperator(factor, seen),
+        )
+        stop = _source_line(minimize, "break  # no progress possible")
+        restart = _source_line(minimize, "continue")
+        with _lines_run(minimize) as hits:
+            result = self.assert_same_analysis(problem, False)
+        assert (hits[stop], hits[restart]) == (1, restarts)
+        assert result.iterations == iterations and not result.converged
 
     @pytest.mark.parametrize(
         "state, message",

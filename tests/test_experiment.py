@@ -17,6 +17,7 @@ from click.testing import CliRunner
 import wxleak.experiment as experiment
 import wxleak.model as model
 import wxleak.osse as osse
+import wxleak.selfcheck as selfcheck
 from wxleak.cli import main
 from wxleak.errors import ConfigError, ModelBlowUpError, ValidationError
 from wxleak.experiment import (
@@ -1434,6 +1435,42 @@ class TestCli:
         assert result.exit_code == 0, result.output
         assert "PASS" in result.output
         assert "FAIL" not in result.output
+
+    @staticmethod
+    def run_check(capsys, *args):
+        """``wxleak check`` run in-process: its exit code, stdout and stderr."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", *args])
+        out, err = capsys.readouterr()
+        return excinfo.value.code, out, err
+
+    def test_check_failure_exit_2(self, capsys, monkeypatch):
+        """A failing check is named with its detail on stdout, and counted on stderr."""
+        failing = selfcheck.CheckResult("always fails", False, "forced")
+        monkeypatch.setattr(selfcheck, "CHECKS", (*selfcheck.CHECKS, lambda: failing))
+        code, out, err = self.run_check(capsys)
+        assert code == 2
+        assert "FAIL  always fails  (forced)" in out.splitlines()
+        passed = [line for line in out.splitlines() if line.startswith("PASS  ")]
+        assert len(passed) == 8 and not any("  (" in line for line in passed)
+        assert "1 of 9 checks failed" in err
+
+    def test_check_that_raises_exit_2(self, capsys, monkeypatch):
+        def broken():
+            raise ArithmeticError("broken check")
+
+        monkeypatch.setattr(selfcheck, "CHECKS", (broken,))
+        code, out, err = self.run_check(capsys)
+        assert code == 2
+        assert out == ""
+        assert "runtime error: broken check" in err
+
+    def test_check_verbose_prints_every_detail(self, capsys):
+        code, out, err = self.run_check(capsys, "--verbose")
+        assert code == 0 and err == ""
+        results = selfcheck.run_all()
+        lines = out.splitlines()
+        assert lines == [f"PASS  {r.name}  ({r.detail})" for r in results] + ["all 8 checks passed"]
 
     def test_verbose_prints_defaults(self, tmp_path):
         runner = CliRunner()

@@ -24,6 +24,7 @@ from wxleak.leakage import (
     db_to_linear,
     default_emission_mask,
     induced_noise_temperature,
+    linear_to_db,
     received_power,
     sum_power_dbw,
 )
@@ -105,6 +106,11 @@ class TestEmissionMask:
         flat = EmissionMask(((0.0, -20.0), (1e9, -20.0))).integrate_linear(0.0, 1e9, 0.0)
         tilted = EmissionMask(((0.0, -20.0), (1e9, -20.0 + 1e-12))).integrate_linear(0.0, 1e9, 0.0)
         assert math.isclose(tilted, flat, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("lo, hi", [(1e6, 1e6), (2e6, 1e6)])
+    def test_empty_or_inverted_span_rejected(self, lo, hi):
+        with pytest.raises(ValidationError, match="empty or inverted"):
+            default_emission_mask().integrate_linear(lo, hi, 0.0)
 
     def test_uncovered_region_names_span(self):
         mask = default_emission_mask()
@@ -226,6 +232,7 @@ class TestDbToLinear:
         assert db_to_linear(-4000.0) == 0.0
         assert db_to_linear(math.inf) == math.inf
         assert db_to_linear(NO_LEAKAGE_DBW) == 0.0
+        assert linear_to_db(0.0) == sum_power_dbw([]) == NO_LEAKAGE_DBW
         assert math.isnan(db_to_linear(math.nan))
 
     def test_finite_powers_keep_their_bits(self):

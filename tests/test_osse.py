@@ -114,6 +114,16 @@ class TestPredictors:
             BiasModel(0.0, (0.0, 0.0), (name, name))
         assert excinfo.value.field == "predictors"
 
+    @pytest.mark.parametrize(
+        "constant, coefficient",
+        [(math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf), (0.0, math.nan)],
+    )
+    def test_non_finite_coefficient_fails_at_construction(self, constant, coefficient):
+        """Only direct construction reaches this check: a config's non-finite
+        number is rejected when it is read."""
+        with pytest.raises(ValidationError, match="must be finite"):
+            BiasModel(constant, (coefficient,), ("scan_position",))
+
     def test_coefficient_length_mismatch(self):
         with pytest.raises(ValidationError):
             BiasModel(0.0, (1.0, 2.0), ("scan_position",))
