@@ -497,6 +497,14 @@ def config_from_dict(
                 f"omit count or set it to {len(locations)}",
                 field="observations.count",
             )
+    # d/dq is kappa (t_atm - t_surf) w: NaN where that product overflows and w
+    # is 0, which leaves the analysis no finite gradient.
+    operator = RadianceOperator(mapping, bias, locations, grid_size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        jacobian = operator.jacobians(probe.vector, operator.bias_background)[0]
+    if not np.isfinite(jacobian).all():
+        message = f"{mapping.opacity_coefficient:g} gives a non-finite moisture sensitivity"
+        raise ConfigError(message, field="forward.opacity_coefficient")
 
     cov = values["covariances"]
     config = ScenarioConfig(

@@ -281,13 +281,16 @@ def integrate(state: ModelState, n_steps: int, workspace: Workspace) -> Forecast
     final state and the precipitation accumulated over those steps.
 
     The state's vector goes through ``step`` once per step, and only the
-    last vector becomes a ``ModelState``; with no step, the final state is
-    ``state`` itself. A workspace carries nothing from one forecast to the
-    next, so ``run_scenario`` makes one and passes it to every forecast.
-    Forecasts of a + b steps and of a then b steps end in the same state,
-    bit for bit. A blow-up is re-raised with the index of the failing step
-    within this call. It is reported by step's finiteness check; the
-    overflow on the way there would only add floating-point warnings.
+    last vector becomes a ``ModelState``, through ``ModelState.from_vector``;
+    with no step, the final state is ``state`` itself. The floor there
+    changes no bit: step's clip leaves no moisture below zero, nor at -0.0
+    (its maximum of a -0.0 and the zero vector is +0.0, as the tests pin).
+    A workspace carries nothing from one forecast to the next, so
+    ``run_scenario`` makes one and passes it to every forecast. Forecasts
+    of a + b steps and of a then b steps end in the same state, bit for
+    bit. A blow-up is re-raised with the index of the failing step within
+    this call. It is reported by step's finiteness check; the overflow on
+    the way there would only add floating-point warnings.
     """
     if n_steps < 0:
         raise ValidationError("step count must be >= 0")
@@ -303,10 +306,8 @@ def integrate(state: ModelState, n_steps: int, workspace: Workspace) -> Forecast
                 raise ModelBlowUpError(i) from exc
     precipitation = workspace.precipitation.copy()
     precipitation.setflags(write=False)
-    if n_steps:
-        # Not from_vector: its floor would turn a step's -0.0 moisture into +0.0.
-        state = ModelState(x[: state.grid_size], x[state.grid_size :])
-    return Forecast(state, precipitation)
+    final = ModelState.from_vector(x) if n_steps else state
+    return Forecast(final, precipitation)
 
 
 def diagnostics(forecast: Forecast) -> tuple[np.ndarray, np.ndarray]:

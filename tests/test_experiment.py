@@ -365,6 +365,7 @@ class TestConfigLoading:
             ("model: {dt: true}", "model.dt"),
             ("model: {dt: 0}", "model.dt"),
             ("forward: {atmosphere_temperature_k: 0}", "forward.atmosphere_temperature_k"),
+            ("forward: {opacity_coefficient: 1.0e307}", "forward.opacity_coefficient"),
             ("[1, 2]", None),
             ("{1: 2, a: 3}", None),
             ("link: {1: 2, a: 3}", "link"),
@@ -383,6 +384,13 @@ class TestConfigLoading:
         assert excinfo.value.field == field
         result = CliRunner().invoke(main, ["run", str(path)])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("opacity", [3.0e306, 4.0e306])
+    def test_opacity_with_finite_probe_sensitivities_loads(self, opacity):
+        """The opacity check rejects only a moisture sensitivity that is not
+        finite at the time-step probe's columns; these opacities keep it finite."""
+        config = config_from_dict({"forward": {"opacity_coefficient": opacity}})
+        assert config.mapping.opacity_coefficient == opacity
 
     @pytest.mark.parametrize("spinup_steps", [10**8, 10**400], ids=["1e8", "401_digits"])
     def test_huge_spinup_rejected_before_any_step(self, monkeypatch, tmp_path, spinup_steps):
@@ -1202,13 +1210,13 @@ class TestCli:
         assert result.exit_code == 1
         assert f"validation error: could not read config {path}" in result.output
 
-    def test_run_unwritable_out_exit_2(self, tmp_path):
-        runner = CliRunner()
-        result = runner.invoke(
-            main,
-            ["run", self.write_config(tmp_path), "--out", "/nonexistent-dir/out.csv"],
-        )
+    @pytest.mark.parametrize("command", ["run", "noise-table"])
+    def test_run_unwritable_out_exit_2(self, tmp_path, command):
+        out = str(tmp_path / "missing" / "out.csv")
+        args = [command, self.write_config(tmp_path)] if command == "run" else [command]
+        result = CliRunner().invoke(main, [*args, "--out", out])
         assert result.exit_code == 2
+        assert f"runtime error: could not write {out}" in result.stderr
 
     def test_seed_override_changes_output(self, tmp_path):
         runner = CliRunner()
@@ -1474,9 +1482,11 @@ class TestCli:
 
     def test_verbose_prints_defaults(self, tmp_path):
         runner = CliRunner()
-        result = runner.invoke(main, ["run", self.write_config(tmp_path), "--verbose"])
+        out = str(tmp_path / "out.csv")
+        result = runner.invoke(main, ["run", self.write_config(tmp_path), "--verbose", "--out", out])
         assert result.exit_code == 0
         assert result.output.count("defaults applied") == 1
+        assert result.stdout.endswith(f"wrote {out}\n")
 
     def test_nonpositive_surface_temperature_exit_1(self, tmp_path):
         """A positive offset that an observed cell's temperature undercuts

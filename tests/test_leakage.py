@@ -406,6 +406,8 @@ class TestAntennaTemperature:
                 AntennaModel(efficiency, 290.0)
         with pytest.raises(ValidationError):
             AntennaModel(0.9, 0.0)
+        with pytest.raises(ValidationError):
+            antenna_temperature(-1.0, AntennaModel(0.9, 290.0))
 
 
 class TestBrightnessPerturbation:

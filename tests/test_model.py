@@ -64,8 +64,9 @@ def assert_bitwise(got, want):
     assert np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
 
 
-def roll_step(t0, q0, p):
-    """One RK4 step built on ``roll_tendencies``, in the production order."""
+def roll_update(t0, q0, p):
+    """One RK4 update built on ``roll_tendencies``, in the production order,
+    before the moisture clip."""
     h = p.dt
     k1t, k1q = roll_tendencies(t0, q0, p)
     k2t, k2q = roll_tendencies(t0 + 0.5 * h * k1t, q0 + 0.5 * h * k1q, p)
@@ -73,6 +74,12 @@ def roll_step(t0, q0, p):
     k4t, k4q = roll_tendencies(t0 + h * k3t, q0 + h * k3q, p)
     t1 = t0 + (h / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
     q1 = q0 + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+    return t1, q1
+
+
+def roll_step(t0, q0, p):
+    """``roll_update`` with the moisture clipped at 0, as the step clips it."""
+    t1, q1 = roll_update(t0, q0, p)
     return t1, np.maximum(q1, 0.0)
 
 
@@ -298,6 +305,35 @@ class TestStep:
         final = integrate_fresh(state, params, 300).final
         assert_bitwise(final.temperature_field, t)
         assert_bitwise(final.moisture_field, q)
+
+    @pytest.mark.parametrize(
+        "threshold, q",
+        [(25.0, [-0.0] * 6 + [0.001, 0.0]), (-1e-321, [-0.0] * 8)],
+        ids=["default", "negative_threshold"],
+    )
+    def test_clip_leaves_no_negative_zero_moisture(self, threshold, q):
+        """A dry cell's RK4 update can reach -0.0 moisture; the step's clip
+        returns +0.0 for it. So ``integrate``'s final ``from_vector``, whose
+        floor keeps a -0.0, changes no bit of the step's output. The first
+        input reaches -0.0 in the oracle's update only: the step sums its
+        stages with a row reduce, which starts from +0.0. The second reaches
+        it in the step too, where the clip alone removes it: each cell
+        condenses about 2e-322 per unit time, which h / 6 times the stage sum
+        rounds to -0.0."""
+        params = ModelParams(condensation_threshold=threshold)
+        t = np.array([-2.0, -1.0, -1.0, -1.0, 0.0, 0.0, 0.0, -1.0])
+        q = np.array(q)
+        _, q_update = roll_update(t, q, params)
+        assert np.any((q_update == 0.0) & np.signbit(q_update))
+        state = ModelState(t, q)
+        states = walk(state, params, 20)
+        for current in states:
+            t, q = roll_step(t, q, params)
+            assert_bitwise(current.vector, np.concatenate([t, q]))
+            assert not np.any(np.signbit(current.moisture_field))
+        final = integrate_fresh(state, params, 20).final
+        assert_bitwise(final.vector, states[-1].vector)
+        assert not np.any(np.signbit(final.moisture_field))
 
     def test_blow_up_reports_step(self):
         """Oversized time step blows up and the error names the step index:
