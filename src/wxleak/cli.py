@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import contextmanager
 
 import click
 
@@ -39,6 +40,29 @@ EXIT_RUNTIME = 2
 NOISE_TABLE_MAX_ROWS = 100_000
 
 
+@contextmanager
+def _exit_on_failure(context: str = ""):
+    """Turn a failure in the block into one line on stderr and an exit code:
+    1 for a ``ValidationError``, 2 for any other, whose message follows
+    ``context``."""
+    try:
+        yield
+    except ValidationError as exc:
+        click.echo(f"validation error: {exc}", err=True)
+        sys.exit(EXIT_VALIDATION)
+    except Exception as exc:
+        click.echo(f"runtime error: {context}{exc}", err=True)
+        sys.exit(EXIT_RUNTIME)
+
+
+def _print_iteration(config):
+    """``run_scenario``'s progress callback: one line per accepted step."""
+    rows = ["baseline", *(f"level {level:g}" for level in config.leakage_levels)]
+    return lambda row, member, i, cost, norm: click.echo(
+        f"{rows[row]} m{member} iter {i:3d}: J={cost:.9g} |grad|={norm:.3e}"
+    )
+
+
 @click.group()
 def main() -> None:
     """Leakage-to-forecast impact simulator."""
@@ -53,7 +77,7 @@ def _scenario_command(name: str, help_text: str, force_default_sweep: bool) -> N
     @click.option("--verbose", is_flag=True, help="Print provenance and progress.")
     @click.option("--seed-override", type=int, default=None, help="Replace all seeds (n, n+1, n+2).")
     def command(config_path: str, out: str | None, verbose: bool, seed_override: int | None) -> None:
-        try:
+        with _exit_on_failure():
             config = load_config(
                 config_path,
                 seed_override=seed_override,
@@ -61,22 +85,13 @@ def _scenario_command(name: str, help_text: str, force_default_sweep: bool) -> N
             )
             if verbose:
                 click.echo(f"loaded config {config_path} (hash {config.config_hash[:12]})")
-            report = run_scenario(config, trace_stream=sys.stdout if verbose else None)
-        except ValidationError as exc:
-            click.echo(f"validation error: {exc}", err=True)
-            sys.exit(EXIT_VALIDATION)
-        except Exception as exc:
-            click.echo(f"runtime error: {exc}", err=True)
-            sys.exit(EXIT_RUNTIME)
-        emit_summary(report, sys.stdout)
-        if out is not None:
-            try:
-                emit_csv(report, out)
-            except OSError as exc:
-                click.echo(f"runtime error: could not write {out}: {exc}", err=True)
-                sys.exit(EXIT_RUNTIME)
-            if verbose:
-                click.echo(f"wrote {out}")
+            report = run_scenario(config, _print_iteration(config) if verbose else None)
+            emit_summary(report, sys.stdout)
+            if out is not None:
+                with _exit_on_failure(f"could not write {out}: "):
+                    emit_csv(report, out)
+                if verbose:
+                    click.echo(f"wrote {out}")
 
 
 _scenario_command("run", "Run the scenario described by CONFIG.", force_default_sweep=False)
@@ -101,14 +116,9 @@ def noise_table_command(
     efficiency: float,
 ) -> None:
     """Emit induced noise temperature vs leakage power as CSV."""
-    try:
-        for option, value in (
-            ("--min", min_dbw),
-            ("--max", max_dbw),
-            ("--step", step),
-            ("--pathloss", pathloss),
-            ("--efficiency", efficiency),
-        ):
+    with _exit_on_failure():
+        options = ("--min", "--max", "--step", "--pathloss", "--efficiency")
+        for option, value in zip(options, (min_dbw, max_dbw, step, pathloss, efficiency)):
             if not math.isfinite(value):
                 raise ValidationError(f"{option} must be finite, got {value}")
         if pathloss <= 0:
@@ -145,37 +155,26 @@ def noise_table_command(
                 raise ValidationError(
                     f"--efficiency {efficiency:g} gives a brightness error of inf K at {level:g} dBW"
                 )
-    except ValidationError as exc:
-        click.echo(f"validation error: {exc}", err=True)
-        sys.exit(EXIT_VALIDATION)
-    if out is None:
-        emit_noise_table_csv(rows, sys.stdout)
-    else:
-        try:
-            with open(out, "w", encoding="utf-8", newline="\n") as fh:
-                emit_noise_table_csv(rows, fh)
-        except OSError as exc:
-            click.echo(f"runtime error: could not write {out}: {exc}", err=True)
-            sys.exit(EXIT_RUNTIME)
+        if out is None:
+            emit_noise_table_csv(rows, sys.stdout)
+        else:
+            with _exit_on_failure(f"could not write {out}: "):
+                with open(out, "w", encoding="utf-8", newline="\n") as fh:
+                    emit_noise_table_csv(rows, fh)
 
 
 @main.command()
 @click.option("--verbose", is_flag=True, help="Show detail for passing checks too.")
 def check(verbose: bool) -> None:
     """Run the invariant self-test suite."""
-    try:
+    with _exit_on_failure():
         results = selfcheck.run_all()
-    except Exception as exc:
-        click.echo(f"runtime error: {exc}", err=True)
-        sys.exit(EXIT_RUNTIME)
-    failed = 0
     for result in results:
-        status = "PASS" if result.passed else "FAIL"
-        line = f"{status}  {result.name}"
+        line = f"{'PASS' if result.passed else 'FAIL'}  {result.name}"
         if verbose or not result.passed:
             line += f"  ({result.detail})"
         click.echo(line)
-        failed += 0 if result.passed else 1
+    failed = sum(not result.passed for result in results)
     if failed:
         click.echo(f"{failed} of {len(results)} checks failed", err=True)
         sys.exit(EXIT_RUNTIME)

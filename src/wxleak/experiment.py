@@ -23,7 +23,8 @@ import json
 import math
 import re
 from dataclasses import asdict, dataclass, fields
-from typing import TextIO
+from functools import partial
+from typing import Callable, TextIO
 
 import numpy as np
 import yaml
@@ -650,7 +651,8 @@ def _member_background(config: ScenarioConfig, truth: ModelState, member: int) -
 
 
 def run_scenario(
-    config: ScenarioConfig, trace_stream: TextIO | None = None
+    config: ScenarioConfig,
+    on_iteration: Callable[[int, int, int, float, float], None] | None = None,
 ) -> ScenarioReport:
     """Execute baseline plus every leakage level; difference the forecasts.
 
@@ -659,11 +661,11 @@ def run_scenario(
     up on it, one observation operator, the truth's noisy observations
     synthesized once, one observations array per row shifted by its
     brightness error (the baseline's is 0), and each member's background.
-    2. Analyses: one pass analyses every case; with ``trace_stream`` (the
-    CLI's verbose mode), each writes its iterations there. 3. Forecasts:
-    one pass forecasts every analysis on that workspace into one (rows, 2,
-    members, cells) array of precipitation and near-surface temperature; a
-    forecast is dropped once that is read.
+    2. Analyses: one pass analyses every case; ``on_iteration(row, member,
+    iteration, cost, gradient_norm)``, if given, hears each accepted step.
+    3. Forecasts: one pass forecasts every analysis on that workspace into
+    one (rows, 2, members, cells) array of precipitation and near-surface
+    temperature; a forecast is dropped once that is read.
     4. Reduction: one reduction over that array's contiguous axes averages
     each member's max and RMS difference from the baseline over members,
     bit for bit as if each member's vector were reduced alone.
@@ -736,15 +738,9 @@ def run_scenario(
                 backgrounds[m], operator, observations[r], state_variance=config.state_variance,
                 bias_variance=config.bias_variance, obs_stddev_k=config.obs_error_stddev_k,
             )
-            on_iteration = None
-            if trace_stream is not None:
-                label = f"{'baseline' if r == 0 else f'level {levels[r]:g}'} m{m}"
-
-                def on_iteration(i, cost, norm):
-                    trace_stream.write(f"{label} iter {i:3d}: J={cost:.9g} |grad|={norm:.3e}\n")
-            results.append(
-                minimize(problem, hold_bias_fixed=config.hold_bias_fixed, on_iteration=on_iteration)
-            )
+            trace = None if on_iteration is None else partial(on_iteration, r, m)
+            result = minimize(problem, hold_bias_fixed=config.hold_bias_fixed, on_iteration=trace)
+            results.append(result)
         except Exception as exc:
             raise ScenarioExecutionError(f"{row_names[r]}, member {m}: {exc}") from exc
 

@@ -64,6 +64,9 @@ class ModelParams:
             raise ValidationError("time step must be positive", "dt")
         if not self.condensation_rate >= 0:
             raise ValidationError("condensation rate must be >= 0", "condensation_rate")
+        # Below zero, a cell with no moisture would condense r |q_c| per unit time.
+        if not self.condensation_threshold >= 0:
+            raise ValidationError("condensation threshold must be >= 0", "condensation_threshold")
 
 
 @dataclass(frozen=True, eq=False, init=False, slots=True)

@@ -14,6 +14,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+import wxleak.cli as cli
 import wxleak.experiment as experiment
 import wxleak.model as model
 import wxleak.osse as osse
@@ -364,6 +365,7 @@ class TestConfigLoading:
             ("model: {grid_size: 4}", "observations.count"),
             ("model: {dt: true}", "model.dt"),
             ("model: {dt: 0}", "model.dt"),
+            ("model: {condensation_threshold: -5.0}", "model.condensation_threshold"),
             ("forward: {atmosphere_temperature_k: 0}", "forward.atmosphere_temperature_k"),
             ("forward: {opacity_coefficient: 1.0e307}", "forward.opacity_coefficient"),
             ("[1, 2]", None),
@@ -657,6 +659,7 @@ class TestConfigLoading:
         [
             (model.ModelParams, "dt"),
             (model.ModelParams, "condensation_rate"),
+            (model.ModelParams, "condensation_threshold"),
             (osse.ColumnMapping, "opacity_coefficient"),
             (osse.ColumnMapping, "surface_offset_k"),
             (osse.ColumnMapping, "atmosphere_temperature_k"),
@@ -772,6 +775,34 @@ class TestRunScenario:
         n_steps = 50  # forecast_length 0.5 at dt 0.01
         assert calls["integrate"] == cases
         assert calls["step"] == config.spinup_steps + cases * n_steps
+
+    def test_on_iteration_called_per_accepted_step_in_case_order(self, monkeypatch):
+        """``on_iteration`` hears every accepted step of every analysis as
+        (row, member, iteration, cost, gradient norm), the cases in config
+        order with the baseline row first, each case as many times as its
+        analysis reports iterations; the report is the one a run without it
+        writes."""
+        results, calls = [], []
+        minimize = experiment.minimize
+
+        def recorded(*args, **kwargs):
+            results.append(minimize(*args, **kwargs))
+            return results[-1]
+
+        config = small_config(ensemble_size=2)
+        monkeypatch.setattr(experiment, "minimize", recorded)
+        report = run_scenario(config, on_iteration=lambda *args: calls.append(args))
+        cases = [(r, m) for r in range(3) for m in range(2)]
+        assert len(results) == len(cases)
+        expected = [
+            (r, m, i)
+            for (r, m), result in zip(cases, results)
+            for i in range(1, result.iterations + 1)
+        ]
+        assert [call[:3] for call in calls] == expected
+        assert all(result.iterations > 0 for result in results)
+        assert all(math.isfinite(cost) and math.isfinite(norm) for *_, cost, norm in calls)
+        assert report.rows == run_scenario(config).rows
 
     def test_one_operator_and_one_workspace_per_scenario(self, monkeypatch):
         """``run_scenario`` builds the observation operator and the RK4
@@ -1445,10 +1476,10 @@ class TestCli:
         assert "FAIL" not in result.output
 
     @staticmethod
-    def run_check(capsys, *args):
-        """``wxleak check`` run in-process: its exit code, stdout and stderr."""
+    def run_main(capsys, *args):
+        """``wxleak`` run in-process: its exit code, stdout and stderr."""
         with pytest.raises(SystemExit) as excinfo:
-            main(["check", *args])
+            main(list(args))
         out, err = capsys.readouterr()
         return excinfo.value.code, out, err
 
@@ -1456,7 +1487,7 @@ class TestCli:
         """A failing check is named with its detail on stdout, and counted on stderr."""
         failing = selfcheck.CheckResult("always fails", False, "forced")
         monkeypatch.setattr(selfcheck, "CHECKS", (*selfcheck.CHECKS, lambda: failing))
-        code, out, err = self.run_check(capsys)
+        code, out, err = self.run_main(capsys, "check")
         assert code == 2
         assert "FAIL  always fails  (forced)" in out.splitlines()
         passed = [line for line in out.splitlines() if line.startswith("PASS  ")]
@@ -1468,17 +1499,45 @@ class TestCli:
             raise ArithmeticError("broken check")
 
         monkeypatch.setattr(selfcheck, "CHECKS", (broken,))
-        code, out, err = self.run_check(capsys)
+        code, out, err = self.run_main(capsys, "check")
         assert code == 2
         assert out == ""
         assert "runtime error: broken check" in err
 
     def test_check_verbose_prints_every_detail(self, capsys):
-        code, out, err = self.run_check(capsys, "--verbose")
+        code, out, err = self.run_main(capsys, "check", "--verbose")
         assert code == 0 and err == ""
         results = selfcheck.run_all()
         lines = out.splitlines()
         assert lines == [f"PASS  {r.name}  ({r.detail})" for r in results] + ["all 8 checks passed"]
+
+    def test_verbose_prints_each_accepted_step(self, tmp_path):
+        """``--verbose`` prints one line per ``on_iteration`` call, between
+        the ``loaded config`` line and the summary."""
+        path = self.write_config(tmp_path, dict(SMALL_RUN, ensemble_size=2))
+        calls = []
+        run_scenario(load_config(path), on_iteration=lambda *args: calls.append(args))
+        rows = ["baseline", "level -30", "level -20"]
+        expected = [
+            f"{rows[row]} m{member} iter {i:3d}: J={cost:.9g} |grad|={norm:.3e}"
+            for row, member, i, cost, norm in calls
+        ]
+        result = CliRunner().invoke(main, ["run", path, "--verbose"])
+        assert result.exit_code == 0, result.output
+        lines = result.stdout.splitlines()
+        assert lines[0].startswith(f"loaded config {path} (hash ")
+        assert lines[1 : 1 + len(expected)] == expected
+        assert lines[1 + len(expected)].startswith("config hash: ")
+
+    def test_noise_table_that_raises_exit_2(self, capsys, monkeypatch):
+        def broken(*args):
+            raise ArithmeticError("broken table")
+
+        monkeypatch.setattr(cli, "noise_table", broken)
+        code, out, err = self.run_main(capsys, "noise-table")
+        assert code == 2
+        assert out == ""
+        assert err == "runtime error: broken table\n"
 
     def test_verbose_prints_defaults(self, tmp_path):
         runner = CliRunner()

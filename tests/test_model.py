@@ -307,22 +307,23 @@ class TestStep:
         assert_bitwise(final.moisture_field, q)
 
     @pytest.mark.parametrize(
-        "threshold, q",
-        [(25.0, [-0.0] * 6 + [0.001, 0.0]), (-1e-321, [-0.0] * 8)],
-        ids=["default", "negative_threshold"],
+        "threshold, t, q",
+        [
+            (25.0, [-2.0, -1.0, -1.0, -1.0, 0.0, 0.0, 0.0, -1.0], [-0.0] * 6 + [0.001, 0.0]),
+            (0.0, [100.0, -0.0, -50.0, 50.0, 100.0, -50.0], [-0.0, -0.0, 2e-322, 0.0, -0.0, -0.0]),
+        ],
+        ids=["default", "step_update"],
     )
-    def test_clip_leaves_no_negative_zero_moisture(self, threshold, q):
+    def test_clip_leaves_no_negative_zero_moisture(self, threshold, t, q):
         """A dry cell's RK4 update can reach -0.0 moisture; the step's clip
         returns +0.0 for it. So ``integrate``'s final ``from_vector``, whose
         floor keeps a -0.0, changes no bit of the step's output. The first
         input reaches -0.0 in the oracle's update only: the step sums its
         stages with a row reduce, which starts from +0.0. The second reaches
-        it in the step too, where the clip alone removes it: each cell
-        condenses about 2e-322 per unit time, which h / 6 times the stage sum
-        rounds to -0.0."""
+        it in the step's update too, where the clip alone removes it, so a
+        clip that keeps -0.0 fails here."""
         params = ModelParams(condensation_threshold=threshold)
-        t = np.array([-2.0, -1.0, -1.0, -1.0, 0.0, 0.0, 0.0, -1.0])
-        q = np.array(q)
+        t, q = np.array(t), np.array(q)
         _, q_update = roll_update(t, q, params)
         assert np.any((q_update == 0.0) & np.signbit(q_update))
         state = ModelState(t, q)
@@ -620,19 +621,23 @@ class TestNatureRun:
         assert_bitwise(a.final.vector, b.final.vector)
         assert_bitwise(a.precipitation, b.precipitation)
 
-    @pytest.mark.parametrize("grid_size, spinup_steps", [(12, 100), (4, 1), (40, 7)])
-    def test_is_the_forecast_of_the_seeded_initial_state(self, grid_size, spinup_steps):
+    @pytest.mark.parametrize(
+        "grid_size, spinup_steps, seed",
+        [(12, 100, 27), (4, 1, 141), (40, 7, 4)],
+        ids=["12-100", "4-1", "40-7"],
+    )
+    def test_is_the_forecast_of_the_seeded_initial_state(self, grid_size, spinup_steps, seed):
         """The truth is the spin-up's forecast from the documented initial
         state: temperature from one draw of ``grid_size`` normals, then
-        moisture from the next, floored at zero (a threshold of -4 floors
-        some cells)."""
-        params = ModelParams(condensation_threshold=-4.0)
-        rng = SeededRng(42)
+        moisture from the next, floored at zero (at threshold 0, each grid's
+        seed floors a cell)."""
+        params = ModelParams(condensation_threshold=0.0)
+        rng = SeededRng(seed)
         temperature = params.forcing + 0.5 * np.array(rng.normals(grid_size))
-        moisture = np.maximum(0.0, 1.0 + 2.0 * np.array(rng.normals(grid_size)))
+        moisture = np.maximum(0.0, 5.0 + 2.0 * np.array(rng.normals(grid_size)))
         assert np.any(moisture == 0.0)
         initial = ModelState(temperature, moisture)
-        truth = nature_run(Workspace(grid_size, params), 42, spinup_steps)
+        truth = nature_run(Workspace(grid_size, params), seed, spinup_steps)
         final = integrate_fresh(initial, params, spinup_steps).final
         assert_bitwise(truth.final.vector, final.vector)
         assert_bitwise(truth.precipitation, loop_precipitation(initial, params, spinup_steps))
