@@ -17,7 +17,9 @@ predictors (``PREDICTORS``) evaluated per observation, at its scan position
 
 * ``RadianceOperator`` evaluates it, vectorized over observations, on the
   flattened state vector [temperature_field, moisture_field] and the bias
-  coefficients. One is built per scenario and is the scenario's only
+  coefficients. Its sizes and constants are fixed at construction, and
+  every call runs one sequence of numpy calls, whatever the bias
+  template. One is built per scenario and is the scenario's only
   operator: ``synthesize_observations`` evaluates it at the truth and the
   true bias, and ``assim.build_problem`` wraps it with each analysis's
   background, observed values and covariances. Like an RK4 ``Workspace``,
@@ -164,12 +166,14 @@ class RadianceOperator:
     grid size alone, so ``run_scenario`` builds one per scenario; it
     synthesizes the truth's observations and serves every analysis of the
     scenario. The template is also held as ``bias_background``, the
-    read-only vector [beta_0, beta_1, ...], and the number of observations
-    as ``n_obs``. Everything that does not depend on the control is fixed
-    at construction: which predictor column holds the surface temperature,
-    if one does, one gather index ``[locs, grid_size + locs]`` that reads
-    both fields in one call, the Jacobian's nonzero positions, and the
-    mapping's constants (surface offset, atmosphere temperature,
+    read-only vector [beta_0, beta_1, ...]. Everything that does not depend
+    on the control is fixed at construction, so every call runs one
+    sequence of numpy calls whatever the template: the sizes ``n_obs``,
+    ``n_state`` and ``n_bias``, each predictor's slope in the surface
+    temperature and the surface-temperature column (empty if there is no
+    such predictor), one gather index ``[locs, grid_size + locs]`` that
+    reads both fields in one call, the Jacobian's nonzero positions, and
+    the mapping's constants (surface offset, atmosphere temperature,
     opacity and its negation) together with zero and one, each as a vector
     of length n_obs. A vector operand gives the same bits as the scalar it
     holds and costs less per numpy call.
@@ -186,15 +190,15 @@ class RadianceOperator:
     after ``values`` at the same point reuses that point's columns, and a
     call at another state, or at a state written into since, recomputes
     them. ``values(state, bias)`` returns a fresh vector; it writes the
-    surface-temperature column into the predictor matrix and skips the
-    product when there is no predictor. ``jacobians(state, bias)`` returns
-    the operator's buffers, which its next call overwrites: the (n_obs,
-    n_state) state Jacobian, zero but at the sensitivities each call
-    writes, and the bias Jacobian, whose constant and scan-position columns
-    are filled once at construction. It adds the surface-temperature
-    coefficient, if there is one, to d/dT (its slope is one) and writes its
-    column into the bias Jacobian, and sets d/dT and d/dq, held in one
-    vector, with one flat assignment into the state Jacobian; no other
+    surface-temperature column of the predictor matrix and adds the
+    matrix's product with the coefficients, +0.0 with no predictor.
+    ``jacobians(state, bias)`` returns the operator's buffers, which its
+    next call overwrites: the (n_obs, n_state) state Jacobian, zero but at
+    the sensitivities each call writes, and the bias Jacobian, whose
+    constant and scan-position columns are filled once at construction. It
+    adds the coefficients' product with the slopes to d/dT, writes the bias
+    Jacobian's surface-temperature column, and sets d/dT and d/dq, held in
+    one vector, with one flat assignment into the state Jacobian; no other
     entry of either Jacobian changes. It zeroes the moisture sensitivity
     where the raw moisture is <= 0, which equals keeping it where the
     moisture is > 0 for every moisture but NaN.
@@ -215,8 +219,13 @@ class RadianceOperator:
             raise ValidationError("observation locations must index the model grid")
         template = self.bias_template
         locs = np.array(self.obs_locations, dtype=int)
-        n_obs = len(locs)
-        row_starts = np.arange(n_obs) * self.n_state
+        n_obs, n_state, n_bias = len(locs), 2 * self.grid_size, 1 + len(template.predictors)
+        row_starts = np.arange(n_obs) * n_state
+        # Each predictor's slope in the surface temperature: one for the
+        # surface temperature itself, zero for the scan position. The
+        # predictor column of slope one is one wide, or empty if there is none.
+        slopes = np.array([float(name == "surface_temperature") for name in template.predictors])
+        surface = next((slice(i, i + 1) for i, slope in enumerate(slopes) if slope), slice(0))
 
         def full(value: float) -> np.ndarray:
             return np.full(n_obs, value, dtype=float)
@@ -225,11 +234,10 @@ class RadianceOperator:
             "bias_background": np.array(
                 [template.constant_coefficient_k, *template.coefficients], dtype=float
             ),
-            "_surface_column": next(
-                (i for i, name in enumerate(template.predictors) if name == "surface_temperature"),
-                None,
-            ),
             "n_obs": n_obs,
+            "n_state": n_state,
+            "n_bias": n_bias,
+            "_slopes": slopes,
             "_gather": np.concatenate([locs, self.grid_size + locs]),
             # Positions of d/dT, then d/dq, in the row-major (n_obs, n_state) Jacobian.
             "_flat_sensitivities": np.concatenate(
@@ -246,27 +254,21 @@ class RadianceOperator:
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
             setattr(self, name, value)
-        # What the calls write. The bias Jacobian's constant and
-        # scan-position columns are filled here, once.
-        self._jac_bias = np.empty((n_obs, self.n_bias))
+        # What the calls write. The bias Jacobian's constant column and its
+        # predictor columns are filled here, once, the latter with the scan
+        # position; the calls write the surface temperature's column.
+        self._jac_bias = np.empty((n_obs, n_bias))
         self._jac_bias[:, 0] = 1.0
-        for i, name in enumerate(template.predictors):
-            if name == "scan_position":
-                self._jac_bias[:, 1 + i] = locs
+        self._jac_bias[:, 1:] = locs[:, None]
         self._predictors = self._jac_bias[:, 1:].copy()
-        self._jac_state = np.zeros((n_obs, self.n_state))
+        self._surface_jacobian = self._jac_bias[:, 1:][:, surface]
+        self._surface_predictor = self._predictors[:, surface]
+        self._jac_state = np.zeros((n_obs, n_state))
         self._sensitivities = np.empty(2 * n_obs)
         self._d_dtemp, self._d_dmoist = self._sensitivities[:n_obs], self._sensitivities[n_obs:]
         self._t_surf, self._w, self._scratch = np.empty((3, n_obs))
+        self._t_surf_column = self._t_surf[:, None]
         self._key = self._q_raw = None
-
-    @property
-    def n_state(self) -> int:
-        return 2 * self.grid_size
-
-    @property
-    def n_bias(self) -> int:
-        return 1 + len(self.bias_template.predictors)
 
     def _at(self, state: np.ndarray) -> None:
         """Bring the columns up to date with ``state``."""
@@ -290,14 +292,11 @@ class RadianceOperator:
         np.add(h, rest, h)
         # ndarray.dot costs less per call than @. With one observation the two
         # can differ in the sign of a zero, which the add loses: h + beta_0 is
-        # never -0.0, because h is not (t_atm > 0), so with no predictor the
-        # add of their zero product is left out.
+        # never -0.0, because h is not (t_atm > 0), so a zero product, such as
+        # the empty one of a template with no predictor, leaves it as it is.
         np.add(h, bias[0], h)
-        if self.bias_template.predictors:
-            pred = self._predictors
-            if self._surface_column is not None:
-                pred[:, self._surface_column] = t_surf
-            np.add(h, pred.dot(bias[1:]), h)
+        self._surface_predictor[...] = self._t_surf_column
+        np.add(h, self._predictors.dot(bias[1:]), h)
         return h
 
     def jacobians(self, state: np.ndarray, bias: np.ndarray):
@@ -309,14 +308,10 @@ class RadianceOperator:
         np.multiply(self._kappa, d_dmoist, d_dmoist)
         np.multiply(d_dmoist, w, d_dmoist)
         np.putmask(d_dmoist, self._q_raw <= self._zeros, 0.0)
-        # d/dT is w plus the surface-temperature coefficient, if there is one,
-        # whose bias Jacobian column is the surface temperature.
-        col = self._surface_column
-        if col is None:
-            np.copyto(d_dtemp, w)
-        else:
-            np.add(w, bias[1 + col], d_dtemp)
-            self._jac_bias[:, 1 + col] = t_surf
+        # d/dT is w plus the surface-temperature coefficient, the coefficients'
+        # product with the slopes (zero with no such predictor).
+        np.add(w, bias[1:].dot(self._slopes), d_dtemp)
+        self._surface_jacobian[...] = self._t_surf_column
         # [d/dT, d/dq] at the observed cells, set in the Jacobian at once.
         self._jac_state.put(self._flat_sensitivities, self._sensitivities)
         return self._jac_state, self._jac_bias

@@ -14,6 +14,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+import wxleak.assim as assim
 import wxleak.cli as cli
 import wxleak.experiment as experiment
 import wxleak.model as model
@@ -1138,6 +1139,24 @@ class TestEmission:
             b"-30,0.1,0.11,0.001,0.0001,0.002,0.00025,3.25,true\n"
             b"-29,0.2,0.22,0.002,0.0002,0.004,0.0005,3.26,true\n"
         )
+
+    def test_unconverged_rows_written_false(self, tmp_path, monkeypatch):
+        """Analyses stopped at ``MAX_ITERATIONS`` make every row's
+        ``converged`` False: ``emit_csv`` writes ``false`` as each row's last
+        cell, ``parse_report_csv`` reads it back as False, and ``wxleak run``
+        writes the same bytes and exits 0."""
+        monkeypatch.setattr(assim, "MAX_ITERATIONS", 2)
+        report = run_scenario(small_config())
+        assert [row.converged for row in report.rows] == [False] * 3
+        path, config, out = tmp_path / "r.csv", tmp_path / "run.yaml", tmp_path / "out.csv"
+        emit_csv(report, str(path))
+        lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["false"] * 3
+        assert [row["converged"] for row in parse_report_csv(str(path))] == [False] * 3
+        config.write_text(yaml.safe_dump(SMALL_RUN))
+        result = CliRunner().invoke(main, ["run", str(config), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert out.read_bytes() == path.read_bytes()
 
     def test_one_row_field_per_column(self):
         assert [f.name for f in dataclasses.fields(LevelMetrics)] == CSV_HEADER.split(",")
